@@ -1,6 +1,6 @@
-// Command almanacd serves a simulated TimeSSD — or a sharded array of
-// them — over TCP using the Project Almanac command protocol (the
-// NVMe-wrapped TimeKits interface of §4). Any number of clients can
+// Command almanacd serves a striped array of simulated TimeSSDs — one
+// shard by default — over TCP using the Project Almanac command protocol
+// (the NVMe-wrapped TimeKits interface of §4). Any number of clients can
 // connect; they share the device(s), like processes sharing a block
 // device.
 //
@@ -8,34 +8,40 @@
 //	almanacd -shards 4                       # 4-way striped array
 //	almanacd -metrics-addr 127.0.0.1:9522    # expvar/pprof sidecar listener
 //	almanacd -fault-plan plan.txt            # deterministic NAND fault injection
-//	almanacd -volumes "db:4096:s3cret:6h,scratch:1024"   # multi-tenant volume service
+//	almanacd -volumes "db:4096:s3cret:6h,scratch:1024"   # pre-provisioned volumes
 //
-// Observability is on by default (-obs=false disables it): the device
-// records per-operation latency histograms in both virtual device time
-// and host wall time, plus a ring of recent trace events. Clients fetch
-// them with the OpMetrics/OpTrace protocol commands (protocol v3); the
-// optional -metrics-addr listener additionally exposes the same snapshot
-// as expvar JSON together with the standard pprof handlers.
+// There is one serving mode. The devices are assembled into an array
+// (internal/array; a single device is a 1-shard array and answers exactly
+// as the bare device would), the multi-tenant volume service
+// (internal/service) sits on the array, and one protocol server fronts
+// the service. Pre-v4 clients get the plain block surface and array-wide
+// TimeKits; v4 clients additionally create, attach, pipeline batched
+// reads/writes/trims against, and independently roll back named volumes
+// carved from the array's address space.
+//
+// -volumes only pre-provisions: each comma-separated
+// name:pages[:key[:retention]] spec creates one named volume at start-up,
+// gated by its tenant key and per-volume retention window. Without it the
+// service starts empty and clients create volumes over the wire.
+//
+// Observability is on by default (-obs=false disables it): the devices
+// record per-operation latency histograms in both virtual device time
+// and host wall time, plus a ring of recent trace events, and every
+// volume records its own. Clients fetch them with the OpMetrics/OpTrace
+// (protocol v3) and OpVolStats (v4) commands; the optional -metrics-addr
+// listener additionally exposes the same snapshot as expvar JSON
+// together with the standard pprof handlers.
 //
 // With -shards N > 1 the logical address space is striped page-wise
 // across N identical TimeSSDs, each with its own worker, so commands to
 // different shards execute in parallel (see internal/array). The flag
 // geometry describes ONE shard; the exported capacity is N shards' worth.
 //
-// With -volumes the daemon serves the multi-tenant volume service
-// (internal/service) over protocol v4: each comma-separated
-// name:pages[:key[:retention]] spec pre-provisions one named volume
-// carved from the array's address space, gated by its tenant key and
-// per-volume retention window. v4 clients attach, pipeline batched
-// reads/writes/trims, and roll volumes back independently; pre-v4
-// clients still get the plain block surface. Volume mode always runs
-// the array layer, even with -shards 1.
-//
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting,
 // completes every in-flight frame — including pipelined v4 requests
 // already admitted to a connection's window — and only then saves the
-// image(s): one file per shard (`img.shard0` … `img.shardN-1`; a single
-// device keeps the plain path).
+// image(s): one file per shard (`img.shard0` … `img.shardN-1`; with one
+// shard, the plain path).
 //
 // Clients use internal/almaproto.Dial; see examples/remote-timekits.
 package main
@@ -76,7 +82,7 @@ func main() {
 	obsOn := flag.Bool("obs", true, "record per-operation latency histograms and trace events (internal/obs)")
 	faultPlan := flag.String("fault-plan", "", "fault plan file (internal/fault syntax); shard k runs the plan reseeded with seed+k")
 	metricsAddr := flag.String("metrics-addr", "", "optional HTTP address for the expvar/pprof metrics listener (e.g. 127.0.0.1:9522)")
-	volumes := flag.String("volumes", "", "serve the v4 volume service, pre-provisioning comma-separated name:pages[:key[:retention]] volumes")
+	volumes := flag.String("volumes", "", "pre-provision comma-separated name:pages[:key[:retention]] volumes")
 	flag.Parse()
 
 	if *shards < 1 {
@@ -122,41 +128,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var srv *almaproto.Server
-	var arr *array.Array
-	logical := devs[0].LogicalPages() * *shards
-	if specs != nil {
-		// Volume mode: the service carves extents out of the array's
-		// address space, so even one shard runs behind the array layer.
-		arr, err = array.Assemble(devs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		svc := service.New(arr)
-		svc.SetObsEnabled(*obsOn)
-		for _, sp := range specs {
-			// Volumes are born at virtual time zero so any client
-			// timestamp falls inside their lifetime.
-			if _, err := svc.Create(sp.name, sp.key, sp.pages, sp.retention, 0); err != nil {
-				log.Fatalf("almanacd: -volumes %s: %v", sp.name, err)
-			}
-			fmt.Printf("almanacd: volume %q ready (%d pages, retention %v)\n", sp.name, sp.pages, sp.retention)
-		}
-		srv = almaproto.NewServiceServer(svc)
-	} else if *shards == 1 {
-		// A one-shard deployment keeps the single-device firmware model:
-		// one command interpreter, one device lock.
-		devs[0].Obs().SetEnabled(*obsOn)
-		srv = almaproto.NewServer(devs[0])
-	} else {
-		var err error
-		arr, err = array.Assemble(devs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		arr.SetObsEnabled(*obsOn)
-		srv = almaproto.NewArrayServer(arr)
+	// One serving path: the devices become an array (one shard included),
+	// the service carves volumes out of the array's address space, and the
+	// server fronts the service. -volumes only pre-provisions.
+	arr, err := array.Assemble(devs)
+	if err != nil {
+		log.Fatal(err)
 	}
+	arr.SetObsEnabled(*obsOn)
+	svc := service.New(arr)
+	svc.SetObsEnabled(*obsOn)
+	for _, sp := range specs {
+		// Volumes are born at virtual time zero so any client
+		// timestamp falls inside their lifetime.
+		if _, err := svc.Create(sp.name, sp.key, sp.pages, sp.retention, 0); err != nil {
+			log.Fatalf("almanacd: -volumes %s: %v", sp.name, err)
+		}
+		fmt.Printf("almanacd: volume %q ready (%d pages, retention %v)\n", sp.name, sp.pages, sp.retention)
+	}
+	srv := almaproto.NewServiceServer(svc)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -173,7 +163,7 @@ func main() {
 	perShard := devs[0].Config().FTL.Flash
 	fmt.Printf("almanacd: serving a %d MiB TimeSSD array (%d shard(s) × %d channels, %d logical pages) on %s\n",
 		int64(*shards)*perShard.TotalBytes()>>20, *shards, perShard.Channels,
-		logical, ln.Addr())
+		arr.LogicalPages(), ln.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -189,9 +179,7 @@ func main() {
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, net.ErrClosed) {
 		log.Print(err)
 	}
-	if arr != nil {
-		_ = arr.Close() // park the workers before touching the devices directly; Close on a live array cannot fail
-	}
+	_ = arr.Close() // park the workers before touching the devices directly; Close on a live array cannot fail
 	if *image != "" {
 		for i, dev := range devs {
 			path := shardImagePath(*image, *shards, i)
@@ -310,7 +298,7 @@ type volSpec struct {
 // parseVolumeSpecs parses the -volumes flag: comma-separated
 // name:pages[:key[:retention]] entries. An empty key means the volume is
 // open to any client; an omitted retention accepts the device default.
-// "" yields nil (volume mode off).
+// "" yields nil (nothing to pre-provision).
 func parseVolumeSpecs(s string) ([]volSpec, error) {
 	if s == "" {
 		return nil, nil

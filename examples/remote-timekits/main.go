@@ -11,23 +11,32 @@ import (
 	"net"
 
 	"almanac/internal/almaproto"
+	"almanac/internal/array"
 	"almanac/internal/core"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
+	"almanac/internal/service"
 	"almanac/internal/vclock"
 )
 
 func main() {
-	// Device + server (in production this is the almanacd command).
+	// Device + server (in production this is the almanacd command): one
+	// device is a 1-shard array under the volume service, the one way a
+	// server is built.
 	dev, err := core.New(core.DefaultConfig(ftl.WithFlash(flash.DefaultConfig())))
 	if err != nil {
 		log.Fatal(err)
 	}
+	arr, err := array.Assemble([]*core.TimeSSD{dev})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer arr.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := almaproto.NewServer(dev)
+	srv := almaproto.NewServiceServer(service.New(arr))
 	go srv.Serve(ln)
 	defer srv.Close()
 

@@ -21,8 +21,12 @@ import (
 // each call still blocks, but it no longer queues behind the others, and
 // the async Submit*/Wait surface (client_async.go) exposes the
 // pipelining directly.
+//
+// Every command, synchronous or not, is built once and decoded once: a
+// synchronous method is its submission followed by its wait. The two
+// transports differ only below that (see send).
 type Client struct {
-	mu         sync.Mutex
+	mu         sync.Mutex // guards the three fields below and serialises lockstep round trips
 	conn       io.ReadWriteCloser
 	version    uint32 // negotiated protocol version; 0 until Identify runs
 	window     int    // server-advertised in-flight window (v4)
@@ -32,28 +36,16 @@ type Client struct {
 	pmu     sync.Mutex
 	tagged  bool
 	nextID  uint64
-	pend    map[uint64]chan taggedResp
+	pend    map[uint64]chan response
 	pfree   []*rawPending // recycled pendings (with their channels)
 	readErr error
 
 	// Frame pools: request frames cycle submit → writer flush → release;
-	// response frames cycle demux → typed Wait → release.
+	// response frames cycle demux → typed wait → release. w is the tagged
+	// transport's coalescing writer.
 	reqPool  framePool
 	respPool framePool
-
-	// Writer-goroutine state: submissions enqueue built frames here and
-	// the writer drains each wakeup's worth into one coalesced Write.
-	// The wake token is only ever sent outside wmu (lockorder-clean).
-	wmu      sync.Mutex
-	wq       []*frameBuf
-	wsignal  bool
-	wclosed  bool
-	wwake    chan struct{} // cap 1
-	wdone    chan struct{} // closed when the writer goroutine exits
-	wbatch   []*frameBuf   // writer-owned drain scratch
-	wscratch []byte        // writer-owned coalescing buffer
-	wbufs    net.Buffers   // writer-owned vectored-write scratch
-	werr     error         // writer-owned; first flush failure
+	w        *sendQueue[*frameBuf]
 }
 
 // Dial connects to an almanacd server.
@@ -79,48 +71,71 @@ func (c *Client) Close() error {
 	return err
 }
 
-// roundTrip sends one request body and decodes the response status. On a
-// tagged (v4) connection the request is submitted with a fresh ID and the
-// call waits for its completion, so every synchronous method transparently
-// rides the pipelined transport.
-func (c *Client) roundTrip(body []byte) (*dec, error) {
-	c.pmu.Lock()
-	tagged := c.tagged
-	c.pmu.Unlock()
-	if tagged {
-		p, err := c.submit(body)
-		if err != nil {
-			return nil, err
-		}
-		r := p.wait()
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Sync callers may hand decoded slices to the application, so the
-		// response frame is left to the GC instead of being recycled.
-		d := r.d
-		return &d, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, body); err != nil {
-		return nil, err
-	}
-	resp, err := readFrame(c.conn)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: resp}
-	if status := d.u8(); status != StatusOK {
-		return nil, &RemoteError{Msg: string(d.bytes()), Code: status}
-	}
-	return d, nil
-}
-
+// request starts a lockstep request body: the opcode, then whatever the
+// caller appends.
 func request(op Op) *enc {
 	e := &enc{}
 	e.u8(uint8(op))
 	return e
+}
+
+// reqBuf is one request under construction: an encoder positioned past
+// the opcode. On the tagged transport it builds in place in a pooled
+// frame (fb), behind 12 bytes of header room — u32 frame length and u64
+// request ID, both stamped by submitFrame; on the lockstep transport it
+// is a plain body and fb is nil. The encoder may grow past the frame's
+// capacity, so the frame goes back to the client through send, never by
+// touching fb.b.
+type reqBuf struct {
+	enc
+	fb *frameBuf
+}
+
+// begin starts a request for the connection's current transport.
+func (c *Client) begin(op Op) reqBuf {
+	if !c.isTagged() {
+		return reqBuf{enc: *request(op)}
+	}
+	fb := c.reqPool.acquire(12)
+	rq := reqBuf{enc: enc{b: fb.b[:12]}, fb: fb}
+	rq.u8(uint8(op))
+	return rq
+}
+
+// send issues a built request and returns its pending completion. On the
+// tagged transport the frame is queued for the writer and the completion
+// arrives through demux, in any order. On the lockstep transport the
+// round trip happens here, one at a time under c.mu, and the pending
+// returned has already completed.
+func (c *Client) send(rq *reqBuf) (*rawPending, error) {
+	if rq.fb != nil {
+		return c.submitFrame(rq.fb, rq.b)
+	}
+	c.mu.Lock()
+	err := writeFrame(c.conn, rq.b)
+	var body []byte
+	if err == nil {
+		body, err = readFrame(c.conn)
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	c.pmu.Lock()
+	p := c.leasePending()
+	c.pmu.Unlock()
+	p.ch <- completion(c, body, 0, nil)
+	return p, nil
+}
+
+// roundTrip sends a built request and waits for its completion.
+func (c *Client) roundTrip(rq *reqBuf) (response, error) {
+	p, err := c.send(rq)
+	if err != nil {
+		return response{}, err
+	}
+	r := p.wait()
+	return r, r.err
 }
 
 // Identify fetches device geometry and the retention window start, and
@@ -134,11 +149,12 @@ func request(op Op) *enc {
 // transport the moment Identify returns. Run the first Identify to
 // completion before issuing commands from other goroutines: a command
 // racing the negotiation could hit the wire in the old framing after the
-// server has already switched.
+// server has already switched. The negotiation is final: a later Identify
+// on the tagged connection reports the same version and window.
 func (c *Client) Identify() (Identity, error) {
-	e := request(OpIdentify)
-	e.u32(c.announceMax())
-	d, err := c.roundTrip(e.b)
+	rq := c.begin(OpIdentify)
+	rq.u32(c.announceMax())
+	r, err := c.roundTrip(&rq)
 	legacy := false
 	if err != nil {
 		var re *RemoteError
@@ -146,27 +162,27 @@ func (c *Client) Identify() (Identity, error) {
 			return Identity{}, err
 		}
 		legacy = true
-		if d, err = c.roundTrip(request(OpIdentify).b); err != nil {
+		rq = c.begin(OpIdentify)
+		if r, err = c.roundTrip(&rq); err != nil {
 			return Identity{}, err
 		}
 	}
 	id := Identity{
-		PageSize:     int(d.u32()),
-		LogicalPages: int(d.u64()),
-		Channels:     int(d.u32()),
-		Shards:       int(d.u32()),
-		WindowStart:  d.time(),
+		PageSize:     int(r.u32()),
+		LogicalPages: int(r.u64()),
+		Channels:     int(r.u32()),
+		Shards:       int(r.u32()),
+		WindowStart:  r.time(),
+		Version:      VersionArray,
 	}
-	if !legacy && d.pos < len(d.b) {
-		id.Version = int(d.u32())
-	} else {
-		id.Version = VersionArray
+	if !legacy && r.pos < len(r.b) {
+		id.Version = int(r.u32())
 	}
-	if !legacy && d.pos < len(d.b) {
-		id.Window = int(d.u32())
+	if !legacy && r.pos < len(r.b) {
+		id.Window = int(r.u32())
 	}
-	if d.err != nil {
-		return Identity{}, d.err
+	if err := r.finish(); err != nil {
+		return Identity{}, err
 	}
 	c.mu.Lock()
 	c.version = uint32(id.Version)
@@ -204,76 +220,68 @@ func (c *Client) negotiated() (uint32, error) {
 	return uint32(id.Version), nil
 }
 
+// The three block commands have an async form too (client_async.go): the
+// synchronous method is the same submission and the same wait.
+
 // Read fetches the current content of lpa.
 func (c *Client) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
-	e := request(OpRead)
-	e.u64(lpa)
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	p, err := c.submitLPA(OpRead, lpa, at)
 	if err != nil {
 		return nil, at, err
 	}
-	done := d.time()
-	data := d.bytes()
-	return data, done, d.err
+	data, done, err := waitRead(p)
+	if err != nil {
+		return nil, at, err
+	}
+	return data, done, nil
 }
 
 // Write stores data at lpa.
 func (c *Client) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
-	e := request(OpWrite)
-	e.u64(lpa)
-	e.time(at)
-	e.bytes(data)
-	d, err := c.roundTrip(e.b)
+	p, err := c.submitWrite(lpa, data, at)
 	if err != nil {
 		return at, err
 	}
-	done := d.time()
-	return done, d.err
+	return syncDone(p, at)
 }
 
 // Trim invalidates lpa.
 func (c *Client) Trim(lpa uint64, at vclock.Time) (vclock.Time, error) {
-	e := request(OpTrim)
-	e.u64(lpa)
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	p, err := c.submitLPA(OpTrim, lpa, at)
 	if err != nil {
 		return at, err
 	}
-	done := d.time()
-	return done, d.err
+	return syncDone(p, at)
+}
+
+// syncDone waits for a completion that carries only its done time; a
+// synchronous caller gets its issue time back on failure.
+func syncDone(p *rawPending, at vclock.Time) (vclock.Time, error) {
+	done, err := waitDone(p)
+	if err != nil {
+		return at, err
+	}
+	return done, nil
 }
 
 func (c *Client) addrQuery(op Op, addr uint64, cnt int, t1, t2, at vclock.Time) ([]timekits.PageVersions, vclock.Time, error) {
-	e := request(op)
-	e.u64(addr)
-	e.u32(uint32(cnt))
-	switch op {
-	case OpAddrQuery:
-		e.time(t1)
-	case OpAddrQueryRange:
-		e.time(t1)
-		e.time(t2)
-	}
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	rq := c.begin(op)
+	rq.u64(addr)
+	rq.u32(uint32(cnt))
+	rq.bounds(op, t1, t2, at)
+	r, err := c.roundTrip(&rq)
 	if err != nil {
 		return nil, at, err
 	}
-	done := d.time()
-	n := int(d.u32())
-	cap := n
-	if cap > 4096 {
-		cap = 4096 // grow past this instead of trusting the peer's count
-	}
-	out := make([]timekits.PageVersions, 0, cap)
-	for i := 0; i < n && d.err == nil; i++ {
-		pv := timekits.PageVersions{LPA: d.u64()}
-		pv.Versions = decVersions(d)
+	done := r.time()
+	n := int(r.u32())
+	out := make([]timekits.PageVersions, 0, min(n, 4096)) // grow past this instead of trusting the peer's count
+	for i := 0; i < n && r.err == nil; i++ {
+		pv := timekits.PageVersions{LPA: r.u64()}
+		pv.Versions = decVersions(&r.dec)
 		out = append(out, pv)
 	}
-	return out, done, d.err
+	return out, done, r.finish()
 }
 
 // AddrQuery returns, per LPA, the version current at time t.
@@ -292,22 +300,15 @@ func (c *Client) AddrQueryAll(addr uint64, cnt int, at vclock.Time) ([]timekits.
 }
 
 func (c *Client) timeQuery(op Op, t1, t2, at vclock.Time) ([]core.UpdateRecord, vclock.Time, error) {
-	e := request(op)
-	switch op {
-	case OpTimeQuery:
-		e.time(t1)
-	case OpTimeQueryRange:
-		e.time(t1)
-		e.time(t2)
-	}
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	rq := c.begin(op)
+	rq.bounds(op, t1, t2, at)
+	r, err := c.roundTrip(&rq)
 	if err != nil {
 		return nil, at, err
 	}
-	done := d.time()
-	recs := decRecords(d)
-	return recs, done, d.err
+	done := r.time()
+	recs := decRecords(&r.dec)
+	return recs, done, r.finish()
 }
 
 // TimeQuery returns LPAs updated since t.
@@ -325,72 +326,66 @@ func (c *Client) TimeQueryAll(at vclock.Time) ([]core.UpdateRecord, vclock.Time,
 	return c.timeQuery(OpTimeQueryAll, 0, 0, at)
 }
 
-// RollBack reverts cnt LPAs from addr to their state at time t.
-func (c *Client) RollBack(addr uint64, cnt int, t, at vclock.Time) (int, vclock.Time, error) {
-	e := request(OpRollBack)
-	e.u64(addr)
-	e.u32(uint32(cnt))
-	e.time(t)
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+// changed completes a rollback-shaped command: its response is the done
+// time and the number of pages changed.
+func (c *Client) changed(rq *reqBuf, at vclock.Time) (int, vclock.Time, error) {
+	r, err := c.roundTrip(rq)
 	if err != nil {
 		return 0, at, err
 	}
-	done := d.time()
-	changed := int(d.u32())
-	return changed, done, d.err
+	done, n := r.time(), int(r.u32())
+	return n, done, r.finish()
+}
+
+// RollBack reverts cnt LPAs from addr to their state at time t.
+func (c *Client) RollBack(addr uint64, cnt int, t, at vclock.Time) (int, vclock.Time, error) {
+	rq := c.begin(OpRollBack)
+	rq.u64(addr)
+	rq.u32(uint32(cnt))
+	rq.time(t)
+	rq.time(at)
+	return c.changed(&rq, at)
 }
 
 // RollBackAll reverts every LPA with retrievable state to its version at
-// time t — on an array server, every shard travels to the same instant.
+// time t — on a striped array, every shard travels to the same instant.
 func (c *Client) RollBackAll(t, at vclock.Time) (int, vclock.Time, error) {
-	e := request(OpRollBackAll)
-	e.time(t)
-	e.time(at)
-	d, err := c.roundTrip(e.b)
-	if err != nil {
-		return 0, at, err
-	}
-	done := d.time()
-	changed := int(d.u32())
-	return changed, done, d.err
+	rq := c.begin(OpRollBackAll)
+	rq.time(t)
+	rq.time(at)
+	return c.changed(&rq, at)
 }
 
 // RollBackParallel reverts a set of LPAs with the given host threads.
 func (c *Client) RollBackParallel(lpas []uint64, threads int, t, at vclock.Time) (int, vclock.Time, error) {
-	e := request(OpRollBackParallel)
-	e.u32(uint32(len(lpas)))
+	rq := c.begin(OpRollBackParallel)
+	rq.u32(uint32(len(lpas)))
 	for _, lpa := range lpas {
-		e.u64(lpa)
+		rq.u64(lpa)
 	}
-	e.u32(uint32(threads))
-	e.time(t)
-	e.time(at)
-	d, err := c.roundTrip(e.b)
-	if err != nil {
-		return 0, at, err
-	}
-	done := d.time()
-	changed := int(d.u32())
-	return changed, done, d.err
+	rq.u32(uint32(threads))
+	rq.time(t)
+	rq.time(at)
+	return c.changed(&rq, at)
 }
 
 // Stats fetches the device counters.
 func (c *Client) Stats() (DeviceStats, error) {
-	d, err := c.roundTrip(request(OpStats).b)
+	rq := c.begin(OpStats)
+	r, err := c.roundTrip(&rq)
 	if err != nil {
 		return DeviceStats{}, err
 	}
 	st := DeviceStats{
-		HostPageWrites: d.i64(),
-		HostPageReads:  d.i64(),
-		FlashPrograms:  d.i64(),
-		FlashReads:     d.i64(),
-		FlashErases:    d.i64(),
-		DeltasCreated:  d.i64(),
-		WindowDrops:    d.i64(),
+		HostPageWrites: r.i64(),
+		HostPageReads:  r.i64(),
+		FlashPrograms:  r.i64(),
+		FlashReads:     r.i64(),
+		FlashErases:    r.i64(),
+		DeltasCreated:  r.i64(),
+		WindowDrops:    r.i64(),
 	}
-	return st, d.err
+	return st, r.finish()
 }
 
 // requireVersion negotiates if needed and checks the agreed version
@@ -406,18 +401,24 @@ func (c *Client) requireVersion(min uint32, op Op) error {
 	return nil
 }
 
+// snapshot completes a command whose response is one obs.Snapshot.
+func (c *Client) snapshot(rq *reqBuf) (obs.Snapshot, error) {
+	r, err := c.roundTrip(rq)
+	if err != nil {
+		return obs.Snapshot{}, err
+	}
+	s := decSnapshot(&r.dec)
+	return s, r.finish()
+}
+
 // Metrics fetches the device's full observability snapshot: counters plus
 // per-class virtual- and wall-time histograms (protocol ≥ v3).
 func (c *Client) Metrics() (obs.Snapshot, error) {
 	if err := c.requireVersion(VersionObs, OpMetrics); err != nil {
 		return obs.Snapshot{}, err
 	}
-	d, err := c.roundTrip(request(OpMetrics).b)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	s := decSnapshot(d)
-	return s, d.err
+	rq := c.begin(OpMetrics)
+	return c.snapshot(&rq)
 }
 
 // Trace fetches up to max recent trace events, oldest first; max <= 0
@@ -426,12 +427,12 @@ func (c *Client) Trace(max int) ([]obs.Event, error) {
 	if err := c.requireVersion(VersionObs, OpTrace); err != nil {
 		return nil, err
 	}
-	e := request(OpTrace)
-	e.u32(uint32(max))
-	d, err := c.roundTrip(e.b)
+	rq := c.begin(OpTrace)
+	rq.u32(uint32(max))
+	r, err := c.roundTrip(&rq)
 	if err != nil {
 		return nil, err
 	}
-	evs := decEvents(d)
-	return evs, d.err
+	evs := decEvents(&r.dec)
+	return evs, r.finish()
 }

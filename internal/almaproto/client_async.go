@@ -12,47 +12,99 @@ import (
 
 // Tagged (v4) client transport: submissions carry a client-chosen request
 // ID, a reader goroutine demuxes completions — which arrive in whatever
-// order the backend finishes them — to their submitters, and the typed
+// order the server finishes them — to their submitters, and the typed
 // Submit*/Wait surface plus the Pipeline helper expose the pipelining to
-// callers. Synchronous methods keep working unchanged: roundTrip submits
-// and waits when the connection is tagged.
+// callers. Synchronous methods are the same submissions followed by the
+// same waits.
 //
 // The data path is pooled and coalesced end to end: request frames are
-// built header-first in pooled buffers, handed to a dedicated writer
-// goroutine that drains every queued frame into a single Write per
-// wakeup, and recycled once flushed; response frames are read into a
-// second pool, decoded in place by the typed Waits, and recycled there.
-// Steady-state submission therefore allocates nothing on the transport.
+// built header-first in pooled buffers, handed to the connection's
+// sendQueue — the writer goroutine that drains every queued frame into a
+// single Write per wakeup — and recycled once flushed; response frames
+// are read into a second pool, decoded in place by the waits, and
+// recycled there. Steady-state submission therefore allocates nothing on
+// the transport.
 
-// taggedResp is one demuxed completion: a positioned decoder aliasing
-// the pooled response frame on success, the typed failure otherwise.
-// Whoever consumes a successful response releases fb (typed Waits do;
-// the sync roundTrip path deliberately leaves its frame to the GC
-// because decoded slices may escape to the application).
-type taggedResp struct {
-	d   dec
-	fb  *frameBuf
-	err error
+// response is one completion: a decoder positioned past the status byte,
+// or one whose sticky err is the typed failure (a RemoteError, or what
+// killed the connection). On the tagged transport the decoder aliases a
+// pooled frame (fb), which finish returns; every decoder in this package
+// copies what it hands to the application, so nothing outlives that.
+type response struct {
+	dec
+	c  *Client
+	fb *frameBuf
 }
 
-// rawPending is one in-flight tagged submission. Pendings (and their
-// completion channels) are recycled through Client.pfree: exactly one
-// taggedResp is ever sent per lease — demux removes the channel from the
-// pending map before sending, and failPending swaps the whole map — so
-// once wait consumes it the pending is clean for reuse.
+// completion decodes the status of a response body whose status byte is
+// at pos, releasing fb when the completion is a failure.
+func completion(c *Client, body []byte, pos int, fb *frameBuf) response {
+	r := response{dec: dec{b: body, pos: pos}, c: c, fb: fb}
+	if r.err = r.status(); r.err != nil {
+		r.release()
+	}
+	return r
+}
+
+// status reads one status byte and, unless it is StatusOK, the error
+// message behind it.
+func (d *dec) status() error {
+	if status := d.u8(); status != StatusOK {
+		return &RemoteError{Msg: string(d.bytes()), Code: status}
+	}
+	return d.err
+}
+
+// release recycles the response frame; finish does so at the end of a
+// decode and reports whether the decoder ran off the end of the payload.
+func (r *response) release() {
+	if r.fb != nil {
+		r.c.respPool.release(r.fb)
+		r.fb = nil
+	}
+}
+
+func (r *response) finish() error {
+	r.release()
+	return r.err
+}
+
+// rawPending is one in-flight submission. Pendings (and their completion
+// channels) are recycled through Client.pfree: exactly one response is
+// ever sent per lease — demux removes the channel from the pending map
+// before sending, and failPending swaps the whole map — so once wait
+// consumes it the pending is clean for reuse.
 type rawPending struct {
 	c  *Client
-	ch chan taggedResp
+	ch chan response
 }
 
 // wait blocks for the completion and recycles the pending.
-func (p *rawPending) wait() taggedResp {
+func (p *rawPending) wait() response {
 	r := <-p.ch
 	c := p.c
 	c.pmu.Lock()
 	c.pfree = append(c.pfree, p)
 	c.pmu.Unlock()
 	return r
+}
+
+// leasePending takes a recycled pending or makes one. Called with pmu
+// held.
+func (c *Client) leasePending() *rawPending {
+	if k := len(c.pfree); k > 0 {
+		p := c.pfree[k-1]
+		c.pfree[k-1] = nil
+		c.pfree = c.pfree[:k-1]
+		return p
+	}
+	return &rawPending{c: c, ch: make(chan response, 1)}
+}
+
+func (c *Client) isTagged() bool {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return c.tagged
 }
 
 // enableTagged flips the connection to the tagged transport (idempotent)
@@ -66,11 +118,29 @@ func (c *Client) enableTagged() {
 	}
 	c.tagged = true
 	c.nextID = 1
-	c.pend = make(map[uint64]chan taggedResp)
-	c.wwake = make(chan struct{}, 1)
-	c.wdone = make(chan struct{})
+	c.pend = make(map[uint64]chan response)
+	// A flush failure fails every in-flight submission with a typed
+	// ErrConnClosed; the queue drains later frames without writing, so
+	// submitters never hang on a dead connection.
+	c.w = newSendQueue(c.conn, &c.reqPool, nil,
+		func(fb *frameBuf) *frameBuf { return fb },
+		func(_ int, err error) {
+			if err != nil {
+				c.failPending(fmt.Errorf("%w: %w", ErrConnClosed, err))
+			}
+		})
 	go c.demux()
-	go c.writeLoop()
+}
+
+// stopWriter stops the coalescing writer once its queue is drained and
+// waits for it. Idempotent; a no-op on untagged connections.
+func (c *Client) stopWriter() {
+	c.pmu.Lock()
+	w := c.w
+	c.pmu.Unlock()
+	if w != nil {
+		w.stop()
+	}
 }
 
 // demux owns the read side of a tagged connection: it routes every
@@ -81,18 +151,17 @@ func (c *Client) demux() {
 	for {
 		fb, err := readFrameInto(c.conn, &c.respPool, nil)
 		if err != nil {
-			c.failPending(fmt.Errorf("%w: %w", ErrConnClosed, err))
-			go c.stopWriter()
-			return
-		}
-		body := fb.b
-		if len(body) < 9 { // u64 reqID + u8 status minimum
+			err = fmt.Errorf("%w: %w", ErrConnClosed, err)
+		} else if len(fb.b) < 9 { // u64 reqID + u8 status minimum
+			err = fmt.Errorf("almaproto: tagged completion of %d bytes: %w", len(fb.b), ErrShortPayload)
 			c.respPool.release(fb)
-			c.failPending(fmt.Errorf("almaproto: tagged completion of %d bytes: %w", len(body), ErrShortPayload))
+		}
+		if err != nil {
+			c.failPending(err)
 			go c.stopWriter()
 			return
 		}
-		reqID := binary.LittleEndian.Uint64(body)
+		reqID := binary.LittleEndian.Uint64(fb.b)
 		c.pmu.Lock()
 		ch := c.pend[reqID]
 		delete(c.pend, reqID)
@@ -101,54 +170,31 @@ func (c *Client) demux() {
 			c.respPool.release(fb)
 			continue // completion for an abandoned submission
 		}
-		d := dec{b: body, pos: 8}
-		if status := d.u8(); status != StatusOK {
-			msg := string(d.bytes())
-			c.respPool.release(fb)
-			ch <- taggedResp{err: &RemoteError{Msg: msg, Code: status}}
-			continue
-		}
-		ch <- taggedResp{d: d, fb: fb}
+		ch <- completion(c, fb.b, 8, fb)
 	}
 }
 
 func (c *Client) failPending(err error) {
 	c.pmu.Lock()
 	pend := c.pend
-	c.pend = make(map[uint64]chan taggedResp)
+	c.pend = make(map[uint64]chan response)
 	if c.readErr == nil {
 		c.readErr = err
 	}
 	c.pmu.Unlock()
 	for _, ch := range pend {
-		ch <- taggedResp{err: err}
+		ch <- response{dec: dec{err: err}}
 	}
 }
 
-// newRequest leases a request frame and returns an encoder positioned
-// past the 12-byte header (u32 frame length + u64 request ID, both
-// patched by submitFrame) with the opcode already written. The encoder
-// may grow past the frame's capacity, so callers must hand e.b back via
-// submitFrame rather than touching fb.b directly.
-func (c *Client) newRequest(op Op) (*frameBuf, enc) {
-	fb := c.reqPool.acquire(12)
-	e := enc{b: fb.b[:12]}
-	e.u8(uint8(op))
-	return fb, e
-}
-
-// submitFrame registers a pending completion for the built frame, stamps
-// its header, and hands it to the writer goroutine. The frame is owned
-// by the transport from here on: the writer releases it after the flush.
-func (c *Client) submitFrame(fb *frameBuf, body []byte) (*rawPending, error) {
-	fb.b = body
+// submitFrame registers a pending completion for a request built in fb
+// (see reqBuf), stamps its header, and hands it to the writer goroutine.
+// The frame is owned by the transport from here on: the writer releases
+// it after the flush.
+func (c *Client) submitFrame(fb *frameBuf, frame []byte) (*rawPending, error) {
+	fb.b = frame
 	binary.LittleEndian.PutUint32(fb.b, uint32(len(fb.b)-4))
 	c.pmu.Lock()
-	if !c.tagged {
-		c.pmu.Unlock()
-		c.reqPool.release(fb)
-		return nil, fmt.Errorf("almaproto: submit on an untagged connection")
-	}
 	if c.readErr != nil {
 		err := c.readErr
 		c.pmu.Unlock()
@@ -157,19 +203,12 @@ func (c *Client) submitFrame(fb *frameBuf, body []byte) (*rawPending, error) {
 	}
 	reqID := c.nextID
 	c.nextID++
-	var p *rawPending
-	if k := len(c.pfree); k > 0 {
-		p = c.pfree[k-1]
-		c.pfree[k-1] = nil
-		c.pfree = c.pfree[:k-1]
-	} else {
-		p = &rawPending{c: c, ch: make(chan taggedResp, 1)}
-	}
+	p := c.leasePending()
 	c.pend[reqID] = p.ch
 	c.pmu.Unlock()
 	binary.LittleEndian.PutUint64(fb.b[4:], reqID)
 
-	if !c.enqueueWrite(fb) {
+	if !c.w.enqueue(fb) {
 		// Connection closed under us. failPending may already have taken
 		// our channel (and will send to it); only recycle the pending if
 		// the registration is still ours to remove.
@@ -189,94 +228,6 @@ func (c *Client) submitFrame(fb *frameBuf, body []byte) (*rawPending, error) {
 	return p, nil
 }
 
-// submit sends one tagged request body (without header) and returns the
-// pending completion. Hot paths build frames in place via newRequest;
-// this copying form serves the synchronous methods.
-func (c *Client) submit(body []byte) (*rawPending, error) {
-	fb := c.reqPool.acquire(12 + len(body))
-	copy(fb.b[12:], body)
-	return c.submitFrame(fb, fb.b)
-}
-
-// enqueueWrite queues a built frame for the writer goroutine, sending
-// the wake token outside wmu on the false→true signal edge. Returns
-// false (without queueing) once the writer has been stopped.
-func (c *Client) enqueueWrite(fb *frameBuf) bool {
-	c.wmu.Lock()
-	if c.wclosed {
-		c.wmu.Unlock()
-		return false
-	}
-	c.wq = append(c.wq, fb)
-	wake := !c.wsignal
-	c.wsignal = true
-	c.wmu.Unlock()
-	if wake {
-		c.wwake <- struct{}{}
-	}
-	return true
-}
-
-// stopWriter asks the writer goroutine to exit once its queue is drained
-// and waits for it. Idempotent; a no-op on untagged connections.
-func (c *Client) stopWriter() {
-	c.pmu.Lock()
-	started := c.tagged
-	c.pmu.Unlock()
-	if !started {
-		return
-	}
-	c.wmu.Lock()
-	c.wclosed = true
-	wake := !c.wsignal
-	c.wsignal = true
-	c.wmu.Unlock()
-	if wake {
-		c.wwake <- struct{}{}
-	}
-	<-c.wdone
-}
-
-// writeLoop is the connection's writer goroutine: it drains every frame
-// queued since the last wakeup and flushes them with a single Write
-// (coalesced) whenever they fit, then recycles the frames. A flush
-// failure fails every in-flight submission with a typed ErrConnClosed
-// and later frames are drained without writing, so submitters never
-// hang on a dead connection.
-func (c *Client) writeLoop() {
-	defer close(c.wdone)
-	for range c.wwake {
-		for {
-			c.wmu.Lock()
-			if len(c.wq) == 0 {
-				c.wsignal = false
-				closed := c.wclosed
-				c.wmu.Unlock()
-				if closed {
-					return
-				}
-				break
-			}
-			c.wbatch = append(c.wbatch[:0], c.wq...)
-			for i := range c.wq {
-				c.wq[i] = nil
-			}
-			c.wq = c.wq[:0]
-			c.wmu.Unlock()
-			if c.werr == nil {
-				if err := flushFrames(c.conn, c.wbatch, &c.wscratch, &c.wbufs, nil); err != nil {
-					c.werr = err
-					c.failPending(fmt.Errorf("%w: %w", ErrConnClosed, err))
-				}
-			}
-			for i, fb := range c.wbatch {
-				c.reqPool.release(fb)
-				c.wbatch[i] = nil
-			}
-		}
-	}
-}
-
 // ensureTagged negotiates if needed and confirms the connection speaks
 // the tagged transport.
 func (c *Client) ensureTagged(op Op) error {
@@ -284,10 +235,7 @@ func (c *Client) ensureTagged(op Op) error {
 	if err != nil {
 		return err
 	}
-	c.pmu.Lock()
-	on := c.tagged
-	c.pmu.Unlock()
-	if !on {
+	if !c.isTagged() {
 		return fmt.Errorf("almaproto: %v requires protocol v%d, server negotiated v%d", op, VersionService, v)
 	}
 	return nil
@@ -303,6 +251,47 @@ func (c *Client) Window() int {
 
 // ---- typed async submissions ----------------------------------------------
 
+// submitLPA submits a command whose payload is an LPA and the issue time:
+// a read or a trim.
+func (c *Client) submitLPA(op Op, lpa uint64, at vclock.Time) (*rawPending, error) {
+	rq := c.begin(op)
+	rq.u64(lpa)
+	rq.time(at)
+	return c.send(&rq)
+}
+
+// submitWrite submits a write; data is copied into the request before it
+// returns.
+func (c *Client) submitWrite(lpa uint64, data []byte, at vclock.Time) (*rawPending, error) {
+	rq := c.begin(OpWrite)
+	rq.u64(lpa)
+	rq.time(at)
+	rq.bytes(data)
+	return c.send(&rq)
+}
+
+// waitRead collects a read: its done time and the data, which is the
+// caller's (copied out of the response frame).
+func waitRead(p *rawPending) ([]byte, vclock.Time, error) {
+	r := p.wait()
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	done, data := r.time(), r.bytes()
+	return data, done, r.finish()
+}
+
+// waitDone collects a completion that carries only its done time: a
+// write or a trim.
+func waitDone(p *rawPending) (vclock.Time, error) {
+	r := p.wait()
+	if r.err != nil {
+		return 0, r.err
+	}
+	done := r.time()
+	return done, r.finish()
+}
+
 // PendingRead is an in-flight read submission.
 type PendingRead struct{ p *rawPending }
 
@@ -311,10 +300,7 @@ func (c *Client) SubmitRead(lpa uint64, at vclock.Time) (*PendingRead, error) {
 	if err := c.ensureTagged(OpRead); err != nil {
 		return nil, err
 	}
-	fb, e := c.newRequest(OpRead)
-	e.u64(lpa)
-	e.time(at)
-	p, err := c.submitFrame(fb, e.b)
+	p, err := c.submitLPA(OpRead, lpa, at)
 	if err != nil {
 		return nil, err
 	}
@@ -322,20 +308,8 @@ func (c *Client) SubmitRead(lpa uint64, at vclock.Time) (*PendingRead, error) {
 }
 
 // Wait blocks until the read completes. The returned data is the
-// caller's (copied out of the pooled response frame).
-func (r *PendingRead) Wait() ([]byte, vclock.Time, error) {
-	c := r.p.c
-	resp := r.p.wait()
-	if resp.err != nil {
-		return nil, 0, resp.err
-	}
-	d := &resp.d
-	done := d.time()
-	data := append([]byte(nil), d.bytes()...)
-	err := d.err
-	c.respPool.release(resp.fb)
-	return data, done, err
-}
+// caller's.
+func (r *PendingRead) Wait() ([]byte, vclock.Time, error) { return waitRead(r.p) }
 
 // PendingWrite is an in-flight write submission.
 type PendingWrite struct{ p *rawPending }
@@ -346,11 +320,7 @@ func (c *Client) SubmitWrite(lpa uint64, data []byte, at vclock.Time) (*PendingW
 	if err := c.ensureTagged(OpWrite); err != nil {
 		return nil, err
 	}
-	fb, e := c.newRequest(OpWrite)
-	e.u64(lpa)
-	e.time(at)
-	e.bytes(data)
-	p, err := c.submitFrame(fb, e.b)
+	p, err := c.submitWrite(lpa, data, at)
 	if err != nil {
 		return nil, err
 	}
@@ -358,18 +328,7 @@ func (c *Client) SubmitWrite(lpa uint64, data []byte, at vclock.Time) (*PendingW
 }
 
 // Wait blocks until the write completes.
-func (w *PendingWrite) Wait() (vclock.Time, error) {
-	c := w.p.c
-	resp := w.p.wait()
-	if resp.err != nil {
-		return 0, resp.err
-	}
-	d := &resp.d
-	done := d.time()
-	err := d.err
-	c.respPool.release(resp.fb)
-	return done, err
-}
+func (w *PendingWrite) Wait() (vclock.Time, error) { return waitDone(w.p) }
 
 // PendingTrim is an in-flight trim submission.
 type PendingTrim struct{ p *rawPending }
@@ -379,10 +338,7 @@ func (c *Client) SubmitTrim(lpa uint64, at vclock.Time) (*PendingTrim, error) {
 	if err := c.ensureTagged(OpTrim); err != nil {
 		return nil, err
 	}
-	fb, e := c.newRequest(OpTrim)
-	e.u64(lpa)
-	e.time(at)
-	p, err := c.submitFrame(fb, e.b)
+	p, err := c.submitLPA(OpTrim, lpa, at)
 	if err != nil {
 		return nil, err
 	}
@@ -390,18 +346,7 @@ func (c *Client) SubmitTrim(lpa uint64, at vclock.Time) (*PendingTrim, error) {
 }
 
 // Wait blocks until the trim completes.
-func (t *PendingTrim) Wait() (vclock.Time, error) {
-	c := t.p.c
-	resp := t.p.wait()
-	if resp.err != nil {
-		return 0, resp.err
-	}
-	d := &resp.d
-	done := d.time()
-	err := d.err
-	c.respPool.release(resp.fb)
-	return done, err
-}
+func (t *PendingTrim) Wait() (vclock.Time, error) { return waitDone(t.p) }
 
 // PendingBatch is an in-flight multi-op batch submission.
 type PendingBatch struct {
@@ -416,20 +361,20 @@ func (c *Client) SubmitBatch(volID uint32, ops []service.BatchOp) (*PendingBatch
 	if err := c.ensureTagged(OpBatch); err != nil {
 		return nil, err
 	}
-	fb, e := c.newRequest(OpBatch)
-	e.u32(volID)
-	e.u32(uint32(len(ops)))
+	rq := c.begin(OpBatch)
+	rq.u32(volID)
+	rq.u32(uint32(len(ops)))
 	kinds := make([]service.OpKind, len(ops))
 	for i, op := range ops {
 		kinds[i] = op.Kind
-		e.u8(uint8(op.Kind))
-		e.u64(op.LPA)
-		e.time(op.At)
+		rq.u8(uint8(op.Kind))
+		rq.u64(op.LPA)
+		rq.time(op.At)
 		if op.Kind == service.KindWrite {
-			e.bytes(op.Data)
+			rq.bytes(op.Data)
 		}
 	}
-	p, err := c.submitFrame(fb, e.b)
+	p, err := c.send(&rq)
 	if err != nil {
 		return nil, err
 	}
@@ -439,39 +384,26 @@ func (c *Client) SubmitBatch(volID uint32, ops []service.BatchOp) (*PendingBatch
 // Wait blocks until every op of the batch has completed. Read data is
 // the caller's (copied out of the pooled response frame).
 func (b *PendingBatch) Wait() ([]service.BatchResult, error) {
-	c := b.p.c
-	resp := b.p.wait()
-	if resp.err != nil {
-		return nil, resp.err
+	r := b.p.wait()
+	if r.err != nil {
+		return nil, r.err
 	}
-	d := &resp.d
-	release := func() {
-		c.respPool.release(resp.fb)
-	}
-	n := int(d.u32())
+	n := int(r.u32())
 	if n != len(b.kinds) {
-		release()
+		r.release()
 		return nil, fmt.Errorf("almaproto: batch returned %d results for %d ops", n, len(b.kinds))
 	}
 	out := make([]service.BatchResult, n)
-	for i := 0; i < n; i++ {
-		status := d.u8()
-		if d.err != nil {
-			release()
-			return nil, d.err
-		}
-		if status != StatusOK {
-			out[i].Err = &RemoteError{Msg: string(d.bytes()), Code: status}
+	for i := 0; i < n && r.err == nil; i++ {
+		if out[i].Err = r.status(); out[i].Err != nil {
 			continue
 		}
-		out[i].Done = d.time()
+		out[i].Done = r.time()
 		if b.kinds[i] == service.KindRead {
-			out[i].Data = append([]byte(nil), d.bytes()...)
+			out[i].Data = r.bytes()
 		}
 	}
-	err := d.err
-	release()
-	if err != nil {
+	if err := r.finish(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -499,43 +431,50 @@ type VolumeInfo struct {
 	WindowStart vclock.Time
 }
 
+// volRequest starts a volume-lifecycle request, which needs v4 and opens
+// with the volume's name and the tenant key.
+func (c *Client) volRequest(op Op, name, key string) (reqBuf, error) {
+	if err := c.requireVersion(VersionService, op); err != nil {
+		return reqBuf{}, err
+	}
+	rq := c.begin(op)
+	rq.bytes([]byte(name))
+	rq.bytes([]byte(key))
+	return rq, nil
+}
+
 // VolCreate creates a named volume of pages logical pages protected by
 // key, with a per-volume retention promise (0 accepts the device
 // default). at stamps the creation in virtual time.
 func (c *Client) VolCreate(name, key string, pages uint64, retention vclock.Duration, at vclock.Time) (VolumeInfo, error) {
-	if err := c.requireVersion(VersionService, OpVolCreate); err != nil {
-		return VolumeInfo{}, err
-	}
-	e := request(OpVolCreate)
-	e.bytes([]byte(name))
-	e.bytes([]byte(key))
-	e.u64(pages)
-	e.i64(int64(retention))
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	rq, err := c.volRequest(OpVolCreate, name, key)
 	if err != nil {
 		return VolumeInfo{}, err
 	}
-	in := VolumeInfo{ID: d.u32(), Name: name, Pages: pages, Retention: retention, CreatedAt: at}
-	return in, d.err
+	rq.u64(pages)
+	rq.i64(int64(retention))
+	rq.time(at)
+	r, err := c.roundTrip(&rq)
+	if err != nil {
+		return VolumeInfo{}, err
+	}
+	in := VolumeInfo{ID: r.u32(), Name: name, Pages: pages, Retention: retention, CreatedAt: at}
+	return in, r.finish()
 }
 
 // VolDelete authenticates and deletes a volume; the returned time is the
 // virtual completion of the extent scrub.
 func (c *Client) VolDelete(name, key string, at vclock.Time) (vclock.Time, error) {
-	if err := c.requireVersion(VersionService, OpVolDelete); err != nil {
-		return at, err
-	}
-	e := request(OpVolDelete)
-	e.bytes([]byte(name))
-	e.bytes([]byte(key))
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	rq, err := c.volRequest(OpVolDelete, name, key)
 	if err != nil {
 		return at, err
 	}
-	done := d.time()
-	return done, d.err
+	rq.time(at)
+	p, err := c.send(&rq)
+	if err != nil {
+		return at, err
+	}
+	return syncDone(p, at)
 }
 
 // VolList describes every volume, in name order.
@@ -543,23 +482,25 @@ func (c *Client) VolList() ([]VolumeInfo, error) {
 	if err := c.requireVersion(VersionService, OpVolList); err != nil {
 		return nil, err
 	}
-	d, err := c.roundTrip(request(OpVolList).b)
+	rq := c.begin(OpVolList)
+	r, err := c.roundTrip(&rq)
 	if err != nil {
 		return nil, err
 	}
-	n := int(d.u32())
-	if d.err != nil || n > maxFrame/16 {
+	n := int(r.u32())
+	if r.err != nil || n > maxFrame/16 {
+		r.release()
 		return nil, ErrShortPayload
 	}
 	out := make([]VolumeInfo, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		in := VolumeInfo{ID: d.u32(), Name: string(d.bytes()), Pages: d.u64()}
-		in.Retention = vclock.Duration(d.i64())
-		in.CreatedAt = d.time()
-		if d.err != nil {
-			return nil, d.err
-		}
+	for i := 0; i < n && r.err == nil; i++ {
+		in := VolumeInfo{ID: r.u32(), Name: string(r.bytes()), Pages: r.u64()}
+		in.Retention = vclock.Duration(r.i64())
+		in.CreatedAt = r.time()
 		out = append(out, in)
+	}
+	if err := r.finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -568,22 +509,20 @@ func (c *Client) VolList() ([]VolumeInfo, error) {
 // connection for Batch/VolRollBack/VolStats. at is the attach time used
 // to report the volume's current visible window start.
 func (c *Client) VolAttach(name, key string, at vclock.Time) (VolumeInfo, error) {
-	if err := c.requireVersion(VersionService, OpVolAttach); err != nil {
-		return VolumeInfo{}, err
-	}
-	e := request(OpVolAttach)
-	e.bytes([]byte(name))
-	e.bytes([]byte(key))
-	e.time(at)
-	d, err := c.roundTrip(e.b)
+	rq, err := c.volRequest(OpVolAttach, name, key)
 	if err != nil {
 		return VolumeInfo{}, err
 	}
-	in := VolumeInfo{ID: d.u32(), Name: name, Pages: d.u64()}
-	in.Retention = vclock.Duration(d.i64())
-	in.CreatedAt = d.time()
-	in.WindowStart = d.time()
-	return in, d.err
+	rq.time(at)
+	r, err := c.roundTrip(&rq)
+	if err != nil {
+		return VolumeInfo{}, err
+	}
+	in := VolumeInfo{ID: r.u32(), Name: name, Pages: r.u64()}
+	in.Retention = vclock.Duration(r.i64())
+	in.CreatedAt = r.time()
+	in.WindowStart = r.time()
+	return in, r.finish()
 }
 
 // VolStats fetches the per-volume observability snapshot of an attached
@@ -592,14 +531,9 @@ func (c *Client) VolStats(volID uint32) (obs.Snapshot, error) {
 	if err := c.requireVersion(VersionService, OpVolStats); err != nil {
 		return obs.Snapshot{}, err
 	}
-	e := request(OpVolStats)
-	e.u32(volID)
-	d, err := c.roundTrip(e.b)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	s := decSnapshot(d)
-	return s, d.err
+	rq := c.begin(OpVolStats)
+	rq.u32(volID)
+	return c.snapshot(&rq)
 }
 
 // VolRollBack reverts an attached volume to its state at time t. Other
@@ -608,17 +542,11 @@ func (c *Client) VolRollBack(volID uint32, t, at vclock.Time) (int, vclock.Time,
 	if err := c.requireVersion(VersionService, OpVolRollBack); err != nil {
 		return 0, at, err
 	}
-	e := request(OpVolRollBack)
-	e.u32(volID)
-	e.time(t)
-	e.time(at)
-	d, err := c.roundTrip(e.b)
-	if err != nil {
-		return 0, at, err
-	}
-	done := d.time()
-	changed := int(d.u32())
-	return changed, done, d.err
+	rq := c.begin(OpVolRollBack)
+	rq.u32(volID)
+	rq.time(t)
+	rq.time(at)
+	return c.changed(&rq, at)
 }
 
 // ---- pipeline --------------------------------------------------------------

@@ -11,6 +11,7 @@ import (
 	"almanac/internal/core"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
+	"almanac/internal/service"
 	"almanac/internal/vclock"
 )
 
@@ -51,11 +52,11 @@ func TestConcurrentClients(t *testing.T) {
 	}{
 		{"single-device", func(t *testing.T) (*Server, func() error) {
 			dev := newDevice(t)
-			return NewServer(dev), dev.CheckInvariants
+			return serveDevice(t, dev), dev.CheckInvariants
 		}},
 		{"array", func(t *testing.T) (*Server, func() error) {
 			arr := newTestArray(t)
-			return NewArrayServer(arr), arr.CheckInvariants
+			return NewServiceServer(service.New(arr)), arr.CheckInvariants
 		}},
 	}
 
@@ -203,7 +204,7 @@ func concurrentClientRun(addr string, base uint64, n int, h func(int) vclock.Tim
 // reverts every shard to the shared timestamp.
 func TestArrayServerWire(t *testing.T) {
 	arr := newTestArray(t)
-	srv := NewArrayServer(arr)
+	srv := NewServiceServer(service.New(arr))
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeOne(srvEnd)
 	c := NewClient(cliEnd)
@@ -265,7 +266,7 @@ func TestArrayServerWire(t *testing.T) {
 // clients observe a closed connection rather than a half-served one.
 func TestShutdownDrains(t *testing.T) {
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -10,26 +10,20 @@ import (
 	"almanac/internal/vclock"
 )
 
-// writeGatedBackend stalls every Write until the gate opens, so tests can pin
-// submissions in flight on the server side.
-type writeGatedBackend struct {
-	Backend
-	gate chan struct{}
-}
-
-func (g *writeGatedBackend) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
-	<-g.gate
-	return g.Backend.Write(lpa, data, at)
-}
-
 // gatedPair wires a client to a server whose writes block on the returned
 // release func and whose v4 window is capped at window.
 func gatedPair(t *testing.T, window int) (*Client, net.Conn, func()) {
 	t.Helper()
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	gate := make(chan struct{})
-	srv.backend = &writeGatedBackend{Backend: srv.backend, gate: gate}
+	// Stall every Write until the gate opens, so tests can pin submissions
+	// in flight on the server side.
+	srv.hold = func(op Op, _ []byte) {
+		if op == OpWrite {
+			<-gate
+		}
+	}
 	srv.window = window
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeOne(srvEnd)

@@ -96,7 +96,7 @@ const (
 	OpTrace
 	// The v4 service surface (internal/service): named volumes and
 	// multi-op batches. All of these require a negotiated version ≥
-	// VersionService and a server built over a volume service.
+	// VersionService.
 	OpVolCreate
 	OpVolDelete
 	OpVolList
@@ -116,57 +116,12 @@ const (
 	CurrentVersion = VersionService
 )
 
+// String names the opcode as the dispatch table does.
 func (o Op) String() string {
-	switch o {
-	case OpIdentify:
-		return "Identify"
-	case OpRead:
-		return "Read"
-	case OpWrite:
-		return "Write"
-	case OpTrim:
-		return "Trim"
-	case OpAddrQuery:
-		return "AddrQuery"
-	case OpAddrQueryRange:
-		return "AddrQueryRange"
-	case OpAddrQueryAll:
-		return "AddrQueryAll"
-	case OpTimeQuery:
-		return "TimeQuery"
-	case OpTimeQueryRange:
-		return "TimeQueryRange"
-	case OpTimeQueryAll:
-		return "TimeQueryAll"
-	case OpRollBack:
-		return "RollBack"
-	case OpRollBackParallel:
-		return "RollBackParallel"
-	case OpStats:
-		return "Stats"
-	case OpRollBackAll:
-		return "RollBackAll"
-	case OpMetrics:
-		return "Metrics"
-	case OpTrace:
-		return "Trace"
-	case OpVolCreate:
-		return "VolCreate"
-	case OpVolDelete:
-		return "VolDelete"
-	case OpVolList:
-		return "VolList"
-	case OpVolAttach:
-		return "VolAttach"
-	case OpVolStats:
-		return "VolStats"
-	case OpVolRollBack:
-		return "VolRollBack"
-	case OpBatch:
-		return "Batch"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
+	if int(o) < len(ops) && ops[o].name != "" {
+		return ops[o].name
 	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
 // maxFrame bounds a frame body; large enough for a full-device TimeQuery
@@ -199,27 +154,32 @@ const (
 	StatusBeforeWindow  = 6 // service.ErrBeforeWindow: travel precedes the volume window
 )
 
+// typedStatus pairs each refined status code with the sentinel it carries
+// across the wire, in both directions.
+var typedStatus = [...]struct {
+	code uint8
+	err  error
+}{
+	{StatusUncorrectable, fault.ErrUncorrectable},
+	{StatusPowerCut, fault.ErrPowerCut},
+	{StatusAuth, service.ErrAuth},
+	{StatusNoVolume, service.ErrNoVolume},
+	{StatusBeforeWindow, service.ErrBeforeWindow},
+}
+
 // statusOf maps a device error to its wire status code.
 func statusOf(err error) uint8 {
-	switch {
-	case errors.Is(err, fault.ErrUncorrectable):
-		return StatusUncorrectable
-	case errors.Is(err, fault.ErrPowerCut):
-		return StatusPowerCut
-	case errors.Is(err, service.ErrAuth):
-		return StatusAuth
-	case errors.Is(err, service.ErrNoVolume):
-		return StatusNoVolume
-	case errors.Is(err, service.ErrBeforeWindow):
-		return StatusBeforeWindow
-	default:
-		return StatusError
+	for _, ts := range typedStatus {
+		if errors.Is(err, ts.err) {
+			return ts.code
+		}
 	}
+	return StatusError
 }
 
 // RemoteError is a device-side failure relayed to the client. Code is the
-// wire status; Unwrap maps the typed statuses back to the fault sentinels,
-// so errors.Is(err, fault.ErrUncorrectable) works across the protocol
+// wire status; Unwrap maps the typed statuses back to their sentinels, so
+// errors.Is(err, fault.ErrUncorrectable) works across the protocol
 // boundary exactly as it does in-process.
 type RemoteError struct {
 	Msg  string
@@ -229,20 +189,12 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return "almaproto: device: " + e.Msg }
 
 func (e *RemoteError) Unwrap() error {
-	switch e.Code {
-	case StatusUncorrectable:
-		return fault.ErrUncorrectable
-	case StatusPowerCut:
-		return fault.ErrPowerCut
-	case StatusAuth:
-		return service.ErrAuth
-	case StatusNoVolume:
-		return service.ErrNoVolume
-	case StatusBeforeWindow:
-		return service.ErrBeforeWindow
-	default:
-		return nil
+	for _, ts := range typedStatus {
+		if e.Code == ts.code {
+			return ts.err
+		}
 	}
+	return nil
 }
 
 // writeFrame sends one length-prefixed body.
@@ -362,6 +314,43 @@ func (d *dec) bytesAlias() []byte {
 	return out
 }
 
+// timeBounds is how many time bounds a query opcode carries before its
+// issue time: one for the point forms, two for the range forms, none for
+// the All forms.
+func timeBounds(op Op) int {
+	switch op {
+	case OpAddrQuery, OpTimeQuery:
+		return 1
+	case OpAddrQueryRange, OpTimeQueryRange:
+		return 2
+	}
+	return 0
+}
+
+// bounds appends a query's time bounds and then its issue time.
+func (e *enc) bounds(op Op, t1, t2, at vclock.Time) {
+	n := timeBounds(op)
+	if n >= 1 {
+		e.time(t1)
+	}
+	if n == 2 {
+		e.time(t2)
+	}
+	e.time(at)
+}
+
+// bounds reads what enc.bounds wrote; absent bounds are zero.
+func (d *dec) bounds(op Op) (t1, t2, at vclock.Time) {
+	n := timeBounds(op)
+	if n >= 1 {
+		t1 = d.time()
+	}
+	if n == 2 {
+		t2 = d.time()
+	}
+	return t1, t2, d.time()
+}
+
 // Version mirrors core.Version on the wire.
 func encVersions(e *enc, vers []core.Version) {
 	e.u32(uint32(len(vers)))
@@ -424,7 +413,7 @@ func decRecords(d *dec) []core.UpdateRecord {
 }
 
 // Identity describes the device to the host. Shards advertises the
-// backing topology (1 for a single device, N for an array); Channels is
+// backing topology (1 for a single device, N for a striped array); Channels is
 // the total flash channel count across all shards — the device-internal
 // parallelism TimeKits callers can exploit. Version is the negotiated
 // protocol version for the connection Identify ran on. Window is the
@@ -444,7 +433,7 @@ type Identity struct {
 // DeviceStats is the counter snapshot OpStats returns. It predates the
 // obs.Counters collapse and survives as the OpStats wire adapter: the
 // seven fields below, as i64 in this order, are the frozen v1 payload
-// (DeviceStatsView projects them out of the canonical counters; OpMetrics
+// (the server projects them out of the canonical counters; OpMetrics
 // carries the full set). The retention window's start is part of
 // Identify, since it is a point in virtual time rather than a counter.
 type DeviceStats struct {
@@ -455,20 +444,6 @@ type DeviceStats struct {
 	FlashErases    int64
 	DeltasCreated  int64
 	WindowDrops    int64
-}
-
-// DeviceStatsView projects the legacy OpStats counter set out of the
-// canonical counter surface.
-func DeviceStatsView(c obs.Counters) DeviceStats {
-	return DeviceStats{
-		HostPageWrites: c.HostPageWrites,
-		HostPageReads:  c.HostPageReads,
-		FlashPrograms:  c.FlashPrograms,
-		FlashReads:     c.FlashReads,
-		FlashErases:    c.FlashErases,
-		DeltasCreated:  c.DeltasCreated,
-		WindowDrops:    c.WindowDrops,
-	}
 }
 
 // encCounters writes the simulated-device counter surface as 20 i64 values

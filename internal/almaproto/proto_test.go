@@ -7,10 +7,12 @@ import (
 	"net"
 	"testing"
 
+	"almanac/internal/array"
 	"almanac/internal/core"
 	"almanac/internal/fault"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
+	"almanac/internal/service"
 	"almanac/internal/vclock"
 )
 
@@ -31,11 +33,25 @@ func newDevice(t testing.TB) *core.TimeSSD {
 	return d
 }
 
+// serveDevice fronts one device the one way a server is built: a 1-shard
+// array under a volume service. The array's worker owns dev from here on;
+// tests still reach into it between commands (to arm a fault plan, to
+// check invariants), which the command round trips order.
+func serveDevice(t testing.TB, dev *core.TimeSSD) *Server {
+	t.Helper()
+	arr, err := array.Assemble([]*core.TimeSSD{dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { arr.Close() })
+	return NewServiceServer(service.New(arr))
+}
+
 // pipePair wires a client to a server over an in-memory duplex pipe.
 func pipePair(t testing.TB) (*Client, *core.TimeSSD) {
 	t.Helper()
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	cliEnd, srvEnd := net.Pipe()
 	go srv.ServeOne(srvEnd)
 	c := NewClient(cliEnd)
@@ -198,7 +214,7 @@ func TestRemoteErrors(t *testing.T) {
 
 func TestTCPServer(t *testing.T) {
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +251,7 @@ func TestTCPServer(t *testing.T) {
 // answer every one with an error response, never panic or accept.
 func TestWireFuzz(t *testing.T) {
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	rng := rand.New(rand.NewSource(11))
 	st := newConnState()
 	for i := 0; i < 2000; i++ {

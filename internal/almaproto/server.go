@@ -10,40 +10,44 @@ import (
 	"time"
 
 	"almanac/internal/array"
-	"almanac/internal/core"
 	"almanac/internal/obs"
 	"almanac/internal/service"
-	"almanac/internal/timekits"
-	"almanac/internal/vclock"
 )
 
-// Server exposes one Backend — a single TimeSSD or a sharded array — over
-// the command protocol.
+// Server exposes one volume service — and, through it, the striped array
+// the service carves its volumes from — over the command protocol. There
+// is one way to serve: a single device is a 1-shard array
+// (array.Assemble of one TimeSSD), which answers every opcode exactly as
+// the bare device would (array.TestOneShardArrayIsIdentity).
 //
-// Locking model: dispatch itself holds no lock; synchronisation belongs to
-// the backend.
+// Locking model: the server holds no lock around a command. Block I/O and
+// the array-wide TimeKits go straight to the array, which routes every
+// command through its per-shard worker queues: a shard's worker is that
+// device's one command interpreter, so commands to one shard serialise
+// exactly as they would on the paper's board — a long TimeQueryAll
+// occupies the firmware (§3.9) and delays what queues behind it on the
+// same shard — while commands to different shards run in parallel.
+// Identify and Stats read the lock-free per-shard snapshots and never
+// queue. Bytes a command returns are copies the array made on the worker,
+// so encoding them after the worker has moved on is safe. The volume
+// opcodes go to the service, which guards its catalogue with its own
+// mutex and reaches the devices only through the same queues.
 //
-//   - Single device (NewServer): the simulated firmware has one command
-//     interpreter, so the deviceBackend serialises every command on one
-//     device mutex. A long TimeQueryAll therefore still delays other
-//     connections — exactly as it would on the paper's board, where the
-//     full-device query occupies the firmware for minutes (§3.9).
-//   - Array (NewArrayServer): commands are routed to per-shard worker
-//     queues, so operations on different shards proceed in parallel and a
-//     long query only delays commands that need the same shards. Identify
-//     and Stats read lock-free per-shard snapshots and never queue at all.
-//
-// Connections are handled concurrently in either case; the protocol layer
-// (framing, decode, encode) is lock-free throughout.
+// Connections are handled concurrently; the protocol layer (framing,
+// decode, encode) is lock-free, and per-connection state is the
+// connState below.
 type Server struct {
-	backend Backend
-	svc     *service.Service // nil unless built by NewServiceServer
+	svc *service.Service
+	arr *array.Array // svc.Array()
 
 	// window is the per-connection in-flight bound of the v4 tagged
 	// transport; maxVersion caps negotiation (CurrentVersion when zero —
-	// tests lower it to emulate older servers).
+	// tests lower it to emulate older servers). hold, when a test sets it,
+	// runs before each command executes, on the goroutine dispatching it:
+	// the seam tests use to pin a command in flight.
 	window     int
 	maxVersion uint32
+	hold       func(op Op, body []byte)
 
 	lnMu     sync.Mutex
 	ln       net.Listener
@@ -63,28 +67,13 @@ type Server struct {
 // shallow enough to bound per-connection server memory.
 const DefaultWindow = 128
 
-// NewServer wraps a single device behind the device-wide firmware lock.
-func NewServer(dev *core.TimeSSD) *Server {
-	return &Server{backend: newDeviceBackend(dev), window: DefaultWindow, conns: make(map[net.Conn]struct{})}
-}
-
-// NewArrayServer wraps a sharded array; commands dispatch concurrently
-// onto per-shard workers.
-func NewArrayServer(arr *array.Array) *Server {
-	return &Server{backend: &arrayBackend{arr: arr}, window: DefaultWindow, conns: make(map[net.Conn]struct{})}
-}
-
-// NewServiceServer wraps a volume service: block I/O and array-wide
-// TimeKits route to the backing array, and the v4 volume opcodes
+// NewServiceServer is the one constructor. Block I/O and array-wide
+// TimeKits route to the array under svc; the v4 volume opcodes
 // (create/delete/list/attach, per-volume rollback and stats, OpBatch)
-// route to svc.
+// route to svc itself. To serve a single device, assemble it into a
+// 1-shard array first.
 func NewServiceServer(svc *service.Service) *Server {
-	return &Server{
-		backend: &arrayBackend{arr: svc.Array()},
-		svc:     svc,
-		window:  DefaultWindow,
-		conns:   make(map[net.Conn]struct{}),
-	}
+	return &Server{svc: svc, arr: svc.Array(), window: DefaultWindow, conns: make(map[net.Conn]struct{})}
 }
 
 // serverMax returns the highest version this server negotiates.
@@ -95,10 +84,10 @@ func (s *Server) serverMax() uint32 {
 	return CurrentVersion
 }
 
-// Metrics returns the backend's observability snapshot through the same
-// synchronisation the wire path uses. The daemon's -metrics-addr HTTP
-// listener reads through here rather than touching the device directly.
-func (s *Server) Metrics() obs.Snapshot { return s.backend.Metrics() }
+// Metrics returns the array's observability snapshot, as OpMetrics does.
+// The daemon's -metrics-addr HTTP listener reads through here rather than
+// touching the devices directly.
+func (s *Server) Metrics() obs.Snapshot { return s.arr.ObsSnapshot() }
 
 // WireSnapshot aggregates the transport counters — frames and bytes per
 // direction, Write calls, coalesced flushes — over every tagged
@@ -157,7 +146,7 @@ func (s *Server) Serve(ln net.Listener) error {
 				s.lnMu.Unlock()
 				_ = conn.Close()
 			}()
-			s.serveConn(conn)
+			s.ServeOne(conn)
 		}()
 	}
 }
@@ -198,9 +187,10 @@ func (s *Server) Shutdown() error {
 // connState is the per-connection protocol state. Until a client
 // identifies itself, it is assumed to speak the pre-negotiation wire
 // level (VersionArray): every opcode that predates v3 works, the v3
-// surface is gated. The version is atomic because a v4 connection
-// dispatches concurrently, and any of those dispatches may be a
-// re-Identify racing the version gates of the others.
+// surface is gated. The version is negotiated once: it can change while
+// the connection is lockstep, and is fixed from the Identify that agrees
+// v4 onwards — the tagged transport dispatches concurrently, and a later
+// Identify must not pull the version out from under frames in flight.
 type connState struct {
 	version atomic.Uint32
 
@@ -229,15 +219,18 @@ func (st *connState) volume(id uint32) (*service.Volume, error) {
 	return vol, nil
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// ServeOne handles exactly one connection (Serve runs it per accepted
+// connection; tests call it over net.Pipe): the lockstep transport of
+// v1–v3 — one frame in, one frame out — until an Identify agrees v4,
+// then the tagged transport.
+func (s *Server) ServeOne(conn io.ReadWriter) {
 	st := newConnState()
 	for {
 		body, err := readFrame(conn)
 		if err != nil {
 			return // EOF, broken peer, or drain deadline
 		}
-		resp := s.dispatch(st, body)
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, s.dispatch(st, body)); err != nil {
 			return
 		}
 		// The Identify response that negotiated v4 is the last untagged
@@ -250,7 +243,7 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveTagged is the v4 transport loop, split into a reader (this
-// goroutine) and a completion-draining writer (connWriter): the reader
+// goroutine) and a completion-draining writer (sendQueue): the reader
 // pulls tagged frames into pooled buffers, OpBatch frames take a fast
 // path that submits every op to the shard queues in one pass, every
 // other opcode dispatches on its own goroutine, and all completions
@@ -267,52 +260,83 @@ func (s *Server) serveConn(conn net.Conn) {
 // what lets almanacd save shard images knowing no command is still
 // mutating the device.
 func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
-	window := s.window
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	wire := &obs.WireStats{}
 	s.trackWire(wire)
 	defer s.untrackWire(wire)
-	slots := make(chan struct{}, window)
-	w := newConnWriter(conn, slots, wire)
-	var (
-		reqPool framePool
-		wg      sync.WaitGroup
-	)
+	slots := make(chan struct{}, s.window)
+	tc := &taggedConn{st: st, free: make(chan *pendingBatch, s.window)}
+	tc.w = newSendQueue(conn, &tc.respPool, wire, tc.frameOf, func(n int, _ error) {
+		for ; n > 0; n-- {
+			<-slots // one window slot per frame written (or dropped on a dead connection)
+		}
+	})
+	var wg sync.WaitGroup
 	for {
-		fb, err := readFrameInto(conn, &reqPool, wire)
+		fb, err := readFrameInto(conn, &tc.reqPool, wire)
 		if err != nil {
 			break
 		}
 		if len(fb.b) < 8 {
 			// A frame too short to carry a request ID means the peer lost
 			// the framing; there is no ID to complete, so hang up.
-			reqPool.release(fb)
+			tc.reqPool.release(fb)
 			break
 		}
 		reqID := binary.LittleEndian.Uint64(fb.b)
 		slots <- struct{}{}
-		if len(fb.b) > 8 && Op(fb.b[8]) == OpBatch && s.tryBatch(st, reqID, fb, &reqPool, w) {
+		if len(fb.b) > 8 && Op(fb.b[8]) == OpBatch && tc.tryBatch(reqID, fb) {
 			continue
 		}
 		wg.Add(1)
 		go func(fb *frameBuf, reqID uint64) {
 			defer wg.Done()
 			resp := s.dispatch(st, fb.b[8:])
-			out := w.pool.acquire(12 + len(resp))
+			out := tc.respPool.acquire(12 + len(resp))
 			binary.LittleEndian.PutUint32(out.b, uint32(8+len(resp)))
 			binary.LittleEndian.PutUint64(out.b[4:], reqID)
 			copy(out.b[12:], resp)
 			// The request frame is consumed: dispatch is synchronous, so
 			// every payload decoded by aliasing has been copied into the
 			// device (or the response) by now.
-			reqPool.release(fb)
-			w.enqueue(wireItem{fb: out})
+			tc.reqPool.release(fb)
+			tc.w.enqueue(wireItem{fb: out})
 		}(fb, reqID)
 	}
 	wg.Wait()
-	w.stop()
+	tc.w.stop()
+}
+
+// taggedConn is the server's state for one connection on the tagged
+// transport: the negotiated connState, the request and response frame
+// pools, the coalescing writer, and a free list of batch scratch sized to
+// the window (at most that many batches are in flight).
+type taggedConn struct {
+	st       *connState
+	reqPool  framePool
+	respPool framePool
+	w        *sendQueue[wireItem]
+	free     chan *pendingBatch
+}
+
+// wireItem is one unit of writer work; exactly one field is set: a ready
+// frame (fb), fully built by a per-frame dispatch goroutine, or a pending
+// batch (pb) the reader already submitted to the shard queues.
+type wireItem struct {
+	fb *frameBuf
+	pb *pendingBatch
+}
+
+// pendingBatch is an OpBatch in flight between the reader (which decoded
+// it and submitted every op) and the writer (which completes and encodes
+// it). ops and run are scratch reused across batches on the connection;
+// gen pins the request frame's pool generation so a buffer recycled out
+// from under the batch is caught instead of silently decoded.
+type pendingBatch struct {
+	reqID uint64
+	fb    *frameBuf
+	gen   uint32
+	ops   []service.BatchOp
+	run   service.BatchRun
 }
 
 // tryBatch is the batch-aware fast path: decode an OpBatch straight out
@@ -320,457 +344,56 @@ func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
 // submit every op to its shard queue in one pass, and hand the pending
 // run to the writer, which completes and flushes it with the rest of the
 // ready output. Returns false — with no side effects — when the frame
-// needs the generic path (malformed, volume not attached, version gate),
-// so error responses stay byte-identical with dispatch's.
-func (s *Server) tryBatch(st *connState, reqID uint64, fb *frameBuf, pool *framePool, w *connWriter) bool {
-	if s.svc == nil || st.version.Load() < VersionService {
-		return false
+// needs the generic path (malformed, volume not attached), so error
+// responses stay byte-identical with dispatch's.
+func (tc *taggedConn) tryBatch(reqID uint64, fb *frameBuf) bool {
+	var pb *pendingBatch
+	select {
+	case pb = <-tc.free:
+	default:
+		pb = &pendingBatch{}
 	}
 	req := fb.b[8:]
-	pb := w.getBatch()
 	d := dec{b: req, pos: 1}
 	id, ops, err := decodeBatchOps(&d, pb.ops[:0])
 	pb.ops = ops // keep grown scratch even when falling back
-	if err != nil || d.err != nil || d.pos != len(req) {
-		w.putBatch(pb)
+	var vol *service.Volume
+	if err == nil && d.pos == len(req) {
+		vol, err = tc.st.volume(id)
+	}
+	if vol == nil {
+		tc.free <- pb // never blocks: pb is out of the list, so the list has room
 		return false
 	}
-	vol, err := st.volume(id)
-	if err != nil {
-		w.putBatch(pb)
-		return false
-	}
-	pb.reqID, pb.fb, pb.pool, pb.gen = reqID, fb, pool, fb.gen
+	pb.reqID, pb.fb, pb.gen = reqID, fb, fb.gen
 	vol.StartBatch(ops, &pb.run)
-	w.enqueue(wireItem{pb: pb})
+	tc.w.enqueue(wireItem{pb: pb})
 	return true
 }
 
-// dispatch executes one command body and builds the response body.
-func (s *Server) dispatch(st *connState, body []byte) []byte {
-	fail := func(err error) []byte {
-		e := &enc{}
-		e.u8(statusOf(err))
-		e.bytes([]byte(err.Error()))
-		return e.b
+// frameOf is the writer's ready hook. A pending batch is completed here:
+// wait for its shard commands, encode the tagged response into a pooled
+// frame, and release the request frame (safe now: every write payload
+// aliasing it has been programmed into the device arena by the shard
+// workers).
+func (tc *taggedConn) frameOf(it wireItem) *frameBuf {
+	pb := it.pb
+	if pb == nil {
+		return it.fb
 	}
-	if len(body) == 0 {
-		return fail(ErrShortPayload)
+	results := pb.run.Complete()
+	out := tc.respPool.acquire(12)
+	e := enc{b: out.b[:12]}
+	e.u8(StatusOK)
+	encBatchResults(&e, pb.ops, results)
+	out.b = e.b
+	binary.LittleEndian.PutUint32(out.b, uint32(len(out.b)-4))
+	binary.LittleEndian.PutUint64(out.b[4:], pb.reqID)
+	if pb.fb.stale(pb.gen) {
+		panic("almaproto: batch request frame recycled while its ops were in flight")
 	}
-	op := Op(body[0])
-	d := &dec{b: body, pos: 1}
-	e := &enc{}
-	e.u8(0) // OK; overwritten by fail on error
-
-	b := s.backend
-
-	switch op {
-	case OpIdentify:
-		// v3 clients announce their maximum version; a bare request is a
-		// pre-v3 client and pins the connection at the legacy level. The
-		// agreed version is appended to the response — legacy clients
-		// ignore trailing response bytes, so the extension is compatible.
-		if d.pos < len(d.b) {
-			clientMax := d.u32()
-			if d.err != nil {
-				return fail(d.err)
-			}
-			v := clientMax
-			if max := s.serverMax(); v > max {
-				v = max
-			}
-			if v < Version1 {
-				v = Version1
-			}
-			st.version.Store(v)
-		} else {
-			st.version.Store(VersionArray)
-		}
-		id := b.Identify()
-		e.u32(uint32(id.PageSize))
-		e.u64(uint64(id.LogicalPages))
-		e.u32(uint32(id.Channels))
-		e.u32(uint32(id.Shards))
-		e.time(id.WindowStart)
-		e.u32(st.version.Load())
-		// v4 appends the in-flight window of the tagged transport; older
-		// clients ignore trailing response bytes, so this is compatible,
-		// and a pre-v4 negotiation advertises no window at all.
-		if st.version.Load() >= VersionService {
-			e.u32(uint32(s.window))
-		}
-
-	case OpRead:
-		lpa, at := d.u64(), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		data, done, err := b.Read(lpa, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(done)
-		e.bytes(data)
-
-	case OpWrite:
-		// The payload aliases the request frame: both backends consume it
-		// synchronously (the device copies it into the arena), and the
-		// frame is only released after dispatch returns.
-		lpa, at, data := d.u64(), d.time(), d.bytesAlias()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		done, err := b.Write(lpa, data, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(done)
-
-	case OpTrim:
-		lpa, at := d.u64(), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		done, err := b.Trim(lpa, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(done)
-
-	case OpAddrQuery, OpAddrQueryRange, OpAddrQueryAll:
-		addr, cnt := d.u64(), int(d.u32())
-		var t1, t2 vclock.Time
-		switch op {
-		case OpAddrQuery:
-			t1 = d.time()
-		case OpAddrQueryRange:
-			t1, t2 = d.time(), d.time()
-		}
-		at := d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		var res timekits.Result[[]timekits.PageVersions]
-		var err error
-		switch op {
-		case OpAddrQuery:
-			res, err = b.AddrQuery(addr, cnt, t1, at)
-		case OpAddrQueryRange:
-			res, err = b.AddrQueryRange(addr, cnt, t1, t2, at)
-		default:
-			res, err = b.AddrQueryAll(addr, cnt, at)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		e.time(res.Done)
-		e.u32(uint32(len(res.Value)))
-		for _, pv := range res.Value {
-			e.u64(pv.LPA)
-			encVersions(e, pv.Versions)
-		}
-
-	case OpTimeQuery, OpTimeQueryRange, OpTimeQueryAll:
-		var t1, t2 vclock.Time
-		switch op {
-		case OpTimeQuery:
-			t1 = d.time()
-		case OpTimeQueryRange:
-			t1, t2 = d.time(), d.time()
-		}
-		at := d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		var res timekits.Result[[]core.UpdateRecord]
-		var err error
-		switch op {
-		case OpTimeQuery:
-			res, err = b.TimeQuery(t1, at)
-		case OpTimeQueryRange:
-			res, err = b.TimeQueryRange(t1, t2, at)
-		default:
-			res, err = b.TimeQueryAll(at)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		e.time(res.Done)
-		encRecords(e, res.Value)
-
-	case OpRollBack:
-		addr, cnt, t, at := d.u64(), int(d.u32()), d.time(), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		res, err := b.RollBack(addr, cnt, t, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(res.Done)
-		e.u32(uint32(res.Value))
-
-	case OpRollBackAll:
-		t, at := d.time(), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		res, err := b.RollBackAll(t, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(res.Done)
-		e.u32(uint32(res.Value))
-
-	case OpRollBackParallel:
-		n := int(d.u32())
-		if d.err != nil || n > maxFrame/8 {
-			return fail(ErrShortPayload)
-		}
-		lpas := make([]uint64, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			lpas = append(lpas, d.u64())
-		}
-		threads, t, at := int(d.u32()), d.time(), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		res, err := b.RollBackParallel(lpas, threads, t, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(res.Done)
-		e.u32(uint32(res.Value))
-
-	case OpStats:
-		st := b.Stats()
-		e.i64(st.HostPageWrites)
-		e.i64(st.HostPageReads)
-		e.i64(st.FlashPrograms)
-		e.i64(st.FlashReads)
-		e.i64(st.FlashErases)
-		e.i64(st.DeltasCreated)
-		e.i64(st.WindowDrops)
-
-	case OpMetrics:
-		if v := st.version.Load(); v < VersionObs {
-			return fail(fmt.Errorf("almaproto: %v requires protocol v%d, connection negotiated v%d",
-				op, VersionObs, v))
-		}
-		encSnapshot(e, b.Metrics())
-
-	case OpTrace:
-		max := int(d.u32())
-		if d.err != nil {
-			return fail(d.err)
-		}
-		if v := st.version.Load(); v < VersionObs {
-			return fail(fmt.Errorf("almaproto: %v requires protocol v%d, connection negotiated v%d",
-				op, VersionObs, v))
-		}
-		encEvents(e, b.Trace(max))
-
-	case OpVolCreate:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		name, key := string(d.bytes()), string(d.bytes())
-		pages, retention, at := d.u64(), vclock.Duration(d.i64()), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		vol, err := s.svc.Create(name, key, pages, retention, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.u32(vol.ID())
-
-	case OpVolDelete:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		name, key, at := string(d.bytes()), string(d.bytes()), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		done, err := s.svc.Delete(name, key, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(done)
-
-	case OpVolList:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		infos := s.svc.List()
-		e.u32(uint32(len(infos)))
-		for _, in := range infos {
-			e.u32(in.ID)
-			e.bytes([]byte(in.Name))
-			e.u64(in.Pages)
-			e.i64(int64(in.Retention))
-			e.time(in.CreatedAt)
-		}
-
-	case OpVolAttach:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		name, key, at := string(d.bytes()), string(d.bytes()), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		vol, err := s.svc.Attach(name, key)
-		if err != nil {
-			return fail(err)
-		}
-		st.mu.Lock()
-		st.attached[vol.ID()] = vol
-		st.mu.Unlock()
-		in := vol.Info()
-		e.u32(in.ID)
-		e.u64(in.Pages)
-		e.i64(int64(in.Retention))
-		e.time(in.CreatedAt)
-		e.time(vol.WindowStart(at))
-
-	case OpVolStats:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		id := d.u32()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		vol, err := st.volume(id)
-		if err != nil {
-			return fail(err)
-		}
-		encSnapshot(e, vol.Snapshot())
-
-	case OpVolRollBack:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		id, t, at := d.u32(), d.time(), d.time()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		vol, err := st.volume(id)
-		if err != nil {
-			return fail(err)
-		}
-		res, err := vol.RollBack(t, at)
-		if err != nil {
-			return fail(err)
-		}
-		e.time(res.Done)
-		e.u32(uint32(res.Value))
-
-	case OpBatch:
-		if err := s.requireService(st, op); err != nil {
-			return fail(err)
-		}
-		id, ops, berr := decodeBatchOps(d, nil)
-		if berr != nil {
-			return fail(berr)
-		}
-		vol, err := st.volume(id)
-		if err != nil {
-			return fail(err)
-		}
-		results := vol.Batch(ops)
-		encBatchResults(e, ops, results)
-
-	default:
-		return fail(fmt.Errorf("almaproto: unknown opcode %d (connection negotiated protocol v%d)",
-			body[0], st.version.Load()))
-	}
-	if d.pos != len(d.b) {
-		return fail(fmt.Errorf("almaproto: %v: %d trailing payload bytes", op, len(d.b)-d.pos))
-	}
-	return e.b
-}
-
-// maxBatchOps bounds one OpBatch frame; far above any sane batch, low
-// enough that a garbage count cannot balloon the decode allocation.
-const maxBatchOps = 1 << 16
-
-// decodeBatchOps decodes an OpBatch payload (cursor past the opcode)
-// into ops, reusing its capacity — the batch fast path passes the
-// connection's scratch, dispatch passes nil. Write payloads alias the
-// decoder's buffer (see dec.bytesAlias). The returned slice is always
-// the (possibly grown) scratch, even on error.
-func decodeBatchOps(d *dec, ops []service.BatchOp) (uint32, []service.BatchOp, error) {
-	id, n := d.u32(), int(d.u32())
-	if d.err != nil || n > maxBatchOps {
-		return 0, ops, fmt.Errorf("almaproto: %v: bad op count %d", OpBatch, n)
-	}
-	if ops == nil {
-		ops = make([]service.BatchOp, 0, min(n, 4096))
-	}
-	for i := 0; i < n; i++ {
-		bop := service.BatchOp{Kind: service.OpKind(d.u8()), LPA: d.u64(), At: d.time()}
-		if bop.Kind == service.KindWrite {
-			bop.Data = d.bytesAlias()
-		}
-		if d.err != nil {
-			return 0, ops, d.err
-		}
-		ops = append(ops, bop)
-	}
-	return id, ops, nil
-}
-
-// encBatchResults encodes the positional OpBatch response payload. One
-// shared encoder keeps the generic dispatch path and the batch fast path
-// byte-identical on the wire.
-func encBatchResults(e *enc, ops []service.BatchOp, results []service.BatchResult) {
-	e.u32(uint32(len(results)))
-	for i, r := range results {
-		if r.Err != nil {
-			// Typed per-op status: the op failed, the batch did not.
-			e.u8(statusOf(r.Err))
-			e.bytes([]byte(r.Err.Error()))
-			continue
-		}
-		e.u8(StatusOK)
-		e.time(r.Done)
-		if ops[i].Kind == service.KindRead {
-			e.bytes(r.Data)
-		}
-	}
-}
-
-// requireService gates the v4 opcodes on the negotiated version and on
-// the server actually fronting a volume service.
-func (s *Server) requireService(st *connState, op Op) error {
-	if v := st.version.Load(); v < VersionService {
-		return fmt.Errorf("almaproto: %v requires protocol v%d, connection negotiated v%d",
-			op, VersionService, v)
-	}
-	if s.svc == nil {
-		return fmt.Errorf("almaproto: %v: server has no volume service", op)
-	}
-	return nil
-}
-
-// ServeOne handles exactly one connection (for tests over net.Pipe),
-// including the switch to the tagged transport when v4 is negotiated.
-func (s *Server) ServeOne(conn io.ReadWriter) {
-	st := newConnState()
-	for {
-		body, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(conn, s.dispatch(st, body)); err != nil {
-			return
-		}
-		if st.version.Load() >= VersionService {
-			s.serveTagged(conn, st)
-			return
-		}
-	}
+	tc.reqPool.release(pb.fb)
+	pb.fb = nil
+	tc.free <- pb // never blocks: cap is the window, and this batch held one of its slots
+	return out
 }

@@ -2,6 +2,7 @@ package almaproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -216,28 +217,20 @@ func TestGoldenWireV4(t *testing.T) {
 		blob([]byte("alpha")).blob([]byte("k1")).t(at5), want)
 }
 
-// gatedBackend blocks reads of LPA 0 until the gate closes, making
-// completion order controllable from the test.
-type gatedBackend struct {
-	Backend
-	gate chan struct{}
-}
-
-func (g *gatedBackend) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
-	if lpa == 0 {
-		<-g.gate
-	}
-	return g.Backend.Read(lpa, at)
-}
-
 // TestTaggedOutOfOrderCompletion proves the v4 transport completes
 // requests out of submission order: a read stalled in the backend does
 // not block the completion of a read submitted after it.
 func TestTaggedOutOfOrderCompletion(t *testing.T) {
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	gate := make(chan struct{})
-	srv.backend = &gatedBackend{Backend: srv.backend, gate: gate}
+	// Reads of LPA 0 block until the gate closes, making completion order
+	// controllable from the test.
+	srv.hold = func(op Op, body []byte) {
+		if op == OpRead && binary.LittleEndian.Uint64(body[1:]) == 0 {
+			<-gate
+		}
+	}
 
 	cliEnd, srvEnd := net.Pipe()
 	t.Cleanup(func() { cliEnd.Close(); srvEnd.Close() })
@@ -413,7 +406,7 @@ func TestInteropNewClientOldServer(t *testing.T) {
 	for _, sv := range []uint32{Version1, VersionArray, VersionObs} {
 		t.Run(fmt.Sprintf("v%d", sv), func(t *testing.T) {
 			dev := newDevice(t)
-			srv := NewServer(dev)
+			srv := serveDevice(t, dev)
 			srv.maxVersion = sv
 			cliEnd, srvEnd := net.Pipe()
 			t.Cleanup(func() { cliEnd.Close(); srvEnd.Close() })
@@ -550,5 +543,77 @@ func TestPipelineSurvivesFlush(t *testing.T) {
 	data, _, err := c.Read(5, at.Add(2*vclock.Minute))
 	if err != nil || data[0] != 6 {
 		t.Fatalf("untrimmed page: %v %#x", err, data[0])
+	}
+}
+
+// TestIdentifyNegotiatesOnce announces v3 in the middle of a v4 pipeline.
+// The connection is tagged and frames are in flight under the agreed
+// version, so the second Identify must report that version and window
+// and change neither: batches submitted before and after it keep
+// completing.
+func TestIdentifyNegotiatesOnce(t *testing.T) {
+	c, _ := servicePipe(t)
+	id, err := c.Identify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := vclock.Time(vclock.Hour)
+	if _, err := c.VolCreate("pipe", "k", 64, 0, at); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.VolAttach("pipe", "k", at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pending []*PendingBatch
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			at = at.Add(vclock.Second)
+			lpa := uint64(len(pending) % 64)
+			pb, err := c.SubmitBatch(info.ID, []service.BatchOp{
+				{Kind: service.KindWrite, LPA: lpa, Data: page(c, byte(lpa), id.PageSize), At: at},
+				{Kind: service.KindRead, LPA: lpa, At: at.Add(vclock.Millisecond)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending = append(pending, pb)
+		}
+	}
+	submit(8)
+
+	rq := c.begin(OpIdentify)
+	rq.u32(VersionObs)
+	r, err := c.roundTrip(&rq)
+	if err != nil {
+		t.Fatalf("Identify on a tagged connection: %v", err)
+	}
+	r.u32() // page size
+	r.u64() // logical pages
+	r.u32() // channels
+	r.u32() // shards
+	r.time()
+	if v, w := r.u32(), r.u32(); v != VersionService || int(w) != id.Window {
+		t.Fatalf("re-Identify announcing v3 reported v%d window %d, want the agreed v%d window %d", v, w, VersionService, id.Window)
+	}
+	if err := r.finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	submit(8)
+	for i, pb := range pending {
+		results, err := pb.Wait()
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		for j, res := range results {
+			if res.Err != nil {
+				t.Fatalf("batch %d op %d: %v", i, j, res.Err)
+			}
+		}
+		if results[1].Data[0] != byte(i%64) {
+			t.Fatalf("batch %d read back %#x", i, results[1].Data[0])
+		}
 	}
 }

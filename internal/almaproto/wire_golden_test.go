@@ -52,7 +52,7 @@ func TestGoldenRequestBytes(t *testing.T) {
 func TestGoldenWire(t *testing.T) {
 	dev := newDevice(t)
 	twin := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	st := newConnState()
 	kit := timekits.New(twin)
 	ps := twin.PageSize()
@@ -317,7 +317,7 @@ func TestNegotiationAgreesOnCurrent(t *testing.T) {
 // the v3 surface fails with an error naming both versions.
 func TestLegacyIdentifyPinsArrayLevel(t *testing.T) {
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	st := newConnState()
 
 	resp := srv.dispatch(st, []byte{byte(OpIdentify)})
@@ -356,7 +356,7 @@ func TestLegacyIdentifyPinsArrayLevel(t *testing.T) {
 
 func TestUnknownOpcodeNamesVersion(t *testing.T) {
 	dev := newDevice(t)
-	srv := NewServer(dev)
+	srv := serveDevice(t, dev)
 	st := newConnState()
 	resp := srv.dispatch(st, []byte{200})
 	if resp[0] == 0 {

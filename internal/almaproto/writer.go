@@ -1,209 +1,142 @@
 package almaproto
 
 import (
-	"encoding/binary"
 	"io"
 	"net"
 	"sync"
 
 	"almanac/internal/obs"
-	"almanac/internal/service"
 )
 
-// connWriter is the output half of a tagged connection: dispatchers hand
-// it completions, a dedicated writer goroutine drains everything that is
-// ready and flushes the lot with as few Writes as possible — the same
+// sendQueue is the output half of a tagged connection, on either end:
+// producers hand it items, a dedicated writer goroutine drains everything
+// queued since its last wakeup, turns each item into a finished wire
+// frame, and flushes the lot with as few Writes as possible — the same
 // batch-drain shape as the array's shard workers, applied to the wire.
 //
-// Two kinds of work arrive:
-//
-//   - a ready frame (fb): a fully built length-prefixed response from a
-//     per-frame dispatch goroutine;
-//   - a pending batch (pb): an OpBatch whose ops the reader already
-//     submitted to the shard queues in one pass. The writer completes it
-//     (waits the shard commands), encodes the response into a pooled
-//     frame, and only then releases the request frame the write payloads
-//     alias.
+// The client queues built request frames. The server queues wireItems,
+// whose ready hook is where a pending OpBatch is completed (see
+// taggedConn.frameOf), so a batch waits for its shard commands on the
+// writer goroutine and never on the reader.
 //
 // The wake protocol keeps every channel operation outside the queue
 // mutex (the lockorder rule proves this package free of channel ops
 // under locks): enqueue appends under mu, and only the false→true edge
 // of signaled sends the single wake token, so the cap-1 send never
 // blocks and the writer never misses work.
-type connWriter struct {
-	conn  io.Writer
-	pool  framePool      // response frames; recycled after each flush
-	slots chan struct{}  // the connection's in-flight window; one release per frame written
-	wire  *obs.WireStats // per-connection transport counters
-	wake  chan struct{}  // cap 1; at most one token outstanding (signaled)
-	done  chan struct{}  // closed when the writer goroutine exits
+type sendQueue[T any] struct {
+	conn io.Writer
+	pool *framePool     // flushed frames return here
+	wire *obs.WireStats // transport counters; nil on the client
+	// ready turns a drained item into its finished wire frame; flushed
+	// runs after each drained batch of n items with the flush's failure,
+	// if that flush is the one that failed. Both run on the writer
+	// goroutine.
+	ready   func(T) *frameBuf
+	flushed func(n int, err error)
+	wake    chan struct{} // cap 1; at most one token outstanding (signaled)
+	done    chan struct{} // closed when the writer goroutine exits
 
 	mu       sync.Mutex
-	q        []wireItem
+	q        []T
 	signaled bool
 	stopped  bool
 
 	// Writer-goroutine-owned reusable state.
-	batch   []wireItem
+	batch   []T
+	frames  []*frameBuf
 	scratch []byte
 	nbufs   net.Buffers
-	ready   []*frameBuf
-	pbFree  []*pendingBatch
-	err     error // first write failure; later frames are completed but not written
+	failed  bool // a flush failed; later items are made ready but not written
 }
 
-// wireItem is one unit of writer work; exactly one field is set.
-type wireItem struct {
-	fb *frameBuf
-	pb *pendingBatch
-}
-
-// pendingBatch is an OpBatch in flight between the reader (which decoded
-// it and submitted every op) and the writer (which completes and encodes
-// it). ops and run are scratch reused across batches on the connection;
-// gen pins the request frame's pool generation so a buffer recycled out
-// from under the batch is caught instead of silently decoded.
-type pendingBatch struct {
-	reqID uint64
-	fb    *frameBuf
-	pool  *framePool // the reader's request pool fb returns to
-	gen   uint32
-	ops   []service.BatchOp
-	run   service.BatchRun
-}
-
-func newConnWriter(conn io.Writer, slots chan struct{}, wire *obs.WireStats) *connWriter {
-	w := &connWriter{
-		conn:  conn,
-		slots: slots,
-		wire:  wire,
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+func newSendQueue[T any](conn io.Writer, pool *framePool, wire *obs.WireStats,
+	ready func(T) *frameBuf, flushed func(n int, err error)) *sendQueue[T] {
+	q := &sendQueue[T]{
+		conn: conn, pool: pool, wire: wire, ready: ready, flushed: flushed,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	go w.run()
-	return w
+	go q.run()
+	return q
 }
 
-// enqueue hands the writer one completion. Safe from any goroutine.
-func (w *connWriter) enqueue(it wireItem) {
-	w.mu.Lock()
-	w.q = append(w.q, it)
-	wakeup := !w.signaled
-	w.signaled = true
-	w.mu.Unlock()
+// enqueue hands the writer one item. It reports false, queueing nothing,
+// once the queue has been stopped. Safe from any goroutine.
+func (q *sendQueue[T]) enqueue(it T) bool {
+	q.mu.Lock()
+	if q.stopped {
+		q.mu.Unlock()
+		return false
+	}
+	q.q = append(q.q, it)
+	wakeup := !q.signaled
+	q.signaled = true
+	q.mu.Unlock()
 	if wakeup {
-		w.wake <- struct{}{}
+		q.wake <- struct{}{}
 	}
+	return true
 }
 
 // stop tells the writer to exit once the queue is drained and waits for
-// it. Callers must have stopped producing (ServeTagged waits for every
-// dispatch goroutine first), so the drain is complete.
-func (w *connWriter) stop() {
-	w.mu.Lock()
-	w.stopped = true
-	wakeup := !w.signaled
-	w.signaled = true
-	w.mu.Unlock()
+// it; items enqueued before stop are still flushed. Idempotent and safe
+// from any goroutine.
+func (q *sendQueue[T]) stop() {
+	q.mu.Lock()
+	q.stopped = true
+	wakeup := !q.signaled
+	q.signaled = true
+	q.mu.Unlock()
 	if wakeup {
-		w.wake <- struct{}{}
+		q.wake <- struct{}{}
 	}
-	<-w.done
+	<-q.done
 }
 
-// getBatch leases pending-batch scratch (writer free list; reader-only
-// caller, so no lock needed beyond the queue handoff).
-func (w *connWriter) getBatch() *pendingBatch {
-	w.mu.Lock()
-	var pb *pendingBatch
-	if k := len(w.pbFree); k > 0 {
-		pb = w.pbFree[k-1]
-		w.pbFree[k-1] = nil
-		w.pbFree = w.pbFree[:k-1]
-	}
-	w.mu.Unlock()
-	if pb == nil {
-		pb = &pendingBatch{}
-	}
-	return pb
-}
-
-func (w *connWriter) putBatch(pb *pendingBatch) {
-	pb.fb = nil
-	w.mu.Lock()
-	w.pbFree = append(w.pbFree, pb)
-	w.mu.Unlock()
-}
-
-func (w *connWriter) run() {
-	defer close(w.done)
-	for range w.wake {
+func (q *sendQueue[T]) run() {
+	defer close(q.done)
+	for range q.wake {
 		for {
-			w.mu.Lock()
-			if len(w.q) == 0 {
-				w.signaled = false
-				stopped := w.stopped
-				w.mu.Unlock()
+			q.mu.Lock()
+			if len(q.q) == 0 {
+				q.signaled = false
+				stopped := q.stopped
+				q.mu.Unlock()
 				if stopped {
 					return
 				}
 				break
 			}
-			w.batch = append(w.batch[:0], w.q...)
-			for i := range w.q {
-				w.q[i] = wireItem{}
-			}
-			w.q = w.q[:0]
-			w.mu.Unlock()
-			w.process(w.batch)
+			q.batch = append(q.batch[:0], q.q...)
+			clear(q.q)
+			q.q = q.q[:0]
+			q.mu.Unlock()
+			q.flush()
 		}
 	}
 }
 
-// process completes and flushes one drained batch of writer work. Every
-// item is completed even after a write failure — batch commands must be
-// collected from the shard queues and window slots must keep flowing so
-// a reader blocked on the window can reach its own read error and hang
-// up.
-func (w *connWriter) process(items []wireItem) {
-	w.ready = w.ready[:0]
-	for _, it := range items {
-		if it.pb != nil {
-			w.ready = append(w.ready, w.completeBatch(it.pb))
-		} else {
-			w.ready = append(w.ready, it.fb)
-		}
+// flush makes one drained batch ready and writes it. Every item is made
+// ready even after a write failure — the server's batches must be
+// collected from the shard queues and its window slots must keep flowing
+// so a reader blocked on the window can reach its own read error and
+// hang up.
+func (q *sendQueue[T]) flush() {
+	q.frames = q.frames[:0]
+	for _, it := range q.batch {
+		q.frames = append(q.frames, q.ready(it))
 	}
-	if w.err == nil {
-		w.err = flushFrames(w.conn, w.ready, &w.scratch, &w.nbufs, w.wire)
+	var err error
+	if !q.failed {
+		err = flushFrames(q.conn, q.frames, &q.scratch, &q.nbufs, q.wire)
+		q.failed = err != nil
 	}
-	for i, fb := range w.ready {
-		w.pool.release(fb)
-		w.ready[i] = nil
+	for _, fb := range q.frames {
+		q.pool.release(fb)
 	}
-	for range items {
-		<-w.slots
-	}
-}
-
-// completeBatch waits for the batch's shard commands, encodes the tagged
-// response into a pooled frame, and releases the request frame (safe
-// now: every write payload aliasing it has been programmed into the
-// device arena by the shard workers).
-func (w *connWriter) completeBatch(pb *pendingBatch) *frameBuf {
-	results := pb.run.Complete()
-	out := w.pool.acquire(12)
-	e := enc{b: out.b[:12]}
-	e.u8(StatusOK)
-	encBatchResults(&e, pb.ops, results)
-	out.b = e.b
-	binary.LittleEndian.PutUint32(out.b, uint32(len(out.b)-4))
-	binary.LittleEndian.PutUint64(out.b[4:], pb.reqID)
-	if pb.fb.stale(pb.gen) {
-		panic("almaproto: batch request frame recycled while its ops were in flight")
-	}
-	reqFB, pool := pb.fb, pb.pool
-	w.putBatch(pb)
-	pool.release(reqFB)
-	return out
+	clear(q.frames)
+	n := len(q.batch)
+	clear(q.batch)
+	q.flushed(n, err)
 }

@@ -72,7 +72,10 @@ const (
 
 // Cmd is one queued command. Submit it with Array.Submit and wait for the
 // worker to complete it with Wait; the result fields are valid only after
-// Wait returns. A Cmd must not be reused while in flight, and every
+// Wait returns. Out is the Cmd's own memory — the worker copies a read's
+// bytes out of the flash arena before it executes the next command — and
+// stays valid until the Cmd is reset or resubmitted. A Cmd must not be
+// reused while in flight, and every
 // submitted Cmd must be Waited exactly once before reuse — completion is
 // a token sent on a one-slot channel (not a close), precisely so a Cmd
 // can be recycled: the channel is allocated on first submission and then
@@ -93,6 +96,7 @@ type Cmd struct {
 
 	fn   func(dev *core.TimeSSD, kit *timekits.Kit)
 	done chan struct{} // cap 1; one completion token per submission
+	buf  []byte        // backing store of Out; survives reset so recycled Cmds read without allocating
 }
 
 // Wait blocks until the shard worker has executed the command, consuming
@@ -297,7 +301,15 @@ func (s *shard) exec(c *Cmd) {
 	local := c.LPA
 	switch c.Kind {
 	case opRead:
-		c.Out, c.Done, c.Err = s.dev.Read(local, c.At)
+		// dev.Read aliases the flash arena, which the next write or GC pass
+		// on this shard may erase and re-program; the bytes leave the worker
+		// goroutine here, so this is where they are copied.
+		var out []byte
+		out, c.Done, c.Err = s.dev.Read(local, c.At)
+		if c.Err == nil {
+			c.buf = append(c.buf[:0], out...)
+			c.Out = c.buf
+		}
 	case opWrite:
 		c.Done, c.Err = s.dev.Write(local, c.Data, c.At)
 		c.Data = nil // release the payload; pipelined replays retain Cmds until collection
@@ -411,7 +423,8 @@ func (a *Array) fanOut(at vclock.Time, fn func(i int, dev *core.TimeSSD, kit *ti
 
 // ---- synchronous ftl.Device interface -------------------------------------
 
-// Read returns the current version of lpa.
+// Read returns the current version of lpa. The data is the caller's own
+// copy (see Cmd.Out), not an alias of device storage.
 func (a *Array) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
 	cmd := &Cmd{Kind: opRead, LPA: lpa, At: at}
 	if err := a.Submit(cmd); err != nil {
@@ -533,22 +546,16 @@ func (a *Array) ObsSnapshot() obs.Snapshot {
 }
 
 // TraceEvents merges the per-shard trace rings, ordered by virtual
-// completion time (ties break on issue time, then shard), keeping the
-// latest max events. max <= 0 means everything the rings hold.
+// completion time; ties keep shard order and, within a shard, the order
+// the events were recorded in (a rollback's inner writes before the
+// rollback). It keeps the latest max events; max <= 0 means everything the
+// rings hold.
 func (a *Array) TraceEvents(max int) []obs.Event {
 	var all []obs.Event
 	for _, s := range a.shards {
 		all = append(all, s.dev.Obs().Trace(0)...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].DoneNS != all[j].DoneNS {
-			return all[i].DoneNS < all[j].DoneNS
-		}
-		if all[i].IssueNS != all[j].IssueNS {
-			return all[i].IssueNS < all[j].IssueNS
-		}
-		return all[i].Shard < all[j].Shard
-	})
+	sort.SliceStable(all, func(i, j int) bool { return all[i].DoneNS < all[j].DoneNS })
 	if max > 0 && len(all) > max {
 		all = all[len(all)-max:]
 	}

@@ -134,14 +134,14 @@ func TestStripeRoundTrip(t *testing.T) {
 
 // TestTimeQueryRangeMergeOrdering exercises the cross-shard merge: updates
 // land on all four shards at interleaved times (including a trim and a
-// cross-shard timestamp tie) and the merged stream must come out newest
-// update first, ties broken by ascending global LPA.
+// cross-shard timestamp tie) and the merged stream must come out in
+// ascending global LPA order — the order timekits answers in on one device.
 func TestTimeQueryRangeMergeOrdering(t *testing.T) {
 	a := newTestArray(t, 4)
 	h := func(n int) vclock.Time { return vclock.Time(n) * vclock.Time(vclock.Hour) }
 	// LPA k lives on shard k%4. Writes at distinct hours, newest on a
-	// middle shard so merge order differs from shard order; LPAs 5 and 6
-	// (shards 1 and 2) share hour 5 to exercise the LPA tiebreak.
+	// middle shard, and LPAs 5 and 6 (shards 1 and 2) share hour 5, so
+	// neither shard order nor time order is the LPA order.
 	writes := []struct {
 		lpa uint64
 		at  vclock.Time
@@ -167,18 +167,13 @@ func TestTimeQueryRangeMergeOrdering(t *testing.T) {
 	for _, r := range res.Value {
 		gotLPAs = append(gotLPAs, r.LPA)
 	}
-	// Newest first: trim(2)@6h, tie 5/6@5h by LPA, 3@4h, 1@3h, 0@1h.
-	want := []uint64{2, 5, 6, 3, 1, 0}
+	want := []uint64{0, 1, 2, 3, 5, 6}
 	if !reflect.DeepEqual(gotLPAs, want) {
 		t.Fatalf("merge order: got %v want %v", gotLPAs, want)
 	}
-	if res.Value[0].Times[0] != h(6) {
-		t.Fatalf("trim timestamp not merged: %v", res.Value[0].Times)
-	}
-	for i := 1; i < len(res.Value); i++ {
-		if res.Value[i].Times[0] > res.Value[i-1].Times[0] {
-			t.Fatalf("record %d newer than its predecessor", i)
-		}
+	// Times[0] is a record's newest event: LPA 2's is the trim.
+	if res.Value[2].Times[0] != h(6) {
+		t.Fatalf("trim timestamp not merged: %v", res.Value[2].Times)
 	}
 	if res.Done <= now {
 		t.Fatal("cross-shard query charged no device time")
@@ -193,7 +188,7 @@ func TestTimeQueryRangeMergeOrdering(t *testing.T) {
 	for _, r := range res.Value {
 		gotLPAs = append(gotLPAs, r.LPA)
 	}
-	if want := []uint64{3, 1, 2}; !reflect.DeepEqual(gotLPAs, want) {
+	if want := []uint64{1, 2, 3}; !reflect.DeepEqual(gotLPAs, want) {
 		t.Fatalf("sub-range merge: got %v want %v", gotLPAs, want)
 	}
 }
@@ -444,5 +439,56 @@ func TestAddrQueryAcrossShards(t *testing.T) {
 		if len(pv.Versions) != 1 || pv.Versions[0].Data[0] != 16+byte(pv.LPA) {
 			t.Fatalf("lpa %d: wrong generation at t", pv.LPA)
 		}
+	}
+}
+
+// TestReadSurvivesLaterPrograms is the torn-read regression: a read is
+// queued, and behind it on the same shard enough writes to cycle every
+// flash block, so GC erases and re-programs the page the read was served
+// from before the submitter looks at the result. Cmd.Out must still hold
+// the bytes the read saw.
+func TestReadSurvivesLaterPrograms(t *testing.T) {
+	a := newTestArray(t, 1)
+	want := testPage(a, 0xa5)
+	at := vclock.Time(vclock.Second)
+	if _, err := a.Write(7, want, at); err != nil {
+		t.Fatal(err)
+	}
+	read := ReadCmd(7, at.Add(vclock.Second))
+	if err := a.Submit(read); err != nil {
+		t.Fatal(err)
+	}
+	physical := shardConfig().FTL.Flash.TotalPages()
+	writes := make([]*Cmd, 3*physical)
+	for i := range writes {
+		at = at.Add(vclock.Minute)
+		writes[i] = WriteCmd(uint64(i%64), testPage(a, byte(i)|1), at)
+		if err := a.Submit(writes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range writes {
+		if w.Wait(); w.Err != nil {
+			t.Fatalf("write %d: %v", i, w.Err)
+		}
+	}
+	read.Wait()
+	if read.Err != nil {
+		t.Fatal(read.Err)
+	}
+	if !bytes.Equal(read.Out, want) {
+		t.Fatalf("read result changed under later programs: got %#x.., want %#x..", read.Out[0], want[0])
+	}
+
+	// The copy lives in the Cmd and survives reset: a recycled Cmd reads
+	// into the same backing store.
+	before := &read.Out[0]
+	read.SetRead(7, at.Add(vclock.Second))
+	if err := a.Submit(read); err != nil {
+		t.Fatal(err)
+	}
+	read.Wait()
+	if read.Err != nil || &read.Out[0] != before {
+		t.Fatalf("recycled read (err %v) did not reuse the Cmd's buffer", read.Err)
 	}
 }

@@ -59,6 +59,7 @@ func (a *Array) addrFan(addr uint64, cnt int, at vclock.Time,
 			return
 		}
 		res[i], errs[i] = fn(kit, lo, n)
+		ownVersions(res[i].Value)
 	}); err != nil {
 		return zero, err
 	}
@@ -78,6 +79,28 @@ func (a *Array) addrFan(addr uint64, cnt int, at vclock.Time,
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LPA < out[j].LPA })
 	return timekits.Result[[]timekits.PageVersions]{Value: out, Start: at, Done: done, Elapsed: done.Sub(at)}, nil
+}
+
+// ownVersions replaces every Version.Data, which the device returns as an
+// alias of its flash arena or reference cache, with a copy in one buffer the
+// result owns. It runs on the shard worker, before the worker's next command
+// can re-program the pages the aliases point into (the query twin of the
+// copy shard.exec makes for reads).
+func ownVersions(pvs []timekits.PageVersions) {
+	total := 0
+	for _, pv := range pvs {
+		for _, v := range pv.Versions {
+			total += len(v.Data)
+		}
+	}
+	buf := make([]byte, 0, total)
+	for _, pv := range pvs {
+		for i := range pv.Versions {
+			v := &pv.Versions[i]
+			buf = append(buf, v.Data...)
+			v.Data = buf[len(buf)-len(v.Data) : len(buf) : len(buf)]
+		}
+	}
 }
 
 // AddrQuery returns, for cnt global LPAs starting at addr, the version
@@ -106,9 +129,9 @@ func (a *Array) AddrQueryAll(addr uint64, cnt int, at vclock.Time) (timekits.Res
 }
 
 // timeFan fans a time query to every shard and merges the per-shard update
-// records by timestamp: records are ordered newest-update-first (ties
-// broken by global LPA), so "what changed most recently anywhere on the
-// array" streams out first — the order a forensic scan wants.
+// records in ascending global LPA order — the order timekits returns them
+// in on one device, so a 1-shard array answers byte for byte as the bare
+// device does.
 func (a *Array) timeFan(at vclock.Time,
 	fn func(kit *timekits.Kit) (timekits.Result[[]core.UpdateRecord], error),
 ) (timekits.Result[[]core.UpdateRecord], error) {
@@ -134,14 +157,7 @@ func (a *Array) timeFan(at vclock.Time,
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		// Times[0] is each record's newest event (write or trim).
-		ti, tj := out[i].Times[0], out[j].Times[0]
-		if ti != tj {
-			return ti > tj
-		}
-		return out[i].LPA < out[j].LPA
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].LPA < out[j].LPA })
 	return timekits.Result[[]core.UpdateRecord]{Value: out, Start: at, Done: done, Elapsed: done.Sub(at)}, nil
 }
 
@@ -153,7 +169,7 @@ func (a *Array) TimeQuery(t, at vclock.Time) (timekits.Result[[]core.UpdateRecor
 }
 
 // TimeQueryRange returns every global LPA updated within [t1, t2], merged
-// across shards in newest-first timestamp order.
+// across shards in ascending LPA order.
 func (a *Array) TimeQueryRange(t1, t2, at vclock.Time) (timekits.Result[[]core.UpdateRecord], error) {
 	if t2 < t1 {
 		return timekits.Result[[]core.UpdateRecord]{}, fmt.Errorf("%w: t2 %v before t1 %v", timekits.ErrBadRange, t2, t1)

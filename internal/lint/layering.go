@@ -24,10 +24,12 @@ type callTarget struct {
 // call matrix: raw flash program/erase/charge operations are reachable
 // only from the FTL and core layers, and TimeSSD mutation entry points are
 // reachable (among internal packages) only from the layers that legitimately
-// drive a device: the array, TimeKits, the wire protocol, the harness, the
-// file-system simulator, and the benchmark bodies. Everything else must go
-// through the ftl.Device interface or the array, so that instrumentation
-// and striping cannot be bypassed. The multi-tenant volume layer adds two
+// drive a device: the array, TimeKits, the harness, the file-system
+// simulator, and the benchmark bodies. Everything else — the wire protocol
+// included, which serves even a single device as a 1-shard array — must go
+// through the ftl.Device interface or the array, so that instrumentation,
+// striping and the shard worker's ownership of its device cannot be
+// bypassed. The multi-tenant volume layer adds two
 // more boundaries: tenant mutation and lifecycle calls enter only through
 // the wire protocol, harness, or bench, and the array-wide retention bound
 // reaches member devices only through the array's fan-out.
@@ -45,7 +47,7 @@ func NewLayering() *Layering { return &Layering{} }
 func (r *Layering) ID() string { return "layering" }
 
 func (r *Layering) Doc() string {
-	return "raw flash ops only from ftl/core; core mutation entry points only from array/timekits/almaproto/harness/fsim/bench; volume mutation and lifecycle only from almaproto/harness/bench"
+	return "raw flash ops only from ftl/core; core mutation entry points only from array/timekits/harness/fsim/bench; volume mutation and lifecycle only from almaproto/harness/bench"
 }
 
 func (r *Layering) matrix() []callTarget {
@@ -72,12 +74,11 @@ func (r *Layering) matrix() []callTarget {
 			Type:    "TimeSSD",
 			Methods: map[string]bool{"Write": true, "Trim": true, "Idle": true, "SetFaults": true},
 			Allowed: map[string]bool{
-				mod + "/internal/array":     true,
-				mod + "/internal/timekits":  true,
-				mod + "/internal/almaproto": true,
-				mod + "/internal/harness":   true,
-				mod + "/internal/fsim":      true,
-				mod + "/internal/bench":     true,
+				mod + "/internal/array":    true,
+				mod + "/internal/timekits": true,
+				mod + "/internal/harness":  true,
+				mod + "/internal/fsim":     true,
+				mod + "/internal/bench":    true,
 			},
 			Boundary:     "TimeSSD mutation entry points",
 			InternalOnly: true,

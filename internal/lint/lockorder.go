@@ -23,10 +23,10 @@ import (
 // and the rule's own corpus; summaries from the rest of the module still
 // feed the graph, so a violation only visible across package boundaries
 // is anchored at the in-scope site that triggers it. That scope includes
-// the connection writer goroutines of the v4 data path (almaproto's
-// connWriter and the client writeLoop), whose wake-token protocol exists
-// precisely to keep channel sends outside the queue mutex — the corpus
-// writer.go case pins the broken shape.
+// the connection writer goroutine of the v4 data path (almaproto's
+// sendQueue, one generic type shared by the server and the client), whose
+// wake-token protocol exists precisely to keep channel sends outside the
+// queue mutex — the corpus writer.go case pins the broken shape.
 type LockOrder struct {
 	// Packages is the set of in-scope package base names. Nil selects the
 	// production set.

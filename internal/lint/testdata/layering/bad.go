@@ -4,6 +4,8 @@
 package layeringbad
 
 import (
+	"sync"
+
 	"almanac/internal/core"
 	"almanac/internal/flash"
 	"almanac/internal/service"
@@ -31,6 +33,22 @@ func DirectWrite(dev *core.TimeSSD, at vclock.Time) error {
 	}
 	_, err = dev.Trim(0, at) // want layering
 	return err
+}
+
+// lockedDevice is the shape the wire protocol's single-device back end had
+// before a lone device became a 1-shard array: a mutex standing in for the
+// firmware's one command interpreter, with the protocol layer driving the
+// TimeSSD under it. The shard worker is that interpreter now, and the
+// protocol layer is outside the layer set like any other package.
+type lockedDevice struct {
+	mu  sync.Mutex
+	dev *core.TimeSSD
+}
+
+func (b *lockedDevice) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dev.Write(lpa, data, at) // want layering
 }
 
 // DirectRetention pushes a retention bound straight at a member device:

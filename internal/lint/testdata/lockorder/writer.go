@@ -2,8 +2,8 @@ package lockorderbad
 
 import "sync"
 
-// connWriter mirrors the protocol server's coalescing writer goroutine:
-// producers queue frames under a mutex and hand the writer a single wake
+// connWriter mirrors almaproto's sendQueue, the coalescing writer both ends
+// of a tagged connection share: producers queue frames under a mutex and hand the writer a single wake
 // token through a cap-1 channel. The token send must happen outside the
 // critical section — the writer's drain loop takes the same mutex, so a
 // send under it deadlocks the connection the moment the token channel

@@ -236,10 +236,9 @@ func (v *Volume) StartBatch(ops []BatchOp, r *BatchRun) {
 }
 
 // Complete waits for every submitted op of the batch and returns the
-// positional results. The returned slice is the run's scratch: it is
-// valid until the next StartBatch on the same run, and read Data may
-// alias device storage (copy before the next device operation if
-// retained).
+// positional results. The returned slice, read Data included, is the run's
+// scratch (each read's bytes live in its array.Cmd, not in device storage):
+// it is valid until the next StartBatch on the same run.
 func (r *BatchRun) Complete() []BatchResult {
 	v := r.v
 	ws := v.reg.Start()
