@@ -1,25 +1,23 @@
 // Command almalint runs Almanac's domain-aware static analyzer over the
 // module: wall-clock bans in simulation packages, unseeded randomness,
 // firmware-layer boundaries, dropped errors, map-ordering determinism
-// hazards — plus the interprocedural deep rules (lockorder, walltaint,
-// atomicmix) computed over the whole-module flow graph. See internal/lint
-// and DESIGN.md ("Static analysis & invariants").
+// hazards, and the whole-program rules (lockorder, walltaint, atomicmix)
+// computed over the linked flow graph. See internal/lint and DESIGN.md
+// ("Static analysis & invariants").
 //
 // Usage:
 //
-//	almalint [-json] [-sarif file] [-graph call|lock] [-rules id,...]
-//	         [-cache-dir dir] [-nocache] [-list] [./... | dir ...]
+//	almalint [-rules id,...] [-sarif file] [-list] [./... | dir ...]
 //
-// Whole-module runs (the default ./... form) use a per-package summary
-// cache keyed by content hash, so warm runs skip parsing and
-// type-checking of unchanged packages. Explicit directory arguments
-// analyze just those packages, uncached.
+// With no argument or ./... the whole module is analyzed; directory
+// arguments (relative to the module root) analyze, and link, just those
+// packages. Every run does the full analysis: there is no cache, so a
+// rebuilt almalint never reports a stale verdict.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,31 +25,22 @@ import (
 	"strings"
 
 	"almanac/internal/lint"
-	"almanac/internal/lint/flow"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	graph := flag.String("graph", "", "emit a Graphviz graph to stdout instead of findings: call or lock")
 	ruleList := flag.String("rules", "", "comma-separated rule IDs to run (default: all)")
-	cacheDir := flag.String("cache-dir", "", "summary cache directory (default: <user cache>/almalint)")
-	noCache := flag.Bool("nocache", false, "disable the summary cache")
+	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	list := flag.Bool("list", false, "list rules and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: almalint [-json] [-sarif file] [-graph call|lock] [-rules id,id,...] [-cache-dir dir] [-nocache] [-list] [./... | dir ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: almalint [-rules id,id,...] [-sarif file] [-list] [./... | dir ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	rules := lint.DefaultRules()
-	deep := lint.DefaultDeepRules()
+	rules := lint.Rules
 	if *list {
 		for _, r := range rules {
-			fmt.Printf("%-12s %s\n", r.ID(), r.Doc())
-		}
-		for _, r := range deep {
-			fmt.Printf("%-12s %s (deep)\n", r.ID(), r.Doc())
+			fmt.Printf("%-12s %s\n", r.ID, r.Doc)
 		}
 		return
 	}
@@ -60,88 +49,35 @@ func main() {
 		for _, id := range strings.Split(*ruleList, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
-		var sel []lint.Rule
-		for _, r := range rules {
-			if want[r.ID()] {
-				sel = append(sel, r)
-				delete(want, r.ID())
-			}
-		}
-		var selDeep []lint.DeepRule
-		for _, r := range deep {
-			if want[r.ID()] {
-				selDeep = append(selDeep, r)
-				delete(want, r.ID())
+		rules = nil
+		for _, r := range lint.Rules {
+			if want[r.ID] {
+				rules = append(rules, r)
+				delete(want, r.ID)
 			}
 		}
 		for id := range want {
 			fatalf("unknown rule %q (use -list)", id)
 		}
-		rules, deep = sel, selDeep
-	}
-	if *graph != "" && *graph != "call" && *graph != "lock" {
-		fatalf("-graph must be 'call' or 'lock'")
 	}
 
 	root, err := findModuleRoot()
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	var findings []lint.Finding
-	var prog *flow.Program
-
-	patterns := flag.Args()
-	wholeModule := len(patterns) == 0 || (len(patterns) == 1 && (patterns[0] == "./..." || patterns[0] == "..."))
-	if wholeModule {
-		dir := ""
-		if !*noCache {
-			dir = *cacheDir
-			if dir == "" {
-				if base, err := os.UserCacheDir(); err == nil {
-					dir = filepath.Join(base, "almalint")
-				}
-			}
+	var dirs []string
+	if args := flag.Args(); !(len(args) == 1 && (args[0] == "./..." || args[0] == "...")) {
+		for _, arg := range args {
+			dirs = append(dirs, strings.TrimSuffix(arg, "/"))
 		}
-		res, err := lint.Analyze(root, dir, rules, deep)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		findings, prog = res.Findings, res.Program
-		fmt.Fprintf(os.Stderr, "almalint: %d packages (%d cached, %d analyzed)\n",
-			res.Stats.Packages, res.Stats.CacheHits, res.Stats.CacheMisses)
-	} else {
-		loader, err := lint.NewLoader(root)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		var pkgs []*lint.Package
-		for _, pat := range patterns {
-			p, err := loader.Load(strings.TrimSuffix(pat, "/"))
-			if err != nil {
-				fatalf("%v", err)
-			}
-			pkgs = append(pkgs, p)
-		}
-		findings = lint.RunAll(pkgs, loader.ModulePath, rules, deep)
-		if *graph != "" {
-			var sums []flow.FuncSummary
-			for _, p := range pkgs {
-				sums = append(sums, lint.ExtractPackage(p, loader.ModulePath)...)
-			}
-			prog = flow.Link(sums)
-		}
+	}
+	findings, err := lint.Analyze(root, dirs, rules)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *sarifOut != "" {
-		docs := map[string]string{}
-		for _, r := range rules {
-			docs[r.ID()] = r.Doc()
-		}
-		for _, r := range deep {
-			docs[r.ID()] = r.Doc()
-		}
-		data, err := lint.ToSARIF(findings, docs, root)
+		data, err := lint.ToSARIF(findings, rules, root)
 		if err != nil {
 			fatalf("sarif: %v", err)
 		}
@@ -149,30 +85,11 @@ func main() {
 			fatalf("sarif: %v", err)
 		}
 	}
-
-	switch {
-	case *graph == "call":
-		fmt.Print(prog.CallGraphDot())
-	case *graph == "lock":
-		fmt.Print(prog.LockGraphDot())
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fatalf("%v", err)
-		}
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "almalint: %d finding(s)\n", len(findings))
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "almalint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -59,7 +59,7 @@ func main() {
 			}
 		}
 	}
-	ts := dev.TimeStats()
+	ts := dev.Counters()
 	fmt.Printf("state:      %d logical pages (%d with content), %d free blocks\n",
 		dev.LogicalPages(), mapped, dev.FreeBlocks())
 	fmt.Printf("history:    %d retained invalidations re-registered by rebuild\n", ts.Invalidations)

@@ -98,7 +98,7 @@ func scanFlashFor(t *testing.T, d *TimeSSD, needle []byte) bool {
 
 func TestRetentionEncryptionHidesPlaintext(t *testing.T) {
 	d, _, _ := cryptoRig(t, testKey)
-	if d.TimeStats().DeltasCreated == 0 {
+	if d.Counters().DeltasCreated == 0 {
 		t.Fatal("nothing was compressed; the test proves nothing")
 	}
 	if scanFlashFor(t, d, []byte("TOPSECRET")) {

@@ -126,7 +126,7 @@ func TestRefCacheHitMissCounters(t *testing.T) {
 	for lpa := uint64(0); lpa < 4; lpa++ {
 		_, at = queryVersions(t, d, lpa, at)
 	}
-	st := d.TimeStats()
+	st := d.Counters()
 	if st.RefCacheMisses == 0 {
 		t.Fatal("cold queries recorded no misses")
 	}
@@ -138,7 +138,7 @@ func TestRefCacheHitMissCounters(t *testing.T) {
 	for lpa := uint64(0); lpa < 4; lpa++ {
 		_, at = queryVersions(t, d, lpa, at)
 	}
-	warm := d.TimeStats()
+	warm := d.Counters()
 	if warm.RefCacheHits == 0 {
 		t.Fatal("warm queries recorded no hits")
 	}
@@ -157,7 +157,7 @@ func TestRefCacheEvictionCounter(t *testing.T) {
 	for lpa := uint64(0); lpa < 4; lpa++ {
 		_, at = queryVersions(t, d, lpa, at)
 	}
-	if d.TimeStats().RefCacheEvictions == 0 {
+	if d.Counters().RefCacheEvictions == 0 {
 		t.Fatal("2-slot cache never evicted across 4 delta chains")
 	}
 	if n := d.refcache.len(); n > 2 {
@@ -174,7 +174,7 @@ func TestRefCacheDisabled(t *testing.T) {
 		_, at = queryVersions(t, d, lpa, at)
 		_, at = queryVersions(t, d, lpa, at)
 	}
-	st := d.TimeStats()
+	st := d.Counters()
 	if st.RefCacheHits != 0 || st.RefCacheMisses != 0 || st.RefCacheEvictions != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", st)
 	}
@@ -299,7 +299,7 @@ func TestRefCacheColdAfterRebuild(t *testing.T) {
 	if r.refcache.len() != 0 {
 		t.Fatal("cache state survived Rebuild")
 	}
-	if st := r.TimeStats(); st.RefCacheHits != 0 || st.RefCacheMisses != 0 {
+	if st := r.Counters(); st.RefCacheHits != 0 || st.RefCacheMisses != 0 {
 		t.Fatalf("cache counters survived Rebuild: %+v", st)
 	}
 	// And the rebuilt device's cold decodes must match the pre-crash ones.

@@ -178,8 +178,9 @@ type trimRecord struct {
 	ts   vclock.Time
 }
 
-// Stats exposes TimeSSD-specific counters on top of the base FTL's.
-type Stats struct {
+// stats accumulates the retention-machinery counters the device itself
+// owns; Counters publishes them on the canonical obs.Counters surface.
+type stats struct {
 	Invalidations     int64 // version invalidations recorded in the BF chain
 	DeltasCreated     int64
 	DeltaPagesWritten int64
@@ -188,11 +189,6 @@ type Stats struct {
 	IdleCompressions  int64 // pages compressed during idle cycles
 	EstimatorChecks   int64
 	EstimatorTrips    int64 // periods in which Eq. 1 exceeded TH
-
-	// Host-side reference-cache telemetry (see Config.RefCacheSlots).
-	RefCacheHits      int64
-	RefCacheMisses    int64
-	RefCacheEvictions int64
 }
 
 // TimeSSD is the time-traveling FTL.
@@ -252,7 +248,7 @@ type TimeSSD struct {
 	// on the medium, where the retention window restarts.
 	rebuiltAt vclock.Time
 
-	st  Stats
+	st  stats
 	obs *obs.Registry
 }
 
@@ -384,29 +380,6 @@ func (t *TimeSSD) SetMinRetention(d vclock.Duration) {
 
 // Config returns the instance configuration.
 func (t *TimeSSD) Config() Config { return t.cfg }
-
-// TimeStats returns the TimeSSD-specific counters. It is a view of the
-// canonical obs.Counters surface (see Counters); the Stats type survives
-// for callers that predate the collapse.
-func (t *TimeSSD) TimeStats() Stats { return TimeStatsView(t.Counters()) }
-
-// TimeStatsView projects the TimeSSD-specific counters out of the
-// canonical counter surface.
-func TimeStatsView(c obs.Counters) Stats {
-	return Stats{
-		Invalidations:     c.Invalidations,
-		DeltasCreated:     c.DeltasCreated,
-		DeltaPagesWritten: c.DeltaPagesWritten,
-		ExpiredReclaimed:  c.ExpiredReclaimed,
-		WindowDrops:       c.WindowDrops,
-		IdleCompressions:  c.IdleCompressions,
-		EstimatorChecks:   c.EstimatorChecks,
-		EstimatorTrips:    c.EstimatorTrips,
-		RefCacheHits:      c.RefCacheHits,
-		RefCacheMisses:    c.RefCacheMisses,
-		RefCacheEvictions: c.RefCacheEvictions,
-	}
-}
 
 // Counters assembles the device's canonical counter snapshot: the base
 // FTL and flash counters plus the retention-machinery counters.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"almanac/internal/core"
+	"almanac/internal/obs"
 	"almanac/internal/trace"
 	"almanac/internal/vclock"
 )
@@ -22,20 +23,20 @@ func (c Config) ablationConfig() Config {
 
 // ablationRun measures one TimeSSD variant on the ablation workload at
 // 80% usage (where the mechanisms matter most).
-func (c Config) ablationRun(mutate func(*core.Config)) (resp, wa, retention float64, st core.Stats, err error) {
+func (c Config) ablationRun(mutate func(*core.Config)) (resp, wa, retention float64, st obs.Counters, err error) {
 	c = c.ablationConfig()
 	dev, err := c.newTimeSSD(mutate)
 	if err != nil {
-		return 0, 0, 0, core.Stats{}, err
+		return 0, 0, 0, obs.Counters{}, err
 	}
 	run, err := c.runTrace(dev, ablationWorkload, 0.8, c.Days)
 	if err != nil {
-		return 0, 0, 0, core.Stats{}, err
+		return 0, 0, 0, obs.Counters{}, err
 	}
 	return run.stats.AvgResponse().Seconds() * 1e3,
 		dev.WriteAmplification(),
 		dev.RetentionDuration(run.end).Hours() / 24,
-		dev.TimeStats(),
+		dev.Counters(),
 		nil
 }
 
@@ -98,7 +99,7 @@ func AblationGroupSize(c Config) (*Table, error) {
 			fmt.Sprintf("%.3f", run.stats.AvgResponse().Seconds()*1e3),
 			fmt.Sprintf("%.1f", dev.RetentionDuration(run.end).Hours()/24),
 			fmt.Sprintf("%d", dev.Segments()),
-			fmt.Sprintf("%d", dev.TimeStats().WindowDrops)}
+			fmt.Sprintf("%d", dev.Counters().WindowDrops)}
 		return nil
 	})
 	if err != nil {
@@ -165,8 +166,8 @@ func AblationThreshold(c Config) (*Table, error) {
 		rows[i] = []string{fmt.Sprintf("%.2f", th),
 			fmt.Sprintf("%.3f", st.AvgResponse().Seconds()*1e3),
 			fmt.Sprintf("%.1f", dev.RetentionDuration(st.End).Hours()/24),
-			fmt.Sprintf("%d", dev.TimeStats().EstimatorTrips),
-			fmt.Sprintf("%d", dev.TimeStats().WindowDrops)}
+			fmt.Sprintf("%d", dev.Counters().EstimatorTrips),
+			fmt.Sprintf("%d", dev.Counters().WindowDrops)}
 		return nil
 	})
 	if err != nil {

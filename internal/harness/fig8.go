@@ -59,7 +59,7 @@ func Figure8(c Config) (*Table, error) {
 		rows[i] = []string{j.class, fmt.Sprintf("%.0f%%", j.usage*100), j.name,
 			fmt.Sprintf("%d", j.days),
 			fmt.Sprintf("%.1f", dev.RetentionDuration(run.end).Hours()/24),
-			fmt.Sprintf("%d", dev.TimeStats().WindowDrops)}
+			fmt.Sprintf("%d", dev.Counters().WindowDrops)}
 		return nil
 	})
 	if err != nil {

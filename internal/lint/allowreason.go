@@ -1,33 +1,28 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "strings"
 
-// AllowReason enforces the suppression-comment contract: every
+// checkAllowReasons enforces the suppression-comment contract: every
 // //almalint:allow directive must name at least one rule ID and carry a
 // "reason:" suffix with non-empty justification text. A suppression
 // without a recorded reason is indistinguishable from a silenced bug six
 // months later. Findings from this rule are themselves never suppressible.
-type AllowReason struct{}
-
-// NewAllowReason returns the rule in production configuration.
-func NewAllowReason() *AllowReason { return &AllowReason{} }
-
-func (r *AllowReason) ID() string { return "allowreason" }
-
-func (r *AllowReason) Doc() string {
-	return "every //almalint:allow must list rule IDs and end with 'reason: <justification>'"
-}
-
-func (r *AllowReason) Check(p *Package) []Finding {
+func checkAllowReasons(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				if f, bad := r.checkComment(p, c); bad {
-					out = append(out, f)
+				ids, rest, ok := allowIDs(c)
+				switch {
+				case !ok:
+				case len(ids) == 0:
+					out = append(out, finding(p, c,
+						"allow directive names no rule IDs",
+						"format: //almalint:allow <rule-id>[, <rule-id>...] reason: <justification>"))
+				case !hasReason(rest):
+					out = append(out, finding(p, c,
+						"allow directive has no reason: justification",
+						"append 'reason: <why this finding is a documented false positive>'"))
 				}
 			}
 		}
@@ -35,35 +30,13 @@ func (r *AllowReason) Check(p *Package) []Finding {
 	return out
 }
 
-func (r *AllowReason) checkComment(p *Package, c *ast.Comment) (Finding, bool) {
-	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-	if !strings.HasPrefix(text, AllowPrefix) {
-		return Finding{}, false
-	}
-	rest := strings.TrimSpace(strings.TrimPrefix(text, AllowPrefix))
-	fields := strings.Fields(rest)
-
-	ids := 0
-	for _, fld := range fields {
-		if !isRuleToken(strings.Trim(fld, ",")) {
-			break
-		}
-		ids++
-	}
-	if ids == 0 {
-		return finding(p, c, r.ID(),
-			"allow directive names no rule IDs",
-			"format: //almalint:allow <rule-id>[, <rule-id>...] reason: <justification>"), true
-	}
+// hasReason reports whether the tokens after a directive's ID list hold
+// "reason:" followed by some text, in the same token or the next.
+func hasReason(fields []string) bool {
 	for i, fld := range fields {
-		if fld == "reason:" && i+1 < len(fields) {
-			return Finding{}, false
-		}
-		if strings.HasPrefix(fld, "reason:") && len(fld) > len("reason:") {
-			return Finding{}, false
+		if text, ok := strings.CutPrefix(fld, "reason:"); ok && (text != "" || i+1 < len(fields)) {
+			return true
 		}
 	}
-	return finding(p, c, r.ID(),
-		"allow directive has no reason: justification",
-		"append 'reason: <why this finding is a documented false positive>'"), true
+	return false
 }

@@ -6,40 +6,22 @@ import (
 	"almanac/internal/lint/flow"
 )
 
-// AtomicMix flags fields (and module-level variables) that are accessed
+// checkAtomicMix flags fields (and module-level variables) that are accessed
 // through sync/atomic somewhere but read or written plainly somewhere
 // else — anywhere in the module, across package boundaries. A single
 // plain access to an atomically-updated word is a data race the compiler
 // accepts silently and the race detector only reports on the schedules
 // that interleave it; the obs seqlock ring and the lock-free stats
 // snapshots rely on every access agreeing on atomicity.
-type AtomicMix struct{}
-
-// NewAtomicMix returns the rule in production configuration.
-func NewAtomicMix() *AtomicMix { return &AtomicMix{} }
-
-func (r *AtomicMix) ID() string { return "atomicmix" }
-
-func (r *AtomicMix) Doc() string {
-	return "a field accessed via sync/atomic anywhere must be accessed atomically everywhere, module-wide"
-}
-
-func (r *AtomicMix) inScope(importPath string) bool {
-	if inTestdata(importPath) {
-		return lastSegment(importPath) == r.ID()
-	}
-	return true
-}
-
-func (r *AtomicMix) CheckProgram(prog *flow.Program) []Finding {
+func checkAtomicMix(prog *flow.Program) []Finding {
 	var out []Finding
 	for _, rep := range prog.AtomicMix() {
 		f := prog.Func(rep.Func)
-		if f == nil || !r.inScope(f.Pkg) {
+		if f == nil || !programScope("atomicmix", f.Pkg) {
 			continue
 		}
 		out = append(out, Finding{
-			Rule: r.ID(), File: rep.PlainPos.File, Line: rep.PlainPos.Line, Col: rep.PlainPos.Col,
+			File: rep.PlainPos.File, Line: rep.PlainPos.Line, Col: rep.PlainPos.Col,
 			Msg: fmt.Sprintf("plain %s of %s, which is accessed via atomic.%s at %s",
 				rep.Mode, humanLock(("T:" + rep.Field)), rep.AtomicOp, shortPos(rep.AtomicPos)),
 			Hint: "use sync/atomic (or a typed atomic) for every access to this word, " +

@@ -6,23 +6,6 @@ import (
 	"go/types"
 )
 
-// CheckedErr flags call statements that silently drop an error return.
-// Test files are never loaded by the analyzer, so this rule covers exactly
-// the non-test code. A deliberate discard must be spelled `_ = f()` (the
-// discard is then visible in review) or carry an allow comment. Deferred
-// calls (`defer f.Close()`) and goroutine launches are not flagged — both
-// are established idioms whose error has no consumer.
-type CheckedErr struct{}
-
-// NewCheckedErr returns the rule.
-func NewCheckedErr() *CheckedErr { return &CheckedErr{} }
-
-func (r *CheckedErr) ID() string { return "checkederr" }
-
-func (r *CheckedErr) Doc() string {
-	return "calls returning an error must not be used as bare statements; handle it or assign to _ explicitly"
-}
-
 // errDropOK lists callees whose error is conventionally unactionable:
 // fmt printing, and in-memory writers that are documented never to fail.
 func errDropOK(fn *types.Func) bool {
@@ -49,7 +32,13 @@ func errDropOK(fn *types.Func) bool {
 	return false
 }
 
-func (r *CheckedErr) Check(p *Package) []Finding {
+// checkDroppedErrors flags call statements that silently drop an error
+// return. Test files are never loaded by the analyzer, so this rule covers
+// exactly the non-test code. A deliberate discard must be spelled `_ = f()`
+// (the discard is then visible in review) or carry an allow comment.
+// Deferred calls (`defer f.Close()`) and goroutine launches are not
+// flagged — both are established idioms whose error has no consumer.
+func checkDroppedErrors(p *Package) []Finding {
 	errType := types.Universe.Lookup("error").Type()
 	var out []Finding
 	for _, file := range p.Files {
@@ -72,7 +61,7 @@ func (r *CheckedErr) Check(p *Package) []Finding {
 			if fn := calleeFunc(p, call); fn != nil && errDropOK(fn) {
 				return true
 			}
-			out = append(out, finding(p, call, r.ID(),
+			out = append(out, finding(p, call,
 				fmt.Sprintf("result of %s contains an error that is dropped", callName(p, call)),
 				"check the error, or make the discard explicit with _ ="))
 			return true

@@ -138,7 +138,6 @@ type extractor struct {
 
 	nested []FuncSummary
 	litSeq int
-	loop   int
 }
 
 func newExtractor(src *Source, key, name string, fd *ast.FuncDecl, fn *types.Func) *extractor {
@@ -240,22 +239,21 @@ func (h *held) snapshot() []string {
 func (ex *extractor) walkStmts(list []ast.Stmt, h *held) {
 	for i := 0; i < len(list); i++ {
 		s := list[i]
-		if key, reader, ok := ex.lockStmt(s, "Lock", "RLock"); ok {
+		if key, ok := ex.lockStmt(s, "Lock", "RLock"); ok {
 			ex.sum.Locks = append(ex.sum.Locks, LockSite{
-				Pos: posOf(ex.src, s), Key: key, Held: h.snapshot(), Reader: reader,
+				Pos: posOf(ex.src, s), Key: key, Held: h.snapshot(),
 			})
 			h.push(key)
 			continue
 		}
-		if key, _, ok := ex.lockStmt(s, "Unlock", "RUnlock"); ok {
+		if key, ok := ex.lockStmt(s, "Unlock", "RUnlock"); ok {
 			h.drop(key)
 			continue
 		}
 		if d, ok := s.(*ast.DeferStmt); ok {
-			if key, _, ok := ex.lockCallExpr(d.Call, "Unlock", "RUnlock"); ok {
+			if _, ok := ex.lockCallExpr(d.Call, "Unlock", "RUnlock"); ok {
 				// The lock stays held for the rest of the function; nothing
 				// to record, the held set simply keeps the key.
-				_ = key
 				continue
 			}
 		}
@@ -264,27 +262,27 @@ func (ex *extractor) walkStmts(list []ast.Stmt, h *held) {
 }
 
 // lockStmt matches `recv.Lock()`-style expression statements.
-func (ex *extractor) lockStmt(s ast.Stmt, names ...string) (string, bool, bool) {
+func (ex *extractor) lockStmt(s ast.Stmt, names ...string) (string, bool) {
 	es, ok := s.(*ast.ExprStmt)
 	if !ok {
-		return "", false, false
+		return "", false
 	}
 	call, ok := es.X.(*ast.CallExpr)
 	if !ok {
-		return "", false, false
+		return "", false
 	}
 	return ex.lockCallExpr(call, names...)
 }
 
 // lockCallExpr matches a niladic sync mutex/locker method call and
-// returns the canonical lock key and whether it is the reader side.
-func (ex *extractor) lockCallExpr(call *ast.CallExpr, names ...string) (string, bool, bool) {
+// returns the canonical lock key.
+func (ex *extractor) lockCallExpr(call *ast.CallExpr, names ...string) (string, bool) {
 	if len(call.Args) != 0 {
-		return "", false, false
+		return "", false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", false, false
+		return "", false
 	}
 	match := false
 	for _, n := range names {
@@ -293,14 +291,13 @@ func (ex *extractor) lockCallExpr(call *ast.CallExpr, names ...string) (string, 
 		}
 	}
 	if !match {
-		return "", false, false
+		return "", false
 	}
 	fn, ok := ex.src.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false, false
+		return "", false
 	}
-	reader := strings.HasPrefix(sel.Sel.Name, "R")
-	return ex.lockKey(sel.X), reader, true
+	return ex.lockKey(sel.X), true
 }
 
 // lockKey canonicalizes a lock receiver expression. Receivers and
@@ -404,9 +401,7 @@ func (ex *extractor) walkStmt(s ast.Stmt, h *held) {
 		if s.Post != nil {
 			ex.walkStmt(s.Post, h)
 		}
-		ex.loop++
 		ex.walkStmts(s.Body.List, h.copyHeld())
-		ex.loop--
 	case *ast.RangeStmt:
 		if t := ex.src.Info.TypeOf(s.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
@@ -417,9 +412,7 @@ func (ex *extractor) walkStmt(s ast.Stmt, h *held) {
 		}
 		ex.scanExpr(s.X, h, false)
 		ex.recordAssignTargets(s.Key, s.Value, nil)
-		ex.loop++
 		ex.walkStmts(s.Body.List, h.copyHeld())
-		ex.loop--
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			ex.walkStmt(s.Init, h)
@@ -673,7 +666,6 @@ func (ex *extractor) extractLit(lit *ast.FuncLit, h *held, escaped, spawned bool
 		Pos:    posOf(ex.src, lit),
 		Callee: key,
 		Go:     escaped || spawned,
-		InLoop: ex.loop > 0,
 	})
 	return key
 }
@@ -786,9 +778,8 @@ func (ex *extractor) recordCallEdge(call *ast.CallExpr, h *held, spawned bool) {
 		return
 	}
 	cs := CallSite{
-		Pos:    posOf(ex.src, call),
-		Go:     spawned,
-		InLoop: ex.loop > 0,
+		Pos: posOf(ex.src, call),
+		Go:  spawned,
 	}
 	if !spawned {
 		cs.Held = h.snapshot()

@@ -291,29 +291,3 @@ func ViaTwoFace(f twoFace) { _ = f.Close() }
 		t.Errorf("twoFace.Close must not resolve to widget (missing Other), got %v", got)
 	}
 }
-
-func TestDotExports(t *testing.T) {
-	prog := linkSrc(t, []srcPkg{{
-		path: fakeModule + "/d",
-		src: `package d
-
-import "sync"
-
-type D struct {
-	a, b sync.Mutex
-}
-
-func (d *D) F() { d.a.Lock(); d.g(); d.a.Unlock() }
-func (d *D) g() { d.b.Lock(); d.b.Unlock() }
-func (d *D) Spawn() { go d.g() }
-`,
-	}})
-	call := prog.CallGraphDot()
-	if !strings.Contains(call, "digraph") || !strings.Contains(call, "style=dashed") {
-		t.Errorf("call graph missing digraph/spawn styling:\n%s", call)
-	}
-	lock := prog.LockGraphDot()
-	if !strings.Contains(lock, "D.a") || !strings.Contains(lock, "D.b") {
-		t.Errorf("lock graph missing a→b edge:\n%s", lock)
-	}
-}

@@ -48,12 +48,12 @@ type blockFact struct {
 
 // LockEdge is one lock-order edge: To was acquired while From was held.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Pos  Pos    `json:"pos"`
-	Func string `json:"func"`
+	From string
+	To   string
+	Pos  Pos
+	Func string
 	// Via names the callee the acquisition happened through, "" if direct.
-	Via string `json:"via,omitempty"`
+	Via string
 }
 
 // taintInfo records how a taint-graph node became tainted.
@@ -106,9 +106,6 @@ func Link(sums []FuncSummary) *Program {
 
 // Func returns the summary for a canonical key, or nil.
 func (p *Program) Func(key string) *FuncSummary { return p.funcs[key] }
-
-// FuncKeys returns every function key in sorted order.
-func (p *Program) FuncKeys() []string { return p.keys }
 
 // resolve returns the possible targets of a call site, sorted.
 func (p *Program) resolve(cs *CallSite) []string {
@@ -225,12 +222,6 @@ func (p *Program) computeAcquires() {
 	}
 }
 
-// Acquires returns the sorted set of lock keys the function may acquire,
-// directly or through (non-spawn) calls.
-func (p *Program) Acquires(key string) []string {
-	return sortedKeys(p.acq[key])
-}
-
 func sortedKeys(m map[string]acqInfo) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -280,16 +271,6 @@ func (p *Program) computeBlocking() {
 			return
 		}
 	}
-}
-
-// MayBlock reports whether a function may perform a true scheduling block
-// (directly or through calls), with a witness.
-func (p *Program) MayBlock(key string) (BlockKind, Pos, []string, bool) {
-	f := p.blocks[key]
-	if f == nil {
-		return "", Pos{}, nil, false
-	}
-	return f.Kind, f.Pos, f.Via, true
 }
 
 // ---- lock-order graph ------------------------------------------------------

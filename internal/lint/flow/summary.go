@@ -5,29 +5,27 @@
 // go/types) and deliberately splits analysis into two phases:
 //
 //   - Extraction (extract.go) turns one type-checked package into a set
-//     of FuncSummary values. Summaries are plain serializable data — no
-//     AST or types.Info pointers — so cmd/almalint can cache them per
-//     package, keyed by content hash, and warm runs skip type-checking
-//     unchanged packages entirely.
+//     of FuncSummary values: plain data, with no AST or types.Info
+//     pointers, so linking never reaches back into a package's syntax.
 //
 //   - Linking (program.go) joins every summary into a Program: call
 //     edges are resolved (including interface calls, matched by method
 //     name + canonical signature), lock placeholders are substituted
 //     through call sites, and worklist fixpoints compute the transitive
-//     facts the deep rules ask about — which locks a call may acquire,
+//     facts the program rules ask about — which locks a call may acquire,
 //     whether it may block, and where wall-clock taint can flow.
 //
-// The deep rules themselves (lockorder, walltaint, atomicmix) live in
+// The rules themselves (lockorder, walltaint, atomicmix) live in
 // package lint and phrase Program queries as findings.
 package flow
 
 import "fmt"
 
-// Pos is a serializable source position.
+// Pos is a source position.
 type Pos struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%s:%d", p.File, p.Line) }
@@ -52,29 +50,29 @@ const (
 // Dep is one taint dependency: the ways a value at some program point can
 // have become wall-clock-derived.
 type Dep struct {
-	Kind DepKind `json:"kind"`
+	Kind DepKind
 	// Source: human description of the source ("time.Now") and its position.
-	Source string `json:"source,omitempty"`
-	Pos    Pos    `json:"pos,omitempty"`
+	Source string
+	Pos    Pos
 	// Param: parameter index in the enclosing function.
-	Param int `json:"param,omitempty"`
+	Param int
 	// Call: index into the enclosing summary's Calls slice, plus which
 	// result of that call (tuple returns are tracked positionally so a
 	// wall-clock duration in one result does not taint its siblings).
-	CallIdx int `json:"callIdx,omitempty"`
-	Ret     int `json:"ret,omitempty"`
+	CallIdx int
+	Ret     int
 	// Field: canonical field key ("pkg/path.Type.field" or "pkg/path.var").
-	Field string `json:"field,omitempty"`
+	Field string
 }
 
 // CallSite is one call (or goroutine spawn, or function-value reference)
 // recorded in a function body.
 type CallSite struct {
-	Pos Pos `json:"pos"`
+	Pos Pos
 
 	// Callee is the canonical key of a statically resolved module
 	// function, or "" for interface/dynamic calls.
-	Callee string `json:"callee,omitempty"`
+	Callee string
 
 	// Method/Sig identify an interface method call for link-time
 	// resolution: every module method with the same name and canonical
@@ -83,30 +81,27 @@ type CallSite struct {
 	// complete method set (sorted "name|sig" entries) — without it, one
 	// shared method name like Close() error would glue unrelated types
 	// into the call graph.
-	Method string   `json:"method,omitempty"`
-	Sig    string   `json:"sig,omitempty"`
-	Iface  []string `json:"iface,omitempty"`
+	Method string
+	Sig    string
+	Iface  []string
 
 	// Go marks goroutine spawns and function values that escape the call
 	// site (stored, passed as an argument): the callee runs, but on its
 	// own schedule, so lock-held state never propagates across this edge.
-	Go bool `json:"go,omitempty"`
-
-	// InLoop marks call sites inside a for/range body (spawn-in-loop).
-	InLoop bool `json:"inLoop,omitempty"`
+	Go bool
 
 	// Held is the set of canonical lock keys lexically held at the call.
-	Held []string `json:"held,omitempty"`
+	Held []string
 
 	// ArgDeps holds, per argument, the taint dependencies of the argument
 	// expression (nil when an argument has none).
-	ArgDeps [][]Dep `json:"argDeps,omitempty"`
+	ArgDeps [][]Dep
 
 	// ArgLocks maps argument index to a canonical lock key when the
 	// argument is a recognizable lock value (&x.mu, x.mu, a *sync.Mutex
 	// parameter); the linker substitutes these for the callee's
 	// parameter-lock placeholders.
-	ArgLocks map[int]string `json:"argLocks,omitempty"`
+	ArgLocks map[int]string
 }
 
 // BlockKind classifies a potentially blocking operation.
@@ -150,22 +145,20 @@ func (k BlockKind) String() string {
 
 // BlockSite is one potentially blocking operation.
 type BlockSite struct {
-	Pos  Pos       `json:"pos"`
-	Kind BlockKind `json:"kind"`
+	Pos  Pos
+	Kind BlockKind
 	// Held is the set of canonical lock keys lexically held at the site.
-	Held []string `json:"held,omitempty"`
+	Held []string
 }
 
 // LockSite is one lock acquisition.
 type LockSite struct {
-	Pos Pos `json:"pos"`
+	Pos Pos
 	// Key is the canonical lock key being acquired.
-	Key string `json:"key"`
+	Key string
 	// Held is the set of keys already held when acquiring (each yields a
 	// lock-order edge Held[i] → Key).
-	Held []string `json:"held,omitempty"`
-	// Reader marks RLock acquisitions.
-	Reader bool `json:"reader,omitempty"`
+	Held []string
 }
 
 // AtomicMode classifies a struct-field access for the atomicmix rule.
@@ -180,58 +173,58 @@ const (
 // FieldAccess is one access to an integer-kinded struct field that could
 // participate in a mixed atomic/plain access bug.
 type FieldAccess struct {
-	Pos   Pos        `json:"pos"`
-	Field string     `json:"field"`
-	Mode  AtomicMode `json:"mode"`
+	Pos   Pos
+	Field string
+	Mode  AtomicMode
 	// Op names the sync/atomic function for atomic accesses.
-	Op string `json:"op,omitempty"`
+	Op string
 }
 
 // SinkSite is one place a value flows into a determinism-critical
 // location: a vclock.Time/Duration conversion or slot, or an obs
 // virtual-time histogram parameter.
 type SinkSite struct {
-	Pos Pos `json:"pos"`
+	Pos Pos
 	// What describes the sink ("conversion to vclock.Time",
 	// "virtual-time argument of obs.Registry.Record", ...).
-	What string `json:"what"`
+	What string
 	// Deps are the taint dependencies of the value reaching the sink.
-	Deps []Dep `json:"deps,omitempty"`
+	Deps []Dep
 }
 
 // FieldStore records taint flowing into a struct field or module-level
 // variable.
 type FieldStore struct {
-	Field string `json:"field"`
-	Deps  []Dep  `json:"deps,omitempty"`
+	Field string
+	Deps  []Dep
 }
 
-// FuncSummary is the complete, serializable analysis summary of one
+// FuncSummary is the complete analysis summary of one
 // function, method, or function literal.
 type FuncSummary struct {
 	// Key is the canonical symbol: "pkg/path.Func",
 	// "pkg/path.(*Type).Method", or "pkg/path.Parent$N" for literals.
-	Key string `json:"key"`
+	Key string
 	// Pkg is the import path of the declaring package.
-	Pkg string `json:"pkg"`
+	Pkg string
 	// Name is the display name ("(*Array).Submit", "fanOut$1").
-	Name string `json:"name"`
-	Pos  Pos    `json:"pos"`
+	Name string
+	Pos  Pos
 
 	// Method and Sig are set for methods: the bare method name and the
 	// canonical receiver-less signature, used to resolve interface calls.
-	Method string `json:"method,omitempty"`
-	Sig    string `json:"sig,omitempty"`
+	Method string
+	Sig    string
 
-	Calls    []CallSite    `json:"calls,omitempty"`
-	Locks    []LockSite    `json:"locks,omitempty"`
-	Blocking []BlockSite   `json:"blocking,omitempty"`
-	Fields   []FieldAccess `json:"fields,omitempty"`
-	Sinks    []SinkSite    `json:"sinks,omitempty"`
-	Stores   []FieldStore  `json:"stores,omitempty"`
+	Calls    []CallSite
+	Locks    []LockSite
+	Blocking []BlockSite
+	Fields   []FieldAccess
+	Sinks    []SinkSite
+	Stores   []FieldStore
 	// ReturnDeps are the taint dependencies of the function's results,
 	// indexed by result position.
-	ReturnDeps [][]Dep `json:"returnDeps,omitempty"`
+	ReturnDeps [][]Dep
 }
 
 // ParamLockKey is the placeholder lock key for a mutex reaching a

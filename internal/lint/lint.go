@@ -10,8 +10,14 @@
 // go/ast, go/types); see load.go for how packages are resolved without
 // golang.org/x/tools.
 //
-// A finding can be suppressed with an allow comment on the offending line
-// or the line directly above it:
+// The package has one rule table (Rules, rules.go) and one entry point
+// (Analyze). A rule either inspects one type-checked package at a time or
+// queries the linked whole-program view package flow builds from
+// per-function summaries: the call graph, the lock graph and the taint
+// facts behind lockorder, walltaint and atomicmix.
+//
+// A finding can be suppressed with an allow comment that trails the
+// offending line or stands alone on the line directly above it:
 //
 //	//almalint:allow <rule-id>[, <rule-id>...] reason: <justification>
 //
@@ -19,28 +25,25 @@
 // own findings can never be suppressed). Suppressions are meant for the
 // documented exceptions only (e.g. wall-time measurement in the harness);
 // genuine violations should be fixed.
-//
-// Beyond the per-package classic rules, almalint has an interprocedural
-// layer: package flow builds whole-module function summaries, links them
-// into a call/lock/taint graph, and the deep rules (lockorder, walltaint,
-// atomicmix) query it. See deep.go and internal/lint/flow.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
-	"sort"
+	"slices"
 	"strings"
+
+	"almanac/internal/lint/flow"
 )
 
 // Finding is one rule violation.
 type Finding struct {
-	Rule string `json:"rule"`
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Msg  string `json:"msg"`
-	Hint string `json:"hint,omitempty"`
+	Rule string
+	File string
+	Line int
+	Col  int
+	Msg  string
+	Hint string
 }
 
 func (f Finding) String() string {
@@ -51,158 +54,185 @@ func (f Finding) String() string {
 	return s
 }
 
-// Rule is one self-contained check run over a type-checked package.
-type Rule interface {
-	// ID is the rule identifier used in reports and allow comments.
-	ID() string
+// Rule is one row of the rule table. Exactly one of Package and Program
+// is set. Analyze stamps ID onto every finding a check returns, so the
+// checks themselves leave Finding.Rule empty.
+type Rule struct {
+	// ID is the identifier used in reports and allow comments.
+	ID string
 	// Doc is a one-line description of what the rule enforces.
-	Doc() string
-	// Check reports violations found in pkg.
-	Check(pkg *Package) []Finding
+	Doc string
+	// Package reports violations found in one type-checked package.
+	Package func(p *Package) []Finding
+	// Program reports violations found in the linked whole-program view.
+	Program func(prog *flow.Program) []Finding
 }
 
-// DefaultRules returns the classic (single-package) project rules in
-// their production configuration. The interprocedural rules live in
-// DefaultDeepRules; lock discipline moved there (lockorder subsumed the
-// old lexical lockheld rule).
-func DefaultRules() []Rule {
-	return []Rule{
-		NewWallclock(),
-		NewSeededRand(),
-		NewLayering(),
-		NewCheckedErr(),
-		NewMapOrder(),
-		NewFaultPlan(),
-		NewSweepSpec(),
-		NewAllowReason(),
+// Analyze is the analysis: it loads the named package directories of the
+// module rooted at root (the whole module when dirs is empty), runs every
+// package check, extracts and links the flow summaries once, runs every
+// program check, drops findings suppressed by allow comments, and returns
+// the rest sorted by position. Only the loaded packages are linked, so a
+// run over named directories sees no flow facts from the rest of the module.
+func Analyze(root string, dirs []string, rules []Rule) ([]Finding, error) {
+	l, err := NewLoader(root)
+	if err != nil {
+		return nil, err
 	}
-}
+	var pkgs []*Package
+	if len(dirs) == 0 {
+		if pkgs, err = l.LoadAll(); err != nil {
+			return nil, err
+		}
+	}
+	for _, dir := range dirs {
+		p, err := l.Load(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
 
-// Run applies rules to every package, drops findings suppressed by allow
-// comments, and returns the rest sorted by position.
-func Run(pkgs []*Package, rules []Rule) []Finding {
+	linked := slices.ContainsFunc(rules, func(r Rule) bool { return r.Program != nil })
 	var out []Finding
+	report := func(r Rule, fs []Finding) {
+		for _, f := range fs {
+			f.Rule = r.ID
+			out = append(out, f)
+		}
+	}
+	allows := allowSet{}
+	var sums []flow.FuncSummary
 	for _, p := range pkgs {
-		allows := collectAllows(p)
+		allows.collect(p)
 		for _, r := range rules {
-			for _, f := range r.Check(p) {
-				if allows.allowed(f.Rule, f.File, f.Line) {
-					continue
-				}
-				out = append(out, f)
+			if r.Package != nil {
+				report(r, r.Package(p))
+			}
+		}
+		if linked {
+			sums = append(sums, flow.Extract(&flow.Source{
+				ImportPath: p.ImportPath,
+				ModulePath: l.ModulePath,
+				Fset:       p.Fset,
+				Files:      p.Files,
+				Pkg:        p.Pkg,
+				Info:       p.Info,
+			})...)
+		}
+	}
+	if linked {
+		prog := flow.Link(sums)
+		for _, r := range rules {
+			if r.Program != nil {
+				report(r, r.Program(prog))
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
+
+	out = slices.DeleteFunc(out, func(f Finding) bool { return allows.allowed(f.Rule, f.File, f.Line) })
+	slices.SortStableFunc(out, func(a, b Finding) int {
+		if c := strings.Compare(a.File, b.File); c != 0 {
+			return c
 		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
+		if a.Line != b.Line {
+			return a.Line - b.Line
 		}
-		return out[i].Rule < out[j].Rule
+		return strings.Compare(a.Rule, b.Rule)
 	})
-	return out
+	return out, nil
 }
 
-// allowSet records, per file and line, which rule IDs are suppressed.
-type allowSet map[string]map[int]map[string]bool
+// allowSet is the set of (file, line, rule ID) triples a directive covers.
+type allowSet map[allowKey]bool
+
+type allowKey struct {
+	file string
+	line int
+	rule string
+}
 
 // AllowPrefix introduces a suppression comment: //almalint:allow <rules...>
 const AllowPrefix = "almalint:allow"
 
-// collectAllows scans every comment in the package for allow directives.
-func collectAllows(p *Package) allowSet {
-	set := allowSet{}
-	collectAllowsInto(set, p)
-	return set
+// allowIDs returns the rule IDs an allow directive names and whether c is
+// a directive at all. IDs may be comma- or space-separated; the list ends
+// at the first token with a character outside [a-z], where the free-form
+// reason text starts.
+func allowIDs(c *ast.Comment) (ids, rest []string, ok bool) {
+	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+	text, ok = strings.CutPrefix(text, AllowPrefix)
+	if !ok {
+		return nil, nil, false
+	}
+	rest = strings.Fields(text)
+	for len(rest) > 0 {
+		id := strings.Trim(rest[0], ",")
+		if id == "" || strings.ContainsFunc(id, func(r rune) bool { return r < 'a' || r > 'z' }) {
+			break
+		}
+		ids = append(ids, id)
+		rest = rest[1:]
+	}
+	return ids, rest, true
 }
 
-// collectAllowsInto merges p's allow directives into set, so deep rules
-// can filter against the whole module's suppressions at once.
-func collectAllowsInto(set allowSet, p *Package) {
+// collect merges p's allow directives into s. A directive that trails
+// code covers its own line only; one that stands alone on its line also
+// covers the line below.
+func (s allowSet) collect(p *Package) {
 	for _, file := range p.Files {
+		var code map[int]bool // lines a non-comment node starts or ends on
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, AllowPrefix) {
+				ids, _, ok := allowIDs(c)
+				if !ok || len(ids) == 0 {
 					continue
 				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, AllowPrefix))
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue
+				if code == nil {
+					code = codeLines(p, file)
 				}
 				pos := p.Fset.Position(c.Pos())
-				lines := set[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					set[pos.Filename] = lines
-				}
-				rules := lines[pos.Line]
-				if rules == nil {
-					rules = map[string]bool{}
-					lines[pos.Line] = rules
-				}
-				// Rule IDs may be comma- or space-separated; anything after
-				// the ID list is free-form reason text, which starts at the
-				// first token that is not a known separator-joined ID — for
-				// simplicity every leading token is treated as an ID until
-				// one contains characters outside [a-z,].
-				for _, fld := range fields {
-					id := strings.Trim(fld, ",")
-					if !isRuleToken(id) {
-						break
+				for _, id := range ids {
+					s[allowKey{pos.Filename, pos.Line, id}] = true
+					if !code[pos.Line] {
+						s[allowKey{pos.Filename, pos.Line + 1, id}] = true
 					}
-					rules[id] = true
 				}
 			}
 		}
 	}
 }
 
-func isRuleToken(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if r < 'a' || r > 'z' {
+// codeLines returns the lines of file on which some syntax node other
+// than a comment starts or ends — every line that holds code, since a
+// token in the middle of a multi-line node shares its line with the end
+// of the operand before it or the start of the one after.
+func codeLines(p *Package, file *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.Comment, *ast.CommentGroup:
 			return false
 		}
-	}
-	return true
+		lines[p.Fset.Position(n.Pos()).Line] = true
+		lines[p.Fset.Position(n.End()-1).Line] = true
+		return true
+	})
+	return lines
 }
 
-// allowed reports whether rule is suppressed at file:line — by a directive
-// on the line itself or on the line directly above. allowreason findings
-// are never suppressible: they flag the directives themselves.
+// allowed reports whether a directive covers rule at file:line.
+// allowreason findings are never suppressible: they flag the directives
+// themselves.
 func (s allowSet) allowed(rule, file string, line int) bool {
-	if rule == "allowreason" {
-		return false
-	}
-	lines := s[file]
-	if lines == nil {
-		return false
-	}
-	for _, l := range []int{line, line - 1} {
-		if lines[l][rule] {
-			return true
-		}
-	}
-	return false
+	return rule != "allowreason" && s[allowKey{file, line, rule}]
 }
 
-// posOf converts a node position into Finding fields.
-func posOf(p *Package, n ast.Node) (string, int, int) {
+// finding builds a Finding anchored at node n; Analyze fills in the rule.
+func finding(p *Package, n ast.Node, msg, hint string) Finding {
 	pos := p.Fset.Position(n.Pos())
-	return pos.Filename, pos.Line, pos.Column
-}
-
-// finding builds a Finding anchored at node n.
-func finding(p *Package, n ast.Node, rule, msg, hint string) Finding {
-	file, line, col := posOf(p, n)
-	return Finding{Rule: rule, File: file, Line: line, Col: col, Msg: msg, Hint: hint}
+	return Finding{File: pos.Filename, Line: pos.Line, Col: pos.Column, Msg: msg, Hint: hint}
 }
 
 // inTestdata reports whether the package is part of the analyzer's own

@@ -3,32 +3,58 @@ package lint
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// newTestLoader builds one loader rooted at the module, shared across the
-// whole test binary: package type-checking (including the stdlib source
-// closure) is memoized on the loader.
-var testLoader *Loader
-
-func loaderFor(t *testing.T) *Loader {
+// moduleRoot is the module under analysis: this repository.
+func moduleRoot(t *testing.T) string {
 	t.Helper()
-	if testLoader == nil {
-		root, err := filepath.Abs(filepath.Join("..", ".."))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testLoader = l
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return testLoader
+	return root
+}
+
+// corpusDirs returns the golden-corpus package directories by name.
+func corpusDirs(t *testing.T) map[string]string {
+	t.Helper()
+	corpus := filepath.Join(moduleRoot(t), "internal", "lint", "testdata")
+	entries, err := os.ReadDir(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]string{}
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs[e.Name()] = filepath.Join(corpus, e.Name())
+		}
+	}
+	return dirs
+}
+
+// corpusRuns memoizes corpusFindings: each directory is analyzed once per
+// test binary however many tests read the result.
+var corpusRuns = map[string][]Finding{}
+
+// corpusFindings runs the whole rule table over one corpus directory.
+func corpusFindings(t *testing.T, dir string) []Finding {
+	t.Helper()
+	if fs, ok := corpusRuns[dir]; ok {
+		return fs
+	}
+	fs, err := Analyze(moduleRoot(t), []string{dir}, Rules)
+	if err != nil {
+		t.Fatalf("analyzing corpus package: %v", err)
+	}
+	corpusRuns[dir] = fs
+	return fs
 }
 
 // wantMarkers scans a corpus package directory for "// want <rule>" line
@@ -70,34 +96,18 @@ func wantMarkers(t *testing.T, dir string) map[string]bool {
 	return want
 }
 
-// TestGoldenCorpus runs the full rule set — classic and deep — over every
-// testdata package and compares findings against the // want markers.
+// TestGoldenCorpus runs the whole rule table over every testdata package
+// and compares findings against the // want markers.
 func TestGoldenCorpus(t *testing.T) {
-	l := loaderFor(t)
-	corpus := filepath.Join(l.ModuleDir, "internal", "lint", "testdata")
-	entries, err := os.ReadDir(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rulesSeen := map[string]bool{}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		dir := filepath.Join(corpus, e.Name())
-		t.Run(e.Name(), func(t *testing.T) {
-			pkg, err := l.Load(dir)
-			if err != nil {
-				t.Fatalf("loading corpus package: %v", err)
-			}
-			findings := RunAll([]*Package{pkg}, l.ModulePath, DefaultRules(), DefaultDeepRules())
+	for name, dir := range corpusDirs(t) {
+		t.Run(name, func(t *testing.T) {
+			findings := corpusFindings(t, dir)
 			if len(findings) == 0 {
-				t.Fatalf("corpus package %s produced no findings", e.Name())
+				t.Fatalf("corpus package %s produced no findings", name)
 			}
 			got := map[string]bool{}
 			for _, f := range findings {
 				got[fmt.Sprintf("%s:%d:%s", f.File, f.Line, f.Rule)] = true
-				rulesSeen[f.Rule] = true
 			}
 			want := wantMarkers(t, dir)
 			for key := range want {
@@ -112,93 +122,104 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 		})
 	}
-	var all []string
-	for _, r := range DefaultRules() {
-		if !rulesSeen[r.ID()] {
-			all = append(all, r.ID())
+}
+
+// TestEveryRuleEarnsItsKeep is ROADMAP's audit criterion, executable: a
+// rule stays in the table only while its corpus directory holds a case no
+// other rule trips — a "// want <id>" line on which, with the whole table
+// running, that rule alone reports. (The other way to earn a row, a bug
+// the rule caught in this repository, is DESIGN §6's evidence column.) A
+// rule that fails here is deleted, not exempted.
+func TestEveryRuleEarnsItsKeep(t *testing.T) {
+	dirs := corpusDirs(t)
+	for _, r := range Rules {
+		dir, ok := dirs[r.ID]
+		if !ok {
+			t.Errorf("rule %s has no corpus directory internal/lint/testdata/%s", r.ID, r.ID)
+			continue
 		}
-	}
-	for _, r := range DefaultDeepRules() {
-		if !rulesSeen[r.ID()] {
-			all = append(all, r.ID())
+		reporters := map[string]map[string]bool{} // file:line → rules reporting there
+		for _, f := range corpusFindings(t, dir) {
+			at := fmt.Sprintf("%s:%d", f.File, f.Line)
+			if reporters[at] == nil {
+				reporters[at] = map[string]bool{}
+			}
+			reporters[at][f.Rule] = true
 		}
-	}
-	if len(all) > 0 {
-		sort.Strings(all)
-		t.Errorf("rules not exercised by the corpus: %s", strings.Join(all, ", "))
+		want := wantMarkers(t, dir)
+		alone := false
+		for at, rules := range reporters {
+			if len(rules) == 1 && rules[r.ID] && want[at+":"+r.ID] {
+				alone = true
+			}
+		}
+		if !alone {
+			t.Errorf("rule %s: no // want %s line in its corpus directory is reported by it alone", r.ID, r.ID)
+		}
 	}
 }
 
-// TestRepoIsClean is the self-check: the full rule set — classic and
-// deep — over the whole module must report nothing. Every legitimate
-// exception carries its reasoned allow annotation, and everything else
-// has been fixed.
+// TestRepoIsClean is the self-check: the whole rule table over the whole
+// module must report nothing. Every legitimate exception carries its
+// reasoned allow annotation, and everything else has been fixed.
 func TestRepoIsClean(t *testing.T) {
-	l := loaderFor(t)
-	pkgs, err := l.LoadAll()
+	root := moduleRoot(t)
+	l, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 15 {
-		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
+	dirs, err := l.PackageDirs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	findings := RunAll(pkgs, l.ModulePath, DefaultRules(), DefaultDeepRules())
+	if len(dirs) < 15 {
+		t.Fatalf("suspiciously few packages found: %d", len(dirs))
+	}
+	findings, err := Analyze(root, nil, Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
 }
 
-// TestAnalyzeCacheWarm pins the summary cache contract: a second Analyze
-// over an unchanged tree hits the cache for every package and reproduces
-// the cold run's findings exactly.
-func TestAnalyzeCacheWarm(t *testing.T) {
-	l := loaderFor(t)
-	cacheDir := t.TempDir()
-	cold, err := Analyze(l.ModuleDir, cacheDir, DefaultRules(), DefaultDeepRules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Stats.CacheMisses != cold.Stats.Packages {
-		t.Errorf("cold run: %d misses for %d packages", cold.Stats.CacheMisses, cold.Stats.Packages)
-	}
-	warm, err := Analyze(l.ModuleDir, cacheDir, DefaultRules(), DefaultDeepRules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.CacheHits != warm.Stats.Packages || warm.Stats.CacheMisses != 0 {
-		t.Errorf("warm run: %d/%d hits, want all", warm.Stats.CacheHits, warm.Stats.Packages)
-	}
-	if len(warm.Findings) != len(cold.Findings) {
-		t.Fatalf("warm run found %d findings, cold %d", len(warm.Findings), len(cold.Findings))
-	}
-	for i := range warm.Findings {
-		if warm.Findings[i] != cold.Findings[i] {
-			t.Errorf("finding %d differs: cold %v, warm %v", i, cold.Findings[i], warm.Findings[i])
-		}
-	}
-	if warm.Program == nil || len(warm.Program.FuncKeys()) == 0 {
-		t.Error("warm run lost the linked program")
-	}
-}
-
-// TestAllowComment pins the suppression mechanics: same line and
-// line-above both work, and only for the named rule.
+// TestAllowComment pins the suppression mechanics: a directive that
+// stands alone covers its own line and the one below, a directive that
+// trails code covers its own line only, and both only for the named rules.
 func TestAllowComment(t *testing.T) {
-	set := allowSet{
-		"f.go": {
-			10: {"wallclock": true},
-		},
+	const src = `package p
+
+func f() {
+	a() //almalint:allow wallclock reason: trailing
+	b()
+	//almalint:allow wallclock, seededrand reason: standalone
+	c()
+	d()
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "f.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !set.allowed("wallclock", "f.go", 10) {
-		t.Error("same-line allow not honored")
-	}
-	if !set.allowed("wallclock", "f.go", 11) {
-		t.Error("line-above allow not honored")
-	}
-	if set.allowed("seededrand", "f.go", 10) {
-		t.Error("allow leaked to a different rule")
-	}
-	if set.allowed("wallclock", "f.go", 12) {
-		t.Error("allow leaked two lines down")
+	set := allowSet{}
+	set.collect(&Package{Fset: fset, Files: []*ast.File{file}})
+	for _, c := range []struct {
+		rule string
+		line int
+		want bool
+		why  string
+	}{
+		{"wallclock", 4, true, "same-line allow not honored"},
+		{"wallclock", 5, false, "trailing allow leaked onto the next line"},
+		{"wallclock", 7, true, "line-above allow not honored"},
+		{"seededrand", 7, true, "second listed rule not honored"},
+		{"layering", 7, false, "allow leaked to a different rule"},
+		{"wallclock", 8, false, "allow leaked two lines down"},
+	} {
+		if got := set.allowed(c.rule, "f.go", c.line); got != c.want {
+			t.Errorf("allowed(%s, line %d) = %v: %s", c.rule, c.line, got, c.why)
+		}
 	}
 }

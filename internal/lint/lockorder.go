@@ -7,7 +7,7 @@ import (
 	"almanac/internal/lint/flow"
 )
 
-// LockOrder is the interprocedural lock-discipline rule, subsuming the
+// checkLockOrder is the interprocedural lock-discipline rule, subsuming the
 // old lexical lockheld check. It derives the whole-module lock-acquisition
 // graph — including acquisitions reached through calls, locks passed as
 // parameters or through interfaces, and goroutine spawns — and reports:
@@ -27,46 +27,22 @@ import (
 // sendQueue, one generic type shared by the server and the client), whose
 // wake-token protocol exists precisely to keep channel sends outside the
 // queue mutex — the corpus writer.go case pins the broken shape.
-type LockOrder struct {
-	// Packages is the set of in-scope package base names. Nil selects the
-	// production set.
-	Packages map[string]bool
-}
-
-var lockOrderPackages = map[string]bool{"array": true, "almaproto": true, "service": true}
-
-// NewLockOrder returns the rule in production configuration.
-func NewLockOrder() *LockOrder { return &LockOrder{} }
-
-func (r *LockOrder) ID() string { return "lockorder" }
-
-func (r *LockOrder) Doc() string {
-	return "whole-program lock discipline: no lock-order cycles, no blocking operations reachable while a mutex is held"
-}
-
-func (r *LockOrder) inScope(importPath string) bool {
-	if inTestdata(importPath) {
-		return lastSegment(importPath) == r.ID()
+func checkLockOrder(prog *flow.Program) []Finding {
+	inScope := func(importPath string) bool {
+		return programScope("lockorder", importPath) &&
+			(inTestdata(importPath) || lockOrderPackages[lastSegment(importPath)])
 	}
-	pkgs := r.Packages
-	if pkgs == nil {
-		pkgs = lockOrderPackages
-	}
-	return pkgs[lastSegment(importPath)]
-}
-
-func (r *LockOrder) CheckProgram(prog *flow.Program) []Finding {
 	var out []Finding
 
 	for _, rep := range prog.BlockingUnderLock() {
 		f := prog.Func(rep.Func)
-		if f == nil || !r.inScope(f.Pkg) {
+		if f == nil || !inScope(f.Pkg) {
 			continue
 		}
 		held := humanLocks(rep.Held)
 		if rep.Direct {
 			out = append(out, Finding{
-				Rule: r.ID(), File: rep.Pos.File, Line: rep.Pos.Line, Col: rep.Pos.Col,
+				File: rep.Pos.File, Line: rep.Pos.Line, Col: rep.Pos.Col,
 				Msg: fmt.Sprintf("%s while holding %s", rep.Kind, held),
 				Hint: "move the blocking operation outside the critical section, " +
 					"or annotate with //almalint:allow lockorder reason: <why this cannot deadlock>",
@@ -74,7 +50,7 @@ func (r *LockOrder) CheckProgram(prog *flow.Program) []Finding {
 			continue
 		}
 		out = append(out, Finding{
-			Rule: r.ID(), File: rep.Pos.File, Line: rep.Pos.Line, Col: rep.Pos.Col,
+			File: rep.Pos.File, Line: rep.Pos.Line, Col: rep.Pos.Col,
 			Msg: fmt.Sprintf("call to %s may block (%s at %s) while holding %s",
 				humanFunc(prog, rep.Via[0]), rep.Kind, shortPos(rep.ViaPos), held),
 			Hint: fmt.Sprintf("blocking path: %s; release the lock before the call, "+
@@ -87,7 +63,7 @@ func (r *LockOrder) CheckProgram(prog *flow.Program) []Finding {
 		var anchor *flow.LockEdge
 		for i := range cyc.Edges {
 			f := prog.Func(cyc.Edges[i].Func)
-			if f != nil && r.inScope(f.Pkg) {
+			if f != nil && inScope(f.Pkg) {
 				anchor = &cyc.Edges[i]
 				break
 			}
@@ -105,12 +81,22 @@ func (r *LockOrder) CheckProgram(prog *flow.Program) []Finding {
 				humanLock(e.From), humanLock(e.To), shortPos(e.Pos), via))
 		}
 		out = append(out, Finding{
-			Rule: r.ID(), File: anchor.Pos.File, Line: anchor.Pos.Line, Col: anchor.Pos.Col,
+			File: anchor.Pos.File, Line: anchor.Pos.Line, Col: anchor.Pos.Col,
 			Msg:  fmt.Sprintf("lock-order cycle among %s", humanLocks(cyc.Keys)),
 			Hint: "acquisitions: " + strings.Join(parts, "; ") + "; pick one global order and stick to it",
 		})
 	}
 	return out
+}
+
+var lockOrderPackages = set("array", "almaproto", "service")
+
+// programScope reports whether a program rule reports in a package: in
+// production code every rule does, but within the golden corpus, where
+// package checks treat every directory as in scope, a program rule
+// reports only in the directory that bears its ID.
+func programScope(id, importPath string) bool {
+	return !inTestdata(importPath) || lastSegment(importPath) == id
 }
 
 // humanLock strips the canonical-key prefixes down to a readable name:

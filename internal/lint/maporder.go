@@ -6,25 +6,14 @@ import (
 	"go/types"
 )
 
-// MapOrder flags a replay-determinism hazard: ranging over a map while
+// checkMapOrder flags a replay-determinism hazard: ranging over a map while
 // appending to a slice that the enclosing function returns (or names as a
 // result), without sorting the slice afterwards. Go randomizes map
 // iteration order, so such a slice differs run to run — poison for
 // bit-reproducible harness output, image serialization, and the array
 // replay path. Sorting the slice (sort.* or slices.Sort*) after the loop,
 // or sorting the keys before ranging, clears the finding.
-type MapOrder struct{}
-
-// NewMapOrder returns the rule.
-func NewMapOrder() *MapOrder { return &MapOrder{} }
-
-func (r *MapOrder) ID() string { return "maporder" }
-
-func (r *MapOrder) Doc() string {
-	return "map range that appends to a returned slice must sort the slice (map iteration order is random)"
-}
-
-func (r *MapOrder) Check(p *Package) []Finding {
+func checkMapOrder(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
@@ -32,13 +21,13 @@ func (r *MapOrder) Check(p *Package) []Finding {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			out = append(out, r.checkFunc(p, fd)...)
+			out = append(out, mapOrderInFunc(p, fd)...)
 		}
 	}
 	return out
 }
 
-func (r *MapOrder) checkFunc(p *Package, fd *ast.FuncDecl) []Finding {
+func mapOrderInFunc(p *Package, fd *ast.FuncDecl) []Finding {
 	// Objects named as results: appends into these always escape.
 	results := map[types.Object]bool{}
 	if fd.Type.Results != nil {
@@ -90,7 +79,7 @@ func (r *MapOrder) checkFunc(p *Package, fd *ast.FuncDecl) []Finding {
 			if sortedAfter(p, fd.Body, rng, obj) {
 				continue
 			}
-			out = append(out, finding(p, rng, r.ID(),
+			out = append(out, finding(p, rng,
 				fmt.Sprintf("map iteration appends to %s, which the function returns, without a subsequent sort", obj.Name()),
 				"sort the slice after the loop (sort.Slice / slices.Sort*), or iterate over sorted keys"))
 		}

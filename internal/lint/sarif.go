@@ -64,24 +64,15 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// ToSARIF renders findings as a SARIF 2.1.0 log. ruleDocs maps rule IDs
-// to their one-line docs; root makes file paths checkout-relative so CI
-// annotation lands on the right files.
-func ToSARIF(findings []Finding, ruleDocs map[string]string, root string) ([]byte, error) {
-	var ruleIDs []string
-	seen := map[string]bool{}
-	for id := range ruleDocs {
-		if !seen[id] {
-			seen[id] = true
-			ruleIDs = append(ruleIDs, id)
-		}
+// ToSARIF renders findings as a SARIF 2.1.0 log. ran is the rule set the
+// run applied, listed in the log by ID; root makes file paths
+// checkout-relative so CI annotation lands on the right files.
+func ToSARIF(findings []Finding, ran []Rule, root string) ([]byte, error) {
+	rules := []sarifRule{}
+	for _, r := range ran {
+		rules = append(rules, sarifRule{ID: r.ID, ShortDescription: sarifMessage{Text: r.Doc}})
 	}
-	sort.Strings(ruleIDs)
-
-	var rules []sarifRule
-	for _, id := range ruleIDs {
-		rules = append(rules, sarifRule{ID: id, ShortDescription: sarifMessage{Text: ruleDocs[id]}})
-	}
+	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
 
 	results := []sarifResult{}
 	for _, f := range findings {

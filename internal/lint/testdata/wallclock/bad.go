@@ -24,5 +24,13 @@ func Allowed() time.Time {
 	return time.Now()
 }
 
+// Trailing pins the reach of a directive that shares its line with code:
+// it covers that line only, so the same call one line down is reported.
+func Trailing() time.Duration {
+	a := time.Now() //almalint:allow wallclock reason: corpus demonstration of a trailing directive
+	b := time.Now() // want wallclock
+	return b.Sub(a)
+}
+
 // Pure uses only time.Duration arithmetic, which is fine.
 func Pure(d time.Duration) time.Duration { return d * 2 }

@@ -7,7 +7,7 @@ import (
 	"almanac/internal/lint/flow"
 )
 
-// WallTaint is the interprocedural determinism rule. Where the classic
+// checkWallTaint is the interprocedural determinism rule. Where the classic
 // wallclock rule bans *calling* time.Now in simulation packages, this one
 // proves the stronger property the figures depend on: no wall-clock or
 // host-randomness value — wherever it was read — ever *flows* into a
@@ -19,28 +19,10 @@ import (
 // call arguments, and return values across the whole module; the obs
 // package itself is opaque — it stores wall time on purpose, in the
 // wall-time histogram half, and never feeds it back into virtual time.
-type WallTaint struct{}
-
-// NewWallTaint returns the rule in production configuration.
-func NewWallTaint() *WallTaint { return &WallTaint{} }
-
-func (r *WallTaint) ID() string { return "walltaint" }
-
-func (r *WallTaint) Doc() string {
-	return "no wall-clock/host-randomness value may flow into a virtual-time sink (vclock conversions, obs virtual histograms), module-wide"
-}
-
-func (r *WallTaint) inScope(importPath string) bool {
-	if inTestdata(importPath) {
-		return lastSegment(importPath) == r.ID()
-	}
-	return true
-}
-
-func (r *WallTaint) CheckProgram(prog *flow.Program) []Finding {
+func checkWallTaint(prog *flow.Program) []Finding {
 	var out []Finding
 	for _, rep := range prog.TaintedSinks() {
-		if !r.inScope(rep.Pkg) {
+		if !programScope("walltaint", rep.Pkg) {
 			continue
 		}
 		hint := "derive virtual time from vclock arithmetic only; if this value is genuinely virtual, " +
@@ -49,7 +31,7 @@ func (r *WallTaint) CheckProgram(prog *flow.Program) []Finding {
 			hint = "taint path: " + strings.Join(rep.Path, " → ") + "; " + hint
 		}
 		out = append(out, Finding{
-			Rule: r.ID(), File: rep.Sink.Pos.File, Line: rep.Sink.Pos.Line, Col: rep.Sink.Pos.Col,
+			File: rep.Sink.Pos.File, Line: rep.Sink.Pos.Line, Col: rep.Sink.Pos.Col,
 			Msg: fmt.Sprintf("wall-clock value from %s (%s) reaches %s in %s",
 				rep.Source.Source, shortPos(rep.Source.Pos), rep.Sink.What, rep.Func),
 			Hint: hint,

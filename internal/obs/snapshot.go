@@ -3,10 +3,11 @@ package obs
 import "sort"
 
 // Counters is the canonical scalar-counter surface of one device (or,
-// summed, of an array). Every other stats type in the module —
-// core.Stats, the base FTL's exported fields, almaproto.DeviceStats — is
-// a view of this struct. It is flat and comparable so per-shard
-// snapshots can be compared with == in determinism tests.
+// summed, of an array). The base FTL's exported fields feed it, and
+// almaproto.DeviceStats, the client-side type of the frozen v1 OpStats
+// payload, carries seven of its fields over the wire. It is flat and
+// comparable so per-shard snapshots can be compared with == in
+// determinism tests.
 type Counters struct {
 	// Host-visible command counts.
 	HostPageWrites int64
