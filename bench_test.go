@@ -36,6 +36,7 @@ func BenchmarkBloomChainContains(b *testing.B)   { bench.BloomChainContains(b) }
 func BenchmarkTimeSSDWrite(b *testing.B)         { bench.TimeSSDWrite(b) }
 func BenchmarkTimeSSDRead(b *testing.B)          { bench.TimeSSDRead(b) }
 func BenchmarkVersionsQuery(b *testing.B)        { bench.VersionsQuery(b) }
+func BenchmarkTimeQueryScan(b *testing.B)        { bench.TimeQueryScan(b) }
 func BenchmarkServiceOpsPerSec(b *testing.B)     { bench.ServiceOpsPerSec(b) }
 func BenchmarkServiceOpsPerSecTCP(b *testing.B)  { bench.ServiceOpsPerSecTCP(b) }
 func BenchmarkSimOpsPerSecond(b *testing.B)      { bench.SimOpsPerSecond(b) }

@@ -30,6 +30,7 @@ func Micro() []Spec {
 		{Name: "TimeSSDWrite", Bench: TimeSSDWrite},
 		{Name: "TimeSSDRead", Bench: TimeSSDRead},
 		{Name: "VersionsQuery", Bench: VersionsQuery},
+		{Name: "TimeQueryScan", Bench: TimeQueryScan},
 		{Name: "ServiceOpsPerSec", Bench: ServiceOpsPerSec},
 		{Name: "ServiceOpsPerSecTCP", Bench: ServiceOpsPerSecTCP, Noisy: true},
 		{Name: "SimOpsPerSecond", Bench: SimOpsPerSecond},

@@ -185,3 +185,47 @@ func VersionsQuery(b *testing.B) {
 		}
 	}
 }
+
+// TimeQueryScan is one full-device time query (core.UpdatedBetween, what
+// TimeKits' TimeQueryRange runs) per iteration over a history shaped like
+// the repo benchmark's timetravel-4k at a quarter of its LPAs: 12 rounds of
+// writes over 1024 pages with announced idle after each round, so all but
+// the live versions sit in delta chains and the scan is chain hops. The
+// 100 ms query window moves through the rounds, matching ~100 pages.
+func TimeQueryScan(b *testing.B) {
+	const (
+		lpas   = 1024
+		rounds = 12
+	)
+	d := benchDevice(b)
+	gen := trace.NewContentGen(d.PageSize(), trace.ContentSimilar, 1)
+	stamp := func(round, lpa int) vclock.Time {
+		return vclock.Time(0).Add(vclock.Duration(round)*vclock.Minute + vclock.Duration(lpa)*vclock.Millisecond)
+	}
+	for r := 0; r < rounds; r++ {
+		for lpa := 0; lpa < lpas; lpa++ {
+			if _, err := d.Write(uint64(lpa), gen.NextVersion(uint64(lpa)), stamp(r, lpa)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.Idle(stamp(r, lpas).Add(vclock.Second), stamp(r+1, 0))
+	}
+	at, err := d.FlushDeltas(stamp(rounds, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ts, _, _ := d.Timestamps(0, at); len(ts) != rounds {
+		b.Fatalf("history kept %d of %d versions", len(ts), rounds)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := stamp(i%rounds, (i*97)%(lpas-100))
+		recs, _, err := d.UpdatedBetween(from, from.Add(100*vclock.Millisecond), at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) == 0 {
+			b.Fatal("no records")
+		}
+	}
+}

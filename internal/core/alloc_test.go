@@ -102,3 +102,58 @@ func TestRefCacheSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("refcache eviction cycle allocates %.2f times per put, want 0", n)
 	}
 }
+
+// TestUpdatedBetweenAllocs pins what a full-device time query may allocate:
+// the records it returns (one Times slice each, plus the doublings of the
+// record slice), and nothing per LPA scanned or per chain hop walked. The
+// same three-record query is run over a short history and over one with
+// four times the LPAs and three times the versions; both must cost the same.
+func TestUpdatedBetweenAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("almanacdebug shadow assertions allocate")
+	}
+	const matches = 3
+	measure := func(lpas, versions int) float64 {
+		d := newTiny(t, func(c *Config) {
+			c.FTL.Flash.PageSize = 512
+			c.MinRetention = vclock.Day // keep every version: the chains must be long
+		})
+		at := vclock.Time(0)
+		var from, to vclock.Time
+		for round := 0; round < versions; round++ {
+			for lpa := uint64(0); lpa < uint64(lpas); lpa++ {
+				at = at.Add(vclock.Second)
+				if round == versions-1 {
+					switch lpa {
+					case 0:
+						from = at
+					case matches:
+						to = at - 1
+					}
+				}
+				done, err := d.Write(lpa, versionPage(d, lpa, round), at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = done
+			}
+		}
+		if stamps, _, _ := d.Timestamps(0, at); len(stamps) != versions {
+			t.Fatalf("%d LPAs x %d versions: lpa 0 kept %d versions", lpas, versions, len(stamps))
+		}
+		if versions > 4 && d.Counters().DeltaPagesWritten == 0 {
+			t.Fatalf("%d LPAs x %d versions: no delta chains to walk", lpas, versions)
+		}
+		return testing.AllocsPerRun(20, func() {
+			recs, _, err := d.UpdatedBetween(from, to, at)
+			if err != nil || len(recs) != matches {
+				t.Fatalf("UpdatedBetween = %d records, %v; want %d", len(recs), err, matches)
+			}
+		})
+	}
+	short, long := measure(8, 4), measure(32, 12)
+	// 3 Times slices + the record slice growing 1 -> 2 -> 4.
+	if want := float64(2 * matches); short != want || long != want {
+		t.Fatalf("UpdatedBetween allocates %.0f times over 8 LPAs x 4 versions and %.0f over 32 x 12, want %.0f both", short, long, want)
+	}
+}

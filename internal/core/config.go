@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"almanac/internal/delta"
 	"almanac/internal/vclock"
 )
 
@@ -233,6 +234,10 @@ func ParseConfig(s string) (Config, error) {
 func (c Config) Validate() error {
 	if err := c.FTL.Flash.Validate(); err != nil {
 		return err
+	}
+	if c.FTL.Flash.PageSize > delta.MaxPageSize {
+		return fmt.Errorf("core: page size %d exceeds %d, the largest a delta entry's 16-bit length and slot can describe",
+			c.FTL.Flash.PageSize, delta.MaxPageSize)
 	}
 	if c.FTL.OPRatio < 0 {
 		return fmt.Errorf("core: negative over-provisioning ratio %g", c.FTL.OPRatio)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"almanac/internal/delta"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
 	"almanac/internal/vclock"
@@ -102,6 +103,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	mutations := map[string]func(*Config){
 		"zero flash":    func(c *Config) { c.FTL.Flash = flash.Config{} },
+		"huge page":     func(c *Config) { c.FTL.Flash.PageSize = delta.MaxPageSize + 1 },
 		"negative op":   func(c *Config) { c.FTL.OPRatio = -0.1 },
 		"gc watermarks": func(c *Config) { c.FTL.GCHighBlocks = c.FTL.GCLowBlocks - 1 },
 		"neg mapcache":  func(c *Config) { c.FTL.MappingCacheSlots = -1 },

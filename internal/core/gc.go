@@ -328,6 +328,9 @@ func (t *TimeSSD) emitDelta(v *chainVersion, ref []byte, refTS vclock.Time, at v
 	var err error
 	// Chain-order discipline: if a newer delta for this LPA is still
 	// buffered, it must reach flash before this older one links below it.
+	// The same flush keeps a packed page to at most one delta per LPA, which
+	// is what makes a verified back-slot the entry a header search would
+	// return (delta.Page.Hop).
 	if p := t.pending[lpa]; p.d != nil {
 		if at, err = t.flushSegment(p.seg, at); err != nil {
 			return at, err
@@ -348,7 +351,7 @@ func (t *TimeSSD) emitDelta(v *chainVersion, ref []byte, refTS vclock.Time, at v
 		t.st.DeltasCreated++
 		at = at.Add(t.cfg.DeltaCost)
 		payload = t.sealRetained(lpa, v.ts, payload)
-		d := &delta.Delta{LPA: lpa, BackPtr: uint64(prevHead), TS: v.ts, RefTS: refTS, Enc: enc, Payload: payload}
+		d := &delta.Delta{LPA: lpa, BackPtr: uint64(prevHead), BackSlot: t.imtSlot[lpa], TS: v.ts, RefTS: refTS, Enc: enc, Payload: payload}
 		if delta.NewBuffer(t.cfg.FTL.Flash.PageSize).Fits(d) {
 			if !seg.buf.Fits(d) {
 				if at, err = t.flushSegment(seg, at); err != nil {
@@ -372,6 +375,7 @@ func (t *TimeSSD) emitDelta(v *chainVersion, ref []byte, refTS vclock.Time, at v
 		return at, err
 	}
 	t.imt[lpa] = ppa
+	t.imtSlot[lpa] = 0 // a raw page's OOB has no room for a slot
 	return done, nil
 }
 
@@ -422,8 +426,16 @@ func (t *TimeSSD) flushSegment(seg *segment, at vclock.Time) (vclock.Time, error
 		}
 		return at, err
 	}
-	for _, d := range ds {
+	for i, d := range ds {
+		if invariant.Enabled {
+			// Slot addressing rests on this (delta.Page.Hop): a second delta
+			// of the LPA in one page would make slot and search disagree.
+			for _, e := range ds[:i] {
+				invariant.Assert(e.LPA != d.LPA, "delta page %d packs two deltas of lpa %d", ppa, d.LPA)
+			}
+		}
 		t.imt[d.LPA] = ppa
+		t.imtSlot[d.LPA] = uint16(i + 1)
 		if t.pending[d.LPA].d == d {
 			t.clearPending(d.LPA)
 		}

@@ -76,16 +76,16 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 
 	// Delta-page chain: first the (at most one) pending buffered delta,
 	// then the on-flash chain headed by the index mapping table.
-	dcur := flash.NullPPA
+	dcur, dslot := flash.NullPPA, uint16(0)
 	if p := t.pending[lpa]; p.d != nil && p.d.TS < prevTS {
 		if data, hit := t.cachedDecode(p.d, out); hit {
 			at = t.chargeDecode(p.d.Enc, at)
 			out = append(out, Version{TS: p.d.TS, Data: data})
 			prevTS = p.d.TS
-			dcur = flash.PPA(p.d.BackPtr)
+			dcur, dslot = flash.PPA(p.d.BackPtr), p.d.BackSlot
 		}
 	} else if h := t.imt[lpa]; h != flash.NullPPA {
-		dcur = h
+		dcur, dslot = h, t.imtSlot[lpa]
 	}
 
 	for dcur != flash.NullPPA {
@@ -118,10 +118,11 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 			}
 			out = append(out, Version{TS: oob.TS, Data: cp})
 			prevTS = oob.TS
-			dcur = oob.BackPtr
+			dcur, dslot = oob.BackPtr, 0 // OOB carries no slot: the next hop searches
 		case flash.KindDelta:
+			pg, i := t.hop(data, dslot, lpa, prevTS)
 			var mine delta.Delta
-			if found, err := delta.FindInPage(data, lpa, prevTS, &mine); err != nil || !found {
+			if i < 0 || pg.Delta(i, &mine) != nil {
 				return out, at, nil
 			}
 			dec, ok := t.cachedDecode(&mine, out)
@@ -131,12 +132,33 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 			at = t.chargeDecode(mine.Enc, at)
 			out = append(out, Version{TS: mine.TS, Data: dec})
 			prevTS = mine.TS
-			dcur = flash.PPA(mine.BackPtr)
+			dcur, dslot = flash.PPA(mine.BackPtr), mine.BackSlot
 		default:
 			return out, at, nil
 		}
 	}
 	return out, at, nil
+}
+
+// hop steps a chain walk into the packed delta page `data`: the index of
+// lpa's entry older than `before`, or -1 (no such entry, or the page does not
+// parse). The slot only ever saves the header search (delta.Page.Hop), so
+// under almanacdebug every hop is shadow-checked against that search —
+// except under injected faults, where silent corruption can legitimately
+// break the one-delta-per-LPA-per-page invariant the equality rests on.
+func (t *TimeSSD) hop(data []byte, slot uint16, lpa uint64, before vclock.Time) (delta.Page, int) {
+	pg, err := delta.OpenPage(data)
+	if err != nil {
+		return pg, -1
+	}
+	i := pg.Hop(slot, lpa, before)
+	if invariant.Enabled && !t.faultsArmed {
+		want := pg.Find(lpa, before)
+		invariant.Assert(i == want,
+			"delta chain: slot %d resolved to entry %d, header search to %d (lpa %d before %d)",
+			slot, i, want, lpa, before)
+	}
+	return pg, i
 }
 
 // cachedDecode reconstructs a delta's version through the reference cache:
@@ -209,12 +231,17 @@ func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.
 
 // Timestamps returns the write timestamps of every retrievable version of
 // lpa (newest first) without decompressing content. Data-chain hops read
-// only OOB; delta pages are read once and parsed.
+// only OOB; a delta-chain hop reads its page and one header entry.
 func (t *TimeSSD) Timestamps(lpa uint64, at vclock.Time) ([]vclock.Time, vclock.Time, error) {
 	if err := t.CheckLPA(lpa); err != nil {
 		return nil, at, err
 	}
-	var out []vclock.Time
+	return t.appendTimestamps(nil, lpa, at)
+}
+
+// appendTimestamps is Timestamps into a caller-owned slice, for a scan that
+// walks many LPAs and keeps none of the slices. lpa must be in range.
+func (t *TimeSSD) appendTimestamps(out []vclock.Time, lpa uint64, at vclock.Time) ([]vclock.Time, vclock.Time, error) {
 	prevTS := maxTime
 
 	cur := flash.NullPPA
@@ -251,13 +278,13 @@ func (t *TimeSSD) Timestamps(lpa uint64, at vclock.Time) ([]vclock.Time, vclock.
 		cur = oob.BackPtr
 	}
 
-	dcur := flash.NullPPA
+	dcur, dslot := flash.NullPPA, uint16(0)
 	if p := t.pending[lpa]; p.d != nil && p.d.TS < prevTS {
 		out = append(out, p.d.TS)
 		prevTS = p.d.TS
-		dcur = flash.PPA(p.d.BackPtr)
+		dcur, dslot = flash.PPA(p.d.BackPtr), p.d.BackSlot
 	} else if h := t.imt[lpa]; h != flash.NullPPA {
-		dcur = h
+		dcur, dslot = h, t.imtSlot[lpa]
 	}
 	for dcur != flash.NullPPA {
 		data, oob, done, err := t.Arr.Read(dcur, at)
@@ -271,19 +298,20 @@ func (t *TimeSSD) Timestamps(lpa uint64, at vclock.Time) ([]vclock.Time, vclock.
 			}
 			out = append(out, oob.TS)
 			prevTS = oob.TS
-			dcur = oob.BackPtr
+			dcur, dslot = oob.BackPtr, 0
 			continue
 		}
 		if oob.Kind != flash.KindDelta {
 			break
 		}
-		var mine delta.Delta
-		if found, err := delta.FindInPage(data, lpa, prevTS, &mine); err != nil || !found {
+		pg, i := t.hop(data, dslot, lpa, prevTS)
+		if i < 0 {
 			break
 		}
-		out = append(out, mine.TS)
-		prevTS = mine.TS
-		dcur = flash.PPA(mine.BackPtr)
+		_, prevTS = pg.Key(i)
+		out = append(out, prevTS)
+		back, slot := pg.Link(i)
+		dcur, dslot = flash.PPA(back), slot
 	}
 	return out, at, nil
 }
@@ -294,16 +322,18 @@ type UpdateRecord struct {
 	Times []vclock.Time // write timestamps within the queried range, newest first
 }
 
-// CandidateLPAs returns every LPA that currently has retrievable state:
-// mapped pages plus trimmed pages whose chains are remembered.
+// hasHistory reports whether lpa currently has retrievable state: it is
+// mapped, or it was trimmed and its chain is remembered.
+func (t *TimeSSD) hasHistory(lpa uint64) bool {
+	return t.AMT[lpa] != flash.NullPPA || t.trimmed[lpa].head != flash.NullPPA
+}
+
+// CandidateLPAs returns every LPA that currently has retrievable state, in
+// ascending order.
 func (t *TimeSSD) CandidateLPAs() []uint64 {
 	var out []uint64
 	for lpa := uint64(0); lpa < uint64(t.LogicalPages()); lpa++ {
-		if t.AMT[lpa] != flash.NullPPA {
-			out = append(out, lpa)
-			continue
-		}
-		if t.trimmed[lpa].head != flash.NullPPA {
+		if t.hasHistory(lpa) {
 			out = append(out, lpa)
 		}
 	}
@@ -311,35 +341,52 @@ func (t *TimeSSD) CandidateLPAs() []uint64 {
 }
 
 // UpdatedBetween scans every candidate LPA for versions written in
-// [from, to] and returns their timestamps. Per-LPA walks start at the same
-// virtual instant, so the per-channel busy horizons model the paper's
-// chip-parallel query execution; done is the completion of the slowest
-// channel.
+// [from, to] and returns their timestamps, in ascending LPA order. Per-LPA
+// walks start at the same virtual instant, so the per-channel busy horizons
+// model the paper's chip-parallel query execution; done is the completion
+// of the slowest channel. The scan allocates only what it returns: one
+// Times slice per matching record.
 func (t *TimeSSD) UpdatedBetween(from, to vclock.Time, at vclock.Time) ([]UpdateRecord, vclock.Time, error) {
 	var out []UpdateRecord
 	done := at
-	for _, lpa := range t.CandidateLPAs() {
-		ts, d, err := t.Timestamps(lpa, at)
+	for lpa := uint64(0); lpa < uint64(t.LogicalPages()); lpa++ {
+		if !t.hasHistory(lpa) {
+			continue
+		}
+		ts, d, err := t.appendTimestamps(t.tsScratch[:0], lpa, at)
 		if err != nil {
 			return out, done, err
 		}
+		t.tsScratch = ts[:0]
 		if d > done {
 			done = d
 		}
-		var hit []vclock.Time
 		// A deletion inside the range is an update of this LPA's state even
 		// though it created no new version.
-		if rec := t.trimmed[lpa]; rec.head != flash.NullPPA && rec.ts >= from && rec.ts <= to {
+		rec := t.trimmed[lpa]
+		trimHit := rec.head != flash.NullPPA && rec.ts >= from && rec.ts <= to
+		// ts descends strictly, so the versions inside [from, to] are one run.
+		lo := 0
+		for lo < len(ts) && ts[lo] > to {
+			lo++
+		}
+		hi := lo
+		for hi < len(ts) && ts[hi] >= from {
+			hi++
+		}
+		n := hi - lo
+		if trimHit {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		hit := make([]vclock.Time, 0, n)
+		if trimHit {
 			hit = append(hit, rec.ts)
 		}
-		for _, w := range ts {
-			if w >= from && w <= to {
-				hit = append(hit, w)
-			}
-		}
-		if len(hit) > 0 {
-			out = append(out, UpdateRecord{LPA: lpa, Times: hit})
-		}
+		hit = append(hit, ts[lo:hi]...)
+		out = append(out, UpdateRecord{LPA: lpa, Times: hit})
 	}
 	return out, done, nil
 }

@@ -19,8 +19,11 @@ import (
 //     mappings, write timestamps breaking ties);
 //   - older data versions are re-registered as retained: their PPAs enter
 //     a fresh Bloom-filter chain, so the retention window restarts at the
-//     rebuild instant but no surviving history is lost;
-//   - the IMT comes from scanning delta pages for each LPA's newest delta;
+//     rebuild instant but no surviving history is lost — except versions
+//     delta storage already holds (compressed, block not yet erased), which
+//     get their PRT mark back so walks and GC treat the delta as the copy;
+//   - the IMT comes from scanning delta pages for each LPA's newest delta
+//     (and its slot in a packed page, from the header index the scan is at);
 //   - partially-written blocks are padded closed (as firmware does after
 //     power loss) and delta blocks join one legacy cohort that retires
 //     with the first window segment group;
@@ -76,11 +79,17 @@ func Rebuild(arr *flash.Array, cfg Config) (*TimeSSD, error) {
 	// anywhere on the medium) and the grown bad blocks (erase failures pin
 	// a block full of KindBad pages — the on-medium retirement record).
 	type head struct {
-		ppa flash.PPA
+		ppa  flash.PPA
+		ts   vclock.Time
+		slot uint16 // delta heads: the entry's slot in a packed page, +1
+	}
+	type version struct {
+		lpa uint64
 		ts  vclock.Time
 	}
 	liveHead := map[uint64]head{}
 	imtHead := map[uint64]head{}
+	inDelta := map[version]bool{} // versions delta storage holds
 	blockKind := make([]flash.PageKind, fc.TotalBlocks())
 	blockBad := make([]bool, fc.TotalBlocks()) // full block of KindBad pages
 	var rebuiltAt vclock.Time                  // newest write timestamp on the medium
@@ -106,26 +115,29 @@ func Rebuild(arr *flash.Array, cfg Config) (*TimeSSD, error) {
 			case flash.KindData:
 				kind = flash.KindData
 				if h, ok := liveHead[oob.LPA]; !ok || oob.TS > h.ts {
-					liveHead[oob.LPA] = head{ppa, oob.TS}
+					liveHead[oob.LPA] = head{ppa: ppa, ts: oob.TS}
 				}
 			case flash.KindDelta:
 				kind = flash.KindDelta
-				ds, err := delta.UnpackPage(data)
+				pg, err := delta.OpenPage(data)
 				if err != nil {
 					continue // torn delta page: its versions are lost
 				}
-				for _, d := range ds {
-					if d.TS > rebuiltAt {
-						rebuiltAt = d.TS
+				for i := 0; i < pg.Len(); i++ {
+					lpa, ts := pg.Key(i)
+					if ts > rebuiltAt {
+						rebuiltAt = ts
 					}
-					if h, ok := imtHead[d.LPA]; !ok || d.TS > h.ts {
-						imtHead[d.LPA] = head{ppa, d.TS}
+					inDelta[version{lpa, ts}] = true
+					if h, ok := imtHead[lpa]; !ok || ts > h.ts {
+						imtHead[lpa] = head{ppa, ts, uint16(i + 1)}
 					}
 				}
 			case flash.KindDeltaRaw:
 				kind = flash.KindDelta
+				inDelta[version{oob.LPA, oob.TS}] = true
 				if h, ok := imtHead[oob.LPA]; !ok || oob.TS > h.ts {
-					imtHead[oob.LPA] = head{ppa, oob.TS}
+					imtHead[oob.LPA] = head{ppa: ppa, ts: oob.TS}
 				}
 			case flash.KindBad:
 				badPages++ // burned/torn page: dead filler
@@ -182,7 +194,7 @@ func Rebuild(arr *flash.Array, cfg Config) (*TimeSSD, error) {
 		if lpa >= logical {
 			continue // corrupt delta metadata for an impossible LPA: inert
 		}
-		t.imt[lpa] = h.ppa
+		t.imt[lpa], t.imtSlot[lpa] = h.ppa, h.slot
 	}
 
 	legacy := t.newSegment()
@@ -205,6 +217,13 @@ func Rebuild(arr *flash.Array, cfg Config) (*TimeSSD, error) {
 			switch {
 			case oob.Kind == flash.KindData && b.PVT[ppa]:
 				valid++
+			case oob.Kind == flash.KindData && inDelta[version{oob.LPA, oob.TS}]:
+				// Compressed before the crash, its block not yet erased: the
+				// delta is the retained copy, and the page is reclaimable
+				// again. Left unmarked, walks would run down the data chain
+				// past the delta chain's head and never reach the deltas below.
+				invalid++
+				t.prt[ppa] = true
 			case oob.Kind == flash.KindData:
 				// A retained version: re-register its invalidation so the
 				// fresh window covers it (time of invalidation unknown →

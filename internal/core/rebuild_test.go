@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"almanac/internal/delta"
+	"almanac/internal/flash"
 	"almanac/internal/vclock"
 )
 
@@ -183,6 +185,110 @@ func TestRebuildMidGC(t *testing.T) {
 		got, _, err := r.Read(lpa, at)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("lpa %d wrong after mid-write rebuild: %v", lpa, err)
+		}
+	}
+}
+
+// TestRebuildRestoresChainSlots crashes a device whose delta chains mix all
+// three link kinds — packed pages (slot-addressed), raw-retained pages (OOB
+// back-pointer, no slot) and deltas still pending in RAM — and checks that
+// the rebuilt device walks every chain to the same answers, with every
+// packed chain head slot-addressed again so the walks stay O(1) per hop.
+func TestRebuildRestoresChainSlots(t *testing.T) {
+	d := newTiny(t, func(c *Config) {
+		c.FTL.Flash.PageSize = 512
+		c.MinRetention = vclock.Day // no window drop retires the history under test
+	})
+	rng := rand.New(rand.NewSource(77))
+	logical := d.LogicalPages() / 2
+	at := vclock.Time(0)
+	for i := 0; i < d.cfg.FTL.Flash.TotalPages(); i++ {
+		at = at.Add(vclock.Second)
+		lpa := uint64(rng.Intn(logical))
+		page := versionPage(d, lpa, i)
+		if i%16 == 0 {
+			rng.Read(page) // incompressible: retained raw, chained through OOB
+		}
+		done, err := d.Write(lpa, page, at)
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		at = done
+	}
+	// GC flushes a buffer before it erases the buffered deltas' sources, so
+	// only idle compression, which erases nothing, leaves deltas pending.
+	d.Idle(at, at.Add(10*vclock.Second))
+	at = at.Add(10 * vclock.Second)
+	pending, packed, raw := 0, 0, 0
+	d.forEachPending(func(uint64, pendingDelta) { pending++ })
+	for _, ppa := range d.imt {
+		if ppa == flash.NullPPA {
+			continue
+		}
+		switch oob, _ := d.Arr.PeekOOB(ppa); oob.Kind {
+		case flash.KindDelta:
+			packed++
+		case flash.KindDeltaRaw:
+			raw++
+		}
+	}
+	if pending == 0 || packed == 0 || raw == 0 {
+		t.Fatalf("history lacks a link kind: %d pending, %d packed heads, %d raw heads", pending, packed, raw)
+	}
+
+	r, err := Rebuild(d.Arr, d.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lpa := uint64(0); lpa < uint64(d.LogicalPages()); lpa++ {
+		wantV, _, err := d.Versions(lpa, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotV, _, err := r.Versions(lpa, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotV) != len(wantV) {
+			t.Fatalf("lpa %d: %d versions after rebuild, %d before", lpa, len(gotV), len(wantV))
+		}
+		for i := range wantV {
+			if gotV[i].TS != wantV[i].TS || !bytes.Equal(gotV[i].Data, wantV[i].Data) {
+				t.Fatalf("lpa %d version %d (ts %v) differs after rebuild", lpa, i, wantV[i].TS)
+			}
+		}
+		wantT, _, _ := d.Timestamps(lpa, at)
+		gotT, _, err := r.Timestamps(lpa, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotT) != len(wantT) {
+			t.Fatalf("lpa %d: %d timestamps after rebuild, %d before", lpa, len(gotT), len(wantT))
+		}
+		for i := range wantT {
+			if gotT[i] != wantT[i] {
+				t.Fatalf("lpa %d timestamp %d: %v after rebuild, %v before", lpa, i, gotT[i], wantT[i])
+			}
+		}
+
+		head := r.imt[lpa]
+		if head == flash.NullPPA {
+			continue
+		}
+		data, oob, err := r.Arr.PeekPage(head)
+		if err != nil || oob.Kind != flash.KindDelta {
+			continue
+		}
+		pg, err := delta.OpenPage(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := int(r.imtSlot[lpa])
+		if slot == 0 || slot > pg.Len() {
+			t.Fatalf("lpa %d: packed chain head has slot %d of %d", lpa, slot, pg.Len())
+		}
+		if got, _ := pg.Key(slot - 1); got != lpa {
+			t.Fatalf("lpa %d: head slot %d holds lpa %d", lpa, slot, got)
 		}
 	}
 }

@@ -206,6 +206,7 @@ type TimeSSD struct {
 	// Absence sentinels: imt[lpa] == NullPPA, pending[lpa].d == nil,
 	// trimmed[lpa].head == NullPPA.
 	imt     []flash.PPA    // index mapping table: LPA → head delta page
+	imtSlot []uint16       // the head delta's slot in that page, +1 (0 = unknown: raw page or old image)
 	pending []pendingDelta // newest unflushed delta per LPA
 	prt     []bool         // page reclamation table, indexed by PPA
 	trimmed []trimRecord   // chain heads + times of trimmed LPAs
@@ -241,6 +242,7 @@ type TimeSSD struct {
 	encScratch  []byte         // delta.Encode staging, reused across GC compressions
 	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
+	tsScratch   []vclock.Time  // UpdatedBetween per-LPA timestamp staging, reused across LPAs
 	faultsArmed bool           // skip almanacdebug shadow decodes under injected faults
 
 	// rebuiltAt is the rebuild instant when this device was mounted by
@@ -290,6 +292,7 @@ func New(cfg Config) (*TimeSSD, error) {
 func (t *TimeSSD) initTables() {
 	logical := t.LogicalPages()
 	t.imt = make([]flash.PPA, logical)
+	t.imtSlot = make([]uint16, logical)
 	t.trimmed = make([]trimRecord, logical)
 	for i := range t.imt {
 		t.imt[i] = flash.NullPPA

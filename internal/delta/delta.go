@@ -41,12 +41,13 @@ const (
 
 // Delta is one compressed obsolete version of a logical page.
 type Delta struct {
-	LPA     uint64      // logical page this version belongs to
-	BackPtr uint64      // PPA of the previous (older) version in the chain
-	TS      vclock.Time // write timestamp of this version
-	RefTS   vclock.Time // write timestamp of the reference version
-	Enc     Encoding
-	Payload []byte
+	LPA      uint64      // logical page this version belongs to
+	BackPtr  uint64      // PPA of the previous (older) version in the chain
+	TS       vclock.Time // write timestamp of this version
+	RefTS    vclock.Time // write timestamp of the reference version
+	Enc      Encoding
+	BackSlot uint16 // the previous version's slot in the BackPtr page, +1; 0 = unknown
+	Payload  []byte
 }
 
 // ErrCorruptPage is returned when a delta page fails to parse.
@@ -164,11 +165,20 @@ func (d *Delta) Size() int { return entrySize + len(d.Payload) }
 // Delta page layout:
 //
 //	u16 count
-//	count × entry { u32 off, u32 len, u8 enc, u64 lpa, u64 backptr, i64 ts, i64 refts }
+//	count × entry { u32 off, u16 len, u16 backSlot, u8 enc, u64 lpa, u64 backptr, i64 ts, i64 refts }
 //	payload bytes...
+//
+// len and backSlot share the four bytes that used to be a u32 len whose
+// upper half was always zero (a payload is shorter than a page, and a page
+// is at most MaxPageSize), so a page written before back-slots existed
+// parses as "slot unknown" everywhere.
 const (
 	headerSize = 2
-	entrySize  = 4 + 4 + 1 + 8 + 8 + 8 + 8
+	entrySize  = 4 + 2 + 2 + 1 + 8 + 8 + 8 + 8
+
+	// MaxPageSize is the largest flash page the entry encoding can
+	// describe: payload lengths and slot numbers are 16-bit.
+	MaxPageSize = 1 << 16
 )
 
 // PageCapacity returns the payload capacity of a delta page of the given
@@ -182,6 +192,9 @@ func PageCapacity(pageSize, n int) int { return pageSize - headerSize - n*entryS
 func PackPage(deltas []*Delta, pageSize int) ([]byte, int, error) {
 	if len(deltas) == 0 {
 		return nil, 0, errors.New("delta: no deltas to pack")
+	}
+	if pageSize > MaxPageSize {
+		return nil, 0, fmt.Errorf("delta: page size %d exceeds the %d the entry encoding can describe", pageSize, MaxPageSize)
 	}
 	n := 0
 	used := headerSize
@@ -201,7 +214,8 @@ func PackPage(deltas []*Delta, pageSize int) ([]byte, int, error) {
 	pos := headerSize
 	for _, d := range deltas[:n] {
 		binary.LittleEndian.PutUint32(buf[pos:], uint32(off))
-		binary.LittleEndian.PutUint32(buf[pos+4:], uint32(len(d.Payload)))
+		binary.LittleEndian.PutUint16(buf[pos+4:], uint16(len(d.Payload)))
+		binary.LittleEndian.PutUint16(buf[pos+6:], d.BackSlot)
 		buf[pos+8] = byte(d.Enc)
 		binary.LittleEndian.PutUint64(buf[pos+9:], d.LPA)
 		binary.LittleEndian.PutUint64(buf[pos+17:], d.BackPtr)
@@ -214,75 +228,93 @@ func PackPage(deltas []*Delta, pageSize int) ([]byte, int, error) {
 	return buf, n, nil
 }
 
-// UnpackPage parses a delta page produced by PackPage.
-func UnpackPage(buf []byte) ([]*Delta, error) {
-	if len(buf) < headerSize {
-		return nil, ErrCorruptPage
-	}
-	n := int(binary.LittleEndian.Uint16(buf[0:2]))
-	if headerSize+n*entrySize > len(buf) {
-		return nil, fmt.Errorf("%w: %d entries do not fit", ErrCorruptPage, n)
-	}
-	out := make([]*Delta, 0, n)
-	pos := headerSize
-	for i := 0; i < n; i++ {
-		off := int(binary.LittleEndian.Uint32(buf[pos:]))
-		plen := int(binary.LittleEndian.Uint32(buf[pos+4:]))
-		if off < 0 || plen < 0 || off+plen > len(buf) {
-			return nil, fmt.Errorf("%w: entry %d payload out of range", ErrCorruptPage, i)
-		}
-		d := &Delta{
-			Enc:     Encoding(buf[pos+8]),
-			LPA:     binary.LittleEndian.Uint64(buf[pos+9:]),
-			BackPtr: binary.LittleEndian.Uint64(buf[pos+17:]),
-			TS:      vclock.Time(binary.LittleEndian.Uint64(buf[pos+25:])),
-			RefTS:   vclock.Time(binary.LittleEndian.Uint64(buf[pos+33:])),
-			Payload: append([]byte(nil), buf[off:off+plen]...),
-		}
-		out = append(out, d)
-		pos += entrySize
-	}
-	return out, nil
+// Page is a read-only view of a packed delta page: the entry count checked
+// against the buffer, nothing parsed and nothing copied. Entries are
+// addressed by their index in the header — the slot back-pointers carry.
+// The view is valid while buf is (flash page images are stable until their
+// block is erased).
+type Page struct {
+	buf []byte
+	n   int
 }
 
-// FindInPage scans a delta page for the newest entry belonging to lpa with
-// a write timestamp strictly before `before`, filling d and returning true
-// on a hit. Unlike UnpackPage it copies nothing: d.Payload aliases buf, so
-// the result is only valid while buf is (flash page images are stable until
-// their block is erased). Version walks use it to avoid materialising every
-// delta in a page when they need exactly one.
-func FindInPage(buf []byte, lpa uint64, before vclock.Time, d *Delta) (bool, error) {
+// OpenPage checks buf's header and returns the view over it.
+func OpenPage(buf []byte) (Page, error) {
 	if len(buf) < headerSize {
-		return false, ErrCorruptPage
+		return Page{}, ErrCorruptPage
 	}
 	n := int(binary.LittleEndian.Uint16(buf[0:2]))
 	if headerSize+n*entrySize > len(buf) {
-		return false, fmt.Errorf("%w: %d entries do not fit", ErrCorruptPage, n)
+		return Page{}, fmt.Errorf("%w: %d entries do not fit", ErrCorruptPage, n)
 	}
-	found := false
-	pos := headerSize
-	for i := 0; i < n; i++ {
-		eLPA := binary.LittleEndian.Uint64(buf[pos+9:])
-		eTS := vclock.Time(binary.LittleEndian.Uint64(buf[pos+25:]))
-		if eLPA == lpa && eTS < before && (!found || eTS > d.TS) {
-			off := int(binary.LittleEndian.Uint32(buf[pos:]))
-			plen := int(binary.LittleEndian.Uint32(buf[pos+4:]))
-			if off < 0 || plen < 0 || off+plen > len(buf) {
-				return false, fmt.Errorf("%w: entry %d payload out of range", ErrCorruptPage, i)
-			}
-			*d = Delta{
-				Enc:     Encoding(buf[pos+8]),
-				LPA:     eLPA,
-				BackPtr: binary.LittleEndian.Uint64(buf[pos+17:]),
-				TS:      eTS,
-				RefTS:   vclock.Time(binary.LittleEndian.Uint64(buf[pos+33:])),
-				Payload: buf[off : off+plen : off+plen],
-			}
-			found = true
+	return Page{buf: buf, n: n}, nil
+}
+
+// Len returns the number of entries in the page.
+func (p Page) Len() int { return p.n }
+
+// Key returns the logical page and write timestamp of entry i.
+func (p Page) Key(i int) (lpa uint64, ts vclock.Time) {
+	e := p.buf[headerSize+i*entrySize:]
+	return binary.LittleEndian.Uint64(e[9:]), vclock.Time(binary.LittleEndian.Uint64(e[25:]))
+}
+
+// Link returns where entry i's chain continues: the page holding the
+// previous version and that version's slot there (slot+1; 0 = unknown).
+func (p Page) Link(i int) (backPtr uint64, backSlot uint16) {
+	e := p.buf[headerSize+i*entrySize:]
+	return binary.LittleEndian.Uint64(e[17:]), binary.LittleEndian.Uint16(e[6:])
+}
+
+// Delta fills d from entry i. d.Payload aliases the page buffer; an entry
+// whose payload does not lie inside the page's payload area is corrupt.
+func (p Page) Delta(i int, d *Delta) error {
+	e := p.buf[headerSize+i*entrySize:]
+	off := int(binary.LittleEndian.Uint32(e))
+	end := off + int(binary.LittleEndian.Uint16(e[4:]))
+	if off < headerSize+p.n*entrySize || end > len(p.buf) {
+		return fmt.Errorf("%w: entry %d payload out of range", ErrCorruptPage, i)
+	}
+	*d = Delta{
+		Enc:     Encoding(e[8]),
+		RefTS:   vclock.Time(binary.LittleEndian.Uint64(e[33:])),
+		Payload: p.buf[off:end:end],
+	}
+	d.LPA, d.TS = p.Key(i)
+	d.BackPtr, d.BackSlot = p.Link(i)
+	return nil
+}
+
+// Find scans the header for the newest entry of lpa written strictly before
+// `before` and returns its index, or -1.
+func (p Page) Find(lpa uint64, before vclock.Time) int {
+	best := -1
+	var bestTS vclock.Time
+	for i := 0; i < p.n; i++ {
+		if l, ts := p.Key(i); l == lpa && ts < before && (best < 0 || ts > bestTS) {
+			best, bestTS = i, ts
 		}
-		pos += entrySize
 	}
-	return found, nil
+	return best
+}
+
+// Hop is one step of a version-chain walk into this page: the index of
+// lpa's newest entry written strictly before `before` (the previous hop's
+// timestamp), or -1. slot is where the back-pointer that led here says the
+// entry sits (slot+1; 0 = unknown). It is a hint, never trusted: the entry
+// there is taken only if it is lpa's and older than `before`; anything else
+// — no slot, a slot past the header, another LPA's entry, a timestamp that
+// does not descend — falls back to Find. A writer packs at most one delta
+// per LPA into a page, so on every page a device wrote, an entry that
+// verifies is the one Find returns; on any page at all the walk still sees
+// only lpa's versions in strictly descending time.
+func (p Page) Hop(slot uint16, lpa uint64, before vclock.Time) int {
+	if i := int(slot) - 1; uint(i) < uint(p.n) {
+		if l, ts := p.Key(i); l == lpa && ts < before {
+			return i
+		}
+	}
+	return p.Find(lpa, before)
 }
 
 // Buffer coalesces deltas until a page fills (§3.6's "delta buffers").

@@ -2,6 +2,8 @@ package delta
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -107,13 +109,33 @@ func makeDelta(rng *rand.Rand, lpa uint64, ts vclock.Time, payloadLen int) *Delt
 	p := make([]byte, payloadLen)
 	rng.Read(p)
 	return &Delta{
-		LPA:     lpa,
-		BackPtr: rng.Uint64(),
-		TS:      ts,
-		RefTS:   ts + 100,
-		Enc:     EncXORLZF,
-		Payload: p,
+		LPA:      lpa,
+		BackPtr:  rng.Uint64(),
+		BackSlot: uint16(lpa%7) + 1,
+		TS:       ts,
+		RefTS:    ts + 100,
+		Enc:      EncXORLZF,
+		Payload:  p,
 	}
+}
+
+// unpackPage materialises every delta of a page, payloads copied out — the
+// whole-page parse the tests compare PackPage against.
+func unpackPage(buf []byte) ([]*Delta, error) {
+	p, err := OpenPage(buf)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Delta, p.Len())
+	for i := range out {
+		d := new(Delta)
+		if err := p.Delta(i, d); err != nil {
+			return nil, err
+		}
+		d.Payload = append([]byte(nil), d.Payload...)
+		out[i] = d
+	}
+	return out, nil
 }
 
 func TestPackUnpackPage(t *testing.T) {
@@ -132,7 +154,7 @@ func TestPackUnpackPage(t *testing.T) {
 	if len(page) != pageSize {
 		t.Fatalf("page is %d bytes", len(page))
 	}
-	got, err := UnpackPage(page)
+	got, err := unpackPage(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +163,7 @@ func TestPackUnpackPage(t *testing.T) {
 	}
 	for i := range ds {
 		a, b := ds[i], got[i]
-		if a.LPA != b.LPA || a.BackPtr != b.BackPtr || a.TS != b.TS ||
+		if a.LPA != b.LPA || a.BackPtr != b.BackPtr || a.BackSlot != b.BackSlot || a.TS != b.TS ||
 			a.RefTS != b.RefTS || a.Enc != b.Enc || !bytes.Equal(a.Payload, b.Payload) {
 			t.Fatalf("delta %d mismatch: %+v vs %+v", i, a, b)
 		}
@@ -178,15 +200,123 @@ func TestPackPageEmpty(t *testing.T) {
 }
 
 func TestUnpackCorrupt(t *testing.T) {
-	if _, err := UnpackPage([]byte{1}); err == nil {
+	if _, err := unpackPage([]byte{1}); err == nil {
 		t.Fatal("tiny page accepted")
 	}
 	// Count claims more entries than fit.
 	bad := make([]byte, 64)
 	bad[0] = 0xff
 	bad[1] = 0xff
-	if _, err := UnpackPage(bad); err == nil {
+	if _, err := unpackPage(bad); err == nil {
 		t.Fatal("overflowing count accepted")
+	}
+}
+
+// TestPreSlotPageReadsAsSlotUnknown hand-builds an entry the way pages were
+// written before back-slots existed (a u32 payload length where the u16
+// length and u16 slot now sit): it must parse to the same delta with the
+// slot unknown, and the entry must still be 41 bytes — packing decisions,
+// and so every virtual metric, depend on that size.
+func TestPreSlotPageReadsAsSlotUnknown(t *testing.T) {
+	if entrySize != 41 {
+		t.Fatalf("entry is %d bytes, want 41", entrySize)
+	}
+	payload := []byte("old-image-payload")
+	buf := make([]byte, 128)
+	binary.LittleEndian.PutUint16(buf, 1)
+	e := buf[headerSize:]
+	binary.LittleEndian.PutUint32(e, headerSize+entrySize)
+	binary.LittleEndian.PutUint32(e[4:], uint32(len(payload)))
+	e[8] = byte(EncRawLZF)
+	binary.LittleEndian.PutUint64(e[9:], 7)
+	binary.LittleEndian.PutUint64(e[17:], 4242)
+	binary.LittleEndian.PutUint64(e[25:], 900)
+	binary.LittleEndian.PutUint64(e[33:], 1000)
+	copy(buf[headerSize+entrySize:], payload)
+
+	p, err := OpenPage(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Delta
+	if err := p.Delta(0, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.LPA != 7 || d.BackPtr != 4242 || d.BackSlot != 0 || d.TS != 900 || d.RefTS != 1000 ||
+		d.Enc != EncRawLZF || !bytes.Equal(d.Payload, payload) {
+		t.Fatalf("pre-slot entry parsed as %+v", d)
+	}
+	if back, slot := p.Link(0); back != 4242 || slot != 0 {
+		t.Fatalf("Link = (%d, %d), want (4242, 0)", back, slot)
+	}
+}
+
+func TestPageHop(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var ds []*Delta
+	for i := 0; i < 5; i++ {
+		ds = append(ds, makeDelta(rng, uint64(10+i), vclock.Time(100*(i+1)), 30))
+	}
+	buf, _, err := PackPage(ds, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPage(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		slot   uint16
+		lpa    uint64
+		before vclock.Time
+		want   int
+	}{
+		{"right slot", 3, 12, 1000, 2},
+		{"slot unknown searches", 0, 12, 1000, 2},
+		{"another lpa's slot searches", 1, 12, 1000, 2},
+		{"slot past the header searches", 200, 12, 1000, 2},
+		{"entry not older than the bound", 3, 12, 300, -1},
+		{"lpa absent", 3, 99, 1000, -1},
+	} {
+		if got := p.Hop(tc.slot, tc.lpa, tc.before); got != tc.want {
+			t.Errorf("%s: Hop(%d, %d, %d) = %d, want %d", tc.name, tc.slot, tc.lpa, tc.before, got, tc.want)
+		}
+	}
+}
+
+// TestEntryPayloadBounds moves an entry's payload outside the page's payload
+// area — past the end, and back into the header — and expects both refused.
+func TestEntryPayloadBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ds := []*Delta{makeDelta(rng, 1, 1, 30), makeDelta(rng, 2, 2, 30)}
+	for name, off := range map[string]uint32{"past the end": pageSize - 10, "inside the header": headerSize + entrySize} {
+		buf, _, err := PackPage(ds, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(buf[headerSize+entrySize:], off)
+		p, err := OpenPage(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d Delta
+		if err := p.Delta(0, &d); err != nil {
+			t.Fatalf("%s: intact entry 0 refused: %v", name, err)
+		}
+		if err := p.Delta(1, &d); !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("%s: entry 1 gave %v, want ErrCorruptPage", name, err)
+		}
+		if _, err := unpackPage(buf); !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("%s: unpackPage gave %v, want ErrCorruptPage", name, err)
+		}
+	}
+}
+
+func TestPackPageBeyondEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	if _, _, err := PackPage([]*Delta{makeDelta(rng, 1, 1, 30)}, MaxPageSize+1); err == nil {
+		t.Fatal("page size past the 16-bit entry fields accepted")
 	}
 }
 
@@ -223,7 +353,7 @@ func TestBufferLifecycle(t *testing.T) {
 	if len(ds) != added {
 		t.Fatalf("flushed %d deltas, added %d", len(ds), added)
 	}
-	got, err := UnpackPage(page)
+	got, err := unpackPage(page)
 	if err != nil || len(got) != added {
 		t.Fatalf("unpack after flush: %v, %d deltas", err, len(got))
 	}

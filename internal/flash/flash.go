@@ -326,7 +326,10 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 	}
 	oob = a.oob[ppa]
 	if oob.Kind == KindFree {
-		return nil, OOB{}, at, fmt.Errorf("%w: ppa %d", ErrReadFree, ppa)
+		// Bare, not wrapped with the address: running into an erased page is
+		// how every version-chain walk ends, so this is not an error path and
+		// must not allocate.
+		return nil, OOB{}, at, ErrReadFree
 	}
 	ws := a.obsr.Start()
 	a.stats.Reads++

@@ -13,7 +13,6 @@ package timekits
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"almanac/internal/core"
 	"almanac/internal/vclock"
@@ -140,7 +139,8 @@ func (k *Kit) timeQuery(from, to, at vclock.Time) (Result[[]core.UpdateRecord], 
 	if err != nil {
 		return Result[[]core.UpdateRecord]{}, err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].LPA < recs[j].LPA })
+	// UpdatedBetween scans LPAs in ascending order, which is the order this
+	// API promises (array.timeFan's merge answers byte for byte only then).
 	return result(recs, at, done), nil
 }
 

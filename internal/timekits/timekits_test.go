@@ -181,6 +181,66 @@ func TestTimeQueryRange(t *testing.T) {
 	}
 }
 
+// TestTimeQueryAscendingWithTrims pins the order of every time query:
+// ascending LPA, with LPAs that are only trimmed (no live version, reported
+// through their deletion time) in their place among the mapped ones.
+// array.timeFan answers byte for byte as one device only on this order, and
+// nothing re-sorts it on the way out.
+func TestTimeQueryAscendingWithTrims(t *testing.T) {
+	k := newKit(t)
+	dev := k.Device()
+	// Written out of LPA order, so the order cannot come from write time.
+	lpas := []uint64{40, 3, 17, 9, 25, 0, 33}
+	at := vclock.Time(1000)
+	for _, lpa := range lpas {
+		at += 100
+		if _, err := dev.Write(lpa, page(k, lpa, 0), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trimmed := map[uint64]vclock.Time{}
+	for _, lpa := range []uint64{17, 0, 33} {
+		at += 100
+		if _, err := dev.Trim(lpa, at); err != nil {
+			t.Fatal(err)
+		}
+		trimmed[lpa] = at
+	}
+	trimsFrom := at - 250 // after every write: trimmed LPAs match by deletion time alone
+
+	check := func(name string, recs []core.UpdateRecord, want int) {
+		t.Helper()
+		if len(recs) != want {
+			t.Fatalf("%s: %d records, want %d: %+v", name, len(recs), want, recs)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].LPA <= recs[i-1].LPA {
+				t.Fatalf("%s: records not in ascending LPA order: %+v", name, recs)
+			}
+		}
+		for _, r := range recs {
+			if ts, ok := trimmed[r.LPA]; ok && r.Times[0] != ts {
+				t.Fatalf("%s: trimmed lpa %d leads with %v, want its deletion time %v", name, r.LPA, r.Times[0], ts)
+			}
+		}
+	}
+	all, err := k.TimeQueryAll(at + 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("TimeQueryAll", all.Value, len(lpas))
+	since, err := k.TimeQuery(trimsFrom, at+1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("TimeQuery", since.Value, len(trimmed))
+	rng, err := k.TimeQueryRange(trimsFrom, at, at+1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("TimeQueryRange", rng.Value, len(trimmed))
+}
+
 func TestTimeQueryAll(t *testing.T) {
 	k := newKit(t)
 	at := seed(t, k, 3)
