@@ -1,10 +1,10 @@
-package bench
+package almaproto
 
 import (
+	"math/rand"
 	"net"
 	"testing"
 
-	"almanac/internal/almaproto"
 	"almanac/internal/array"
 	"almanac/internal/core"
 	"almanac/internal/flash"
@@ -13,17 +13,17 @@ import (
 	"almanac/internal/vclock"
 )
 
-// ServiceOpsPerSec measures end-to-end throughput of the v4 stack: page
-// writes flow from a pipelined client through the tagged transport over
-// an in-memory pipe, into the volume service, and onto a 4-shard array's
-// worker queues. Ops ride multi-op batch frames with several batches in
+// BenchmarkServiceOpsPerSec measures end-to-end throughput of the v4
+// stack: page writes flow from a pipelined client through the tagged
+// transport over an in-memory pipe, into the volume service, and onto a
+// 4-shard array's worker queues. Ops ride multi-op batch frames with several batches in
 // flight, so the number reflects the pipelined path almanacd serves — not
 // a request/response ping-pong.
-func ServiceOpsPerSec(b *testing.B) {
-	serviceOpsBody(b, func(srv *almaproto.Server) (*almaproto.Client, func()) {
+func BenchmarkServiceOpsPerSec(b *testing.B) {
+	serviceOpsBody(b, func(srv *Server) (*Client, func()) {
 		cliEnd, srvEnd := net.Pipe()
 		go srv.ServeOne(srvEnd)
-		c := almaproto.NewClient(cliEnd)
+		c := NewClient(cliEnd)
 		return c, func() {
 			_ = c.Close()
 			_ = srvEnd.Close()
@@ -31,13 +31,13 @@ func ServiceOpsPerSec(b *testing.B) {
 	})
 }
 
-// ServiceOpsPerSecTCP is ServiceOpsPerSec over a real loopback TCP
-// socket. net.Pipe is a synchronous rendezvous — every Write blocks until
+// BenchmarkServiceOpsPerSecTCP is BenchmarkServiceOpsPerSec over a real
+// loopback TCP socket. net.Pipe is a synchronous rendezvous — every Write blocks until
 // the peer reads, which hides what write coalescing buys on a socket
 // (fewer syscalls, fewer wakeups). This variant puts the kernel back in
-// the path so the coalesced flush shows up in the committed numbers.
-func ServiceOpsPerSecTCP(b *testing.B) {
-	serviceOpsBody(b, func(srv *almaproto.Server) (*almaproto.Client, func()) {
+// the path so the coalesced flush shows up.
+func BenchmarkServiceOpsPerSecTCP(b *testing.B) {
+	serviceOpsBody(b, func(srv *Server) (*Client, func()) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -49,7 +49,7 @@ func ServiceOpsPerSecTCP(b *testing.B) {
 			}
 			srv.ServeOne(conn)
 		}()
-		c, err := almaproto.Dial(ln.Addr().String())
+		c, err := Dial(ln.Addr().String())
 		if err != nil {
 			_ = ln.Close()
 			b.Fatal(err)
@@ -64,7 +64,7 @@ func ServiceOpsPerSecTCP(b *testing.B) {
 // serviceOpsBody is the shared benchmark body: connect builds a client
 // over the transport under test against the given server and returns a
 // cleanup.
-func serviceOpsBody(b *testing.B, connect func(*almaproto.Server) (*almaproto.Client, func())) {
+func serviceOpsBody(b *testing.B, connect func(*Server) (*Client, func())) {
 	fc := flash.DefaultConfig()
 	fc.BlocksPerPlane = 128
 	cfg := core.DefaultConfig(ftl.WithFlash(fc))
@@ -75,7 +75,7 @@ func serviceOpsBody(b *testing.B, connect func(*almaproto.Server) (*almaproto.Cl
 	}
 	defer arr.Close()
 	svc := service.New(arr)
-	srv := almaproto.NewServiceServer(svc)
+	srv := NewServiceServer(svc)
 	c, cleanup := connect(srv)
 	defer cleanup()
 
@@ -95,7 +95,7 @@ func serviceOpsBody(b *testing.B, connect func(*almaproto.Server) (*almaproto.Cl
 	)
 	data := benchPage(1, arr.PageSize())
 	ops := make([]service.BatchOp, batchOps)
-	var pending []*almaproto.PendingBatch
+	var pending []*PendingBatch
 	drainOne := func() {
 		results, err := pending[0].Wait()
 		if err != nil {
@@ -136,4 +136,14 @@ func serviceOpsBody(b *testing.B, connect func(*almaproto.Server) (*almaproto.Cl
 	for len(pending) > 0 {
 		drainOne()
 	}
+}
+
+// benchPage builds a dense compressible page (small-alphabet bytes).
+func benchPage(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(rng.Intn(8)) // compressible
+	}
+	return p
 }

@@ -46,18 +46,15 @@ type Config struct {
 	// Shards is the number of TimeSSD devices in the array (≥ 1).
 	Shards int
 
-	// QueueDepth is the buffered capacity of each shard's submission
-	// queue. Submission blocks when the queue is full (host-side
-	// backpressure, like a full NVMe SQ).
-	QueueDepth int
-
 	// Shard configures each member device. All shards share one geometry:
 	// uniform stripes keep the LPA mapping a pure mod/div pair.
 	Shard core.Config
 }
 
-// DefaultQueueDepth is used when Config.QueueDepth is zero.
-const DefaultQueueDepth = 64
+// queueDepth is the buffered capacity of each shard's submission queue.
+// Submission blocks when the queue is full (host-side backpressure, like a
+// full NVMe SQ).
+const queueDepth = 64
 
 // opKind identifies a queued command.
 type opKind uint8
@@ -182,9 +179,6 @@ func New(cfg Config) (*Array, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("array: need at least 1 shard, got %d", cfg.Shards)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	a := &Array{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		dev, err := core.New(cfg.Shard)
@@ -205,7 +199,7 @@ func Assemble(devs []*core.TimeSSD) (*Array, error) {
 	if len(devs) == 0 {
 		return nil, errors.New("array: no shards")
 	}
-	a := &Array{cfg: Config{Shards: len(devs), QueueDepth: DefaultQueueDepth, Shard: devs[0].Config()}}
+	a := &Array{cfg: Config{Shards: len(devs), Shard: devs[0].Config()}}
 	for i, dev := range devs {
 		if dev.LogicalPages() != devs[0].LogicalPages() || dev.PageSize() != devs[0].PageSize() {
 			a.stopWorkers()
@@ -222,7 +216,7 @@ func (a *Array) addShard(dev *core.TimeSSD) {
 		id:  len(a.shards),
 		dev: dev,
 		kit: timekits.New(dev),
-		sq:  make(chan *Cmd, a.cfg.QueueDepth),
+		sq:  make(chan *Cmd, queueDepth),
 	}
 	dev.Obs().SetShard(s.id)
 	s.snap.Store(snapshotOf(dev))

@@ -38,35 +38,95 @@ func TestReadAllocs(t *testing.T) {
 }
 
 // TestVersionsAllocs pins the steady-state allocation budget of the version
-// query path at exactly one allocation per call: the returned []Version
-// slice, which the API contract hands to the caller. Version.Data entries
-// alias device storage (see Versions), so the payload bytes cost nothing.
+// query path. Over retained raw pages it is exactly one allocation per call:
+// the returned []Version slice, which the API contract hands to the caller
+// (Version.Data entries alias device storage, see Versions). Over an
+// idle-compressed, flushed 16-version chain (BenchmarkVersionsQuery's shape)
+// every delta decodes into a buffer of its own because the 15 results must
+// coexist; with the result slice and its one doubling past 8 that is 17.
 func TestVersionsAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
 	}
-	d := newTiny(t, nil)
-	at := vclock.Time(0)
 	const pages = 8
-	for round := 0; round < 4; round++ {
-		for lpa := uint64(0); lpa < pages; lpa++ {
-			at = at.Add(vclock.Second)
-			done, err := d.Write(lpa, versionPage(d, lpa, round), at)
+	measure := func(rounds int, compress bool) float64 {
+		d := newTiny(t, func(c *Config) { c.MinRetention = vclock.Day })
+		at := vclock.Time(0)
+		for round := 0; round < rounds; round++ {
+			for lpa := uint64(0); lpa < pages; lpa++ {
+				at = at.Add(vclock.Second)
+				done, err := d.Write(lpa, versionPage(d, lpa, round), at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = done
+			}
+		}
+		if compress {
+			d.Idle(at, at.Add(vclock.Hour))
+			done, err := d.FlushDeltas(at.Add(vclock.Hour))
 			if err != nil {
 				t.Fatal(err)
 			}
 			at = done
+			if c := d.Counters(); c.IdleCompressions == 0 || c.DeltaPagesWritten == 0 {
+				t.Fatalf("idle pass compressed %d pages into %d delta pages: no chains to walk", c.IdleCompressions, c.DeltaPagesWritten)
+			}
 		}
+		lpa := uint64(0)
+		return testing.AllocsPerRun(200, func() {
+			vers, _, err := d.Versions(lpa, at)
+			if err != nil || len(vers) != rounds {
+				t.Fatalf("Versions(%d) = %d versions, %v; want %d", lpa, len(vers), err, rounds)
+			}
+			lpa = (lpa + 1) % pages
+		})
 	}
-	lpa := uint64(0)
-	n := testing.AllocsPerRun(200, func() {
-		if _, _, err := d.Versions(lpa, at); err != nil {
+	if n := measure(4, false); n > 1 {
+		t.Fatalf("Versions allocates %.2f times per call over raw retained pages, want <= 1 (the result slice)", n)
+	}
+	if n := measure(16, true); n > 17 {
+		t.Fatalf("Versions allocates %.2f times per call over a 16-version delta chain, want <= 17 (15 decoded versions, the slice and its doubling)", n)
+	}
+}
+
+// TestWriteAllocs pins the host write path below one allocation per call in
+// steady state. AllocsPerRun truncates the mean, as allocs/op does: the
+// write itself allocates nothing, and each delta GC emits costs a payload
+// and a buffer entry, 0.1-0.3 per write amortised. The device and write
+// stream are BenchmarkSimOpsPerSecond's (pre-generated similar content
+// cycling over half the logical space), measured after three passes so the
+// timed writes run with GC, delta compression and delta-page flushes active.
+func TestWriteAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("almanacdebug shadow assertions allocate")
+	}
+	d := simDevice(t)
+	content := simContent(d)
+	workSet := uint64(d.LogicalPages()) / 2
+	at := vclock.Time(0)
+	writes := uint64(0)
+	write := func() {
+		lpa := writes % workSet
+		done, err := d.Write(lpa, content(int(writes/workSet), lpa), at)
+		if err != nil {
 			t.Fatal(err)
 		}
-		lpa = (lpa + 1) % pages
-	})
-	if n > 1 {
-		t.Fatalf("Versions allocates %.2f times per call in steady state, want <= 1 (the result slice)", n)
+		at = done.Add(vclock.Microsecond)
+		writes++
+	}
+	for writes < 3*workSet {
+		write()
+	}
+	before := d.Counters()
+	n := testing.AllocsPerRun(int(workSet/4), write)
+	after := d.Counters()
+	if after.GCRuns == before.GCRuns || after.DeltasCreated == before.DeltasCreated || after.DeltaPagesWritten == before.DeltaPagesWritten {
+		t.Fatalf("measured writes ran without GC (%d runs), delta compression (%d) or delta flushes (%d)",
+			after.GCRuns-before.GCRuns, after.DeltasCreated-before.DeltasCreated, after.DeltaPagesWritten-before.DeltaPagesWritten)
+	}
+	if n != 0 {
+		t.Fatalf("Write allocates %.2f times per call in steady state, want 0", n)
 	}
 }
 

@@ -25,15 +25,15 @@ type callTarget struct {
 // matrix: raw flash program/erase/charge operations are reachable only
 // from the FTL and core layers, and TimeSSD mutation entry points are
 // reachable (among internal packages) only from the layers that legitimately
-// drive a device: the array, TimeKits, the harness, the file-system
-// simulator, and the benchmark bodies. Everything else — the wire protocol
-// included, which serves even a single device as a 1-shard array — must go
-// through the ftl.Device interface or the array, so that instrumentation,
-// striping and the shard worker's ownership of its device cannot be
-// bypassed. The multi-tenant volume layer adds two more boundaries: tenant
-// mutation and lifecycle calls enter only through the wire protocol,
-// harness, or bench, and the array-wide retention bound reaches member
-// devices only through the array's fan-out.
+// drive a device: the array, TimeKits, the harness and the file-system
+// simulator. Everything else — the wire protocol included, which serves
+// even a single device as a 1-shard array — must go through the ftl.Device
+// interface or the array, so that instrumentation, striping and the shard
+// worker's ownership of its device cannot be bypassed. The multi-tenant
+// volume layer adds two more boundaries: tenant mutation and lifecycle
+// calls enter only through the wire protocol or the harness, and the
+// array-wide retention bound reaches member devices only through the
+// array's fan-out.
 var layers = []callTarget{
 	{
 		pkg: "flash", typ: "Array",
@@ -44,7 +44,7 @@ var layers = []callTarget{
 	{
 		pkg: "core", typ: "TimeSSD",
 		methods:      set("Write", "Trim", "Idle", "SetFaults"),
-		allowed:      set("array", "timekits", "harness", "fsim", "bench"),
+		allowed:      set("array", "timekits", "harness", "fsim"),
 		boundary:     "TimeSSD mutation entry points",
 		internalOnly: true,
 	},
@@ -60,20 +60,20 @@ var layers = []callTarget{
 	},
 	{
 		// Tenant I/O must enter through a checked volume handle: the
-		// wire protocol, the harness fleet, and the benchmark bodies.
-		// Anything else would bypass extent bounds and window checks.
+		// wire protocol and the harness fleet. Anything else would bypass
+		// extent bounds and window checks.
 		// StartBatch is the split-submission form the server's writer
 		// goroutine completes — same boundary as Batch.
 		pkg: "service", typ: "Volume",
 		methods:      set("Write", "Trim", "Batch", "StartBatch", "RollBack"),
-		allowed:      set("almaproto", "harness", "bench"),
+		allowed:      set("almaproto", "harness"),
 		boundary:     "volume tenant mutation entry points",
 		internalOnly: true,
 	},
 	{
 		pkg: "service", typ: "Service",
 		methods:      set("Create", "Delete"),
-		allowed:      set("almaproto", "harness", "bench"),
+		allowed:      set("almaproto", "harness"),
 		boundary:     "volume lifecycle entry points",
 		internalOnly: true,
 	},

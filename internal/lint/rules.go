@@ -54,7 +54,7 @@ var Rules = []Rule{
 	},
 	{
 		ID:      "layering",
-		Doc:     "raw flash ops only from ftl/core; core mutation entry points only from array/timekits/harness/fsim/bench; volume mutation and lifecycle only from almaproto/harness/bench",
+		Doc:     "raw flash ops only from ftl/core; core mutation entry points only from array/timekits/harness/fsim; volume mutation and lifecycle only from almaproto/harness",
 		Package: checkLayering,
 	},
 	{

@@ -58,7 +58,7 @@ func DirectRetention(dev *core.TimeSSD) {
 }
 
 // TenantBypass mutates a volume and its lifecycle from outside the wire
-// protocol / harness / bench layer set.
+// protocol / harness layer set.
 func TenantBypass(svc *service.Service, v *service.Volume, at vclock.Time) error {
 	if _, err := v.Write(0, []byte("x"), at); err != nil { // want layering
 		return err
