@@ -3,7 +3,9 @@ package almaproto
 import (
 	"math/rand"
 	"net"
+	"sort"
 	"testing"
+	"time"
 
 	"almanac/internal/array"
 	"almanac/internal/core"
@@ -20,7 +22,7 @@ import (
 // flight, so the number reflects the pipelined path almanacd serves — not
 // a request/response ping-pong.
 func BenchmarkServiceOpsPerSec(b *testing.B) {
-	serviceOpsBody(b, func(srv *Server) (*Client, func()) {
+	serviceOpsBody(b, func(_ *testing.B, srv *Server) (*Client, func()) {
 		cliEnd, srvEnd := net.Pipe()
 		go srv.ServeOne(srvEnd)
 		c := NewClient(cliEnd)
@@ -37,34 +39,42 @@ func BenchmarkServiceOpsPerSec(b *testing.B) {
 // (fewer syscalls, fewer wakeups). This variant puts the kernel back in
 // the path so the coalesced flush shows up.
 func BenchmarkServiceOpsPerSecTCP(b *testing.B) {
-	serviceOpsBody(b, func(srv *Server) (*Client, func()) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func() {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			srv.ServeOne(conn)
-		}()
-		c, err := Dial(ln.Addr().String())
-		if err != nil {
-			_ = ln.Close()
-			b.Fatal(err)
-		}
-		return c, func() {
-			_ = c.Close()
-			_ = ln.Close()
-		}
-	})
+	serviceOpsBody(b, dialLoopback)
 }
 
-// serviceOpsBody is the shared benchmark body: connect builds a client
-// over the transport under test against the given server and returns a
-// cleanup.
-func serviceOpsBody(b *testing.B, connect func(*Server) (*Client, func())) {
+// dialLoopback serves srv on one accepted loopback TCP connection and
+// dials it.
+func dialLoopback(b *testing.B, srv *Server) (*Client, func()) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		srv.ServeOne(conn)
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		_ = ln.Close()
+		b.Fatal(err)
+	}
+	return c, func() {
+		_ = c.Close()
+		_ = ln.Close()
+	}
+}
+
+// benchVolPages is the size of the volume benchVolume attaches.
+const benchVolPages = 2048
+
+// benchVolume builds the served stack — a 4-shard array, the volume
+// service, a server — connects a client to it over the transport under
+// test, and creates and attaches a volume at virtual time one hour.
+// Everything is torn down when the benchmark ends.
+func benchVolume(b *testing.B, connect func(*testing.B, *Server) (*Client, func())) (c *Client, volID uint32, pageSize int) {
 	fc := flash.DefaultConfig()
 	fc.BlocksPerPlane = 128
 	cfg := core.DefaultConfig(ftl.WithFlash(fc))
@@ -73,27 +83,73 @@ func serviceOpsBody(b *testing.B, connect func(*Server) (*Client, func())) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer arr.Close()
-	svc := service.New(arr)
-	srv := NewServiceServer(svc)
-	c, cleanup := connect(srv)
-	defer cleanup()
-
-	const volPages = 2048
+	b.Cleanup(func() { _ = arr.Close() })
+	c, cleanup := connect(b, NewServiceServer(service.New(arr)))
+	b.Cleanup(cleanup)
 	t0 := vclock.Time(vclock.Hour)
-	if _, err := c.VolCreate("bench", "key", volPages, 0, t0); err != nil {
+	if _, err := c.VolCreate("bench", "key", benchVolPages, 0, t0); err != nil {
 		b.Fatal(err)
 	}
 	info, err := c.VolAttach("bench", "key", t0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c, info.ID, arr.PageSize()
+}
 
+// BenchmarkServedQD1TCP is benchmark/'s served-qd1 as a micro: one op per
+// OpBatch frame, one frame in flight, over loopback TCP — alternately a
+// 4 KiB write and a read of the page just written. Nothing batches or
+// coalesces, so ns/op is the cost of the path itself: syscalls, goroutine
+// hand-offs and wake-ups around ~2 µs of device work. p50 and p95 of the
+// round trip are reported beside the mean because the hand-off cost is
+// bimodal (a cold wake-up is several times a warm one).
+func BenchmarkServedQD1TCP(b *testing.B) {
+	c, volID, pageSize := benchVolume(b, dialLoopback)
+	data := benchPage(1, pageSize)
+	at := vclock.Time(vclock.Hour).Add(vclock.Second)
+	ops := make([]service.BatchOp, 1)
+	lat := make([]int64, 0, b.N)
+	b.SetBytes(int64(pageSize))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lpa := uint64(i/2) % benchVolPages
+		if i%2 == 0 {
+			ops[0] = service.BatchOp{Kind: service.KindWrite, LPA: lpa, Data: data, At: at}
+		} else {
+			ops[0] = service.BatchOp{Kind: service.KindRead, LPA: lpa, At: at}
+		}
+		at = at.Add(vclock.Millisecond)
+		t0 := time.Now()
+		pb, err := c.SubmitBatch(volID, ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := pb.Wait()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[0].Err != nil {
+			b.Fatal(res[0].Err)
+		}
+		lat = append(lat, int64(time.Since(t0)))
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(float64(lat[len(lat)/2])/1e3, "p50-µs")
+	b.ReportMetric(float64(lat[len(lat)*95/100])/1e3, "p95-µs")
+}
+
+// serviceOpsBody is the shared benchmark body: connect builds a client
+// over the transport under test against the given server and returns a
+// cleanup.
+func serviceOpsBody(b *testing.B, connect func(*testing.B, *Server) (*Client, func())) {
+	c, volID, pageSize := benchVolume(b, connect)
 	const (
 		batchOps = 16 // ops per batch frame
 		inflight = 8  // batch frames kept in flight
 	)
-	data := benchPage(1, arr.PageSize())
+	data := benchPage(1, pageSize)
 	ops := make([]service.BatchOp, batchOps)
 	var pending []*PendingBatch
 	drainOne := func() {
@@ -109,9 +165,9 @@ func serviceOpsBody(b *testing.B, connect func(*Server) (*Client, func())) {
 		pending = pending[1:]
 	}
 
-	at := t0.Add(vclock.Second)
+	at := vclock.Time(vclock.Hour).Add(vclock.Second)
 	seq := uint64(0)
-	b.SetBytes(int64(arr.PageSize()))
+	b.SetBytes(int64(pageSize))
 	b.ResetTimer()
 	for n := 0; n < b.N; {
 		k := batchOps
@@ -119,11 +175,11 @@ func serviceOpsBody(b *testing.B, connect func(*Server) (*Client, func())) {
 			k = rem
 		}
 		for i := 0; i < k; i++ {
-			ops[i] = service.BatchOp{Kind: service.KindWrite, LPA: seq % volPages, Data: data, At: at}
+			ops[i] = service.BatchOp{Kind: service.KindWrite, LPA: seq % benchVolPages, Data: data, At: at}
 			seq++
 			at = at.Add(vclock.Millisecond)
 		}
-		pb, err := c.SubmitBatch(info.ID, ops[:k])
+		pb, err := c.SubmitBatch(volID, ops[:k])
 		if err != nil {
 			b.Fatal(err)
 		}

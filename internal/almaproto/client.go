@@ -32,17 +32,20 @@ type Client struct {
 	window     int    // server-advertised in-flight window (v4)
 	maxVersion uint32 // negotiation cap; 0 means CurrentVersion (tests lower it)
 
-	// Tagged (v4) transport state; see client_async.go.
+	// Tagged (v4) transport state; see client_async.go. rtoken (cap 1,
+	// created with the transport) holds the reader token: whoever takes it
+	// is the one goroutine reading conn.
 	pmu     sync.Mutex
 	tagged  bool
 	nextID  uint64
 	pend    map[uint64]chan response
 	pfree   []*rawPending // recycled pendings (with their channels)
 	readErr error
+	rtoken  chan struct{}
 
-	// Frame pools: request frames cycle submit → writer flush → release;
-	// response frames cycle demux → typed wait → release. w is the tagged
-	// transport's coalescing writer.
+	// Frame pools: request frames cycle submit → flush → release; response
+	// frames cycle reading waiter → typed wait → release. w is the tagged
+	// transport's send queue.
 	reqPool  framePool
 	respPool framePool
 	w        *sendQueue[*frameBuf]
@@ -62,9 +65,10 @@ func NewClient(conn io.ReadWriteCloser) *Client { return &Client{conn: conn} }
 
 // Close shuts the connection. On a tagged connection it also stops the
 // writer goroutine and waits for it, so every in-flight Wait observes a
-// typed ErrConnClosed failure (from the demux reader hitting the closed
-// connection) rather than hanging — closing mid-coalesced-flush is safe:
-// the blocked Write fails, the writer fails all pendings, and exits.
+// typed ErrConnClosed failure (from whichever waiter is reading, or next
+// reads, the closed connection) rather than hanging — closing
+// mid-coalesced-flush is safe: the blocked Write fails, the writer fails
+// all pendings, and exits.
 func (c *Client) Close() error {
 	err := c.conn.Close()
 	c.stopWriter()
@@ -103,8 +107,8 @@ func (c *Client) begin(op Op) reqBuf {
 }
 
 // send issues a built request and returns its pending completion. On the
-// tagged transport the frame is queued for the writer and the completion
-// arrives through demux, in any order. On the lockstep transport the
+// tagged transport the frame goes to the send queue and the completion is
+// read by whichever waiter holds the reader token, in any order. On the lockstep transport the
 // round trip happens here, one at a time under c.mu, and the pending
 // returned has already completed.
 func (c *Client) send(rq *reqBuf) (*rawPending, error) {

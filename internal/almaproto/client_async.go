@@ -3,7 +3,6 @@ package almaproto
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"almanac/internal/obs"
 	"almanac/internal/service"
@@ -11,19 +10,32 @@ import (
 )
 
 // Tagged (v4) client transport: submissions carry a client-chosen request
-// ID, a reader goroutine demuxes completions — which arrive in whatever
-// order the server finishes them — to their submitters, and the typed
-// Submit*/Wait surface plus the Pipeline helper expose the pipelining to
-// callers. Synchronous methods are the same submissions followed by the
-// same waits.
+// ID, completions arrive in whatever order the server finishes them, and
+// the typed Submit*/Wait surface exposes the pipelining to callers.
+// Synchronous methods are the same submissions followed by the same waits.
+//
+// The waiter is the reader. There is no goroutine parked on the socket on
+// the client's behalf: a connection has one reader token (Client.rtoken),
+// a Wait whose completion has not arrived takes it and reads the socket
+// itself, routes every frame it reads to the pending it belongs to, and
+// puts the token back the moment its own completion is in. Waiters block
+// on their own completion or the token, whichever comes first, so a
+// completion some other waiter delivered is never stuck behind that
+// waiter's own wait. A synchronous call therefore wakes no goroutine at
+// this end: the caller writes its request (see sendQueue: a frame alone on
+// its connection is flushed by its producer) and then blocks in the read
+// for the answer. A consequence worth knowing: nothing drains the socket
+// while no Wait is outstanding, so completions sit in the transport until
+// someone asks for one, and a dead connection is noticed by the next
+// Submit* or Wait rather than in the background.
 //
 // The data path is pooled and coalesced end to end: request frames are
 // built header-first in pooled buffers, handed to the connection's
-// sendQueue — the writer goroutine that drains every queued frame into a
-// single Write per wakeup — and recycled once flushed; response frames
-// are read into a second pool, decoded in place by the waits, and
-// recycled there. Steady-state submission therefore allocates nothing on
-// the transport.
+// sendQueue — under load, the writer goroutine that drains every queued
+// frame into a single Write per wakeup — and recycled once flushed;
+// response frames are read into a second pool, decoded in place by the
+// waits, and recycled there. Steady-state submission therefore allocates
+// nothing on the transport.
 
 // response is one completion: a decoder positioned past the status byte,
 // or one whose sticky err is the typed failure (a RemoteError, or what
@@ -71,18 +83,27 @@ func (r *response) finish() error {
 
 // rawPending is one in-flight submission. Pendings (and their completion
 // channels) are recycled through Client.pfree: exactly one response is
-// ever sent per lease — demux removes the channel from the pending map
-// before sending, and failPending swaps the whole map — so once wait
-// consumes it the pending is clean for reuse.
+// ever produced per lease — the reader removes the channel from the
+// pending map before delivering, and failPending swaps the whole map — so
+// once wait has it the pending is clean for reuse.
 type rawPending struct {
 	c  *Client
-	ch chan response
+	ch chan response // cap 1: a delivery never blocks the reader
 }
 
-// wait blocks for the completion and recycles the pending.
+// wait blocks for the completion and recycles the pending. If the
+// completion is not in yet and nobody is reading the connection, wait
+// becomes the reader. (On the lockstep transport rtoken is nil and the
+// completion is already in ch.)
 func (p *rawPending) wait() response {
-	r := <-p.ch
 	c := p.c
+	var r response
+	select {
+	case r = <-p.ch:
+	case <-c.rtoken:
+		r = c.readFor(p)
+		c.rtoken <- struct{}{} // never blocks: cap 1, and the token was ours
+	}
 	c.pmu.Lock()
 	c.pfree = append(c.pfree, p)
 	c.pmu.Unlock()
@@ -107,10 +128,12 @@ func (c *Client) isTagged() bool {
 	return c.tagged
 }
 
-// enableTagged flips the connection to the tagged transport (idempotent)
-// and starts the demux reader plus the coalescing writer. Called by
-// Identify once v4 is agreed.
+// enableTagged flips the connection to the tagged transport (idempotent):
+// it puts the reader token in place and starts the coalescing writer.
+// Called by Identify once v4 is agreed.
 func (c *Client) enableTagged() {
+	rtoken := make(chan struct{}, 1)
+	rtoken <- struct{}{}
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	if c.tagged {
@@ -119,17 +142,20 @@ func (c *Client) enableTagged() {
 	c.tagged = true
 	c.nextID = 1
 	c.pend = make(map[uint64]chan response)
+	c.rtoken = rtoken
 	// A flush failure fails every in-flight submission with a typed
 	// ErrConnClosed; the queue drains later frames without writing, so
-	// submitters never hang on a dead connection.
+	// submitters never hang on a dead connection. The framing is lost, so
+	// the connection is closed too: the waiter that is reading it has its
+	// failure delivered like the others, and this is what wakes it.
 	c.w = newSendQueue(c.conn, &c.reqPool, nil,
 		func(fb *frameBuf) *frameBuf { return fb },
 		func(_ int, err error) {
 			if err != nil {
 				c.failPending(fmt.Errorf("%w: %w", ErrConnClosed, err))
+				_ = c.conn.Close() // the write error is the one reported
 			}
 		})
-	go c.demux()
 }
 
 // stopWriter stops the coalescing writer once its queue is drained and
@@ -143,11 +169,19 @@ func (c *Client) stopWriter() {
 	}
 }
 
-// demux owns the read side of a tagged connection: it routes every
-// completion to its submitter by request ID and, on transport failure,
-// fails every outstanding submission with the same error and shuts the
+// readFor is the reader's role, played by the waiter on p while it holds
+// the reader token: read completions and route each to its submitter by
+// request ID until p's own is in. Every delivery is a send on a cap-1
+// channel that nothing else sends to, so the reader never blocks on
+// another waiter. On transport failure it fails every outstanding
+// submission — p included — with the same typed error and shuts the
 // writer down.
-func (c *Client) demux() {
+func (c *Client) readFor(p *rawPending) response {
+	select {
+	case r := <-p.ch: // delivered by an earlier reader, or failed
+		return r
+	default:
+	}
 	for {
 		fb, err := readFrameInto(c.conn, &c.respPool, nil)
 		if err != nil {
@@ -159,18 +193,21 @@ func (c *Client) demux() {
 		if err != nil {
 			c.failPending(err)
 			go c.stopWriter()
-			return
+			return <-p.ch // failPending put it there — or an earlier failure already had
 		}
 		reqID := binary.LittleEndian.Uint64(fb.b)
 		c.pmu.Lock()
 		ch := c.pend[reqID]
 		delete(c.pend, reqID)
 		c.pmu.Unlock()
-		if ch == nil {
-			c.respPool.release(fb)
-			continue // completion for an abandoned submission
+		switch ch {
+		case nil:
+			c.respPool.release(fb) // completion for an abandoned submission
+		case p.ch:
+			return completion(c, fb.b, 8, fb)
+		default:
+			ch <- completion(c, fb.b, 8, fb)
 		}
-		ch <- completion(c, fb.b, 8, fb)
 	}
 }
 
@@ -204,11 +241,12 @@ func (c *Client) submitFrame(fb *frameBuf, frame []byte) (*rawPending, error) {
 	reqID := c.nextID
 	c.nextID++
 	p := c.leasePending()
+	alone := len(c.pend) == 0 // every earlier submission's completion has been read
 	c.pend[reqID] = p.ch
 	c.pmu.Unlock()
 	binary.LittleEndian.PutUint64(fb.b[4:], reqID)
 
-	if !c.w.enqueue(fb) {
+	if !c.w.enqueue(fb, alone) {
 		// Connection closed under us. failPending may already have taken
 		// our channel (and will send to it); only recycle the pending if
 		// the registration is still ours to remove.
@@ -547,140 +585,4 @@ func (c *Client) VolRollBack(volID uint32, t, at vclock.Time) (int, vclock.Time,
 	rq.time(t)
 	rq.time(at)
 	return c.changed(&rq, at)
-}
-
-// ---- pipeline --------------------------------------------------------------
-
-// Pipeline keeps a bounded number of submissions in flight on a tagged
-// connection: each Read/Write/Trim call submits immediately and blocks
-// only when the window is full, completions are collected by per-op
-// goroutines as they arrive (in any order), and Flush waits for the tail.
-// The first error is sticky: it fails the pipeline and every later call.
-// Read completion callbacks run on collector goroutines — they must be
-// safe to call concurrently. A Pipeline is safe for use from one
-// submitting goroutine.
-type Pipeline struct {
-	c     *Client
-	slots chan struct{}
-	wg    sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewPipeline builds a pipeline over the client's tagged connection.
-// window <= 0 uses the server-advertised in-flight window.
-func (c *Client) NewPipeline(window int) (*Pipeline, error) {
-	if err := c.ensureTagged(OpBatch); err != nil {
-		return nil, err
-	}
-	if window <= 0 {
-		window = c.Window()
-	}
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	return &Pipeline{c: c, slots: make(chan struct{}, window)}, nil
-}
-
-func (p *Pipeline) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// Err returns the pipeline's sticky error.
-func (p *Pipeline) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// acquire takes a window slot unless the pipeline already failed.
-func (p *Pipeline) acquire() error {
-	if err := p.Err(); err != nil {
-		return err
-	}
-	p.slots <- struct{}{}
-	return nil
-}
-
-// collect spawns the completion collector for one submission.
-func collect[T any](p *Pipeline, wait func() (T, error), fn func(T, error)) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		v, err := wait()
-		if err != nil {
-			p.fail(err)
-		}
-		if fn != nil {
-			fn(v, err)
-		}
-		<-p.slots
-	}()
-}
-
-// Write pipelines a write; completion errors surface through Flush.
-func (p *Pipeline) Write(lpa uint64, data []byte, at vclock.Time) error {
-	if err := p.acquire(); err != nil {
-		return err
-	}
-	w, err := p.c.SubmitWrite(lpa, data, at)
-	if err != nil {
-		<-p.slots
-		p.fail(err)
-		return err
-	}
-	collect(p, w.Wait, nil)
-	return nil
-}
-
-// ReadResult is one pipelined read completion.
-type ReadResult struct {
-	Data []byte
-	Done vclock.Time
-}
-
-// Read pipelines a read; fn (optional) receives the completion on a
-// collector goroutine.
-func (p *Pipeline) Read(lpa uint64, at vclock.Time, fn func(ReadResult, error)) error {
-	if err := p.acquire(); err != nil {
-		return err
-	}
-	r, err := p.c.SubmitRead(lpa, at)
-	if err != nil {
-		<-p.slots
-		p.fail(err)
-		return err
-	}
-	collect(p, func() (ReadResult, error) {
-		data, done, err := r.Wait()
-		return ReadResult{Data: data, Done: done}, err
-	}, fn)
-	return nil
-}
-
-// Trim pipelines a trim; completion errors surface through Flush.
-func (p *Pipeline) Trim(lpa uint64, at vclock.Time) error {
-	if err := p.acquire(); err != nil {
-		return err
-	}
-	t, err := p.c.SubmitTrim(lpa, at)
-	if err != nil {
-		<-p.slots
-		p.fail(err)
-		return err
-	}
-	collect(p, t.Wait, nil)
-	return nil
-}
-
-// Flush waits for every in-flight submission and returns the pipeline's
-// first error. The pipeline remains usable after a clean Flush.
-func (p *Pipeline) Flush() error {
-	p.wg.Wait()
-	return p.Err()
 }

@@ -40,10 +40,13 @@ func (fb *frameBuf) stale(gen uint32) bool { return fb.gen != gen || fb.free }
 
 // framePool is a mutex-guarded free list of frame buffers. Pools are
 // per-connection (or per-client direction), so the mutex is uncontended
-// relative to the I/O it amortises.
+// relative to the I/O it amortises. leased counts buffers out on lease:
+// it is zero whenever the connection is quiescent, which is how tests
+// prove a failure path stranded nothing.
 type framePool struct {
-	mu   sync.Mutex
-	free []*frameBuf
+	mu     sync.Mutex
+	free   []*frameBuf
+	leased int
 }
 
 // acquire leases a buffer with len(b) == n, allocating only when the free
@@ -56,6 +59,7 @@ func (p *framePool) acquire(n int) *frameBuf {
 		p.free[k-1] = nil
 		p.free = p.free[:k-1]
 	}
+	p.leased++
 	p.mu.Unlock()
 	if fb == nil {
 		fb = &frameBuf{}
@@ -80,6 +84,7 @@ func (p *framePool) release(fb *frameBuf) {
 	fb.gen++
 	p.mu.Lock()
 	p.free = append(p.free, fb)
+	p.leased--
 	p.mu.Unlock()
 }
 

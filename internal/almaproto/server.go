@@ -21,17 +21,18 @@ import (
 // the bare device would (array.TestOneShardArrayIsIdentity).
 //
 // Locking model: the server holds no lock around a command. Block I/O and
-// the array-wide TimeKits go straight to the array, which routes every
-// command through its per-shard worker queues: a shard's worker is that
-// device's one command interpreter, so commands to one shard serialise
-// exactly as they would on the paper's board — a long TimeQueryAll
-// occupies the firmware (§3.9) and delays what queues behind it on the
-// same shard — while commands to different shards run in parallel.
-// Identify and Stats read the lock-free per-shard snapshots and never
-// queue. Bytes a command returns are copies the array made on the worker,
-// so encoding them after the worker has moved on is safe. The volume
-// opcodes go to the service, which guards its catalogue with its own
-// mutex and reaches the devices only through the same queues.
+// the array-wide TimeKits go straight to the array, where one goroutine at
+// a time executes on a shard — its worker, or a synchronous caller that
+// found it idle: a shard is that device's one command interpreter, so
+// commands to one shard serialise exactly as they would on the paper's
+// board — a long TimeQueryAll occupies the firmware (§3.9) and delays what
+// queues behind it on the same shard — while commands to different shards
+// run in parallel. Identify and Stats read the published per-shard
+// snapshots and never queue. Bytes a command returns are copies the array
+// made while the shard was held, so encoding them after the shard has
+// moved on is safe. The volume opcodes go to the service, which guards its
+// catalogue with its own mutex and reaches the devices only through the
+// array.
 //
 // Connections are handled concurrently; the protocol layer (framing,
 // decode, encode) is lock-free, and per-connection state is the
@@ -245,19 +246,31 @@ func (s *Server) ServeOne(conn io.ReadWriter) {
 // serveTagged is the v4 transport loop, split into a reader (this
 // goroutine) and a completion-draining writer (sendQueue): the reader
 // pulls tagged frames into pooled buffers, OpBatch frames take a fast
-// path that submits every op to the shard queues in one pass, every
-// other opcode dispatches on its own goroutine, and all completions
-// funnel through the writer, which flushes everything ready in as few
-// Writes as possible. The in-flight window is a semaphore acquired
-// before dispatching: when the window is full the loop stops reading,
-// and the transport's flow control backpressures the submitter (a full
-// NVMe submission queue); the writer releases a slot per frame flushed.
+// path that submits every op to its shard in one pass, every other opcode
+// dispatches on its own goroutine, and all completions funnel through the
+// sendQueue, whose writer goroutine flushes everything ready in as few
+// Writes as possible. The in-flight window is a semaphore acquired before
+// dispatching: when the window is full the loop stops reading, and the
+// transport's flow control backpressures the submitter (a full NVMe
+// submission queue); a slot is released per frame flushed.
+//
+// A frame alone on its connection — the window holds its slot and no
+// other — is flushed by whoever produced its completion instead of by the
+// writer (see sendQueue for why alone is the condition). For a one-op
+// OpBatch that producer is this goroutine, and the op itself runs here
+// when its shard is idle (service.StartBatch), so a synchronous client's
+// request is read, executed, encoded and written by the one goroutine
+// that was blocked on its socket, waking nobody. A multi-op batch is
+// still executing on the shard workers when the reader has submitted it,
+// so it always goes to the writer: the reader never waits for a shard it
+// has queued work on.
 //
 // On read error (peer gone, or the Shutdown drain deadline) the loop
 // waits for every in-flight dispatch, then stops the writer, which
 // drains and flushes every queued completion before exiting — graceful
-// shutdown drains pipelined requests instead of dropping them. This is
-// what lets almanacd save shard images knowing no command is still
+// shutdown drains pipelined requests instead of dropping them (a frame
+// the reader flushed itself was on the wire before it read again). This
+// is what lets almanacd save shard images knowing no command is still
 // mutating the device.
 func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
 	wire := &obs.WireStats{}
@@ -284,7 +297,9 @@ func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
 		}
 		reqID := binary.LittleEndian.Uint64(fb.b)
 		slots <- struct{}{}
-		if len(fb.b) > 8 && Op(fb.b[8]) == OpBatch && tc.tryBatch(reqID, fb) {
+		// Only this goroutine adds to slots, so a length of one means the
+		// frame just read is the only one in flight on the connection.
+		if len(fb.b) > 8 && Op(fb.b[8]) == OpBatch && tc.tryBatch(reqID, fb, len(slots) == 1) {
 			continue
 		}
 		wg.Add(1)
@@ -299,7 +314,7 @@ func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
 			// every payload decoded by aliasing has been copied into the
 			// device (or the response) by now.
 			tc.reqPool.release(fb)
-			tc.w.enqueue(wireItem{fb: out})
+			tc.w.enqueue(wireItem{fb: out}, len(slots) == 1)
 		}(fb, reqID)
 	}
 	wg.Wait()
@@ -341,12 +356,14 @@ type pendingBatch struct {
 
 // tryBatch is the batch-aware fast path: decode an OpBatch straight out
 // of the pooled request frame (write payloads alias it — zero copies),
-// submit every op to its shard queue in one pass, and hand the pending
-// run to the writer, which completes and flushes it with the rest of the
-// ready output. Returns false — with no side effects — when the frame
-// needs the generic path (malformed, volume not attached), so error
-// responses stay byte-identical with dispatch's.
-func (tc *taggedConn) tryBatch(reqID uint64, fb *frameBuf) bool {
+// submit every op to its shard in one pass, and hand the pending run to
+// the sendQueue: the writer completes and flushes it with the rest of the
+// ready output, unless the frame is alone on the connection and a single
+// op, which the reader completes and flushes itself. Returns false — with
+// no side effects — when the frame needs the generic path (malformed,
+// volume not attached), so error responses stay byte-identical with
+// dispatch's.
+func (tc *taggedConn) tryBatch(reqID uint64, fb *frameBuf, alone bool) bool {
 	var pb *pendingBatch
 	select {
 	case pb = <-tc.free:
@@ -367,15 +384,15 @@ func (tc *taggedConn) tryBatch(reqID uint64, fb *frameBuf) bool {
 	}
 	pb.reqID, pb.fb, pb.gen = reqID, fb, fb.gen
 	vol.StartBatch(ops, &pb.run)
-	tc.w.enqueue(wireItem{pb: pb})
+	tc.w.enqueue(wireItem{pb: pb}, alone && len(ops) == 1)
 	return true
 }
 
-// frameOf is the writer's ready hook. A pending batch is completed here:
-// wait for its shard commands, encode the tagged response into a pooled
-// frame, and release the request frame (safe now: every write payload
-// aliasing it has been programmed into the device arena by the shard
-// workers).
+// frameOf is the sendQueue's ready hook, run by whoever holds the write
+// side. A pending batch is completed here: wait for its shard commands,
+// encode the tagged response into a pooled frame, and release the request
+// frame (safe now: every write payload aliasing it has been programmed
+// into the device arena by whoever executed it).
 func (tc *taggedConn) frameOf(it wireItem) *frameBuf {
 	pb := it.pb
 	if pb == nil {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"almanac/internal/array"
@@ -434,9 +435,9 @@ func TestInteropNewClientOldServer(t *testing.T) {
 				!strings.Contains(err.Error(), "requires protocol v4") {
 				t.Fatalf("SubmitRead against v%d server: %v", sv, err)
 			}
-			if _, err := c.NewPipeline(4); err == nil ||
+			if _, err := c.SubmitBatch(1, nil); err == nil ||
 				!strings.Contains(err.Error(), "requires protocol v4") {
-				t.Fatalf("NewPipeline against v%d server: %v", sv, err)
+				t.Fatalf("SubmitBatch against v%d server: %v", sv, err)
 			}
 			if _, err := c.VolList(); err == nil ||
 				!strings.Contains(err.Error(), "requires protocol v4") {
@@ -449,7 +450,8 @@ func TestInteropNewClientOldServer(t *testing.T) {
 // TestPipelinedClientConcurrency hammers one tagged connection from many
 // goroutines — sync methods and the async surface together — and then
 // verifies every page landed intact. Run under -race this also proves the
-// demux plumbing is clean.
+// reader-token plumbing is clean: whichever caller is waiting reads for
+// all of them.
 func TestPipelinedClientConcurrency(t *testing.T) {
 	c, _ := servicePipe(t)
 	if _, err := c.Identify(); err != nil {
@@ -481,61 +483,65 @@ func TestPipelinedClientConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Verify through a pipeline with completion callbacks.
-	p, err := c.NewPipeline(0) // server-advertised window
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	bad := 0
+	// Verify with every read in flight at once, collected by concurrent
+	// waiters in no particular order.
+	var bad atomic.Int32
 	at := vclock.Time(2 * vclock.Hour)
 	for w := 0; w < workers; w++ {
 		for i := uint64(0); i < pages; i++ {
-			lpa := uint64(w*pages) + i
 			want := byte(w*pages + int(i))
-			if err := p.Read(lpa, at, func(r ReadResult, err error) {
-				if err != nil || len(r.Data) == 0 || r.Data[0] != want {
-					mu.Lock()
-					bad++
-					mu.Unlock()
-				}
-			}); err != nil {
+			r, err := c.SubmitRead(uint64(w*pages)+i, at)
+			if err != nil {
 				t.Fatal(err)
 			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if data, _, err := r.Wait(); err != nil || len(data) == 0 || data[0] != want {
+					bad.Add(1)
+				}
+			}()
 		}
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if bad != 0 {
-		t.Fatalf("%d pipelined reads returned wrong data", bad)
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d pipelined reads returned wrong data", n)
 	}
 }
 
-// TestPipelineSurvivesFlush checks a pipeline stays usable after a clean
-// Flush and that trims ride it too.
-func TestPipelineSurvivesFlush(t *testing.T) {
+// TestSubmitSurvivesDrain checks the async surface stays usable after its
+// submissions have all been collected and that trims ride it too.
+func TestSubmitSurvivesDrain(t *testing.T) {
 	c, _ := servicePipe(t)
-	p, err := c.NewPipeline(4)
-	if err != nil {
+	if _, err := c.Identify(); err != nil {
 		t.Fatal(err)
 	}
 	at := vclock.Time(vclock.Hour)
+	var writes []*PendingWrite
 	for i := uint64(0); i < 8; i++ {
-		if err := p.Write(i, page(c, byte(i+1), 512), at.Add(vclock.Duration(i)*vclock.Second)); err != nil {
+		w, err := c.SubmitWrite(i, page(c, byte(i+1), 512), at.Add(vclock.Duration(i)*vclock.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes = append(writes, w)
+	}
+	for _, w := range writes {
+		if _, err := w.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	var trims []*PendingTrim
 	for i := uint64(0); i < 4; i++ {
-		if err := p.Trim(i, at.Add(vclock.Minute)); err != nil {
+		tr, err := c.SubmitTrim(i, at.Add(vclock.Minute))
+		if err != nil {
 			t.Fatal(err)
 		}
+		trims = append(trims, tr)
 	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+	for _, tr := range trims {
+		if _, err := tr.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if data, _, err := c.Read(0, at.Add(2*vclock.Minute)); err != nil || data[0] != 0 {
 		t.Fatalf("trimmed page: %v %#x, want zeroes", err, data[0])

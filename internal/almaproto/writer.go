@@ -9,29 +9,50 @@ import (
 )
 
 // sendQueue is the output half of a tagged connection, on either end:
-// producers hand it items, a dedicated writer goroutine drains everything
-// queued since its last wakeup, turns each item into a finished wire
-// frame, and flushes the lot with as few Writes as possible — the same
-// batch-drain shape as the array's shard workers, applied to the wire.
+// producers hand it items, and whoever holds the write side turns each
+// item into a finished wire frame and flushes it. Under load that is the
+// dedicated writer goroutine, which drains everything queued since its
+// last wakeup and flushes the lot with as few Writes as possible — the
+// same batch-drain shape as the array's shard workers, applied to the
+// wire. A frame alone on its connection is flushed by its producer
+// instead: enqueue's alone argument says nothing else is in flight on the
+// connection, and if the writer is parked too, the producer takes the
+// write side for that one frame and the writer is never woken. A
+// synchronous request therefore crosses no goroutine on its way out.
+//
+// The deadlock rule is why alone is the condition and not merely "the
+// writer is parked". A producer that writes is a goroutine that is not
+// reading, and on a transport with no buffer (net.Pipe) a Write returns
+// only when the peer reads. Flushing inline whenever the writer is idle
+// hangs a pipelining client: its Submit blocks writing request k until the
+// server reads it, the server's reader is itself blocked writing response
+// 1 until the client reads that, and the client will not read before
+// Submit returns. With nothing else in flight the peer has nothing to
+// write and is certainly reading; in every other state the frame goes to
+// the writer goroutine, which may block without holding up anyone's reads.
 //
 // The client queues built request frames. The server queues wireItems,
 // whose ready hook is where a pending OpBatch is completed (see
-// taggedConn.frameOf), so a batch waits for its shard commands on the
-// writer goroutine and never on the reader.
+// taggedConn.frameOf): under load a batch waits for its shard commands on
+// the writer goroutine and never on the reader.
 //
 // The wake protocol keeps every channel operation outside the queue
 // mutex (the lockorder rule proves this package free of channel ops
-// under locks): enqueue appends under mu, and only the false→true edge
-// of signaled sends the single wake token, so the cap-1 send never
-// blocks and the writer never misses work.
+// under locks). signaled means the write side is held — by the writer,
+// awake or about to be, or by an inline producer; false means the queue
+// is empty and the writer is parked on wake. enqueue appends under mu,
+// and only the false→true edge of signaled sends the single wake token,
+// so the cap-1 send never blocks and the writer never misses work. An
+// inline producer makes that edge without sending the token, and sends it
+// when it is done only if work (or a stop) arrived behind it.
 type sendQueue[T any] struct {
 	conn io.Writer
 	pool *framePool     // flushed frames return here
 	wire *obs.WireStats // transport counters; nil on the client
 	// ready turns a drained item into its finished wire frame; flushed
 	// runs after each drained batch of n items with the flush's failure,
-	// if that flush is the one that failed. Both run on the writer
-	// goroutine.
+	// if that flush is the one that failed. Both run on whoever holds the
+	// write side.
 	ready   func(T) *frameBuf
 	flushed func(n int, err error)
 	wake    chan struct{} // cap 1; at most one token outstanding (signaled)
@@ -42,7 +63,7 @@ type sendQueue[T any] struct {
 	signaled bool
 	stopped  bool
 
-	// Writer-goroutine-owned reusable state.
+	// Reusable state owned by the holder of the write side.
 	batch   []T
 	frames  []*frameBuf
 	scratch []byte
@@ -61,19 +82,38 @@ func newSendQueue[T any](conn io.Writer, pool *framePool, wire *obs.WireStats,
 	return q
 }
 
-// enqueue hands the writer one item. It reports false, queueing nothing,
-// once the queue has been stopped. Safe from any goroutine.
-func (q *sendQueue[T]) enqueue(it T) bool {
+// enqueue sends one item: through the writer goroutine, or — when alone
+// says nothing else is in flight on the connection and the writer is
+// parked — flushed here, before enqueue returns. It reports false, sending
+// nothing, once the queue has been stopped. Safe from any goroutine.
+func (q *sendQueue[T]) enqueue(it T, alone bool) bool {
 	q.mu.Lock()
 	if q.stopped {
 		q.mu.Unlock()
 		return false
 	}
-	q.q = append(q.q, it)
-	wakeup := !q.signaled
+	idle := !q.signaled // nothing queued, writer parked: the write side is free
 	q.signaled = true
+	inline := alone && idle
+	if !inline {
+		q.q = append(q.q, it)
+	}
 	q.mu.Unlock()
-	if wakeup {
+	if !inline {
+		if idle {
+			q.wake <- struct{}{}
+		}
+		return true
+	}
+	q.batch = append(q.batch[:0], it)
+	q.flush()
+	// Give the write side back. Whatever was queued behind the inline
+	// frame did not wake the writer (signaled was set), so it is woken now.
+	q.mu.Lock()
+	handoff := len(q.q) > 0 || q.stopped
+	q.signaled = handoff
+	q.mu.Unlock()
+	if handoff {
 		q.wake <- struct{}{}
 	}
 	return true

@@ -1,10 +1,10 @@
 // Package array scales TimeSSD horizontally: an Array stripes the logical
-// address space across N independent TimeSSD shards, each owned by a
-// dedicated worker goroutine fed by a buffered submission queue — the
-// host-side analogue of an NVMe submission/completion queue pair per
-// device. Reads, writes, trims and TimeKits calls that land on different
-// shards proceed in true parallel on the host, while each shard keeps the
-// single-threaded firmware model the simulator assumes.
+// address space across N independent TimeSSD shards, each with a worker
+// goroutine fed by a buffered submission queue — the host-side analogue of
+// an NVMe submission/completion queue pair per device. Reads, writes, trims
+// and TimeKits calls that land on different shards proceed in true parallel
+// on the host, while each shard keeps the single-threaded firmware model
+// the simulator assumes.
 //
 // Time travel is preserved across the array: version timestamps are host
 // issue times (DESIGN.md §4a.6), which every shard shares, so one virtual
@@ -13,17 +13,27 @@
 // the results; the retrievable window of the array is the intersection of
 // the per-shard windows.
 //
-// Concurrency model: a shard's TimeSSD is touched only by its worker
-// goroutine — there are no device locks at all. Every operation, including
-// queries (which charge flash reads and therefore mutate channel timing
-// state), travels through the shard's queue. The only shared mutable state
-// outside the queues is each shard's stats snapshot, republished by the
-// worker after every batch of commands via an atomic pointer, which lets
+// Concurrency model: a shard's TimeSSD is touched by one goroutine at a
+// time — the shard's worker, or a caller that found the shard idle. The
+// shard's own mutex is that exclusivity: the worker holds it while it
+// executes a drained batch, and a synchronous caller (Read, Write, Trim,
+// Run) that finds nothing queued or executing takes it with TryLock and
+// runs its one command on its own goroutine, with no hand-off and no
+// wake-up. Everything asynchronous — Submit, Replay, the fan-out behind
+// the array-wide TimeKits — goes through the queue to the worker, which is
+// what lets different shards execute in parallel. Every operation,
+// including queries (which charge flash reads and therefore mutate channel
+// timing state), runs under that one rule, and a shard executes commands in
+// the order they were submitted to it: an inline command runs only when the
+// shard's count of queued-and-unfinished commands is zero, so it can never
+// overtake a command its submitter queued earlier. The only shared mutable
+// state beside the device is each shard's stats snapshot, a fixed slot
+// republished after every worker batch and every inline command, which lets
 // Identify- and Stats-style callers observe the array without queueing
 // behind long queries. Workers drain their whole submission queue per
 // wakeup and execute the batch back to back, publishing one snapshot per
-// batch; a command's completion is still only signalled after the snapshot
-// covering it is visible.
+// batch; a command's completion is only observable after the snapshot
+// covering it is.
 package array
 
 import (
@@ -67,18 +77,20 @@ const (
 	opFunc // internal fan-out: run fn on the shard's device/kit
 )
 
-// Cmd is one queued command. Submit it with Array.Submit and wait for the
-// worker to complete it with Wait; the result fields are valid only after
-// Wait returns. Out is the Cmd's own memory — the worker copies a read's
-// bytes out of the flash arena before it executes the next command — and
-// stays valid until the Cmd is reset or resubmitted. A Cmd must not be
-// reused while in flight, and every
-// submitted Cmd must be Waited exactly once before reuse — completion is
-// a token sent on a one-slot channel (not a close), precisely so a Cmd
-// can be recycled: the channel is allocated on first submission and then
-// reused for the command's whole life (see the service layer's BatchRun,
-// which keeps per-connection Cmd scratch and resets it with SetRead /
-// SetWrite / SetTrim between batches).
+// Cmd is one command. Hand it to the array with Submit (always queued for
+// the shard's worker) or Run (executed on the caller when the shard is
+// idle, queued otherwise) and observe its completion with Wait; the result
+// fields are valid only after Wait returns. Out is the Cmd's own memory —
+// whoever executes a read copies its bytes out of the flash arena before
+// the shard executes anything else — and stays valid until the Cmd is reset
+// or resubmitted. A Cmd must not be reused while in flight, and every
+// submitted Cmd must be Waited exactly once before reuse — a queued
+// command's completion is a token sent on a one-slot channel (not a close),
+// precisely so a Cmd can be recycled: the channel is allocated on first
+// queueing and then reused for the command's whole life (see the service
+// layer's BatchRun, which keeps per-connection Cmd scratch and resets it
+// with SetRead / SetWrite / SetTrim between batches). A command that ran
+// inline never touches the channel.
 type Cmd struct {
 	Kind opKind
 	LPA  uint64 // global (array) LPA
@@ -91,14 +103,20 @@ type Cmd struct {
 	Done vclock.Time
 	Err  error
 
-	fn   func(dev *core.TimeSSD, kit *timekits.Kit)
-	done chan struct{} // cap 1; one completion token per submission
-	buf  []byte        // backing store of Out; survives reset so recycled Cmds read without allocating
+	fn     func(dev *core.TimeSSD, kit *timekits.Kit)
+	done   chan struct{} // cap 1; one completion token per queued submission
+	inline bool          // executed by its submitter: complete, and no token to consume
+	buf    []byte        // backing store of Out; survives reset so recycled Cmds read without allocating
 }
 
-// Wait blocks until the shard worker has executed the command, consuming
-// its completion token.
-func (c *Cmd) Wait() { <-c.done }
+// Wait blocks until the command has been executed: it returns at once for
+// a command its submitter ran inline, and consumes the worker's completion
+// token otherwise.
+func (c *Cmd) Wait() {
+	if !c.inline {
+		<-c.done
+	}
+}
 
 // ReadCmd, WriteCmd and TrimCmd build queue commands for batched
 // submission. Callers that hold many independent operations (the service
@@ -129,14 +147,14 @@ func (c *Cmd) SetTrim(lpa uint64, at vclock.Time) { c.reset(opTrim, lpa, nil, at
 
 func (c *Cmd) reset(kind opKind, lpa uint64, data []byte, at vclock.Time) {
 	c.Kind, c.LPA, c.Data, c.At, c.End = kind, lpa, data, at, 0
-	c.Out, c.Done, c.Err, c.fn = nil, 0, nil, nil
+	c.Out, c.Done, c.Err, c.fn, c.inline = nil, 0, nil, nil, false
 }
 
-// Snapshot is the lock-free per-shard state view republished by the worker
-// after every batch of commands (see StatsView): the retention-window header plus
-// the canonical counter surface. Histograms are not part of the published
-// snapshot — they live in the shard's obs registry, which is safe to read
-// lock-free at any time (see ObsSnapshot).
+// Snapshot is the per-shard state view republished after every worker
+// batch and every inline command (see StatsView): the retention-window
+// header plus the canonical counter surface. Histograms are not part of the
+// published snapshot — they live in the shard's obs registry, which is safe
+// to read lock-free at any time (see ObsSnapshot).
 type Snapshot struct {
 	WindowStart vclock.Time
 	Segments    int
@@ -145,11 +163,23 @@ type Snapshot struct {
 
 // shard is one member device plus its worker plumbing.
 type shard struct {
-	id   int
-	dev  *core.TimeSSD
-	kit  *timekits.Kit
-	sq   chan *Cmd
-	snap atomic.Pointer[Snapshot]
+	id  int
+	dev *core.TimeSSD
+	kit *timekits.Kit
+	sq  chan *Cmd
+
+	// own is held by the one goroutine executing on dev and kit: the worker
+	// for a drained batch, or a caller running its own command (runInline).
+	// queued counts the commands handed to sq that have not finished
+	// executing; a caller may take own only while it reads zero.
+	own    sync.Mutex
+	queued atomic.Int32
+
+	// snap is the published snapshot, a fixed slot copied in and out under
+	// snapMu so that publishing allocates nothing and readers never wait
+	// for the device.
+	snapMu sync.Mutex
+	snap   Snapshot
 }
 
 // Array is a striped multi-device TimeSSD.
@@ -161,11 +191,13 @@ type Array struct {
 
 	wg sync.WaitGroup
 
-	// closeMu serialises submissions against Close: senders hold the read
-	// side while enqueueing, so the queues can only be closed when no send
-	// is in flight (a send on a closed channel would panic).
+	// closeMu serialises queue submissions against Close: senders hold the
+	// read side while enqueueing, so the queues can only be closed when no
+	// send is in flight (a send on a closed channel would panic). Inline
+	// execution does not take it: Close waits for inline owners on each
+	// shard's own mutex instead.
 	closeMu sync.RWMutex
-	closed  bool
+	closed  atomic.Bool
 }
 
 var _ ftl.Device = (*Array)(nil)
@@ -219,7 +251,7 @@ func (a *Array) addShard(dev *core.TimeSSD) {
 		sq:  make(chan *Cmd, queueDepth),
 	}
 	dev.Obs().SetShard(s.id)
-	s.snap.Store(snapshotOf(dev))
+	s.publish()
 	a.shards = append(a.shards, s)
 	a.wg.Add(1)
 	go func() {
@@ -241,16 +273,24 @@ func (a *Array) stopWorkers() {
 }
 
 // Close drains and stops every worker. Commands already submitted complete;
-// later submissions fail with ErrClosed.
+// later submissions fail with ErrClosed. When Close returns, nothing is
+// executing on any device.
 func (a *Array) Close() error {
 	a.closeMu.Lock()
-	if a.closed {
+	if a.closed.Load() {
 		a.closeMu.Unlock()
 		return nil
 	}
-	a.closed = true
+	a.closed.Store(true)
 	a.closeMu.Unlock()
 	a.stopWorkers()
+	// A caller that took a shard before closed was set may still be running
+	// its command inline; taking each shard once waits it out, and whoever
+	// takes a shard after this sees closed.
+	for _, s := range a.shards {
+		s.own.Lock() // the acquisition is the wait
+		s.own.Unlock()
+	}
 	return nil
 }
 
@@ -263,7 +303,9 @@ func (a *Array) Close() error {
 // completion is signalled — so the invariant callers rely on still holds:
 // when a command's Wait returns, the published snapshot includes that
 // command's effects. Under a loaded queue this replaces one snapshot
-// allocation + atomic publish per command with one per wakeup.
+// publish per command with one per wakeup. The worker owns the shard for
+// exactly the execution of the batch; queued drops before own is released,
+// so a submitter whose commands have all executed finds the shard idle.
 func (s *shard) run() {
 	batch := make([]*Cmd, 0, cap(s.sq))
 	for cmd := range s.sq {
@@ -280,10 +322,13 @@ func (s *shard) run() {
 				break drain
 			}
 		}
+		s.own.Lock()
 		for _, c := range batch {
 			s.exec(c)
 		}
-		s.snap.Store(snapshotOf(s.dev))
+		s.publish()
+		s.queued.Add(-int32(len(batch)))
+		s.own.Unlock()
 		for i, c := range batch {
 			c.done <- struct{}{} // one token per submission; never blocks (cap 1)
 			batch[i] = nil       // release completed commands while idle in the outer receive
@@ -296,8 +341,9 @@ func (s *shard) exec(c *Cmd) {
 	switch c.Kind {
 	case opRead:
 		// dev.Read aliases the flash arena, which the next write or GC pass
-		// on this shard may erase and re-program; the bytes leave the worker
-		// goroutine here, so this is where they are copied.
+		// on this shard may erase and re-program; the bytes leave the shard's
+		// owner here — worker or inline caller — so this is where they are
+		// copied.
 		var out []byte
 		out, c.Done, c.Err = s.dev.Read(local, c.At)
 		if c.Err == nil {
@@ -320,12 +366,47 @@ func (s *shard) exec(c *Cmd) {
 	}
 }
 
-func snapshotOf(dev *core.TimeSSD) *Snapshot {
-	return &Snapshot{
-		WindowStart: dev.RetentionWindowStart(),
-		Segments:    dev.Segments(),
-		C:           dev.Counters(),
+// publish copies the device's current state into the snapshot slot. Called
+// by the shard's owner after it executes and before its commands'
+// completion is observable.
+func (s *shard) publish() {
+	sn := Snapshot{
+		WindowStart: s.dev.RetentionWindowStart(),
+		Segments:    s.dev.Segments(),
+		C:           s.dev.Counters(),
 	}
+	s.snapMu.Lock()
+	s.snap = sn
+	s.snapMu.Unlock()
+}
+
+// snapshot returns the shard's latest published snapshot.
+func (s *shard) snapshot() Snapshot {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	return s.snap
+}
+
+// runInline executes c on the calling goroutine if the shard is idle:
+// nothing queued or executing on the worker (queued is zero, so c cannot
+// overtake a command its submitter queued earlier) and no other caller
+// inside. It is the worker's protocol on the caller's goroutine — take the
+// shard, execute, publish, release — and reports false, having done
+// nothing, when the command has to queue instead (on a closed array too:
+// the queue is what refuses it).
+func (a *Array) runInline(s *shard, c *Cmd) bool {
+	if s.queued.Load() != 0 || !s.own.TryLock() {
+		return false
+	}
+	if a.closed.Load() {
+		s.own.Unlock()
+		return false
+	}
+	s.exec(c)
+	s.publish()
+	s.own.Unlock()
+	c.inline = true
+	return true
 }
 
 // ---- striping -------------------------------------------------------------
@@ -365,15 +446,37 @@ func (a *Array) checkLPA(lpa uint64) error {
 
 // ---- submission -----------------------------------------------------------
 
-// Submit enqueues cmd on the shard owning cmd.LPA (Read/Write/Trim). The
-// call blocks only while that shard's queue is full. Completion is
-// observed with cmd.Wait.
+// Submit enqueues cmd on the shard owning cmd.LPA (Read/Write/Trim) for
+// the shard's worker. The call blocks only while that shard's queue is
+// full. Completion is observed with cmd.Wait. Submitters that keep many
+// commands in flight use this: commands on different shards execute
+// concurrently.
 func (a *Array) Submit(cmd *Cmd) error {
-	if err := a.checkLPA(cmd.LPA); err != nil {
+	sh, err := a.route(cmd)
+	if err != nil {
 		return err
 	}
-	sh, local := a.Locate(cmd.LPA)
-	cmd.LPA = local
+	return a.submitTo(sh, cmd)
+}
+
+// route bounds cmd.LPA, rewrites it shard-local and returns its shard.
+func (a *Array) route(cmd *Cmd) (sh int, err error) {
+	if err := a.checkLPA(cmd.LPA); err != nil {
+		return 0, err
+	}
+	sh, cmd.LPA = a.Locate(cmd.LPA)
+	return sh, nil
+}
+
+// Run is Submit for a submitter that is about to Wait on cmd and on nothing
+// else: when the owning shard is idle the command executes on the calling
+// goroutine before Run returns, and otherwise it is queued exactly as
+// Submit would. Either way completion is observed with cmd.Wait.
+func (a *Array) Run(cmd *Cmd) error {
+	sh, err := a.route(cmd)
+	if err != nil || a.runInline(a.shards[sh], cmd) {
+		return err
+	}
 	return a.submitTo(sh, cmd)
 }
 
@@ -381,17 +484,19 @@ func (a *Array) Submit(cmd *Cmd) error {
 func (a *Array) submitTo(sh int, cmd *Cmd) error {
 	a.closeMu.RLock()
 	defer a.closeMu.RUnlock()
-	if a.closed {
+	if a.closed.Load() {
 		return ErrClosed
 	}
 	if cmd.done == nil {
 		cmd.done = make(chan struct{}, 1)
 	}
+	s := a.shards[sh]
+	s.queued.Add(1) // before the send: from here on no caller may run inline ahead of cmd
 	// Sending under the read lock is the design: Close takes the write side
 	// only after every in-flight send finished, and workers drain the queue
 	// without ever taking closeMu, so a full queue cannot deadlock Close.
 	//almalint:allow lockorder reason: workers drain sq without taking closeMu, so a full queue cannot block Close
-	a.shards[sh].sq <- cmd
+	s.sq <- cmd
 	return nil
 }
 
@@ -417,35 +522,44 @@ func (a *Array) fanOut(at vclock.Time, fn func(i int, dev *core.TimeSSD, kit *ti
 
 // ---- synchronous ftl.Device interface -------------------------------------
 
+// sync executes one command to completion for the synchronous wrappers.
+// On an idle shard it runs on the caller out of a Cmd that never leaves the
+// caller's stack; only when it has to queue behind other work does it
+// allocate a Cmd and a completion channel.
+func (a *Array) sync(kind opKind, lpa uint64, data []byte, at vclock.Time) ([]byte, vclock.Time, error) {
+	if err := a.checkLPA(lpa); err != nil {
+		return nil, at, err
+	}
+	sh, local := a.Locate(lpa)
+	var c Cmd
+	c.reset(kind, local, data, at)
+	if a.runInline(a.shards[sh], &c) {
+		return c.Out, c.Done, c.Err
+	}
+	q := &Cmd{Kind: kind, LPA: local, Data: data, At: at}
+	if err := a.submitTo(sh, q); err != nil {
+		return nil, at, err
+	}
+	q.Wait()
+	return q.Out, q.Done, q.Err
+}
+
 // Read returns the current version of lpa. The data is the caller's own
 // copy (see Cmd.Out), not an alias of device storage.
 func (a *Array) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
-	cmd := &Cmd{Kind: opRead, LPA: lpa, At: at}
-	if err := a.Submit(cmd); err != nil {
-		return nil, at, err
-	}
-	cmd.Wait()
-	return cmd.Out, cmd.Done, cmd.Err
+	return a.sync(opRead, lpa, nil, at)
 }
 
 // Write stores a new version of lpa.
 func (a *Array) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
-	cmd := &Cmd{Kind: opWrite, LPA: lpa, Data: data, At: at}
-	if err := a.Submit(cmd); err != nil {
-		return at, err
-	}
-	cmd.Wait()
-	return cmd.Done, cmd.Err
+	_, done, err := a.sync(opWrite, lpa, data, at)
+	return done, err
 }
 
 // Trim invalidates lpa.
 func (a *Array) Trim(lpa uint64, at vclock.Time) (vclock.Time, error) {
-	cmd := &Cmd{Kind: opTrim, LPA: lpa, At: at}
-	if err := a.Submit(cmd); err != nil {
-		return at, err
-	}
-	cmd.Wait()
-	return cmd.Done, cmd.Err
+	_, done, err := a.sync(opTrim, lpa, nil, at)
+	return done, err
 }
 
 // Idle announces a host idle period [now, until) to every shard (trace
@@ -467,12 +581,12 @@ func (a *Array) Idle(now, until vclock.Time) {
 // ---- observability --------------------------------------------------------
 
 // StatsView sums the per-shard counter snapshots without queueing: the
-// view is lock-free and may trail in-flight commands by at most one
-// batch (bounded by the queue depth) per shard.
+// view never waits for a device and may trail in-flight commands by at
+// most one batch (bounded by the queue depth) per shard.
 func (a *Array) StatsView() obs.Counters {
 	var out obs.Counters
 	for _, s := range a.shards {
-		out.Add(s.snap.Load().C)
+		out.Add(s.snapshot().C)
 	}
 	return out
 }
@@ -527,7 +641,7 @@ func (a *Array) SetObsEnabled(on bool) {
 func (a *Array) ObsSnapshot() obs.Snapshot {
 	var out obs.Snapshot
 	for _, s := range a.shards {
-		sn := s.snap.Load()
+		sn := s.snapshot()
 		out.Merge(obs.Snapshot{
 			Shards:        1,
 			WindowStartNS: int64(sn.WindowStart),
@@ -556,8 +670,9 @@ func (a *Array) TraceEvents(max int) []obs.Event {
 	return all
 }
 
-// ShardSnapshot returns shard i's latest published snapshot (lock-free).
-func (a *Array) ShardSnapshot(i int) Snapshot { return *a.shards[i].snap.Load() }
+// ShardSnapshot returns shard i's latest published snapshot without
+// queueing.
+func (a *Array) ShardSnapshot(i int) Snapshot { return a.shards[i].snapshot() }
 
 // RetentionWindowStart returns the start of the array-wide retrievable
 // window: the latest per-shard window start. Inside it, every shard can
@@ -566,7 +681,7 @@ func (a *Array) ShardSnapshot(i int) Snapshot { return *a.shards[i].snap.Load() 
 func (a *Array) RetentionWindowStart() vclock.Time {
 	var start vclock.Time
 	for _, s := range a.shards {
-		if ws := s.snap.Load().WindowStart; ws > start {
+		if ws := s.snapshot().WindowStart; ws > start {
 			start = ws
 		}
 	}

@@ -3,6 +3,7 @@ package array
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -490,5 +491,196 @@ func TestReadSurvivesLaterPrograms(t *testing.T) {
 	read.Wait()
 	if read.Err != nil || &read.Out[0] != before {
 		t.Fatalf("recycled read (err %v) did not reuse the Cmd's buffer", read.Err)
+	}
+}
+
+// TestRunInlineOnlyWhenIdle pins when a command executes on its submitter:
+// on an idle shard Run completes it before returning and never gives it a
+// completion channel; while the worker is busy, or a command is queued, it
+// queues behind them; and once the queue has drained the shard is idle
+// again.
+func TestRunInlineOnlyWhenIdle(t *testing.T) {
+	a := newTestArray(t, 1)
+	at := vclock.Time(vclock.Second)
+	w := WriteCmd(3, testPage(a, 1), at)
+	if err := a.Run(w); err != nil {
+		t.Fatal(err)
+	}
+	if !w.inline || w.done != nil || w.Err != nil {
+		t.Fatalf("idle shard: inline=%v done=%v err=%v, want an inline run", w.inline, w.done, w.Err)
+	}
+	w.Wait() // returns at once: nothing to consume
+
+	// Park the worker inside a command.
+	entered, release := make(chan struct{}), make(chan struct{})
+	hold := &Cmd{Kind: opFunc, fn: func(*core.TimeSSD, *timekits.Kit) { close(entered); <-release }}
+	if err := a.submitTo(0, hold); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	r := ReadCmd(3, at.Add(vclock.Second))
+	if err := a.Run(r); err != nil {
+		t.Fatal(err)
+	}
+	if r.inline {
+		t.Fatal("Run executed inline while the worker held the shard")
+	}
+	close(release)
+	hold.Wait()
+	r.Wait()
+	if r.Err != nil || r.Out[0] != 1 {
+		t.Fatalf("queued read: %v %v", r.Out, r.Err)
+	}
+
+	r.SetRead(3, at.Add(2*vclock.Second))
+	if err := a.Run(r); err != nil {
+		t.Fatal(err)
+	}
+	if !r.inline {
+		t.Fatal("shard did not return to idle after its queue drained")
+	}
+}
+
+// TestInlineNeverOvertakesQueued is per-submitter FIFO across the two
+// paths: a submitter queues writes to one LPA without waiting and then
+// reads it synchronously. The read may run inline only after every one of
+// those writes has executed, so it always sees the last of them — and a
+// synchronous write followed by a queued read is seen by that read.
+func TestInlineNeverOvertakesQueued(t *testing.T) {
+	a := newTestArray(t, 2)
+	at := vclock.Time(vclock.Second)
+	cmds := make([]Cmd, 4)
+	var rd Cmd
+	for i := 0; i < 2000; i++ {
+		lpa := uint64(i % 16)
+		for j := range cmds {
+			at = at.Add(vclock.Millisecond)
+			cmds[j].SetWrite(lpa, testPage(a, byte(i+j)), at)
+			if err := a.Submit(&cmds[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at = at.Add(vclock.Millisecond)
+		got, _, err := a.Read(lpa, at)
+		if want := byte(i + len(cmds) - 1); err != nil || got[0] != want {
+			t.Fatalf("iteration %d: synchronous read saw %d (err %v), want the last queued write %d", i, got[0], err, want)
+		}
+		for j := range cmds {
+			cmds[j].Wait()
+		}
+
+		at = at.Add(vclock.Millisecond)
+		if _, err := a.Write(lpa, testPage(a, byte(i)^0xff), at); err != nil {
+			t.Fatal(err)
+		}
+		at = at.Add(vclock.Millisecond)
+		rd.SetRead(lpa, at)
+		if err := a.Submit(&rd); err != nil {
+			t.Fatal(err)
+		}
+		rd.Wait()
+		if rd.Err != nil || rd.Out[0] != byte(i)^0xff {
+			t.Fatalf("iteration %d: queued read saw %d (err %v), want the synchronous write %d", i, rd.Out[0], rd.Err, byte(i)^0xff)
+		}
+	}
+}
+
+// TestInlineAndWorkerExcludeEachOther races the two ways onto one device —
+// synchronous callers, queued submitters and fan-out queries on a 1-shard
+// array — for the race detector to find any moment two goroutines are on
+// it at once, then checks nothing was lost.
+func TestInlineAndWorkerExcludeEachOther(t *testing.T) {
+	a := newTestArray(t, 1)
+	const workers, iters = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			at := vclock.Time(vclock.Second)
+			var c Cmd
+			for i := 0; i < iters; i++ {
+				at = at.Add(vclock.Millisecond)
+				lpa := uint64(w*8 + i%8)
+				switch (w + i) % 3 {
+				case 0:
+					if _, err := a.Write(lpa, testPage(a, byte(i)), at); err != nil {
+						t.Error(err)
+					}
+				case 1:
+					c.SetWrite(lpa, testPage(a, byte(i)), at)
+					if err := a.Submit(&c); err != nil {
+						t.Error(err)
+					}
+					c.Wait()
+				default:
+					if _, err := a.AddrQueryAll(lpa, 1, at); err != nil {
+						t.Error(err)
+					}
+					_ = a.StatsView()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.StatsView().HostPageWrites, int64(workers*iters*2/3); got != want {
+		t.Fatalf("%d host writes published, want %d", got, want)
+	}
+}
+
+// TestCloseWaitsForInlineOwner: Close's contract is that nothing executes
+// on a device once it returns, and an inline owner holds no queue slot and
+// no closeMu — Close has to wait for it on the shard itself.
+func TestCloseWaitsForInlineOwner(t *testing.T) {
+	a := newTestArray(t, 1)
+	entered, release, closed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		c := &Cmd{Kind: opFunc, fn: func(*core.TimeSSD, *timekits.Kit) { close(entered); <-release }}
+		if !a.runInline(a.shards[0], c) {
+			t.Error("runInline refused an idle shard")
+		}
+	}()
+	<-entered
+	go func() { _ = a.Close(); close(closed) }()
+	for !a.closed.Load() {
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a caller was still executing on the shard")
+	default:
+	}
+	close(release)
+	<-closed
+	if _, err := a.Write(0, testPage(a, 1), 0); err != ErrClosed {
+		t.Fatalf("inline write after close: %v", err)
+	}
+}
+
+// TestInlineReadSurvivesLaterPrograms is TestReadSurvivesLaterPrograms for
+// the caller-runs path: the bytes a synchronous Read returns are a copy
+// made while the caller held the shard, not an alias of the flash arena.
+func TestInlineReadSurvivesLaterPrograms(t *testing.T) {
+	a := newTestArray(t, 1)
+	want := testPage(a, 0xa5)
+	at := vclock.Time(vclock.Second)
+	if _, err := a.Write(7, want, at); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := a.Read(7, at.Add(vclock.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*shardConfig().FTL.Flash.TotalPages(); i++ {
+		at = at.Add(vclock.Minute)
+		if _, err := a.Write(uint64(i%64), testPage(a, byte(i)|1), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read result changed under later programs: got %#x.., want %#x..", got[0], want[0])
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Volume is one tenant's slice of the array: a contiguous extent of
 // global LPAs addressed volume-relative (0 … Pages-1). The handle is
-// shared by every attacher and safe for concurrent use; all I/O routes
-// through the array's per-shard worker queues without any volume lock.
+// shared by every attacher and safe for concurrent use; all I/O goes to
+// the array, whose shards serialise it, without any volume lock.
 type Volume struct {
 	svc       *Service
 	id        uint32
@@ -164,8 +164,7 @@ type BatchResult struct {
 }
 
 // BatchRun is the split form of Batch: StartBatch validates and submits
-// every op to its shard queue in one pass, Complete collects the
-// completions. The struct is reusable scratch — the protocol server
+// every op to its shard in one pass, Complete collects the completions. The struct is reusable scratch — the protocol server
 // keeps one per in-flight batch and recycles it, so a steady-state batch
 // allocates nothing: the command slice holds Cmds by value and their
 // completion channels survive reset (see array.Cmd). A BatchRun must not
@@ -184,8 +183,11 @@ type BatchRun struct {
 // every valid op is submitted to its shard queue before any completion
 // is awaited, so ops landing on different shards execute concurrently
 // while per-shard FIFO order preserves the submission order of ops that
-// collide. r.Complete collects the results; they are positional —
-// out[i] completes ops[i].
+// collide. A batch of one op has nothing to pipeline: it is a synchronous
+// op, and it executes on the caller when its shard is idle (array.Run)
+// instead of paying a hand-off to the shard's worker and back.
+// r.Complete collects the results; they are positional — out[i] completes
+// ops[i].
 func (v *Volume) StartBatch(ops []BatchOp, r *BatchRun) {
 	r.v = v
 	r.ops = ops
@@ -198,6 +200,10 @@ func (v *Volume) StartBatch(ops []BatchOp, r *BatchRun) {
 	r.out = r.out[:n]
 	r.cmds = r.cmds[:n]
 	r.sub = r.sub[:n]
+	submit := (*array.Array).Submit
+	if n == 1 {
+		submit = (*array.Array).Run
+	}
 	var issue vclock.Time
 	for i, op := range ops {
 		r.out[i] = BatchResult{Done: op.At}
@@ -226,7 +232,7 @@ func (v *Volume) StartBatch(ops []BatchOp, r *BatchRun) {
 		if i == 0 || op.At < issue {
 			issue = op.At
 		}
-		if err := v.svc.arr.Submit(cmd); err != nil {
+		if err := submit(v.svc.arr, cmd); err != nil {
 			r.out[i].Err = err
 			continue
 		}
