@@ -126,7 +126,7 @@ func runReplay(cfg harness.Config, path string) error {
 			dev, wa = d, d.WriteAmplification
 		}
 		gen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, cfg.Seed)
-		st, err := trace.Replay(dev, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true, KeepLatencies: true})
+		st, err := trace.Replay(dev, reqs, gen)
 		if err != nil {
 			return fmt.Errorf("%s: %w", kind, err)
 		}

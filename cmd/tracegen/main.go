@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -54,11 +53,9 @@ func main() {
 	}
 
 	if *csv {
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		fmt.Fprintln(w, "at_ns,op,lpa,pages")
-		for _, r := range reqs {
-			fmt.Fprintf(w, "%d,%s,%d,%d\n", int64(r.At), r.Op, r.LPA, r.Pages)
+		if err := trace.WriteCSV(os.Stdout, reqs); err != nil {
+			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+			os.Exit(1)
 		}
 		return
 	}

@@ -73,7 +73,6 @@ const (
 	opRead opKind = iota + 1
 	opWrite
 	opTrim
-	opIdle
 	opFunc // internal fan-out: run fn on the shard's device/kit
 )
 
@@ -96,7 +95,6 @@ type Cmd struct {
 	LPA  uint64 // global (array) LPA
 	Data []byte // write payload
 	At   vclock.Time
-	End  vclock.Time // idle: end of the announced gap
 
 	// Results.
 	Out  []byte
@@ -118,19 +116,9 @@ func (c *Cmd) Wait() {
 	}
 }
 
-// ReadCmd, WriteCmd and TrimCmd build queue commands for batched
-// submission. Callers that hold many independent operations (the service
-// layer's OpBatch, pipelined protocol servers) submit every command
-// before waiting on any, so commands landing on different shards execute
-// concurrently instead of serialising through the synchronous wrappers.
-func ReadCmd(lpa uint64, at vclock.Time) *Cmd { return &Cmd{Kind: opRead, LPA: lpa, At: at} }
-
-// WriteCmd builds a queued write of data to global LPA lpa.
-func WriteCmd(lpa uint64, data []byte, at vclock.Time) *Cmd {
-	return &Cmd{Kind: opWrite, LPA: lpa, Data: data, At: at}
-}
-
-// TrimCmd builds a queued trim of global LPA lpa.
+// TrimCmd builds a queued trim of global LPA lpa, for a submitter that
+// queues many commands before waiting on any (the service's volume scrub)
+// so that commands landing on different shards execute concurrently.
 func TrimCmd(lpa uint64, at vclock.Time) *Cmd { return &Cmd{Kind: opTrim, LPA: lpa, At: at} }
 
 // SetRead, SetWrite and SetTrim reset a completed (or fresh) Cmd in
@@ -146,7 +134,7 @@ func (c *Cmd) SetWrite(lpa uint64, data []byte, at vclock.Time) { c.reset(opWrit
 func (c *Cmd) SetTrim(lpa uint64, at vclock.Time) { c.reset(opTrim, lpa, nil, at) }
 
 func (c *Cmd) reset(kind opKind, lpa uint64, data []byte, at vclock.Time) {
-	c.Kind, c.LPA, c.Data, c.At, c.End = kind, lpa, data, at, 0
+	c.Kind, c.LPA, c.Data, c.At = kind, lpa, data, at
 	c.Out, c.Done, c.Err, c.fn, c.inline = nil, 0, nil, nil, false
 }
 
@@ -352,12 +340,9 @@ func (s *shard) exec(c *Cmd) {
 		}
 	case opWrite:
 		c.Done, c.Err = s.dev.Write(local, c.Data, c.At)
-		c.Data = nil // release the payload; pipelined replays retain Cmds until collection
+		c.Data = nil // release the payload; batch submitters retain Cmds until collection
 	case opTrim:
 		c.Done, c.Err = s.dev.Trim(local, c.At)
-	case opIdle:
-		s.dev.Idle(c.At, c.End)
-		c.Done = c.At
 	case opFunc:
 		c.fn(s.dev, s.kit)
 		c.Done = c.At
@@ -562,22 +547,6 @@ func (a *Array) Trim(lpa uint64, at vclock.Time) (vclock.Time, error) {
 	return done, err
 }
 
-// Idle announces a host idle period [now, until) to every shard (trace
-// replay uses this for §3.6 background compression). All shards run their
-// idle work concurrently; Idle returns when every shard is done.
-func (a *Array) Idle(now, until vclock.Time) {
-	cmds := make([]*Cmd, 0, len(a.shards))
-	for i := range a.shards {
-		cmd := &Cmd{Kind: opIdle, At: now, End: until}
-		if a.submitTo(i, cmd) == nil {
-			cmds = append(cmds, cmd)
-		}
-	}
-	for _, c := range cmds {
-		c.Wait()
-	}
-}
-
 // ---- observability --------------------------------------------------------
 
 // StatsView sums the per-shard counter snapshots without queueing: the
@@ -695,12 +664,6 @@ func (a *Array) WriteAmplification() float64 {
 		return 0
 	}
 	return float64(c.FlashPrograms) / float64(c.HostPageWrites)
-}
-
-// Barrier waits until every command submitted before the call has
-// completed on its shard (a full-array flush).
-func (a *Array) Barrier() {
-	_ = a.fanOut(0, func(int, *core.TimeSSD, *timekits.Kit) {})
 }
 
 // CheckInvariants runs the per-device invariant checker on every shard.

@@ -287,7 +287,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := range reqs {
 			reqs[i].At = reqs[i].At + shift
 		}
-		st, err := Replay(a, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true})
+		st, err := Replay(a, reqs, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,22 +455,23 @@ func TestReadSurvivesLaterPrograms(t *testing.T) {
 	if _, err := a.Write(7, want, at); err != nil {
 		t.Fatal(err)
 	}
-	read := ReadCmd(7, at.Add(vclock.Second))
+	read := new(Cmd)
+	read.SetRead(7, at.Add(vclock.Second))
 	if err := a.Submit(read); err != nil {
 		t.Fatal(err)
 	}
 	physical := shardConfig().FTL.Flash.TotalPages()
-	writes := make([]*Cmd, 3*physical)
+	writes := make([]Cmd, 3*physical)
 	for i := range writes {
 		at = at.Add(vclock.Minute)
-		writes[i] = WriteCmd(uint64(i%64), testPage(a, byte(i)|1), at)
-		if err := a.Submit(writes[i]); err != nil {
+		writes[i].SetWrite(uint64(i%64), testPage(a, byte(i)|1), at)
+		if err := a.Submit(&writes[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, w := range writes {
-		if w.Wait(); w.Err != nil {
-			t.Fatalf("write %d: %v", i, w.Err)
+	for i := range writes {
+		if writes[i].Wait(); writes[i].Err != nil {
+			t.Fatalf("write %d: %v", i, writes[i].Err)
 		}
 	}
 	read.Wait()
@@ -502,7 +503,8 @@ func TestReadSurvivesLaterPrograms(t *testing.T) {
 func TestRunInlineOnlyWhenIdle(t *testing.T) {
 	a := newTestArray(t, 1)
 	at := vclock.Time(vclock.Second)
-	w := WriteCmd(3, testPage(a, 1), at)
+	w := new(Cmd)
+	w.SetWrite(3, testPage(a, 1), at)
 	if err := a.Run(w); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +520,8 @@ func TestRunInlineOnlyWhenIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered
-	r := ReadCmd(3, at.Add(vclock.Second))
+	r := new(Cmd)
+	r.SetRead(3, at.Add(vclock.Second))
 	if err := a.Run(r); err != nil {
 		t.Fatal(err)
 	}

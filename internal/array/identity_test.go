@@ -10,6 +10,7 @@ import (
 	"almanac/internal/core"
 	"almanac/internal/obs"
 	"almanac/internal/timekits"
+	"almanac/internal/trace"
 	"almanac/internal/vclock"
 )
 
@@ -163,15 +164,6 @@ func TestOneShardArrayIsIdentity(t *testing.T) {
 	if got, want := arr.RetentionWindowStart(), dev.RetentionWindowStart(); got != want {
 		t.Fatalf("window start: array %v, device %v", got, want)
 	}
-	// Wall-clock histograms are host time and differ run to run; everything
-	// else in the snapshot is simulation state.
-	virtOnly := func(s obs.Snapshot) obs.Snapshot {
-		for name, st := range s.Ops {
-			st.Wall = obs.HistSnapshot{}
-			s.Ops[name] = st
-		}
-		return s
-	}
 	if got, want := virtOnly(arr.ObsSnapshot()), virtOnly(dev.Snapshot()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("obs snapshots differ:\n array  %+v\n device %+v", got, want)
 	}
@@ -191,5 +183,106 @@ func TestOneShardArrayIsIdentity(t *testing.T) {
 	}
 	if dev.Counters().GCRuns == 0 || dev.Counters().DeltasCreated == 0 {
 		t.Fatalf("stream too gentle to mean anything: %+v", dev.Counters())
+	}
+}
+
+// virtOnly drops a snapshot's wall-clock histograms: they are host time and
+// differ run to run, and everything else in the snapshot is simulation
+// state.
+func virtOnly(s obs.Snapshot) obs.Snapshot {
+	for name, st := range s.Ops {
+		st.Wall = obs.HistSnapshot{}
+		s.Ops[name] = st
+	}
+	return s
+}
+
+// TestOneShardReplayIsIdentity replays one seeded trace through Replay on a
+// 1-shard Assemble and through trace.Replay on a bare twin device, and
+// requires the same run: RunStats (latencies included), counters, window
+// start and obs snapshot. The trace exercises each replay rule — multi-page
+// trims (chained), arrival gaps past the idle threshold (background
+// compression), and refused writes (ErrRetentionFull, counted, not fatal).
+func TestOneShardReplayIsIdentity(t *testing.T) {
+	cfg := shardConfig()
+	cfg.MinRetention = 10 * vclock.Second
+	dev, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Obs().SetEnabled(true)
+	twin.Obs().SetEnabled(true)
+	arr, err := Assemble([]*core.TimeSSD{twin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arr.Close()
+
+	footprint := uint64(dev.LogicalPages()) / 2
+	devGen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, 11)
+	arrGen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, 11)
+	warm, err := trace.Fill(dev, footprint, devGen, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Fill(arr, footprint, arrGen, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Bursts of mixed requests with idle gaps between them, then a write
+	// flood packed inside the retention bound, then mixed bursts again.
+	rng := rand.New(rand.NewSource(20190326))
+	at := warm.Add(vclock.Second)
+	var reqs []trace.Request
+	add := func(op trace.Op, gap vclock.Duration) {
+		at = at.Add(gap)
+		pages := 1 + rng.Intn(4)
+		reqs = append(reqs, trace.Request{At: at, Op: op, LPA: uint64(rng.Int63n(int64(footprint))), Pages: pages})
+	}
+	mixed := func(bursts int) {
+		for b := 0; b < bursts; b++ {
+			at = at.Add(vclock.Duration(20+rng.Intn(3000)) * vclock.Millisecond)
+			for i := 0; i < 1+rng.Intn(24); i++ {
+				op := trace.OpWrite
+				switch k := rng.Intn(10); {
+				case k < 3:
+					op = trace.OpRead
+				case k < 4:
+					op = trace.OpTrim
+				}
+				add(op, vclock.Duration(rng.Intn(2000))*vclock.Microsecond)
+			}
+		}
+	}
+	mixed(60)
+	for i := 0; i < 2*dev.LogicalPages(); i++ {
+		add(trace.OpWrite, 100*vclock.Microsecond)
+	}
+	mixed(60)
+
+	want, werr := trace.Replay(dev, reqs, devGen)
+	got, gerr := Replay(arr, reqs, arrGen)
+	if werr != nil || gerr != nil {
+		t.Fatalf("replay errors: array %v, device %v", gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run stats differ:\n array  %+v\n device %+v", *got, *want)
+	}
+	if got, want := arr.StatsView(), dev.Counters(); got != want {
+		t.Fatalf("counters differ:\n array  %+v\n device %+v", got, want)
+	}
+	if got, want := arr.RetentionWindowStart(), dev.RetentionWindowStart(); got != want {
+		t.Fatalf("window start: array %v, device %v", got, want)
+	}
+	if got, want := virtOnly(arr.ObsSnapshot()), virtOnly(dev.Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("obs snapshots differ:\n array  %+v\n device %+v", got, want)
+	}
+	if want.Trims == 0 || want.Errors == 0 || dev.Counters().IdleCompressions == 0 {
+		t.Fatalf("trace too gentle to mean anything: %d trims, %d errors, %d idle compressions",
+			want.Trims, want.Errors, dev.Counters().IdleCompressions)
 	}
 }

@@ -1,150 +1,72 @@
 package array
 
 import (
-	"errors"
-	"fmt"
-
 	"almanac/internal/core"
-	"almanac/internal/ftl"
+	"almanac/internal/timekits"
 	"almanac/internal/trace"
-	"almanac/internal/vclock"
 )
 
-// Replay drives a request stream against the array with per-shard
-// pipelining: a single submitter walks the trace in order and enqueues
-// each page operation on its shard without waiting for completion, so
-// shards execute in parallel while every shard still sees its own
-// operations in trace order (same-LPA ordering is therefore preserved —
-// an LPA always maps to one shard, whose queue is FIFO).
+// Replay drives a request stream against the array. It has no page loop of
+// its own: trace.Drive, the device's replay loop with its idle, trim and
+// failure rules, runs on every shard at once, each on its shard's worker,
+// over that shard's part of the stream, and the per-request results are
+// merged and folded by trace.Fold. A 1-shard array's replay is therefore
+// the bare device's replay.
 //
-// Determinism: content generation happens in the submitter, in trace
-// order, from the seeded generator; each shard's command sequence is a
-// pure function of the trace; and per-shard devices are only touched by
-// their workers. Two replays of the same trace on same-shaped arrays
-// therefore produce bit-identical per-shard and aggregate statistics, no
-// matter how the host scheduler interleaves the workers.
+// Splitting: the pages of a request that land on shard s are every n-th
+// page from the first one on s, and their local LPAs (global / n) are
+// consecutive, so they form one sub-request with the request's op and
+// arrival. A request completes with its latest sub-request, and fails if
+// any of them failed (with the fatal error, if one was).
 //
-// Idle announcements derive from trace arrival gaps (the submitter cannot
-// know completion times without stalling the pipeline); gaps of at least
-// opts-independent 1 ms are forwarded to every shard in stream order.
-func Replay(a *Array, reqs []trace.Request, opts trace.ReplayOptions) (*trace.RunStats, error) {
-	st := &trace.RunStats{}
-	if len(reqs) == 0 {
-		return st, nil
-	}
-	st.Start = reqs[0].At
-	logical := uint64(a.LogicalPages())
-
-	// One entry per request: the page commands whose max completion is the
-	// request's completion.
-	cmds := make([][]*Cmd, len(reqs))
-	prevArrival := reqs[0].At
-
-	const minIdleGap = vclock.Duration(1 * vclock.Millisecond)
-
-	for i := range reqs {
-		r := &reqs[i]
-		if opts.AnnounceIdle && r.At.Sub(prevArrival) >= minIdleGap {
-			// Async fan-out: ordering within each shard is kept by the queue.
-			for s := range a.shards {
-				cmd := &Cmd{Kind: opIdle, At: prevArrival, End: r.At}
-				if err := a.submitTo(s, cmd); err == nil {
-					cmds[i] = append(cmds[i], cmd)
-				}
-			}
-		}
-		prevArrival = r.At
-		switch r.Op {
-		case trace.OpRead:
-			st.Reads++
-			for p := 0; p < r.Pages; p++ {
-				lpa := (r.LPA + uint64(p)) % logical
-				c := &Cmd{Kind: opRead, LPA: lpa, At: r.At}
-				if err := a.Submit(c); err != nil {
-					return st, err
-				}
-				cmds[i] = append(cmds[i], c)
-				st.PagesRead++
-			}
-		case trace.OpWrite:
-			st.Writes++
-			for p := 0; p < r.Pages; p++ {
-				lpa := (r.LPA + uint64(p)) % logical
-				var payload []byte
-				if opts.Content != nil {
-					payload = opts.Content.NextVersion(lpa)
-				} else {
-					payload = make([]byte, a.PageSize())
-				}
-				c := &Cmd{Kind: opWrite, LPA: lpa, Data: payload, At: r.At}
-				if err := a.Submit(c); err != nil {
-					return st, err
-				}
-				cmds[i] = append(cmds[i], c)
-				st.PagesWritten++
-			}
-		case trace.OpTrim:
-			st.Trims++
-			for p := 0; p < r.Pages; p++ {
-				lpa := (r.LPA + uint64(p)) % logical
-				c := &Cmd{Kind: opTrim, LPA: lpa, At: r.At}
-				if err := a.Submit(c); err != nil {
-					return st, err
-				}
-				cmds[i] = append(cmds[i], c)
-			}
-		default:
-			return st, fmt.Errorf("array: unknown op %v", r.Op)
-		}
-		st.Requests++
-	}
-
-	// Collect completions and fold them into per-request response times.
-	var firstFatal error
-	for i := range reqs {
-		arrival := reqs[i].At
-		done := arrival
-		failed := false
-		for _, c := range cmds[i] {
-			c.Wait()
-			if c.Err != nil {
-				failed = true
-				if firstFatal == nil && isFatal(c.Err) {
-					firstFatal = fmt.Errorf("request %d (%v lpa=%d): %w", i, reqs[i].Op, reqs[i].LPA, c.Err)
-				}
+// Content: each shard draws payloads from its own stripe of gen
+// (trace.ContentGen.Stripe), so every page gets the bytes it would get on
+// one device and no generator state is shared between shards.
+//
+// Determinism: each shard's sub-stream is a pure function of the trace and
+// its device is touched only by its own loop, so two replays of the same
+// trace on same-shaped arrays give identical per-shard and aggregate
+// results however the host schedules the workers.
+func Replay(a *Array, reqs []trace.Request, gen *trace.ContentGen) (*trace.RunStats, error) {
+	n := len(a.shards)
+	subs := make([][]trace.Request, n)
+	from := make([][]int, n) // trace index of each sub-request
+	for i, r := range reqs {
+		for s := range subs {
+			first := (s - int(r.LPA%uint64(n)) + n) % n // first page of r on shard s
+			if first >= r.Pages {
 				continue
 			}
-			if c.Done > done {
-				done = c.Done
+			local := ((r.LPA + uint64(first)) % uint64(a.logical)) / uint64(n)
+			subs[s] = append(subs[s], trace.Request{At: r.At, Op: r.Op, LPA: local, Pages: (r.Pages - first + n - 1) / n})
+			from[s] = append(from[s], i)
+		}
+	}
+
+	gens := gen.Stripe(n)
+	res := make([][]trace.Result, n)
+	if err := a.fanOut(0, func(s int, dev *core.TimeSSD, _ *timekits.Kit) {
+		res[s] = trace.Drive(dev, subs[s], gens[s])
+	}); err != nil {
+		return nil, err
+	}
+	gen.Unstripe(gens)
+
+	merged := make([]trace.Result, len(reqs))
+	for i := range merged {
+		merged[i].Done = reqs[i].At
+	}
+	for s := range res {
+		for j, out := range res[s] {
+			m := &merged[from[s][j]]
+			m.Done = max(m.Done, out.Done)
+			m.Pages += out.Pages
+			if out.Err != nil && (m.Err == nil || trace.Fatal(out.Err)) {
+				m.Err = out.Err
 			}
 		}
-		if failed {
-			st.Errors++
-		}
-		resp := done.Sub(arrival)
-		st.RespSum += resp
-		if resp > st.RespMax {
-			st.RespMax = resp
-		}
-		if opts.KeepLatencies {
-			st.Latencies = append(st.Latencies, resp)
-		}
-		if done.After(st.End) {
-			st.End = done
-		}
 	}
-	if firstFatal != nil {
-		return st, firstFatal
-	}
-	if opts.StopOnError && st.Errors > 0 {
-		return st, fmt.Errorf("array: %d requests failed", st.Errors)
-	}
-	return st, nil
-}
-
-// isFatal mirrors trace.Replay's policy: a full device (including
-// core.ErrRetentionFull, which wraps nothing but accompanies exhaustion)
-// means nothing later in the stream can succeed.
-func isFatal(err error) bool {
-	return errors.Is(err, ftl.ErrDeviceFull) || errors.Is(err, core.ErrRetentionFull)
+	// A shard that stopped on a fatal error left later requests short of
+	// its pages; Fold ends at the first fatal request, before any of them.
+	return trace.Fold(reqs, merged)
 }

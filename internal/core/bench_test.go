@@ -28,17 +28,19 @@ func benchDevice(b testing.TB) *TimeSSD {
 	return deviceOn(b, fc)
 }
 
-// BenchmarkTimeSSDWrite streams host writes over half the logical space.
+// BenchmarkTimeSSDWrite streams host writes over half the logical space,
+// each a similar successive version of its page. Content is generated
+// before the timer starts (simContent), so only the write path is timed.
 func BenchmarkTimeSSDWrite(b *testing.B) {
 	d := benchDevice(b)
-	gen := trace.NewContentGen(d.PageSize(), trace.ContentSimilar, 1)
+	content := simContent(d)
 	logical := uint64(d.LogicalPages()) / 2
 	at := vclock.Time(0)
 	b.SetBytes(int64(d.PageSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lpa := uint64(i) % logical
-		done, err := d.Write(lpa, gen.NextVersion(lpa), at)
+		done, err := d.Write(lpa, content(i/int(logical), lpa), at)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,8 +159,8 @@ func simDevice(b testing.TB) *TimeSSD {
 	return deviceOn(b, fc)
 }
 
-// simContent pre-generates the simulator stream's page content, so no
-// measured op pays for workload synthesis: content(round, lpa) is the
+// simContent pre-generates the page content of the timed write streams,
+// so no measured op pays for workload synthesis: content(round, lpa) is the
 // round-th successive similar version of the lineage lpa falls in.
 func simContent(d *TimeSSD) func(round int, lpa uint64) []byte {
 	const (

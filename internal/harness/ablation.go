@@ -159,7 +159,7 @@ func AblationThreshold(c Config) (*Table, error) {
 		for i := range reqs {
 			reqs[i].At = reqs[i].At + warmEnd.Add(vclock.Second)
 		}
-		st, err := trace.Replay(dev, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true})
+		st, err := trace.Replay(dev, reqs, gen)
 		if err != nil {
 			return fmt.Errorf("TH=%.2f: %w", th, err)
 		}

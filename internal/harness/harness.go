@@ -318,7 +318,7 @@ func (c Config) runTrace(dev ftl.Device, name string, usage float64, days int) (
 	for i := range reqs {
 		reqs[i].At = reqs[i].At + shift
 	}
-	st, err := trace.Replay(dev, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true, KeepLatencies: true})
+	st, err := trace.Replay(dev, reqs, gen)
 	if err != nil {
 		return nil, fmt.Errorf("%s@%.0f%%: %w", name, usage*100, err)
 	}

@@ -67,7 +67,7 @@ func ObsReport(c Config) (*Table, error) {
 	for i := range reqs {
 		reqs[i].At = reqs[i].At + shift
 	}
-	st, err := trace.Replay(dev, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true})
+	st, err := trace.Replay(dev, reqs, gen)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}

@@ -146,7 +146,7 @@ func (c Config) runScale(n int, footprint uint64, requests int) (*trace.RunStats
 		reqs[i].At = reqs[i].At + shift
 	}
 	wallStart := time.Now() //almalint:allow wallclock reason: the scaling experiment measures real host parallelism
-	st, err := array.Replay(arr, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true, KeepLatencies: true})
+	st, err := array.Replay(arr, reqs, gen)
 	wall := time.Since(wallStart) //almalint:allow wallclock reason: the scaling experiment measures real host parallelism
 	if err != nil {
 		return nil, 0, 0, err

@@ -172,9 +172,8 @@ func (s *Service) Create(name, key string, pages uint64, retention vclock.Durati
 	v.reg.SetEnabled(s.obsOn)
 	s.byName[name] = v
 	s.byID[v.id] = v
-	bound := s.boundLocked()
 	s.mu.Unlock()
-	if err := s.arr.SetMinRetention(bound); err != nil {
+	if err := s.applyBound(); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -198,7 +197,6 @@ func (s *Service) Delete(name, key string, at vclock.Time) (vclock.Time, error) 
 	}
 	delete(s.byName, name)
 	delete(s.byID, v.id)
-	bound := s.boundLocked()
 	s.mu.Unlock()
 
 	v.dead.Store(true)
@@ -224,10 +222,7 @@ func (s *Service) Delete(name, key string, at vclock.Time) (vclock.Time, error) 
 	s.mu.Lock()
 	s.freeLocked(extent{base: v.base, pages: v.pages})
 	s.mu.Unlock()
-	if err := s.arr.SetMinRetention(bound); err != nil {
-		return done, err
-	}
-	return done, nil
+	return done, s.applyBound()
 }
 
 // Attach authenticates against a named volume and returns its handle.
@@ -298,6 +293,28 @@ func (s *Service) RetentionBound() vclock.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.boundLocked()
+}
+
+// applyBound brings every shard's MinRetention to the current bound; a
+// lifecycle op calls it after changing the volume table. An application is
+// one queued command per shard, so concurrent appliers can land theirs in
+// any order, and each applier re-reads the bound after its application and
+// goes again until the bound it applied is still current. The application
+// that lands last on a shard therefore carries the final bound: its re-read
+// matched, and a table change after that re-read would have sent an
+// application of its own that landed later still.
+func (s *Service) applyBound() error {
+	bound := s.RetentionBound()
+	for {
+		if err := s.arr.SetMinRetention(bound); err != nil {
+			return err
+		}
+		cur := s.RetentionBound()
+		if cur == bound {
+			return nil
+		}
+		bound = cur
+	}
 }
 
 func (s *Service) boundLocked() vclock.Duration {

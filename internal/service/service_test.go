@@ -3,7 +3,10 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"almanac/internal/array"
@@ -305,6 +308,75 @@ func TestRetentionGatesAndBound(t *testing.T) {
 	}
 	if _, err := s.Create("neg", "k", 8, -vclock.Hour, at); err == nil {
 		t.Fatal("negative retention accepted")
+	}
+}
+
+// TestConcurrentLifecycleKeepsRetentionBound races volume creates and
+// deletes with random promises on fresh arrays. Each lifecycle op reaches
+// the shards as one queued command per shard, so without care a stale
+// bound can land last on some shards; once the ops are done, every shard
+// must hold the service's bound.
+func TestConcurrentLifecycleKeepsRetentionBound(t *testing.T) {
+	fc := flash.DefaultConfig()
+	fc.Channels = 2
+	fc.ChipsPerChannel = 1
+	fc.BlocksPerPlane = 32
+	fc.PagesPerBlock = 16
+	fc.PageSize = 512
+	cfg := core.DefaultConfig(ftl.WithFlash(fc))
+	cfg.MinRetention = 0
+	const trials, workers = 100, 8
+	for trial := 0; trial < trials; trial++ {
+		devs := make([]*core.TimeSSD, 4)
+		for i := range devs {
+			d, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs[i] = d
+		}
+		arr, err := array.Assemble(devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(arr)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(trial*workers + w)))
+				at := vclock.Time(vclock.Hour)
+				name := fmt.Sprintf("w%d", w)
+				<-start
+				for i := 0; i < 3; i++ {
+					retention := vclock.Duration(1+rng.Intn(96)) * vclock.Hour
+					if _, err := s.Create(name, "k", 1, retention, at); err != nil {
+						t.Error(err)
+						return
+					}
+					if rng.Intn(2) == 0 {
+						return // the volume stays
+					}
+					if _, err := s.Delete(name, "k", at); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if err := arr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := s.RetentionBound()
+		for i, d := range devs {
+			if got := d.Config().MinRetention; got != want {
+				t.Fatalf("trial %d: shard %d MinRetention %v, service bound %v", trial, i, got, want)
+			}
+		}
 	}
 }
 

@@ -282,7 +282,7 @@ func runPoint(s *Spec, p Point) (Metrics, error) {
 	for i := range reqs {
 		reqs[i].At = reqs[i].At + shift
 	}
-	st, err := trace.Replay(dev, reqs, trace.ReplayOptions{Content: gen, AnnounceIdle: true})
+	st, err := trace.Replay(dev, reqs, gen)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("replay: %w", err)
 	}

@@ -37,6 +37,10 @@ type ContentGen struct {
 	Seed      int64
 
 	ver map[uint64]uint64 // next version number per LPA
+
+	// A stripe (see Stripe) is called with shard-local LPAs and generates
+	// for global LPA local·stride + offset; a whole generator has stride 1.
+	stride, offset uint64
 }
 
 // NewContentGen returns a generator with the paper's default ratio model
@@ -49,6 +53,36 @@ func NewContentGen(pageSize int, mode ContentMode, seed int64) *ContentGen {
 		StdRatio:  0.05,
 		Seed:      seed,
 		ver:       make(map[uint64]uint64),
+		stride:    1,
+	}
+}
+
+// Stripe splits g across the shards of an n-way striped array (global LPA
+// = local·n + shard). Shard s's generator is called with local LPAs and
+// yields, version for version, exactly the bytes g would yield for the
+// global LPA. Each stripe counts versions in a map of its own, so the
+// stripes can generate concurrently; Unstripe folds their counts back.
+func (g *ContentGen) Stripe(n int) []*ContentGen {
+	parts := make([]*ContentGen, n)
+	for s := range parts {
+		p := *g
+		p.ver = make(map[uint64]uint64)
+		p.stride, p.offset = uint64(n), uint64(s)
+		parts[s] = &p
+	}
+	for lpa, v := range g.ver {
+		parts[lpa%uint64(n)].ver[lpa] = v
+	}
+	return parts
+}
+
+// Unstripe folds the version counts of g's stripes back into g, as if g
+// had generated every version itself.
+func (g *ContentGen) Unstripe(parts []*ContentGen) {
+	for _, p := range parts {
+		for lpa, v := range p.ver {
+			g.ver[lpa] = v
+		}
 	}
 }
 
@@ -106,6 +140,7 @@ func (g *ContentGen) basePage(lpa uint64, dst []byte) {
 // NextVersion returns the payload for the next write to lpa and advances
 // the per-page version counter.
 func (g *ContentGen) NextVersion(lpa uint64) []byte {
+	lpa = g.global(lpa)
 	v := g.ver[lpa]
 	g.ver[lpa] = v + 1
 	return g.VersionContent(lpa, v)
@@ -152,4 +187,6 @@ func (g *ContentGen) VersionContent(lpa uint64, v uint64) []byte {
 }
 
 // Versions returns how many versions of lpa have been generated so far.
-func (g *ContentGen) Versions(lpa uint64) uint64 { return g.ver[lpa] }
+func (g *ContentGen) Versions(lpa uint64) uint64 { return g.ver[g.global(lpa)] }
+
+func (g *ContentGen) global(lpa uint64) uint64 { return lpa*g.stride + g.offset }

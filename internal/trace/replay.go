@@ -16,21 +16,6 @@ type IdleDevice interface {
 	Idle(now, until vclock.Time)
 }
 
-// ReplayOptions tunes a replay run.
-type ReplayOptions struct {
-	// Content supplies write payloads; nil uses zero pages.
-	Content *ContentGen
-	// AnnounceIdle forwards inter-request gaps to IdleDevice implementors.
-	AnnounceIdle bool
-	// KeepLatencies retains the full per-request latency distribution
-	// (needed for percentiles; costs memory on long runs).
-	KeepLatencies bool
-	// StopOnError aborts on the first device error; otherwise errors are
-	// counted and the run continues (retention-full writes are always
-	// fatal since nothing later can succeed).
-	StopOnError bool
-}
-
 // RunStats aggregates a replay run.
 type RunStats struct {
 	Requests int
@@ -48,7 +33,7 @@ type RunStats struct {
 	Start vclock.Time
 	End   vclock.Time // completion of the last request
 
-	Latencies []vclock.Duration // per-request, if KeepLatencies
+	Latencies []vclock.Duration // per request, in trace order
 }
 
 // AvgResponse returns the mean per-request response time.
@@ -59,8 +44,7 @@ func (s *RunStats) AvgResponse() vclock.Duration {
 	return s.RespSum / vclock.Duration(s.Requests)
 }
 
-// Percentile returns the p-quantile (0 < p ≤ 1) of request latency;
-// requires KeepLatencies.
+// Percentile returns the p-quantile (0 < p ≤ 1) of request latency.
 func (s *RunStats) Percentile(p float64) vclock.Duration {
 	if len(s.Latencies) == 0 {
 		return 0
@@ -86,109 +70,139 @@ func (s *RunStats) Throughput() float64 {
 	return float64(s.Requests) / span.Seconds()
 }
 
-// Replay drives the request stream against dev and returns statistics.
-// Requests are issued at their trace arrival times; response time is the
-// completion of a request's last page operation minus its arrival.
-func Replay(dev ftl.Device, reqs []Request, opts ReplayOptions) (*RunStats, error) {
+// Result is what one request came to on a device.
+type Result struct {
+	Done  vclock.Time // completion of its last page operation; its arrival if none completed
+	Pages int         // pages read or written before any error (a trim counts none)
+	Err   error       // the page error that stopped the request
+}
+
+// Replay drives the request stream against dev and returns statistics:
+// Drive, then Fold.
+func Replay(dev ftl.Device, reqs []Request, gen *ContentGen) (*RunStats, error) {
+	return Fold(reqs, Drive(dev, reqs, gen))
+}
+
+// Drive issues reqs against dev in trace order and returns one Result per
+// request issued. It is the one loop that turns requests into page
+// operations (array.Replay runs it on every shard), and these are its rules:
+//
+//   - The pages of a read or a write are all issued at the request's
+//     arrival (queue depth > 1; the per-channel busy horizons serialise what
+//     actually contends), and the request completes with its slowest page.
+//   - The pages of a trim are chained: each is issued when the previous one
+//     completes.
+//   - When a request arrives after the previous one completed, an
+//     IdleDevice is told of the gap with Idle(prevDone, arrival).
+//   - A page error ends its request. Fatal errors (see Fatal) also end the
+//     run, so such a request's Result is the last one; every other error is
+//     counted and the run goes on.
+//
+// Write payloads come from gen, one NextVersion per page in trace order.
+func Drive(dev ftl.Device, reqs []Request, gen *ContentGen) []Result {
+	res := make([]Result, 0, len(reqs))
+	if len(reqs) == 0 {
+		return res
+	}
+	idleDev, _ := dev.(IdleDevice)
+	logical := uint64(dev.LogicalPages())
+	prevDone := reqs[0].At
+	for i := range reqs {
+		r := &reqs[i]
+		if idleDev != nil && r.At.After(prevDone) {
+			idleDev.Idle(prevDone, r.At)
+		}
+		out := issue(dev, r, logical, gen)
+		res = append(res, out)
+		if Fatal(out.Err) {
+			break
+		}
+		prevDone = out.Done
+	}
+	return res
+}
+
+// issue runs the page operations of one request.
+func issue(dev ftl.Device, r *Request, logical uint64, gen *ContentGen) Result {
+	out := Result{Done: r.At}
+	switch r.Op {
+	case OpRead:
+		for p := 0; p < r.Pages; p++ {
+			var d vclock.Time
+			if _, d, out.Err = dev.Read((r.LPA+uint64(p))%logical, r.At); out.Err != nil {
+				break
+			}
+			out.Done = max(out.Done, d)
+			out.Pages++
+		}
+	case OpWrite:
+		for p := 0; p < r.Pages; p++ {
+			lpa := (r.LPA + uint64(p)) % logical
+			var d vclock.Time
+			if d, out.Err = dev.Write(lpa, gen.NextVersion(lpa), r.At); out.Err != nil {
+				break
+			}
+			out.Done = max(out.Done, d)
+			out.Pages++
+		}
+	case OpTrim:
+		at := r.At
+		for p := 0; p < r.Pages && out.Err == nil; p++ {
+			at, out.Err = dev.Trim((r.LPA+uint64(p))%logical, at)
+		}
+		out.Done = max(r.At, at)
+	default:
+		out.Err = fmt.Errorf("%w %v", errUnknownOp, r.Op)
+	}
+	return out
+}
+
+var errUnknownOp = errors.New("trace: unknown op")
+
+// Fatal reports whether a request's error ends a replay: a full device
+// (nothing later can succeed) or a request naming no known op. Every other
+// error, core.ErrRetentionFull included, is counted and the run goes on.
+func Fatal(err error) bool {
+	return errors.Is(err, ftl.ErrDeviceFull) || errors.Is(err, errUnknownOp)
+}
+
+// Fold reduces per-request results, res[i] being reqs[i]'s, to RunStats.
+// The first fatal result ends the fold, and Fold returns its error.
+func Fold(reqs []Request, res []Result) (*RunStats, error) {
 	st := &RunStats{}
 	if len(reqs) == 0 {
 		return st, nil
 	}
 	st.Start = reqs[0].At
-	idleDev, _ := dev.(IdleDevice)
-	logical := uint64(dev.LogicalPages())
-	prevDone := reqs[0].At
-
-	for i := range reqs {
+	st.Latencies = make([]vclock.Duration, 0, len(res))
+	for i, out := range res {
 		r := &reqs[i]
-		if opts.AnnounceIdle && idleDev != nil && r.At.After(prevDone) {
-			idleDev.Idle(prevDone, r.At)
-		}
-		arrival := r.At
-		done := arrival
-		var err error
 		switch r.Op {
 		case OpRead:
 			st.Reads++
-			// Pages of one read fan out concurrently; the request
-			// completes when the slowest page returns.
-			for p := 0; p < r.Pages; p++ {
-				lpa := (r.LPA + uint64(p)) % logical
-				_, d, e := dev.Read(lpa, arrival)
-				if e != nil {
-					err = e
-					break
-				}
-				if d > done {
-					done = d
-				}
-				st.PagesRead++
-			}
+			st.PagesRead += int64(out.Pages)
 		case OpWrite:
 			st.Writes++
-			// Pages of one request are all in flight at arrival (queue
-			// depth > 1); the per-channel busy horizons serialise what
-			// actually contends. The request completes with its last page.
-			for p := 0; p < r.Pages; p++ {
-				lpa := (r.LPA + uint64(p)) % logical
-				var payload []byte
-				if opts.Content != nil {
-					payload = opts.Content.NextVersion(lpa)
-				} else {
-					payload = make([]byte, dev.PageSize())
-				}
-				var d vclock.Time
-				d, err = dev.Write(lpa, payload, arrival)
-				if err != nil {
-					break
-				}
-				if d > done {
-					done = d
-				}
-				st.PagesWritten++
-			}
+			st.PagesWritten += int64(out.Pages)
 		case OpTrim:
 			st.Trims++
-			at := arrival
-			for p := 0; p < r.Pages; p++ {
-				lpa := (r.LPA + uint64(p)) % logical
-				at, err = dev.Trim(lpa, at)
-				if err != nil {
-					break
-				}
-			}
-			done = at
-		default:
-			return st, fmt.Errorf("trace: unknown op %v", r.Op)
 		}
 		st.Requests++
-		if err != nil {
+		if out.Err != nil {
 			st.Errors++
-			if opts.StopOnError || isFatal(err) {
-				return st, fmt.Errorf("request %d (%v lpa=%d): %w", i, r.Op, r.LPA, err)
+			if Fatal(out.Err) {
+				return st, fmt.Errorf("request %d (%v lpa=%d): %w", i, r.Op, r.LPA, out.Err)
 			}
 		}
-		if done.Before(arrival) {
-			done = arrival
-		}
-		resp := done.Sub(arrival)
+		resp := out.Done.Sub(r.At)
 		st.RespSum += resp
-		if resp > st.RespMax {
-			st.RespMax = resp
+		st.RespMax = max(st.RespMax, resp)
+		st.Latencies = append(st.Latencies, resp)
+		if out.Done.After(st.End) {
+			st.End = out.Done
 		}
-		if opts.KeepLatencies {
-			st.Latencies = append(st.Latencies, resp)
-		}
-		if done.After(st.End) {
-			st.End = done
-		}
-		prevDone = done
 	}
 	return st, nil
-}
-
-func isFatal(err error) bool {
-	return errors.Is(err, ftl.ErrDeviceFull)
 }
 
 // Fill primes a device by writing every page of [0, footprint) once, at
@@ -196,13 +210,7 @@ func isFatal(err error) bool {
 // time. The paper warms the SSD before each experiment so GC is active.
 func Fill(dev ftl.Device, footprint uint64, gen *ContentGen, at vclock.Time) (vclock.Time, error) {
 	for lpa := uint64(0); lpa < footprint; lpa++ {
-		var payload []byte
-		if gen != nil {
-			payload = gen.NextVersion(lpa)
-		} else {
-			payload = make([]byte, dev.PageSize())
-		}
-		done, err := dev.Write(lpa, payload, at)
+		done, err := dev.Write(lpa, gen.NextVersion(lpa), at)
 		if err != nil {
 			return at, fmt.Errorf("fill lpa %d: %w", lpa, err)
 		}

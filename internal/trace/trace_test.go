@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"testing"
 
 	"almanac/internal/core"
@@ -250,6 +251,33 @@ func TestContentReproducible(t *testing.T) {
 	}
 }
 
+// TestStripeMatchesWhole: the stripes of a generator that already counted
+// some versions yield, for local LPAs, exactly the bytes the whole
+// generator yields for the global LPAs, and Unstripe leaves the same
+// version counts behind.
+func TestStripeMatchesWhole(t *testing.T) {
+	const n, span = 3, 40
+	whole := NewContentGen(512, ContentSimilar, 5)
+	split := NewContentGen(512, ContentSimilar, 5)
+	for lpa := uint64(0); lpa < span; lpa += 2 {
+		whole.NextVersion(lpa)
+		split.NextVersion(lpa)
+	}
+	parts := split.Stripe(n)
+	for i := 0; i < 200; i++ {
+		lpa := uint64(i*7) % span
+		if !bytes.Equal(parts[lpa%n].NextVersion(lpa/n), whole.NextVersion(lpa)) {
+			t.Fatalf("write %d: stripe bytes of lpa %d differ from the whole generator's", i, lpa)
+		}
+	}
+	split.Unstripe(parts)
+	for lpa := uint64(0); lpa < span; lpa++ {
+		if split.Versions(lpa) != whole.Versions(lpa) {
+			t.Fatalf("lpa %d: %d versions after Unstripe, want %d", lpa, split.Versions(lpa), whole.Versions(lpa))
+		}
+	}
+}
+
 func TestContentRandomIncompressible(t *testing.T) {
 	g := NewContentGen(4096, ContentRandom, 6)
 	old := g.NextVersion(1)
@@ -293,7 +321,7 @@ func TestReplayAgainstTimeSSD(t *testing.T) {
 	for i := range reqs {
 		reqs[i].At = reqs[i].At.Add(at.Sub(0) + vclock.Second)
 	}
-	st, err := Replay(d, reqs, ReplayOptions{Content: gen, AnnounceIdle: true, KeepLatencies: true})
+	st, err := Replay(d, reqs, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +359,7 @@ func TestReplayRegularVsTimeSSDComparable(t *testing.T) {
 	s.Requests = 1500
 	reqs, _ := Generate(s)
 	gen := NewContentGen(reg.PageSize(), ContentSimilar, 8)
-	st, err := Replay(reg, reqs, ReplayOptions{Content: gen})
+	st, err := Replay(reg, reqs, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
