@@ -239,7 +239,7 @@ type TimeSSD struct {
 	// threads share a device serially; array shards own their devices), so
 	// the scratch buffers need no locks.
 	refcache    *refCache      // decoded-version cache for query paths
-	encScratch  []byte         // delta.Encode staging, reused across GC compressions
+	encScratch  []byte         // delta.EncodeWith staging, reused across GC compressions
 	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
 	tsScratch   []vclock.Time  // UpdatedBetween per-LPA timestamp staging, reused across LPAs

@@ -3,13 +3,15 @@ package delta
 import (
 	"math/rand"
 	"testing"
+
+	"almanac/internal/lzf"
 )
 
 // TestEncodeAllocs pins the steady-state zero-allocation contract of the
-// encoder: with a reused dst and a warm xorScratch pool, Encode must not
-// allocate. A GC pause during the measured runs can drain the pool and cost
-// one refill, so a nonzero reading gets one retry before it counts as a
-// regression.
+// encoder: with a reused dst and compressor and a warm xorScratch pool,
+// EncodeWith must not allocate. A GC pause during the measured runs can
+// drain the pool and cost one refill, so a nonzero reading gets one retry
+// before it counts as a regression.
 func TestEncodeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	old := make([]byte, 4096)
@@ -21,10 +23,11 @@ func TestEncodeAllocs(t *testing.T) {
 		ref[rng.Intn(len(ref))] ^= byte(1 + rng.Intn(255))
 	}
 
+	var c lzf.Compressor
 	out := make([]byte, 0, 2*len(old))
 	measure := func() float64 {
 		return testing.AllocsPerRun(100, func() {
-			_, out = Encode(out[:0], old, ref)
+			_, out = EncodeWith(&c, out[:0], old, ref)
 		})
 	}
 	n := measure()
@@ -32,7 +35,7 @@ func TestEncodeAllocs(t *testing.T) {
 		n = measure()
 	}
 	if n != 0 {
-		t.Fatalf("Encode allocates %.2f times per call in steady state, want 0", n)
+		t.Fatalf("EncodeWith allocates %.2f times per call in steady state, want 0", n)
 	}
 
 	// The raw fallback (incompressible page) must also stay allocation-free
@@ -40,14 +43,14 @@ func TestEncodeAllocs(t *testing.T) {
 	noise := make([]byte, 4096)
 	rng.Read(noise)
 	n = testing.AllocsPerRun(100, func() {
-		_, out = Encode(out[:0], noise, nil)
+		_, out = EncodeWith(&c, out[:0], noise, nil)
 	})
 	if n != 0 {
 		n = testing.AllocsPerRun(100, func() {
-			_, out = Encode(out[:0], noise, nil)
+			_, out = EncodeWith(&c, out[:0], noise, nil)
 		})
 	}
 	if n != 0 {
-		t.Fatalf("Encode raw fallback allocates %.2f times per call, want 0", n)
+		t.Fatalf("EncodeWith raw fallback allocates %.2f times per call, want 0", n)
 	}
 }

@@ -16,6 +16,7 @@
 package delta
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,40 +54,17 @@ type Delta struct {
 // ErrCorruptPage is returned when a delta page fails to parse.
 var ErrCorruptPage = errors.New("delta: corrupt delta page")
 
-// xorScratch pools the XOR staging buffer Encode needs for EncXORLZF; the
-// harness compresses on many devices concurrently, so the pool (rather than
-// a package-level buffer) keeps Encode safe to call from parallel workers.
+// xorScratch pools the XOR staging buffer EncodeWith needs for EncXORLZF;
+// the harness compresses on many devices concurrently, so the pool (rather
+// than a package-level buffer) keeps EncodeWith safe to call from parallel
+// workers.
 var xorScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// xorBytes stores a XOR b into dst, one 8-byte word at a time. All three
-// slices must have equal length; dst may alias a.
-func xorBytes(dst, a, b []byte) {
-	n := len(a)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
-// Encode compresses old against ref (both pageSize long), appends the chosen
-// payload to dst, and returns the encoding plus the extended slice. ref may
-// be nil, in which case the old version is self-compressed (EncRawLZF or
-// EncRaw). Callers reuse dst across calls to amortise allocations; pass nil
-// for a one-shot encode.
-func Encode(dst, old, ref []byte) (Encoding, []byte) {
-	return EncodeWith(nil, dst, old, ref)
-}
-
-// EncodeWith is Encode through a caller-owned lzf.Compressor, whose
-// generation-tagged match table skips the per-call table clear the pure
-// compressor pays. A nil compressor falls back to lzf.Compress; either way
-// the emitted bytes are identical (the compressor guarantees byte-identical
-// output). Hot single-goroutine paths — GC delta emission — hold one
-// compressor per device.
+// EncodeWith compresses old against ref (both pageSize long) through the
+// caller's compressor, appends the chosen payload to dst, and returns the
+// encoding plus the extended slice. ref may be nil, in which case the old
+// version is self-compressed (EncRawLZF or EncRaw). Callers reuse dst and
+// hold one compressor per goroutine (the GC: one per device).
 func EncodeWith(c *lzf.Compressor, dst, old, ref []byte) (Encoding, []byte) {
 	if ref != nil && len(ref) != len(old) {
 		panic("delta: reference and version sizes differ")
@@ -101,16 +79,12 @@ func EncodeWith(c *lzf.Compressor, dst, old, ref []byte) (Encoding, []byte) {
 			s = make([]byte, len(old))
 		}
 		s = s[:len(old)]
-		xorBytes(s, old, ref)
+		subtle.XORBytes(s, old, ref)
 		src = s
 		enc = EncXORLZF
 		defer func() { *sp = s; xorScratch.Put(sp) }()
 	}
-	if c != nil {
-		dst = c.Compress(dst, src)
-	} else {
-		dst = lzf.Compress(dst, src)
-	}
+	dst = c.Compress(dst, src)
 	if len(dst)-base >= len(old) {
 		// Compression did not pay; store verbatim.
 		dst = append(dst[:base], old...)
@@ -150,7 +124,7 @@ func DecodeAppend(dst []byte, enc Encoding, payload, ref []byte, pageSize int) (
 		}
 		if enc == EncXORLZF {
 			body := out[base:]
-			xorBytes(body, body, ref)
+			subtle.XORBytes(body, body, ref) // exact aliasing is allowed
 		}
 		return out, nil
 	default:

@@ -5,10 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"almanac/internal/lzf"
 	"almanac/internal/vclock"
 )
 
-// FuzzDeltaEncodeDecode checks that Encode∘Decode reconstructs the exact
+// FuzzDeltaEncodeDecode checks that EncodeWith∘Decode reconstructs the exact
 // obsolete version for every (old, ref) pair, with and without a
 // reference. Deltas are how retained history survives GC (§3.6); a lossy
 // round trip here silently corrupts time travel.
@@ -19,12 +20,13 @@ func FuzzDeltaEncodeDecode(f *testing.F) {
 	f.Add([]byte{}, []byte{}, true)
 	f.Add([]byte("self-compressed, no reference"), []byte{}, false)
 
+	var c lzf.Compressor
 	f.Fuzz(func(t *testing.T, old, ref []byte, useRef bool) {
 		if len(old) > 1<<16 {
 			t.Skip()
 		}
 		if useRef {
-			// Encode requires ref and old to be the same page size.
+			// EncodeWith requires ref and old to be the same page size.
 			if len(ref) < len(old) {
 				t.Skip()
 			}
@@ -32,7 +34,7 @@ func FuzzDeltaEncodeDecode(f *testing.F) {
 		} else {
 			ref = nil
 		}
-		enc, payload := Encode(nil, old, ref)
+		enc, payload := EncodeWith(&c, nil, old, ref)
 		got, err := Decode(enc, payload, ref, len(old))
 		if err != nil {
 			t.Fatalf("Decode(enc=%d) of own payload failed: %v", enc, err)

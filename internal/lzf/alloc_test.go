@@ -3,8 +3,9 @@ package lzf
 import "testing"
 
 // TestCodecAllocs pins the zero-allocation contract of the codec hot path:
-// with a reused, pre-sized destination, Compress and Decompress must not
-// allocate at all — both run on every retained version the device moves.
+// with a reused, pre-sized destination, Compressor.Compress and Decompress
+// must not allocate at all — both run on every retained version the device
+// moves.
 func TestCodecAllocs(t *testing.T) {
 	// Sparse delta-residual shape: mostly zero with scattered set bytes,
 	// the input almost every production call sees.
@@ -13,14 +14,15 @@ func TestCodecAllocs(t *testing.T) {
 		src[(i*61)%len(src)] = byte(1 + i%255)
 	}
 
+	var c Compressor
 	dst := make([]byte, 0, 2*len(src))
 	if n := testing.AllocsPerRun(100, func() {
-		dst = Compress(dst[:0], src)
+		dst = c.Compress(dst[:0], src)
 	}); n != 0 {
-		t.Fatalf("Compress allocates %.2f times per call, want 0", n)
+		t.Fatalf("Compressor.Compress allocates %.2f times per call, want 0", n)
 	}
 
-	comp := Compress(nil, src)
+	comp := c.Compress(nil, src)
 	out := make([]byte, 0, len(src))
 	if n := testing.AllocsPerRun(100, func() {
 		var err error

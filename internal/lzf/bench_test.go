@@ -5,12 +5,9 @@ import (
 	"testing"
 )
 
-// lzfCorpus builds the page shape almost every production Compress call
-// sees: the XOR residual of two adjacent versions of a page — mostly zero
-// with scattered changed bytes (trace.ContentSimilar versions differ in
-// ~PageSize/8·ratio single bytes, and delta.Encode XORs them before
-// compressing). Raw-page compression of dense data is the rare cold path
-// (idle compression of never-overwritten pages).
+// lzfCorpus builds a 4 KiB-page XOR residual with single changed bytes
+// scattered over zeros: the worst case for matching, since every changed
+// byte breaks a zero run.
 func lzfCorpus(seed int64, n, changed int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	p := make([]byte, n)
@@ -20,20 +17,33 @@ func lzfCorpus(seed int64, n, changed int) []byte {
 	return p
 }
 
-// BenchmarkLZFCompress4K compresses a 4 KiB delta residual.
+// BenchmarkLZFCompress4K times the production compressor on a 4 KiB delta
+// residual of each shape: "runs" is what trace.ContentSimilar versions and
+// the benchmark corpus XOR to (16-byte runs of change in zeros), "scatter"
+// is single changed bytes.
 func BenchmarkLZFCompress4K(b *testing.B) {
-	src := lzfCorpus(1, 4096, 200)
-	b.SetBytes(4096)
-	var out []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = Compress(out[:0], src)
+	for _, bc := range []struct {
+		name string
+		src  []byte
+	}{
+		{"runs", runResidual(rand.New(rand.NewSource(1)), 4096, 16)},
+		{"scatter", lzfCorpus(1, 4096, 200)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var c Compressor
+			b.SetBytes(int64(len(bc.src)))
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				out = c.Compress(out[:0], bc.src)
+			}
+		})
 	}
 }
 
-// BenchmarkLZFDecompress4K decompresses the same residual payload.
+// BenchmarkLZFDecompress4K decompresses the scatter residual's payload.
 func BenchmarkLZFDecompress4K(b *testing.B) {
-	comp := Compress(nil, lzfCorpus(1, 4096, 200))
+	var c Compressor
+	comp := c.Compress(nil, lzfCorpus(1, 4096, 200))
 	b.SetBytes(4096)
 	var out []byte
 	b.ResetTimer()

@@ -2,13 +2,14 @@ package lzf
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
-// FuzzLZFRoundTrip checks that Compress∘Decompress is the identity for any
-// input, and that the decoder's output bound is honored. The compressor
-// runs inside the GC's retained-data path, so a round-trip corruption here
-// would rewrite history rather than just lose a page.
+// FuzzLZFRoundTrip checks that Compressor.Compress∘Decompress is the
+// identity for any input, and that the decoder's output bound is honored.
+// The compressor runs inside the GC's retained-data path, so a round-trip
+// corruption here would rewrite history rather than just lose a page.
 func FuzzLZFRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("a"))
@@ -20,8 +21,9 @@ func FuzzLZFRoundTrip(f *testing.F) {
 	// Period exactly at the 8 KiB window boundary.
 	f.Add(bytes.Repeat([]byte("x"), 8192+32))
 
+	var c Compressor
 	f.Fuzz(func(t *testing.T, src []byte) {
-		comp := Compress(nil, src)
+		comp := c.Compress(nil, src)
 		got, err := Decompress(nil, comp, len(src))
 		if err != nil {
 			t.Fatalf("Decompress of own output failed: %v", err)
@@ -34,6 +36,45 @@ func FuzzLZFRoundTrip(f *testing.F) {
 			if _, err := Decompress(nil, comp, len(src)-1); err == nil {
 				t.Fatalf("Decompress accepted output larger than its bound")
 			}
+		}
+	})
+}
+
+// FuzzCompressorMatchesReference checks that one Compressor, reused across
+// inputs the way a device reuses it across GC compressions, emits exactly
+// the bytes of the frozen reference loop. The Compressor's table reuse and
+// period-aware match seeding are only correct if they never change a byte;
+// this is the net that does not move when either is edited.
+func FuzzCompressorMatchesReference(f *testing.F) {
+	// Runs of every period 1-12, long enough that matches hit maxMatch.
+	for q := 1; q <= 12; q++ {
+		p := make([]byte, 3*maxMatch+q)
+		for j := range p {
+			p[j] = byte(j % q)
+		}
+		f.Add(p)
+	}
+	// A run longer than maxMatch followed by a literal tail.
+	f.Add(append(bytes.Repeat([]byte{0}, 2*maxMatch+7), "tail"...))
+	// References at and just past the 8 KiB window edge.
+	edge := make([]byte, maxOff+64)
+	copy(edge, "window-edge-marker")
+	copy(edge[maxOff:], "window-edge-marker")
+	f.Add(edge)
+	f.Add(edge[:maxOff+17])
+	// Run-shaped residuals of 512 B and 4 KiB pages.
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{512, 4096} {
+		for _, runs := range []int{1, 8, 32} {
+			f.Add(runResidual(rng, n, runs))
+		}
+	}
+
+	var c Compressor
+	f.Fuzz(func(t *testing.T, src []byte) {
+		got, want := c.Compress(nil, src), compressRef(nil, src)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte input: Compressor emits %d bytes, reference %d, or they differ", len(src), len(got), len(want))
 		}
 	})
 }

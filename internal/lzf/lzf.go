@@ -7,6 +7,12 @@
 // within an 8 KiB window. It favours speed over ratio, exactly the trade-off
 // a firmware compressor makes.
 //
+// Compressor is the one encoder. It keeps its match table across calls and
+// seeds it once per period of a periodic match, yet emits exactly the bytes
+// of the plain table-per-call loop kept in the tests as the reference:
+// compressed payloads land on simulated flash, so every layout and
+// retention number the simulator reports depends on them.
+//
 // Encoded stream format (identical to classic LZF):
 //
 //	ctrl < 0x20:  literal run, ctrl+1 literal bytes follow.
@@ -46,21 +52,44 @@ func hash3(a, b, c byte) uint32 {
 	return (h * 2654435761) >> (32 - hashLog)
 }
 
-// Compress appends the LZF encoding of src to dst and returns the extended
-// slice. The output of Compress on incompressible data can be slightly
-// larger than the input (worst case: one control byte per 32 literals).
+// hashAt is hash3(src[j], src[j+1], src[j+2]), from one little-endian load
+// when four bytes are in range (byte-reversed so the values agree).
+func hashAt(src []byte, j int) uint32 {
+	if j+4 <= len(src) {
+		u := binary.LittleEndian.Uint32(src[j:])
+		return ((bits.ReverseBytes32(u) >> 8) * 2654435761) >> (32 - hashLog)
+	}
+	return hash3(src[j], src[j+1], src[j+2])
+}
+
+// Compressor is the LZF encoder. It carries its match table across calls
+// and tags each entry with a per-call generation: entries written by
+// earlier calls read as empty, so no 32 KiB clear is paid per page and the
+// output is a pure function of src (the same positions are visible at the
+// same probes as with a fresh table).
 //
-// The match table stores position+1 so its zero value means "empty": a fresh
-// stack table costs one vectorized 32 KiB clear instead of the explicit
-// fill-with--1 loop a sentinel of -1 would need. Compress stays a pure
-// function of src (no state outlives the call), which matters beyond
-// hygiene: compressed bytes land on the simulated flash, so match selection
-// influencing payload sizes must never depend on prior calls.
-func Compress(dst, src []byte) []byte {
+// The zero value is ready to use. A Compressor is NOT safe for concurrent
+// use; give each goroutine (in the simulator: each device) its own.
+type Compressor struct {
+	gen   uint32
+	table [hashSize]uint64 // gen<<32 | position+1; other-generation tags read as empty
+}
+
+// Compress appends the LZF encoding of src to dst and returns the extended
+// slice. The output on incompressible data can be slightly larger than the
+// input (worst case: one control byte per 32 literals).
+func (c *Compressor) Compress(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return dst
 	}
-	var table [hashSize]int32 // entry = position+1; 0 = empty
+	c.gen++
+	if c.gen == 0 {
+		// Generation wrapped: stale tags from 1<<32 calls ago would read as
+		// current. One real clear per 4 billion calls.
+		c.table = [hashSize]uint64{}
+		c.gen = 1
+	}
+	tag := uint64(c.gen) << 32
 
 	litStart := 0 // start of the pending literal run
 	flushLits := func(end int) {
@@ -81,18 +110,17 @@ func Compress(dst, src []byte) []byte {
 		var u uint32
 		wide := i+4 <= len(src)
 		if wide {
-			// One little-endian load serves both the hash (byte-reversed so
-			// it equals hash3(src[i], src[i+1], src[i+2])) and the 3-byte
+			// One little-endian load serves both the hash and the 3-byte
 			// candidate comparison below.
 			u = binary.LittleEndian.Uint32(src[i:])
 			h = ((bits.ReverseBytes32(u) >> 8) * 2654435761) >> (32 - hashLog)
 		} else {
 			h = hash3(src[i], src[i+1], src[i+2])
 		}
-		e := table[h]
-		table[h] = int32(i + 1)
-		if e != 0 {
-			cand := int(e) - 1
+		e := c.table[h]
+		c.table[h] = tag | uint64(i+1)
+		if e>>32 == uint64(c.gen) {
+			cand := int(uint32(e)) - 1
 			var hit bool
 			if wide {
 				// cand < i and i+4 <= len(src), so the 4-byte load at cand
@@ -142,134 +170,26 @@ func Compress(dst, src []byte) []byte {
 				} else {
 					dst = append(dst, byte(7<<5)|byte(off>>8), byte(l-7), byte(off))
 				}
-				// Seed the table with positions inside the match so later
-				// data can reference it; a sparse seeding keeps compression
-				// fast.
+				// Seed the table with every other position inside the match
+				// so later data can reference it. Only the table state after
+				// this loop matters (nothing probes it in between), and the
+				// match is periodic: src[k] == src[k-q] for k in [i, end),
+				// q = i-cand, so the window at j equals the window at j+q
+				// while j+q+minMatch <= end. With span = lcm(2, q) — a
+				// multiple of the stride — the seed at j+span rewrites the
+				// bucket of the seed at j with a later position, so no seed
+				// that has a successor span ahead can survive the loop: the
+				// last write to every bucket lies in the final span/2 seeds.
+				// Starting there leaves the table, and so every later byte
+				// of output, exactly as seeding them all would. On an XOR
+				// residual q is 1-4 and this skips ~130 hashes per zero run.
 				end := i + mlen
-				for j := i + 1; j+minMatch <= end && j+minMatch <= len(src); j += 2 {
-					table[hash3(src[j], src[j+1], src[j+2])] = int32(j + 1)
+				j := i + 1
+				if span := (i - cand) << ((i - cand) & 1); j+span+minMatch <= end {
+					j = j + (end-minMatch-j)&^1 - span + 2
 				}
-				i = end
-				litStart = i
-				continue
-			}
-		}
-		i++
-	}
-	flushLits(len(src))
-	return dst
-}
-
-// Compressor is a Compress variant that carries its match table across
-// calls. Compress clears a 32 KiB stack table on every invocation — wasted
-// work when the inputs are single flash pages far smaller than the table.
-// The Compressor instead tags each table entry with a per-call generation:
-// entries written by earlier calls read as empty, so no clear is needed and
-// the output is byte-identical to the pure function's (the same positions
-// are visible at the same probes — asserted by TestCompressorMatchesPure).
-//
-// The zero value is ready to use. A Compressor is NOT safe for concurrent
-// use; give each goroutine (in the simulator: each device) its own.
-type Compressor struct {
-	gen   uint32
-	table [hashSize]uint64 // gen<<32 | position+1; other-generation tags read as empty
-}
-
-// Compress appends the LZF encoding of src to dst and returns the extended
-// slice. Output is byte-for-byte identical to the package-level Compress.
-func (c *Compressor) Compress(dst, src []byte) []byte {
-	if len(src) == 0 {
-		return dst
-	}
-	c.gen++
-	if c.gen == 0 {
-		// Generation wrapped: stale tags from 1<<32 calls ago would read as
-		// current. One real clear per 4 billion calls.
-		c.table = [hashSize]uint64{}
-		c.gen = 1
-	}
-	tag := uint64(c.gen) << 32
-
-	litStart := 0 // start of the pending literal run
-	flushLits := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > maxLitRun {
-				n = maxLitRun
-			}
-			dst = append(dst, byte(n-1))
-			dst = append(dst, src[litStart:litStart+n]...)
-			litStart += n
-		}
-	}
-
-	i := 0
-	for i+minMatch <= len(src) {
-		var h uint32
-		var u uint32
-		wide := i+4 <= len(src)
-		if wide {
-			u = binary.LittleEndian.Uint32(src[i:])
-			h = ((bits.ReverseBytes32(u) >> 8) * 2654435761) >> (32 - hashLog)
-		} else {
-			h = hash3(src[i], src[i+1], src[i+2])
-		}
-		e := c.table[h]
-		c.table[h] = tag | uint64(i+1)
-		if e>>32 == uint64(c.gen) {
-			cand := int(uint32(e)) - 1
-			var hit bool
-			if wide {
-				hit = i-cand <= maxOff && (binary.LittleEndian.Uint32(src[cand:])^u)&0xffffff == 0
-			} else {
-				hit = i-cand <= maxOff &&
-					src[cand] == src[i] && src[cand+1] == src[i+1] && src[cand+2] == src[i+2]
-			}
-			if hit {
-				mlen := minMatch
-				limit := len(src) - i
-				if limit > maxMatch {
-					limit = maxMatch
-				}
-				exact := false
-				if mlen < limit && src[cand+mlen] != src[i+mlen] {
-					exact = true
-				}
-				for !exact && mlen+8 <= limit {
-					x := binary.LittleEndian.Uint64(src[cand+mlen:]) ^ binary.LittleEndian.Uint64(src[i+mlen:])
-					if x != 0 {
-						mlen += bits.TrailingZeros64(x) >> 3
-						exact = true
-						break
-					}
-					mlen += 8
-				}
-				if !exact {
-					for mlen < limit && src[cand+mlen] == src[i+mlen] {
-						mlen++
-					}
-				}
-				flushLits(i)
-				off := i - cand - 1
-				l := mlen - 2
-				if l < 7 {
-					dst = append(dst, byte(l<<5)|byte(off>>8), byte(off))
-				} else {
-					dst = append(dst, byte(7<<5)|byte(off>>8), byte(l-7), byte(off))
-				}
-				// Seed the table with positions inside the match (same stride
-				// and hash values as the pure function; the word load mirrors
-				// the main loop's byte-reversed trick).
-				end := i + mlen
-				for j := i + 1; j+minMatch <= end; j += 2 {
-					var jh uint32
-					if j+4 <= len(src) {
-						ju := binary.LittleEndian.Uint32(src[j:])
-						jh = ((bits.ReverseBytes32(ju) >> 8) * 2654435761) >> (32 - hashLog)
-					} else {
-						jh = hash3(src[j], src[j+1], src[j+2])
-					}
-					c.table[jh] = tag | uint64(j+1)
+				for ; j+minMatch <= end; j += 2 {
+					c.table[hashAt(src, j)] = tag | uint64(j+1)
 				}
 				i = end
 				litStart = i

@@ -7,9 +7,16 @@ import (
 	"testing/quick"
 )
 
+// compress is a one-shot Compressor.Compress for tests that do not care
+// about table reuse.
+func compress(src []byte) []byte {
+	var c Compressor
+	return c.Compress(nil, src)
+}
+
 func roundTrip(t *testing.T, src []byte) {
 	t.Helper()
-	comp := Compress(nil, src)
+	comp := compress(src)
 	dec, err := Decompress(nil, comp, len(src))
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
@@ -29,7 +36,7 @@ func TestRoundTripShort(t *testing.T) {
 
 func TestRoundTripRepetitive(t *testing.T) {
 	src := bytes.Repeat([]byte("abcdefgh"), 512)
-	comp := Compress(nil, src)
+	comp := compress(src)
 	if len(comp) >= len(src)/4 {
 		t.Fatalf("repetitive data compressed to %d of %d bytes; expected much smaller", len(comp), len(src))
 	}
@@ -65,7 +72,7 @@ func TestRoundTripLongMatches(t *testing.T) {
 
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(src []byte) bool {
-		comp := Compress(nil, src)
+		comp := compress(src)
 		dec, err := Decompress(nil, comp, len(src))
 		return err == nil && bytes.Equal(dec, src)
 	}
@@ -85,7 +92,7 @@ func TestQuickStructuredRoundTrip(t *testing.T) {
 		for i := range src {
 			src[i] = byte(r.Intn(4))
 		}
-		comp := Compress(nil, src)
+		comp := compress(src)
 		dec, err := Decompress(nil, comp, len(src))
 		return err == nil && bytes.Equal(dec, src)
 	}
@@ -98,7 +105,7 @@ func TestQuickStructuredRoundTrip(t *testing.T) {
 
 func TestDecompressAppendsToDst(t *testing.T) {
 	src := []byte("hello hello hello hello")
-	comp := Compress(nil, src)
+	comp := compress(src)
 	prefix := []byte("prefix-")
 	out, err := Decompress(prefix, comp, len(src))
 	if err != nil {
@@ -125,7 +132,7 @@ func TestDecompressCorrupt(t *testing.T) {
 
 func TestDecompressTooLarge(t *testing.T) {
 	src := bytes.Repeat([]byte{'z'}, 1000)
-	comp := Compress(nil, src)
+	comp := compress(src)
 	if _, err := Decompress(nil, comp, 10); err == nil {
 		t.Fatal("expected ErrTooLarge for tight output bound")
 	}
@@ -137,7 +144,7 @@ func TestCompressWorstCaseBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := make([]byte, 4096)
 	rng.Read(src)
-	comp := Compress(nil, src)
+	comp := compress(src)
 	bound := len(src) + (len(src)+maxLitRun-1)/maxLitRun
 	if len(comp) > bound {
 		t.Fatalf("compressed size %d exceeds worst-case bound %d", len(comp), bound)
@@ -145,9 +152,9 @@ func TestCompressWorstCaseBound(t *testing.T) {
 }
 
 // TestCompressorMatchesPure pins the Compressor's contract: byte-identical
-// output to the pure Compress across content shapes, sizes, and — the part
-// the generation tags must get right — across sequential calls on one
-// instance, where stale table entries from earlier inputs must never
+// output to the frozen reference loop across content shapes, sizes, and —
+// the part the generation tags must get right — across sequential calls on
+// one instance, where stale table entries from earlier inputs must never
 // influence match selection.
 func TestCompressorMatchesPure(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -171,10 +178,10 @@ func TestCompressorMatchesPure(t *testing.T) {
 	}
 	for round := 0; round < 400; round++ {
 		src := mk(rng.Intn(5000), round)
-		want := Compress(nil, src)
+		want := compressRef(nil, src)
 		got := c.Compress(nil, src)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d (len %d): compressor output diverges from pure Compress", round, len(src))
+			t.Fatalf("round %d (len %d): compressor output diverges from the reference", round, len(src))
 		}
 		dec, err := Decompress(nil, got, len(src)+1)
 		if err != nil || !bytes.Equal(dec, src) {
@@ -184,7 +191,7 @@ func TestCompressorMatchesPure(t *testing.T) {
 	// Generation wrap: force gen past the reset boundary and re-verify.
 	c.gen = ^uint32(0)
 	src := mk(2048, 2)
-	if !bytes.Equal(c.Compress(nil, src), Compress(nil, src)) {
+	if !bytes.Equal(c.Compress(nil, src), compressRef(nil, src)) {
 		t.Fatal("compressor diverges after generation wrap")
 	}
 }

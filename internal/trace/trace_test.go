@@ -8,6 +8,7 @@ import (
 	"almanac/internal/delta"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
+	"almanac/internal/lzf"
 	"almanac/internal/vclock"
 )
 
@@ -208,13 +209,14 @@ func TestContentSimilarRatio(t *testing.T) {
 	g := NewContentGen(4096, ContentSimilar, 3)
 	g.MeanRatio = 0.2
 	// Measure the actual delta-compression ratio between versions.
+	var c lzf.Compressor
 	var sum float64
 	n := 40
 	for i := 0; i < n; i++ {
 		lpa := uint64(i)
 		old := g.NextVersion(lpa)
 		ref := g.NextVersion(lpa)
-		_, payload := delta.Encode(nil, old, ref)
+		_, payload := delta.EncodeWith(&c, nil, old, ref)
 		sum += float64(len(payload)) / 4096
 	}
 	avg := sum / float64(n)
@@ -282,7 +284,8 @@ func TestContentRandomIncompressible(t *testing.T) {
 	g := NewContentGen(4096, ContentRandom, 6)
 	old := g.NextVersion(1)
 	ref := g.NextVersion(1)
-	enc, _ := delta.Encode(nil, old, ref)
+	var c lzf.Compressor
+	enc, _ := delta.EncodeWith(&c, nil, old, ref)
 	if enc != delta.EncRaw {
 		t.Fatalf("random content delta-compressed (%v)", enc)
 	}
