@@ -27,8 +27,8 @@ const maxTime = vclock.Time(math.MaxInt64)
 //
 // Returned Version.Data slices are read-only views that may alias device
 // storage — the same contract as Read — and stay valid until the next
-// mutating operation (Write, Trim, RollBack, Idle) on the device; copy to
-// retain content across mutations.
+// mutating operation (Write, Trim, RollBack, Idle) on the device, and never
+// once the device is unreachable; copy to retain content past either.
 func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, error) {
 	if err := t.CheckLPA(lpa); err != nil {
 		return nil, at, err

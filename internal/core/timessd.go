@@ -428,7 +428,9 @@ func (t *TimeSSD) RetentionDuration(now vclock.Time) vclock.Duration {
 // Segments returns the number of live time segments (Bloom filters).
 func (t *TimeSSD) Segments() int { return t.chain.Len() }
 
-// Read returns the current version of lpa.
+// Read returns the current version of lpa. The bytes may alias device
+// storage: they are valid until the next mutating operation on the device
+// and never once the device is unreachable; copy to keep them.
 func (t *TimeSSD) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
 	if err := t.CheckLPA(lpa); err != nil {
 		return nil, at, err

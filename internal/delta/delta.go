@@ -159,30 +159,31 @@ const (
 // size holding n deltas.
 func PageCapacity(pageSize, n int) int { return pageSize - headerSize - n*entrySize }
 
-// PackPage serialises deltas into a page buffer of pageSize bytes. It packs
-// as many leading deltas as fit and returns the buffer plus the number of
-// deltas consumed. At least one delta must fit; if the first delta alone
-// exceeds the page an error is returned (callers size deltas ≤ page size).
-func PackPage(deltas []*Delta, pageSize int) ([]byte, int, error) {
+// PackPage serialises deltas into buf, one whole flash page (its length is
+// the page size), and returns the number of leading deltas it packed. It
+// writes every byte of buf, zeroing what the deltas leave free, so a
+// reused page packs the same image a fresh one does. At least one delta
+// must fit; if the first delta alone exceeds the page an error is returned
+// (callers size deltas ≤ page size).
+func PackPage(buf []byte, deltas []*Delta) (int, error) {
 	if len(deltas) == 0 {
-		return nil, 0, errors.New("delta: no deltas to pack")
+		return 0, errors.New("delta: no deltas to pack")
 	}
-	if pageSize > MaxPageSize {
-		return nil, 0, fmt.Errorf("delta: page size %d exceeds the %d the entry encoding can describe", pageSize, MaxPageSize)
+	if len(buf) > MaxPageSize {
+		return 0, fmt.Errorf("delta: page size %d exceeds the %d the entry encoding can describe", len(buf), MaxPageSize)
 	}
 	n := 0
 	used := headerSize
 	for _, d := range deltas {
-		if used+d.Size() > pageSize {
+		if used+d.Size() > len(buf) {
 			break
 		}
 		used += d.Size()
 		n++
 	}
 	if n == 0 {
-		return nil, 0, fmt.Errorf("delta: first delta (%d B) exceeds page size %d", deltas[0].Size(), pageSize)
+		return 0, fmt.Errorf("delta: first delta (%d B) exceeds page size %d", deltas[0].Size(), len(buf))
 	}
-	buf := make([]byte, pageSize)
 	binary.LittleEndian.PutUint16(buf[0:2], uint16(n))
 	off := headerSize + n*entrySize
 	pos := headerSize
@@ -199,7 +200,8 @@ func PackPage(deltas []*Delta, pageSize int) ([]byte, int, error) {
 		off += len(d.Payload)
 		pos += entrySize
 	}
-	return buf, n, nil
+	clear(buf[off:])
+	return n, nil
 }
 
 // Page is a read-only view of a packed delta page: the entry count checked
@@ -297,6 +299,7 @@ type Buffer struct {
 	pageSize int
 	deltas   []*Delta
 	used     int
+	page     []byte // Flush's output: allocated by the first Flush, reused by the rest
 }
 
 // NewBuffer returns a delta buffer for pageSize-byte flash pages.
@@ -325,12 +328,17 @@ func (b *Buffer) Len() int { return len(b.deltas) }
 func (b *Buffer) Empty() bool { return len(b.deltas) == 0 }
 
 // Flush serialises the buffered deltas into a page image and resets the
-// buffer. It returns nil if the buffer is empty.
+// buffer. It returns nil if the buffer is empty. The image is the buffer's
+// own page, which the next Flush overwrites: program it (a flash program
+// copies) before flushing again.
 func (b *Buffer) Flush() ([]byte, []*Delta, error) {
 	if len(b.deltas) == 0 {
 		return nil, nil, nil
 	}
-	page, n, err := PackPage(b.deltas, b.pageSize)
+	if b.page == nil {
+		b.page = make([]byte, b.pageSize)
+	}
+	n, err := PackPage(b.page, b.deltas)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -340,5 +348,5 @@ func (b *Buffer) Flush() ([]byte, []*Delta, error) {
 	flushed := b.deltas
 	b.deltas = nil
 	b.used = headerSize
-	return page, flushed, nil
+	return b.page, flushed, nil
 }

@@ -150,7 +150,7 @@ func TestPackUnpackPage(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds = append(ds, makeDelta(rng, uint64(i), vclock.Time(i*1000), 50+rng.Intn(200)))
 	}
-	page, n, err := PackPage(ds, pageSize)
+	page, n, err := pack(ds, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPackPagePartialFit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ds = append(ds, makeDelta(rng, uint64(i), vclock.Time(i), 1500))
 	}
-	_, n, err := PackPage(ds, pageSize)
+	_, n, err := pack(ds, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +194,13 @@ func TestPackPagePartialFit(t *testing.T) {
 func TestPackPageOversize(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := makeDelta(rng, 1, 1, pageSize) // payload alone fills the page
-	if _, _, err := PackPage([]*Delta{d}, pageSize); err == nil {
+	if _, _, err := pack([]*Delta{d}, pageSize); err == nil {
 		t.Fatal("oversize delta packed without error")
 	}
 }
 
 func TestPackPageEmpty(t *testing.T) {
-	if _, _, err := PackPage(nil, pageSize); err == nil {
+	if _, _, err := pack(nil, pageSize); err == nil {
 		t.Fatal("empty pack accepted")
 	}
 }
@@ -263,7 +263,7 @@ func TestPageHop(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ds = append(ds, makeDelta(rng, uint64(10+i), vclock.Time(100*(i+1)), 30))
 	}
-	buf, _, err := PackPage(ds, pageSize)
+	buf, _, err := pack(ds, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestEntryPayloadBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds := []*Delta{makeDelta(rng, 1, 1, 30), makeDelta(rng, 2, 2, 30)}
 	for name, off := range map[string]uint32{"past the end": pageSize - 10, "inside the header": headerSize + entrySize} {
-		buf, _, err := PackPage(ds, pageSize)
+		buf, _, err := pack(ds, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestEntryPayloadBounds(t *testing.T) {
 
 func TestPackPageBeyondEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	if _, _, err := PackPage([]*Delta{makeDelta(rng, 1, 1, 30)}, MaxPageSize+1); err == nil {
+	if _, _, err := pack([]*Delta{makeDelta(rng, 1, 1, 30)}, MaxPageSize+1); err == nil {
 		t.Fatal("page size past the 16-bit entry fields accepted")
 	}
 }
@@ -366,6 +366,29 @@ func TestBufferLifecycle(t *testing.T) {
 	if !b.Empty() {
 		t.Fatal("buffer not reset after flush")
 	}
+	// The next flush reuses the page with less payload on it: it must be
+	// the image a fresh page packs, with nothing of the first flush left.
+	small := []*Delta{makeDelta(rng, 1, 1, 30), makeDelta(rng, 2, 2, 30)}
+	for _, d := range small {
+		if !b.Add(d) {
+			t.Fatal("Add failed on an empty buffer")
+		}
+	}
+	again, _, err := b.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := pack(small, pageSize)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("second flush differs from a fresh pack (%v)", err)
+	}
+}
+
+// pack packs ds into a fresh page of size bytes.
+func pack(ds []*Delta, size int) ([]byte, int, error) {
+	page := make([]byte, size)
+	n, err := PackPage(page, ds)
+	return page, n, err
 }
 
 func TestPageCapacity(t *testing.T) {

@@ -57,7 +57,7 @@ func FuzzChainHop(f *testing.F) {
 	for i := 0; i < 6; i++ {
 		ds = append(ds, makeDelta(rng, uint64(i), vclock.Time(1000+i), 20))
 	}
-	page, _, err := PackPage(ds, 512)
+	page, _, err := pack(ds, 512)
 	if err != nil {
 		f.Fatal(err)
 	}

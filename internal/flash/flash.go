@@ -16,6 +16,13 @@
 // free of pointer chasing and per-page allocations; an erase only resets
 // metadata (stale arena bytes are unreachable because reads are bounded
 // by the per-page length).
+//
+// On unix the content arena lives outside the Go heap (arena_unix.go): the
+// kernel backs a page of it when the page is first programmed, and the
+// collector paces on the metadata alone. When an Array is collected its
+// arena goes to a free list, and the next New of exactly the same size
+// reuses it uncleared, which the erase rule above makes safe. Race builds
+// keep the arena on the heap, where the race detector can see it.
 package flash
 
 import (
@@ -203,10 +210,13 @@ func New(cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	size := cfg.TotalBytes()
+	if int64(int(size)) != size {
+		return nil, fmt.Errorf("flash: a %d-byte array exceeds the address space", size)
+	}
 	total := cfg.TotalPages()
 	a := &Array{
 		cfg:           cfg,
-		data:          make([]byte, int64(total)*int64(cfg.PageSize)),
 		dataLen:       make([]int32, total),
 		oob:           make([]OOB, total),
 		writePtr:      make([]int32, cfg.TotalBlocks()),
@@ -220,6 +230,10 @@ func New(cfg Config) (*Array, error) {
 	bpc := cfg.BlocksPerChip()
 	for b := range a.chanOfBlock {
 		a.chanOfBlock[b] = uint8((b / bpc) % cfg.Channels)
+	}
+	var err error
+	if a.data, err = newArena(a, int(size)); err != nil {
+		return nil, fmt.Errorf("flash: %d-byte content arena: %w", size, err)
 	}
 	return a, nil
 }
@@ -281,9 +295,6 @@ func (a *Array) ChannelOfBlock(blockIdx int) int {
 	return int(a.chanOfBlock[blockIdx])
 }
 
-// ChannelOf returns the channel that owns ppa.
-func (a *Array) ChannelOf(ppa PPA) int { return a.ChannelOfBlock(a.BlockOf(ppa)) }
-
 func (a *Array) checkPPA(ppa PPA) error {
 	if int(ppa) >= a.totalPages {
 		return fmt.Errorf("%w: ppa %d", ErrBadAddress, ppa)
@@ -316,7 +327,9 @@ func (a *Array) Charge(ch int, at vclock.Time, d vclock.Duration) vclock.Time {
 
 // Read returns the content and OOB of a programmed page. The returned done
 // time is when the channel finishes the operation. The returned data slice
-// aliases the array's copy; callers must not mutate it.
+// aliases the array's copy: callers must not mutate it, and it is valid
+// until the next mutating operation on the array, never once the array is
+// unreachable (its arena then goes to the next New).
 func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock.Time, err error) {
 	if a.dead {
 		return nil, OOB{}, at, fault.ErrPowerCut
@@ -586,22 +599,4 @@ func (a *Array) WearSpread() (min, max int) {
 // Stats returns a snapshot of the operation counters.
 func (a *Array) Stats() Stats {
 	return a.stats
-}
-
-// ChannelBusyUntil returns the busy horizon of channel ch — the virtual
-// time at which it next becomes idle.
-func (a *Array) ChannelBusyUntil(ch int) vclock.Time {
-	return a.busy[ch]
-}
-
-// MaxBusyUntil returns the latest busy horizon across all channels: the
-// completion time of everything issued so far.
-func (a *Array) MaxBusyUntil() vclock.Time {
-	var m vclock.Time
-	for _, t := range a.busy {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

@@ -18,7 +18,7 @@ func tinyConfig() Config {
 	return c
 }
 
-func mustNew(t *testing.T, c Config) *Array {
+func mustNew(t testing.TB, c Config) *Array {
 	t.Helper()
 	a, err := New(c)
 	if err != nil {
@@ -175,9 +175,6 @@ func TestChannelTimingParallelism(t *testing.T) {
 	_, d3, _ := a.Program(c.BlocksPerChip(), []byte{3}, oob, 0)
 	if d3 != vclock.Time(c.ProgLatency) {
 		t.Fatalf("cross-channel op delayed: %v", d3)
-	}
-	if a.MaxBusyUntil() != d2 {
-		t.Fatalf("MaxBusyUntil = %v, want %v", a.MaxBusyUntil(), d2)
 	}
 }
 

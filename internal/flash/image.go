@@ -27,6 +27,12 @@ import (
 //	                    u32 dataLen, data… }
 const imageMagic = "ALMIMG01"
 
+// maxImagePages bounds the pages an image may claim. Every page costs 36 B
+// of metadata (its length and OOB) on the Go heap whatever its size, so the
+// byte cap alone admits a header of 2^30 one-byte pages asking for 36 GiB
+// of it. 2^24 is the byte cap's page count at 4 KiB pages.
+const maxImagePages = 1 << 24
+
 // ErrBadImage is returned when an image fails to parse.
 var ErrBadImage = errors.New("flash: bad device image")
 
@@ -102,6 +108,7 @@ func (a *Array) WriteImage(w io.Writer) error {
 }
 
 // ReadImage deserialises an array previously written with WriteImage.
+// Every refusal wraps ErrBadImage.
 func ReadImage(r io.Reader) (*Array, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(imageMagic))
@@ -138,14 +145,21 @@ func ReadImage(r io.Reader) (*Array, error) {
 		BlocksPerPlane: int(geo[3]), PagesPerBlock: int(geo[4]), PageSize: int(geo[5]),
 	}
 	// Sanity-cap the geometry before allocating anything: a corrupt header
-	// must fail fast, not commit gigabytes.
+	// must fail fast, not commit gigabytes. With every field capped first,
+	// the running page count below cannot overflow.
 	for _, g := range geo {
 		if g == 0 || g > 1<<20 {
 			return nil, fmt.Errorf("%w: implausible geometry field %d", ErrBadImage, g)
 		}
 	}
-	if int64(cfg.TotalPages())*int64(cfg.PageSize) > 1<<36 {
-		return nil, fmt.Errorf("%w: image claims %d bytes", ErrBadImage, cfg.TotalBytes())
+	pages := uint64(1)
+	for _, g := range geo[:5] {
+		if pages *= uint64(g); pages > maxImagePages {
+			return nil, fmt.Errorf("%w: image claims more than %d pages", ErrBadImage, maxImagePages)
+		}
+	}
+	if size := pages * uint64(geo[5]); size > 1<<36 {
+		return nil, fmt.Errorf("%w: image claims %d bytes", ErrBadImage, size)
 	}
 	var lat [3]int64
 	for i := range lat {
@@ -171,6 +185,7 @@ func ReadImage(r io.Reader) (*Array, error) {
 	}
 	a.stats = Stats{Reads: st[0], Programs: st[1], Erases: st[2]}
 
+	var rec [29]byte // a page's u8 kind, u64 lpa, u64 backptr, i64 ts, u32 dataLen
 	for bi := range a.writePtr {
 		erases, err := u32()
 		if err != nil {
@@ -186,30 +201,14 @@ func ReadImage(r io.Reader) (*Array, error) {
 		a.erases[bi] = int32(erases)
 		a.writePtr[bi] = int32(wp)
 		for pi := 0; pi < int(wp); pi++ {
-			kind, err := br.ReadByte()
-			if err != nil {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("%w: block %d page %d: %v", ErrBadImage, bi, pi, err)
 			}
-			if PageKind(kind) == KindFree {
+			kind, n := PageKind(rec[0]), le.Uint32(rec[25:])
+			if kind == KindFree {
 				return nil, fmt.Errorf("%w: block %d page %d marked free but programmed", ErrBadImage, bi, pi)
 			}
-			lpa, err := i64()
-			if err != nil {
-				return nil, err
-			}
-			back, err := i64()
-			if err != nil {
-				return nil, err
-			}
-			ts, err := i64()
-			if err != nil {
-				return nil, err
-			}
-			n, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			if int(n) > cfg.PageSize {
+			if n > uint32(cfg.PageSize) {
 				return nil, fmt.Errorf("%w: block %d page %d payload %d", ErrBadImage, bi, pi, n)
 			}
 			ppa := a.AddrOf(bi, pi)
@@ -219,10 +218,10 @@ func ReadImage(r io.Reader) (*Array, error) {
 			}
 			a.dataLen[ppa] = int32(n)
 			a.oob[ppa] = OOB{
-				Kind:    PageKind(kind),
-				LPA:     uint64(lpa),
-				BackPtr: PPA(uint64(back)),
-				TS:      vclock.Time(ts),
+				Kind:    kind,
+				LPA:     le.Uint64(rec[1:]),
+				BackPtr: PPA(le.Uint64(rec[9:])),
+				TS:      vclock.Time(le.Uint64(rec[17:])),
 			}
 		}
 	}

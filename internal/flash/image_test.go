@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // populate programs a random mixture of pages and erases across the array.
-func populate(t *testing.T, a *Array) {
+func populate(t testing.TB, a *Array) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var at vclock.Time
@@ -88,6 +89,9 @@ func TestImageRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("NOTMAGIC"),
 		[]byte("ALMIMG01"), // truncated right after magic
+		// 2^30 one-byte pages: the data fits the byte cap, but the 36 GiB of
+		// page metadata must be refused before anything is allocated.
+		hostileHeader(),
 	}
 	for i, c := range cases {
 		if _, err := ReadImage(bytes.NewReader(c)); !errors.Is(err, ErrBadImage) {
@@ -105,6 +109,20 @@ func TestImageRejectsGarbage(t *testing.T) {
 	if _, err := ReadImage(bytes.NewReader(img[:len(img)*2/3])); err == nil {
 		t.Error("truncated image accepted")
 	}
+}
+
+// hostileHeader is the magic, the geometry {4, 16, 16, 1024, 1024, 1} and
+// three latencies: every field and the byte count pass their caps.
+func hostileHeader() []byte {
+	b := []byte(imageMagic)
+	for _, g := range []uint32{4, 16, 16, 1024, 1024, 1} {
+		b = binary.LittleEndian.AppendUint32(b, g)
+	}
+	c := DefaultConfig()
+	for _, d := range []vclock.Duration{c.ReadLatency, c.ProgLatency, c.EraseLatency} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
+	}
+	return b
 }
 
 func TestImageFuzzTruncations(t *testing.T) {
@@ -131,4 +149,51 @@ func TestImageFuzzTruncations(t *testing.T) {
 		mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
 		_, _ = ReadImage(bytes.NewReader(mut))
 	}
+}
+
+// FuzzReadImage feeds arbitrary bytes to ReadImage, which almanacd -image,
+// imginspect and crashsweep hand whole files to. It must never panic, must
+// refuse with ErrBadImage, and must accept only what WriteImage writes back
+// byte for byte (ReadImage stops after the last block, so the input may run
+// on past it).
+func FuzzReadImage(f *testing.F) {
+	a := mustNew(f, tinyConfig())
+	populate(f, a)
+	var img bytes.Buffer
+	if err := a.WriteImage(&img); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img.Bytes())
+	f.Add(hostileHeader())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if !cheapToFuzz(in) {
+			t.Skip()
+		}
+		a, err := ReadImage(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("refused without ErrBadImage: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := a.WriteImage(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(in, out.Bytes()) {
+			t.Fatalf("accepted image writes back differently (%d bytes in, %d out)", len(in), out.Len())
+		}
+	})
+}
+
+// cheapToFuzz reports whether in's header claims at most 2^16 pages or more
+// than ReadImage admits. In between, every exec would allocate the metadata
+// of a large device for no parser path a small one does not take.
+func cheapToFuzz(in []byte) bool {
+	geo := in[min(len(in), len(imageMagic)):]
+	pages := uint64(1)
+	for i := 0; i+4 <= len(geo) && i < 20 && pages <= maxImagePages; i += 4 {
+		pages *= uint64(binary.LittleEndian.Uint32(geo[i:]))
+	}
+	return pages <= 1<<16 || pages > maxImagePages
 }
