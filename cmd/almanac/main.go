@@ -6,12 +6,12 @@
 //	almanac [-scale quick|standard] [-seed N] [-j N] [-list] [experiment ...]
 //
 // With no experiment arguments it runs everything. -list enumerates the
-// experiment registry (harness.Register): the paper figures and tables,
-// the ablations, scaling/obs/crashsweep/service, and the design-space
-// sweep ("sweep" — see cmd/almasweep for the full engine). The service
-// experiment drives the multi-tenant volume layer with thousands of
-// concurrent pipelined clients and reports virtual- and wall-time
-// latency percentiles per operation class.
+// harness's experiment table (harness.Names): the paper figures and
+// tables, the ablations, scaling/obs/crashsweep/service, and the
+// design-space sweep ("sweep" — see cmd/almasweep for the full engine).
+// The service experiment drives the multi-tenant volume layer with
+// thousands of concurrent pipelined clients and reports virtual- and
+// wall-time latency percentiles per operation class.
 package main
 
 import (

@@ -71,11 +71,12 @@ func TestTaggedTransportAllocs(t *testing.T) {
 	}
 }
 
-// TestSubmitWaitAllocs pins the single-op Submit/Wait path. Unlike the
-// batch fast path this one keeps its per-request dispatch goroutine and
-// encoder on the server, so it is not allocation-free — but with warm
-// pools the transport itself recycles, and the total stays bounded
-// instead of paying a fresh frame and channel per op.
+// TestSubmitWaitAllocs pins the single-op submit/wait path that Read,
+// Write and Trim run. Unlike the batch fast path this one keeps its
+// per-request dispatch goroutine and encoder on the server, so it is not
+// allocation-free — but with warm pools the transport itself recycles,
+// and the total stays bounded instead of paying a fresh frame and channel
+// per op.
 func TestSubmitWaitAllocs(t *testing.T) {
 	c, _ := servicePipe(t)
 	id, err := c.Identify()
@@ -85,11 +86,11 @@ func TestSubmitWaitAllocs(t *testing.T) {
 	data := page(c, 3, id.PageSize)
 	at := vclock.Time(vclock.Hour)
 	roundTrip := func() {
-		w, err := c.SubmitWrite(0, data, at)
+		w, err := c.submitWrite(0, data, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Wait(); err != nil {
+		if _, err := waitDone(w); err != nil {
 			t.Fatal(err)
 		}
 		at = at.Add(vclock.Millisecond)
@@ -103,6 +104,6 @@ func TestSubmitWaitAllocs(t *testing.T) {
 		limit = 48.0
 	}
 	if perOp > limit {
-		t.Fatalf("Submit/Wait round trip allocates %.2f/op, want <= %.1f", perOp, limit)
+		t.Fatalf("submit/wait round trip allocates %.2f/op, want <= %.1f", perOp, limit)
 	}
 }

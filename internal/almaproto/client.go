@@ -18,13 +18,12 @@ import (
 // A Client is safe for concurrent use. Against a pre-v4 server commands
 // serialise on the wire; once Identify negotiates v4 the connection
 // switches to the tagged transport and concurrent commands pipeline —
-// each call still blocks, but it no longer queues behind the others, and
-// the async Submit*/Wait surface (client_async.go) exposes the
-// pipelining directly.
+// each call still blocks, but it no longer queues behind the others.
+// SubmitBatch/Wait (client_async.go) is the one asynchronous surface.
 //
-// Every command, synchronous or not, is built once and decoded once: a
-// synchronous method is its submission followed by its wait. The two
-// transports differ only below that (see send).
+// Every command is built once and decoded once: a synchronous method is
+// its submission followed by its wait. The two transports differ only
+// below that (see send).
 type Client struct {
 	mu         sync.Mutex // guards the three fields below and serialises lockstep round trips
 	conn       io.ReadWriteCloser

@@ -10,9 +10,10 @@ import (
 )
 
 // Tagged (v4) client transport: submissions carry a client-chosen request
-// ID, completions arrive in whatever order the server finishes them, and
-// the typed Submit*/Wait surface exposes the pipelining to callers.
-// Synchronous methods are the same submissions followed by the same waits.
+// ID and completions arrive in whatever order the server finishes them.
+// Synchronous methods are a submission followed by its wait, so concurrent
+// callers on one connection pipeline; SubmitBatch/Wait hands a caller the
+// pipelining directly.
 //
 // The waiter is the reader. There is no goroutine parked on the socket on
 // the client's behalf: a connection has one reader token (Client.rtoken),
@@ -27,7 +28,7 @@ import (
 // for the answer. A consequence worth knowing: nothing drains the socket
 // while no Wait is outstanding, so completions sit in the transport until
 // someone asks for one, and a dead connection is noticed by the next
-// Submit* or Wait rather than in the background.
+// submission or wait rather than in the background.
 //
 // The data path is pooled and coalesced end to end: request frames are
 // built header-first in pooled buffers, handed to the connection's
@@ -329,62 +330,6 @@ func waitDone(p *rawPending) (vclock.Time, error) {
 	done := r.time()
 	return done, r.finish()
 }
-
-// PendingRead is an in-flight read submission.
-type PendingRead struct{ p *rawPending }
-
-// SubmitRead pipelines a read of lpa; Wait collects the completion.
-func (c *Client) SubmitRead(lpa uint64, at vclock.Time) (*PendingRead, error) {
-	if err := c.ensureTagged(OpRead); err != nil {
-		return nil, err
-	}
-	p, err := c.submitLPA(OpRead, lpa, at)
-	if err != nil {
-		return nil, err
-	}
-	return &PendingRead{p: p}, nil
-}
-
-// Wait blocks until the read completes. The returned data is the
-// caller's.
-func (r *PendingRead) Wait() ([]byte, vclock.Time, error) { return waitRead(r.p) }
-
-// PendingWrite is an in-flight write submission.
-type PendingWrite struct{ p *rawPending }
-
-// SubmitWrite pipelines a write to lpa; Wait collects the completion.
-// data is copied into the request frame before SubmitWrite returns.
-func (c *Client) SubmitWrite(lpa uint64, data []byte, at vclock.Time) (*PendingWrite, error) {
-	if err := c.ensureTagged(OpWrite); err != nil {
-		return nil, err
-	}
-	p, err := c.submitWrite(lpa, data, at)
-	if err != nil {
-		return nil, err
-	}
-	return &PendingWrite{p: p}, nil
-}
-
-// Wait blocks until the write completes.
-func (w *PendingWrite) Wait() (vclock.Time, error) { return waitDone(w.p) }
-
-// PendingTrim is an in-flight trim submission.
-type PendingTrim struct{ p *rawPending }
-
-// SubmitTrim pipelines a trim of lpa; Wait collects the completion.
-func (c *Client) SubmitTrim(lpa uint64, at vclock.Time) (*PendingTrim, error) {
-	if err := c.ensureTagged(OpTrim); err != nil {
-		return nil, err
-	}
-	p, err := c.submitLPA(OpTrim, lpa, at)
-	if err != nil {
-		return nil, err
-	}
-	return &PendingTrim{p: p}, nil
-}
-
-// Wait blocks until the trim completes.
-func (t *PendingTrim) Wait() (vclock.Time, error) { return waitDone(t.p) }
 
 // PendingBatch is an in-flight multi-op batch submission.
 type PendingBatch struct {

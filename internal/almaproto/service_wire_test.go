@@ -250,18 +250,18 @@ func TestTaggedOutOfOrderCompletion(t *testing.T) {
 	}
 
 	at := vclock.Time(vclock.Minute)
-	r0, err := c.SubmitRead(0, at) // stalls in the gated backend
+	r0, err := c.submitLPA(OpRead, 0, at) // stalls in the gated backend
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c.SubmitRead(1, at)
+	r1, err := c.submitLPA(OpRead, 1, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// r1 completes while r0 is still held — its Wait returning at all is
+	// r1 completes while r0 is still held — its wait returning at all is
 	// the proof, since r0's completion cannot be written before the gate
 	// opens.
-	data, _, err := r1.Wait()
+	data, _, err := waitRead(r1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTaggedOutOfOrderCompletion(t *testing.T) {
 		t.Fatalf("read 1 returned %#x", data[0])
 	}
 	close(gate)
-	data, _, err = r0.Wait()
+	data, _, err = waitRead(r0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,10 +431,6 @@ func TestInteropNewClientOldServer(t *testing.T) {
 				t.Fatalf("sync path broken against v%d server: %v", sv, err)
 			}
 
-			if _, err := c.SubmitRead(5, at); err == nil ||
-				!strings.Contains(err.Error(), "requires protocol v4") {
-				t.Fatalf("SubmitRead against v%d server: %v", sv, err)
-			}
 			if _, err := c.SubmitBatch(1, nil); err == nil ||
 				!strings.Contains(err.Error(), "requires protocol v4") {
 				t.Fatalf("SubmitBatch against v%d server: %v", sv, err)
@@ -448,7 +444,7 @@ func TestInteropNewClientOldServer(t *testing.T) {
 }
 
 // TestPipelinedClientConcurrency hammers one tagged connection from many
-// goroutines — sync methods and the async surface together — and then
+// goroutines — sync methods and bare submissions together — and then
 // verifies every page landed intact. Run under -race this also proves the
 // reader-token plumbing is clean: whichever caller is waiting reads for
 // all of them.
@@ -490,14 +486,14 @@ func TestPipelinedClientConcurrency(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := uint64(0); i < pages; i++ {
 			want := byte(w*pages + int(i))
-			r, err := c.SubmitRead(uint64(w*pages)+i, at)
+			r, err := c.submitLPA(OpRead, uint64(w*pages)+i, at)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if data, _, err := r.Wait(); err != nil || len(data) == 0 || data[0] != want {
+				if data, _, err := waitRead(r); err != nil || len(data) == 0 || data[0] != want {
 					bad.Add(1)
 				}
 			}()
@@ -509,37 +505,37 @@ func TestPipelinedClientConcurrency(t *testing.T) {
 	}
 }
 
-// TestSubmitSurvivesDrain checks the async surface stays usable after its
-// submissions have all been collected and that trims ride it too.
+// TestSubmitSurvivesDrain checks the submit/wait path stays usable after
+// its submissions have all been collected and that trims ride it too.
 func TestSubmitSurvivesDrain(t *testing.T) {
 	c, _ := servicePipe(t)
 	if _, err := c.Identify(); err != nil {
 		t.Fatal(err)
 	}
 	at := vclock.Time(vclock.Hour)
-	var writes []*PendingWrite
+	var writes []*rawPending
 	for i := uint64(0); i < 8; i++ {
-		w, err := c.SubmitWrite(i, page(c, byte(i+1), 512), at.Add(vclock.Duration(i)*vclock.Second))
+		w, err := c.submitWrite(i, page(c, byte(i+1), 512), at.Add(vclock.Duration(i)*vclock.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
 		writes = append(writes, w)
 	}
 	for _, w := range writes {
-		if _, err := w.Wait(); err != nil {
+		if _, err := waitDone(w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var trims []*PendingTrim
+	var trims []*rawPending
 	for i := uint64(0); i < 4; i++ {
-		tr, err := c.SubmitTrim(i, at.Add(vclock.Minute))
+		tr, err := c.submitLPA(OpTrim, i, at.Add(vclock.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
 		trims = append(trims, tr)
 	}
 	for _, tr := range trims {
-		if _, err := tr.Wait(); err != nil {
+		if _, err := waitDone(tr); err != nil {
 			t.Fatal(err)
 		}
 	}

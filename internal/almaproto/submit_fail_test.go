@@ -53,12 +53,12 @@ func within(t *testing.T, what string, fn func()) {
 
 // waitClosed collects the submissions, every Wait on its own goroutine at
 // once, and checks that each fails with ErrConnClosed inside the timeout.
-func waitClosed(t *testing.T, what string, pends ...*PendingWrite) {
+func waitClosed(t *testing.T, what string, pends ...*rawPending) {
 	t.Helper()
 	errs := make(chan error, len(pends))
 	for _, w := range pends {
 		go func() {
-			_, err := w.Wait()
+			_, err := waitDone(w)
 			errs <- err
 		}()
 	}
@@ -91,7 +91,7 @@ func noFrameLeased(t *testing.T, c *Client) {
 }
 
 // TestSubmitWindowExhaustion over-submits the advertised in-flight window.
-// Submit* never blocks the caller; it is the server that stops dispatching
+// Submission never blocks the caller; it is the server that stops dispatching
 // at its window — the frames past it wait in the transport — and
 // everything drains cleanly once completions flow.
 func TestSubmitWindowExhaustion(t *testing.T) {
@@ -104,10 +104,10 @@ func TestSubmitWindowExhaustion(t *testing.T) {
 		t.Fatalf("advertised window = %d, want 2", id.Window)
 	}
 	h := vclock.Time(vclock.Second)
-	var pends []*PendingWrite
+	var pends []*rawPending
 	within(t, "submitting past the window", func() {
 		for lpa := uint64(0); lpa < 4; lpa++ {
-			w, err := c.SubmitWrite(lpa, page(c, byte(lpa), id.PageSize), h)
+			w, err := c.submitWrite(lpa, page(c, byte(lpa), id.PageSize), h)
 			if err != nil {
 				t.Errorf("submit %d: %v", lpa, err)
 				return
@@ -128,7 +128,7 @@ func TestSubmitWindowExhaustion(t *testing.T) {
 	release()
 	within(t, "draining after the gate opened", func() {
 		for i := len(pends) - 1; i >= 0; i-- {
-			if _, err := pends[i].Wait(); err != nil {
+			if _, err := waitDone(pends[i]); err != nil {
 				t.Errorf("wait %d: %v", i, err)
 			}
 		}
@@ -156,9 +156,9 @@ func TestSubmitServerCloseMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := vclock.Time(vclock.Second)
-	var pends []*PendingWrite
+	var pends []*rawPending
 	for lpa := uint64(0); lpa < 4; lpa++ {
-		w, err := c.SubmitWrite(lpa, page(c, byte(lpa), id.PageSize), h)
+		w, err := c.submitWrite(lpa, page(c, byte(lpa), id.PageSize), h)
 		if err != nil {
 			t.Fatalf("submit %d: %v", lpa, err)
 		}
@@ -169,7 +169,7 @@ func TestSubmitServerCloseMidFlight(t *testing.T) {
 	}
 	srvEnd.Close()
 	waitClosed(t, "wait after server close", pends...)
-	if _, err := c.SubmitWrite(9, page(c, 3, id.PageSize), h); !errors.Is(err, ErrConnClosed) {
+	if _, err := c.submitWrite(9, page(c, 3, id.PageSize), h); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("submit after server close: %v, want ErrConnClosed", err)
 	}
 	c.Close()
@@ -202,9 +202,9 @@ func TestClientCloseDuringCoalescedFlush(t *testing.T) {
 
 	h := vclock.Time(vclock.Second)
 	data := make([]byte, 512)
-	var pends []*PendingWrite
+	var pends []*rawPending
 	for lpa := uint64(0); lpa < 8; lpa++ {
-		w, err := c.SubmitWrite(lpa, data, h)
+		w, err := c.submitWrite(lpa, data, h)
 		if err != nil {
 			t.Fatalf("submit %d: %v", lpa, err)
 		}
@@ -216,7 +216,7 @@ func TestClientCloseDuringCoalescedFlush(t *testing.T) {
 
 	within(t, "Close on the mid-flush writer", func() { c.Close() })
 	waitClosed(t, "wait after close", pends...)
-	if _, err := c.SubmitWrite(9, data, h); !errors.Is(err, ErrConnClosed) {
+	if _, err := c.submitWrite(9, data, h); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("submit after close: %v, want ErrConnClosed", err)
 	}
 	noFrameLeased(t, c)
@@ -241,23 +241,23 @@ func TestResetMidFrame(t *testing.T) {
 		srvEnd.Close()
 	}()
 	h := vclock.Time(vclock.Second)
-	var pends []*PendingWrite
+	var pends []*rawPending
 	for lpa := uint64(0); lpa < 3; lpa++ {
-		w, err := c.SubmitWrite(lpa, make([]byte, 512), h)
+		w, err := c.submitWrite(lpa, make([]byte, 512), h)
 		if err != nil {
 			t.Fatalf("submit %d: %v", lpa, err)
 		}
 		pends = append(pends, w)
 	}
 	waitClosed(t, "wait across a mid-frame reset", pends...)
-	if _, err := c.SubmitRead(0, h); !errors.Is(err, ErrConnClosed) {
+	if _, err := c.submitLPA(OpRead, 0, h); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("submit after reset: %v, want ErrConnClosed", err)
 	}
 	c.Close()
 	noFrameLeased(t, c)
 }
 
-// TestSubmitWaitServerClose pins the bare Submit/Wait surface: a Wait on
+// TestSubmitWaitServerClose pins the bare submit/wait path: a wait on
 // an in-flight submission reports ErrConnClosed when the peer vanishes.
 func TestSubmitWaitServerClose(t *testing.T) {
 	c, srvEnd, _, _ := gatedPair(t, 4)
@@ -265,7 +265,7 @@ func TestSubmitWaitServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := c.SubmitWrite(0, page(c, 1, id.PageSize), vclock.Time(vclock.Second))
+	w, err := c.submitWrite(0, page(c, 1, id.PageSize), vclock.Time(vclock.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestWriteFailureWakesReadingWaiter(t *testing.T) {
 	for len(c.rtoken) != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	w, err := c.SubmitWrite(0, make([]byte, 512), vclock.Time(vclock.Second))
+	w, err := c.submitWrite(0, make([]byte, 512), vclock.Time(vclock.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

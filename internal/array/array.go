@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 
 	"almanac/internal/core"
-	"almanac/internal/fault"
 	"almanac/internal/ftl"
 	"almanac/internal/obs"
 	"almanac/internal/timekits"
@@ -558,28 +557,6 @@ func (a *Array) StatsView() obs.Counters {
 		out.Add(s.snapshot().C)
 	}
 	return out
-}
-
-// SetFaultPlan arms a plan-driven fault injector on every shard, or
-// disarms injection when p is nil. Each shard's injector is built from the
-// plan reseeded with Seed+shard, so a multi-shard sweep exercises
-// different fault timings per device while staying fully deterministic.
-// The swap travels through the shard workers like any other command, so
-// it never races in-flight I/O.
-func (a *Array) SetFaultPlan(p *fault.Plan) error {
-	injs := make([]*fault.Injector, len(a.shards))
-	if p != nil {
-		for i := range injs {
-			inj, err := fault.NewInjector(p.Reseeded(p.Seed + int64(i)))
-			if err != nil {
-				return err
-			}
-			injs[i] = inj
-		}
-	}
-	return a.fanOut(0, func(i int, dev *core.TimeSSD, _ *timekits.Kit) {
-		dev.SetFaults(injs[i])
-	})
 }
 
 // SetMinRetention replaces the guaranteed retention lower bound on every

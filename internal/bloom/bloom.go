@@ -305,14 +305,6 @@ func (c *Chain) probe(key uint64) (int, bool) {
 // Len returns the number of filters in the chain (including the active one).
 func (c *Chain) Len() int { return len(c.filters) }
 
-// Oldest returns the oldest filter, or nil if the chain is empty.
-func (c *Chain) Oldest() *Filter {
-	if len(c.filters) == 0 {
-		return nil
-	}
-	return c.filters[0]
-}
-
 // Filter returns the i-th filter (0 = oldest).
 func (c *Chain) Filter(i int) *Filter { return c.filters[i] }
 

@@ -198,7 +198,7 @@ func TestUpdatedBetweenAllocs(t *testing.T) {
 				at = done
 			}
 		}
-		if stamps, _, _ := d.Timestamps(0, at); len(stamps) != versions {
+		if stamps, _, _ := d.appendTimestamps(nil, 0, at); len(stamps) != versions {
 			t.Fatalf("%d LPAs x %d versions: lpa 0 kept %d versions", lpas, versions, len(stamps))
 		}
 		if versions > 4 && d.Counters().DeltaPagesWritten == 0 {

@@ -129,7 +129,7 @@ func BenchmarkTimeQueryScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if ts, _, _ := d.Timestamps(0, at); len(ts) != rounds {
+	if ts, _, _ := d.appendTimestamps(nil, 0, at); len(ts) != rounds {
 		b.Fatalf("history kept %d of %d versions", len(ts), rounds)
 	}
 	b.ResetTimer()

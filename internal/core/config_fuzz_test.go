@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"almanac/internal/flash"
 	"almanac/internal/ftl"
 )
 
@@ -13,7 +14,7 @@ import (
 // encoding, so the fixed point is what makes resume-across-binaries
 // sound.
 func FuzzParseConfig(f *testing.F) {
-	f.Add(DefaultConfig(ftl.DefaultParams()).String())
+	f.Add(DefaultConfig(ftl.WithFlash(flash.DefaultConfig())).String())
 	f.Add(Config{}.String())
 	f.Add("channels=1")
 	f.Add("channels=1 channels=2")

@@ -13,9 +13,9 @@ import (
 
 func TestConfigStringRoundTrip(t *testing.T) {
 	cfgs := []Config{
-		DefaultConfig(ftl.DefaultParams()),
+		DefaultConfig(ftl.WithFlash(flash.DefaultConfig())),
 		func() Config {
-			c := DefaultConfig(ftl.DefaultParams())
+			c := DefaultConfig(ftl.WithFlash(flash.DefaultConfig()))
 			c.RetentionKey = []byte("0123456789abcdef")
 			c.DisableCompression = true
 			c.MinRetention = 0
@@ -48,7 +48,7 @@ func TestConfigStringRoundTrip(t *testing.T) {
 func TestConfigRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
-		c := DefaultConfig(ftl.DefaultParams())
+		c := DefaultConfig(ftl.WithFlash(flash.DefaultConfig()))
 		c.FTL.Flash.Channels = rng.Intn(16) + 1
 		c.FTL.Flash.PageSize = 512 << rng.Intn(5)
 		c.FTL.OPRatio = float64(rng.Intn(400)) / 1000
@@ -78,7 +78,7 @@ func TestConfigRoundTripRandom(t *testing.T) {
 }
 
 func TestParseConfigRejects(t *testing.T) {
-	valid := DefaultConfig(ftl.DefaultParams()).String()
+	valid := DefaultConfig(ftl.WithFlash(flash.DefaultConfig())).String()
 	cases := map[string]string{
 		"empty":         "",
 		"missing key":   strings.TrimPrefix(valid, "channels=4 "),
@@ -97,7 +97,7 @@ func TestParseConfigRejects(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig(ftl.DefaultParams())
+	good := DefaultConfig(ftl.WithFlash(flash.DefaultConfig()))
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestConfigValidate(t *testing.T) {
 		"short key":     func(c *Config) { c.RetentionKey = []byte("short") },
 	}
 	for name, mutate := range mutations {
-		c := DefaultConfig(ftl.DefaultParams())
+		c := DefaultConfig(ftl.WithFlash(flash.DefaultConfig()))
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the config", name)
@@ -132,7 +132,7 @@ func TestConfigValidate(t *testing.T) {
 // Validate accepts must build (given a sane geometry), and the specific
 // constructor rejections are covered by Validate too.
 func TestValidateMatchesNew(t *testing.T) {
-	c := DefaultConfig(ftl.DefaultParams())
+	c := DefaultConfig(ftl.WithFlash(flash.DefaultConfig()))
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}

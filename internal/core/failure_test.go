@@ -4,9 +4,22 @@ import (
 	"errors"
 	"testing"
 
+	"almanac/internal/fault"
 	"almanac/internal/flash"
 	"almanac/internal/vclock"
 )
+
+// failReads arms each page in ppas to fail its next n reads uncorrectably
+// (n = 0: every read).
+func failReads(t *testing.T, d *TimeSSD, n int, ppas ...flash.PPA) {
+	t.Helper()
+	p := &fault.Plan{Seed: 1}
+	for _, ppa := range ppas {
+		p.Rules = append(p.Rules, fault.Rule{Effect: fault.Uncorrectable, Channel: fault.Any,
+			Block: d.Arr.BlockOf(ppa), Page: d.Arr.PageOf(ppa), Count: n})
+	}
+	armFaults(t, d, p)
+}
 
 // TestReadFailureOnLiveHead: an uncorrectable error on the current version
 // surfaces to the host as an error; the device stays consistent and other
@@ -21,7 +34,7 @@ func TestReadFailureOnLiveHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Arr.FailReads(d.AMT[1], 1)
+	failReads(t, d, 1, d.AMT[1])
 	if _, _, err := d.Read(1, at); !errors.Is(err, flash.ErrReadFailed) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
@@ -53,7 +66,7 @@ func TestReadFailureMidChain(t *testing.T) {
 		at = done
 	}
 	// Permanently kill version index 1 (the second oldest).
-	d.Arr.FailReads(heads[1], 1<<30)
+	failReads(t, d, 0, heads[1])
 	vers, _, err := d.Versions(7, at)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +109,7 @@ func TestReadFailureDuringGC(t *testing.T) {
 	}
 	// Kill the retained version and the live head of another page, then
 	// force reclamation of every sealed block.
-	d.Arr.FailReads(oldHead, 1<<30)
-	d.Arr.FailReads(d.AMT[50], 1<<30)
+	failReads(t, d, 0, oldHead, d.AMT[50])
 	for i := 0; i < d.cfg.FTL.Flash.TotalBlocks(); i++ {
 		victim := d.bestVictim()
 		if victim < 0 {

@@ -60,8 +60,8 @@ func TestRebuildInstantRestartsWindow(t *testing.T) {
 	}
 
 	r := rebuildImage(t, d)
-	if r.RebuiltAt() != last {
-		t.Fatalf("rebuild instant %v, newest write was at %v", r.RebuiltAt(), last)
+	if r.rebuiltAt != last {
+		t.Fatalf("rebuild instant %v, newest write was at %v", r.rebuiltAt, last)
 	}
 	if ws := r.RetentionWindowStart(); ws != last {
 		t.Fatalf("retention window starts at %v, want the rebuild instant %v", ws, last)
@@ -75,8 +75,8 @@ func TestRebuildInstantRestartsWindow(t *testing.T) {
 	// The instant survives a second crash with no host writes in between,
 	// through the OOB journal marker alone.
 	r2 := rebuildImage(t, r)
-	if r2.RebuiltAt() != last {
-		t.Fatalf("second rebuild lost the journalled instant: %v, want %v", r2.RebuiltAt(), last)
+	if r2.rebuiltAt != last {
+		t.Fatalf("second rebuild lost the journalled instant: %v, want %v", r2.rebuiltAt, last)
 	}
 }
 

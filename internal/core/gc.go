@@ -524,9 +524,6 @@ func (t *TimeSSD) observeArrival(at vclock.Time) {
 	t.lastArrival = at
 }
 
-// PredictedIdle exposes the current idle-time prediction.
-func (t *TimeSSD) PredictedIdle() vclock.Duration { return t.predictedIdle }
-
 // Idle tells the device no host I/O will arrive before `until`. If the
 // predictor expects a long enough gap, TimeSSD compresses retained pages of
 // the block with the most invalid pages in the background, marking them

@@ -229,18 +229,11 @@ func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.
 	return nil, done, nil
 }
 
-// Timestamps returns the write timestamps of every retrievable version of
-// lpa (newest first) without decompressing content. Data-chain hops read
-// only OOB; a delta-chain hop reads its page and one header entry.
-func (t *TimeSSD) Timestamps(lpa uint64, at vclock.Time) ([]vclock.Time, vclock.Time, error) {
-	if err := t.CheckLPA(lpa); err != nil {
-		return nil, at, err
-	}
-	return t.appendTimestamps(nil, lpa, at)
-}
-
-// appendTimestamps is Timestamps into a caller-owned slice, for a scan that
-// walks many LPAs and keeps none of the slices. lpa must be in range.
+// appendTimestamps appends the write timestamps of every retrievable
+// version of lpa (newest first) to out without decompressing content.
+// Data-chain hops read only OOB; a delta-chain hop reads its page and one
+// header entry. A scan that walks many LPAs passes one slice for all of
+// them. lpa must be in range.
 func (t *TimeSSD) appendTimestamps(out []vclock.Time, lpa uint64, at vclock.Time) ([]vclock.Time, vclock.Time, error) {
 	prevTS := maxTime
 

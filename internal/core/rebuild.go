@@ -41,7 +41,7 @@ import (
 // crash can only ever lengthen retention, never shorten it. The instant is
 // recorded in OOB-visible metadata (a KindTranslation marker page stamped
 // with rebuiltAt) so it survives further crashes even if the host never
-// writes again, and is exposed via RebuiltAt.
+// writes again.
 //
 // Deliberate losses, matching real FTL semantics: RAM-only delta buffers
 // (their source pages are still on flash and simply count as retained

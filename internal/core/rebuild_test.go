@@ -257,8 +257,8 @@ func TestRebuildRestoresChainSlots(t *testing.T) {
 				t.Fatalf("lpa %d version %d (ts %v) differs after rebuild", lpa, i, wantV[i].TS)
 			}
 		}
-		wantT, _, _ := d.Timestamps(lpa, at)
-		gotT, _, err := r.Timestamps(lpa, at)
+		wantT, _, _ := d.appendTimestamps(nil, lpa, at)
+		gotT, _, err := r.appendTimestamps(nil, lpa, at)
 		if err != nil {
 			t.Fatal(err)
 		}

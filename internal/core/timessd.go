@@ -346,11 +346,6 @@ func (t *TimeSSD) attachObs() {
 // Obs returns the device's observability registry.
 func (t *TimeSSD) Obs() *obs.Registry { return t.obs }
 
-// RebuiltAt returns the rebuild instant if this device was mounted by
-// Rebuild (the newest write timestamp the scan found — where the retention
-// window restarted), or zero for a device created fresh.
-func (t *TimeSSD) RebuiltAt() vclock.Time { return t.rebuiltAt }
-
 // SetFaults arms a plan-driven fault injector on the device's flash array
 // (nil restores the perfect device). Core owns the forwarding so host-side
 // layers stay behind the firmware boundary. While an injector is armed the

@@ -155,10 +155,6 @@ const (
 	MaxPageSize = 1 << 16
 )
 
-// PageCapacity returns the payload capacity of a delta page of the given
-// size holding n deltas.
-func PageCapacity(pageSize, n int) int { return pageSize - headerSize - n*entrySize }
-
 // PackPage serialises deltas into buf, one whole flash page (its length is
 // the page size), and returns the number of leading deltas it packed. It
 // writes every byte of buf, zeroing what the deltas leave free, so a

@@ -391,11 +391,18 @@ func pack(ds []*Delta, size int) ([]byte, int, error) {
 	return page, n, err
 }
 
+// TestPageCapacity: a page holds its header, one entry per delta and the
+// payloads, to the byte.
 func TestPageCapacity(t *testing.T) {
-	if got := PageCapacity(pageSize, 0); got != pageSize-headerSize {
-		t.Fatalf("capacity(0) = %d", got)
+	room := pageSize - headerSize - 2*entrySize
+	a := &Delta{Payload: make([]byte, room/2)}
+	b := &Delta{Payload: make([]byte, room-room/2)}
+	page := make([]byte, pageSize)
+	if n, err := PackPage(page, []*Delta{a, b}); err != nil || n != 2 {
+		t.Fatalf("two deltas filling the page: packed %d, %v", n, err)
 	}
-	if got := PageCapacity(pageSize, 2); got != pageSize-headerSize-2*entrySize {
-		t.Fatalf("capacity(2) = %d", got)
+	b.Payload = append(b.Payload, 0)
+	if n, err := PackPage(page, []*Delta{a, b}); err != nil || n != 1 {
+		t.Fatalf("one byte past the page: packed %d, %v; want 1", n, err)
 	}
 }

@@ -270,15 +270,6 @@ func NewInjector(p *Plan) (*Injector, error) {
 	}, nil
 }
 
-// Plan returns a copy of the compiled plan.
-func (i *Injector) Plan() Plan {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	cp := i.plan
-	cp.Rules = append([]Rule(nil), i.plan.Rules...)
-	return cp
-}
-
 // ECCBudget returns the effective per-page correctable-bit budget.
 func (i *Injector) ECCBudget() int { return i.budget }
 

@@ -152,10 +152,10 @@ var (
 	ErrBadAddress = errors.New("flash: address out of range")
 	ErrReadFree   = errors.New("flash: read of erased page")
 	ErrBlockFull  = errors.New("flash: program to full block")
-	// ErrReadFailed is an uncorrectable (post-ECC) read error, injected
-	// either with FailReads or by a fault plan; the FTL must degrade
-	// gracefully, never wedge. It is the fault package's typed sentinel so
-	// one errors.Is covers both injection paths end to end.
+	// ErrReadFailed is an uncorrectable (post-ECC) read error, injected by
+	// a fault plan; the FTL must degrade gracefully, never wedge. It is the
+	// fault package's typed sentinel, so one errors.Is matches it end to
+	// end.
 	ErrReadFailed = fault.ErrUncorrectable
 )
 
@@ -193,7 +193,6 @@ type Array struct {
 
 	busy   []vclock.Time // per-channel horizon
 	stats  Stats
-	failRd map[PPA]int     // failure injection: remaining failures per page
 	faults *fault.Injector // plan-driven fault model; nil = perfect device
 	dead   bool            // a PowerCut fault fired; every op fails until remount
 	obsr   *obs.Registry
@@ -351,16 +350,6 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 	// count tracks stats.Reads exactly; queueing behind a busy channel is
 	// part of the observed virtual latency.
 	a.obsr.Observe(obs.FlashRead, int64(done.Sub(at)), ws, true)
-	if a.failRd != nil {
-		if n, ok := a.failRd[ppa]; ok {
-			if n == 1 {
-				delete(a.failRd, ppa)
-			} else {
-				a.failRd[ppa] = n - 1
-			}
-			return nil, OOB{}, done, fmt.Errorf("%w: ppa %d", ErrReadFailed, ppa)
-		}
-	}
 	if a.faults != nil {
 		switch out := a.faults.Check(fault.OpRead, a.faultAddr(a.BlockOf(ppa), a.PageOf(ppa)), at); out.Decision {
 		case fault.DecCorrected:
@@ -384,19 +373,6 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 	}
 	data = a.pageData(ppa)
 	return data, oob, done, nil
-}
-
-// FailReads arms ppa to fail its next n reads with ErrReadFailed — the
-// test hook for uncorrectable-error injection. Peek* bypasses injection.
-func (a *Array) FailReads(ppa PPA, n int) {
-	if a.failRd == nil {
-		a.failRd = make(map[PPA]int)
-	}
-	if n <= 0 {
-		delete(a.failRd, ppa)
-		return
-	}
-	a.failRd[ppa] = n
 }
 
 // PeekPage returns a programmed page's content and OOB without charging

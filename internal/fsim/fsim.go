@@ -380,9 +380,6 @@ func (fs *FS) Mode() Mode { return fs.sb.mode }
 // Device returns the underlying device.
 func (fs *FS) Device() ftl.Device { return fs.dev }
 
-// FreePages returns free data pages.
-func (fs *FS) FreePages() int { return fs.freeData }
-
 // List returns the file names in the root directory, sorted.
 func (fs *FS) List() []string {
 	names := make([]string, 0, len(fs.dir))

@@ -606,12 +606,3 @@ func (fs *FS) FileLPAs(name string) ([]uint64, error) {
 	}
 	return out, nil
 }
-
-// Mtime returns a file's last modification (virtual) time.
-func (fs *FS) Mtime(name string) (vclock.Time, error) {
-	ino, ok := fs.dir[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return fs.inodes[ino].mtime, nil
-}

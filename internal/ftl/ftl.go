@@ -71,11 +71,6 @@ type Params struct {
 	MappingCacheSlots int
 }
 
-// DefaultParams returns parameters for the default flash geometry.
-func DefaultParams() Params {
-	return WithFlash(flash.DefaultConfig())
-}
-
 // WithFlash derives sensible FTL parameters for a flash geometry.
 func WithFlash(fc flash.Config) Params {
 	total := fc.TotalBlocks()
@@ -313,9 +308,6 @@ func (b *Base) gcFrontier() frontier   { return frontier{&b.activeGC, &b.gcCurso
 
 // HostFrontier exposes the host-write frontier for embedding FTLs.
 func (b *Base) HostFrontier() frontier { return b.hostFrontier() }
-
-// GCFrontier exposes the GC/migration frontier for embedding FTLs.
-func (b *Base) GCFrontier() frontier { return b.gcFrontier() }
 
 // AppendPage programs data+oob at the next page of fr's current active
 // block (rotating across channels), sealing and replacing blocks as they

@@ -84,13 +84,3 @@ func (b *Base) TouchMapping(lpa uint64, write bool, at vclock.Time) vclock.Time 
 	}
 	return at
 }
-
-// MappingCached reports whether lpa's translation entry is currently
-// resident (always true with the cache disabled).
-func (b *Base) MappingCached(lpa uint64) bool {
-	if b.mcache == nil {
-		return true
-	}
-	_, ok := b.mcache.byVPN[lpa/uint64(b.mcache.entriesPerPage)]
-	return ok
-}

@@ -28,8 +28,8 @@ func TestMappingFullyCachedIsFree(t *testing.T) {
 	if r.MapStats.Hits+r.MapStats.Misses != 0 {
 		t.Fatalf("fully-cached mapping produced demand-paging stats: %+v", r.MapStats)
 	}
-	if !r.MappingCached(1) {
-		t.Fatal("fully-cached mapping reported a miss")
+	if r.mcache != nil {
+		t.Fatal("fully-cached mapping built a demand-paging cache")
 	}
 }
 
@@ -86,7 +86,7 @@ func TestMappingEvictionWritesBackDirty(t *testing.T) {
 	if got := at.Sub(before); got < r.P.Flash.ReadLatency+r.P.Flash.ProgLatency {
 		t.Fatalf("dirty eviction charged only %v", got)
 	}
-	if r.MappingCached(0) {
+	if _, ok := r.mcache.byVPN[0]; ok {
 		t.Fatal("evicted translation page still reported cached")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"almanac/internal/core"
 	"almanac/internal/obs"
+	"almanac/internal/sweep"
 	"almanac/internal/trace"
 	"almanac/internal/vclock"
 )
@@ -57,7 +58,7 @@ func AblationCompression(c Config) (*Table, error) {
 		{"no compression at all", func(cc *core.Config) { cc.DisableCompression = true }},
 	}
 	rows := make([][]string, len(variants))
-	err := c.parallel(len(variants), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(variants), func(i int) error {
 		v := variants[i]
 		resp, wa, ret, st, err := c.ablationRun(v.mutate)
 		if err != nil {
@@ -85,7 +86,7 @@ func AblationGroupSize(c Config) (*Table, error) {
 	c = c.ablationConfig()
 	groups := []int{1, 4, 16, 64}
 	rows := make([][]string, len(groups))
-	err := c.parallel(len(groups), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(groups), func(i int) error {
 		n := groups[i]
 		dev, err := c.newTimeSSD(func(cc *core.Config) { cc.BFGroup = n })
 		if err != nil {
@@ -122,7 +123,7 @@ func AblationThreshold(c Config) (*Table, error) {
 	}
 	ths := []float64{0.05, 0.1, 0.2, 0.5}
 	rows := make([][]string, len(ths))
-	err := c.parallel(len(ths), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(ths), func(i int) error {
 		th := ths[i]
 		dev, err := c.newTimeSSD(func(cc *core.Config) {
 			cc.TH = th
@@ -133,31 +134,22 @@ func AblationThreshold(c Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		footprint := uint64(float64(dev.LogicalPages()) * 0.8)
-		gen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, c.Seed)
-		warmEnd, err := trace.Fill(dev, footprint, gen, 0)
-		if err != nil {
-			return err
-		}
 		spec := trace.Spec{
 			Name:        "continuous",
 			Seed:        c.Seed,
 			Requests:    c.ReqPerDay * c.Days * 4,
 			Duration:    vclock.Duration(c.Days) * vclock.Day,
 			WriteRatio:  0.8,
-			Footprint:   footprint,
+			Footprint:   uint64(float64(dev.LogicalPages()) * 0.8),
 			AvgPages:    2,
 			HotFraction: 0.1,
 			HotAccess:   0.7,
 			BurstLen:    1 << 30, // one endless burst: no idle at all
 			BurstGap:    10 * vclock.Millisecond,
 		}
-		reqs, err := trace.Generate(spec)
+		reqs, gen, _, err := trace.Warm(dev, spec)
 		if err != nil {
 			return err
-		}
-		for i := range reqs {
-			reqs[i].At = reqs[i].At + warmEnd.Add(vclock.Second)
 		}
 		st, err := trace.Replay(dev, reqs, gen)
 		if err != nil {
@@ -192,7 +184,7 @@ func AblationMinRetention(c Config) (*Table, error) {
 	c = c.ablationConfig()
 	bounds := []vclock.Duration{0, vclock.Hour, 12 * vclock.Hour, 2 * vclock.Day}
 	rows := make([][]string, len(bounds))
-	err := c.parallel(len(bounds), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(bounds), func(i int) error {
 		bound := bounds[i]
 		dev, err := c.newTimeSSD(func(cc *core.Config) { cc.MinRetention = bound })
 		if err != nil {
@@ -242,7 +234,7 @@ func AblationMapCache(c Config) (*Table, error) {
 		{"1/32", totalVPNs / 32},
 	}
 	rows := make([][]string, len(fracs))
-	err := c.parallel(len(fracs), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(fracs), func(i int) error {
 		frac := fracs[i]
 		slots := frac.slots
 		if frac.name != "all (DRAM-resident)" && slots < 1 {

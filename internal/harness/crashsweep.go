@@ -13,6 +13,7 @@ import (
 	"almanac/internal/fault"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
+	"almanac/internal/sweep"
 	"almanac/internal/vclock"
 )
 
@@ -34,12 +35,19 @@ import (
 // committed version may be missing afterwards.
 //
 // The sweep honours two environment overrides so CI can scale it without a
-// config fork: ALMANAC_CRASH_SEEDS and ALMANAC_CRASH_CUTS. On a failure,
+// config fork: ALMANAC_CRASH_SEEDS and ALMANAC_CRASH_CUTS, each a positive
+// integer (anything else is an error, never the default). On a failure,
 // if ALMANAC_CRASH_ARTIFACTS names a directory, the failing seed's fault
 // plan and flash image are saved there for offline replay.
 func CrashSweep(c Config) (*Table, error) {
-	seeds := envInt("ALMANAC_CRASH_SEEDS", c.CrashSeeds)
-	cuts := envInt("ALMANAC_CRASH_CUTS", c.CrashCuts)
+	seeds, err := envInt("ALMANAC_CRASH_SEEDS", c.CrashSeeds)
+	if err != nil {
+		return nil, err
+	}
+	cuts, err := envInt("ALMANAC_CRASH_CUTS", c.CrashCuts)
+	if err != nil {
+		return nil, err
+	}
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -53,7 +61,7 @@ func CrashSweep(c Config) (*Table, error) {
 	// Seeds are fully independent workloads: sweep them across the worker
 	// pool, one row slot per seed.
 	rows := make([][]string, seeds)
-	err := c.parallel(seeds, func(s int) error {
+	err = sweep.Parallel(c.Workers, seeds, func(s int) error {
 		seed := c.Seed + int64(s)
 		res, err := crashRun(c, seed, cuts)
 		if err != nil {
@@ -320,15 +328,20 @@ func sortedLPAs(shadow map[uint64][]shadowVer) []uint64 {
 	return lpas
 }
 
-// envInt reads an integer environment override, keeping def when unset or
-// malformed.
-func envInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
+// envInt reads a positive integer override from the environment, keeping
+// def when the variable is unset. Any other value is an error naming the
+// variable: a typo in a CI input must fail the run, not shrink it to the
+// default.
+func envInt(name string, def int) (int, error) {
+	s := os.Getenv(name)
+	if s == "" {
+		return def, nil
 	}
-	return def
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 1 {
+		return 0, fmt.Errorf("harness: %s=%q is not a positive integer", name, s)
+	}
+	return v, nil
 }
 
 // saveCrashArtifacts persists a failing run's medium for offline replay

@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,26 @@ func TestCrashSweepEnvOverride(t *testing.T) {
 	}
 	if len(tab.Rows) != 1 || !strings.Contains(tab.Title, "1 seed(s) × 1 power cut(s)") {
 		t.Fatalf("env override ignored: %q, %d rows", tab.Title, len(tab.Rows))
+	}
+}
+
+// TestCrashSweepEnvOverrideRejectsGarbage: an override that is not a
+// positive integer fails the sweep with an error naming the variable and
+// the value, instead of running the default scale.
+func TestCrashSweepEnvOverrideRejectsGarbage(t *testing.T) {
+	for _, tc := range []struct{ name, value string }{
+		{"ALMANAC_CRASH_SEEDS", "3 2"},
+		{"ALMANAC_CRASH_SEEDS", "0"},
+		{"ALMANAC_CRASH_CUTS", "two"},
+		{"ALMANAC_CRASH_CUTS", "-1"},
+	} {
+		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
+			t.Setenv(tc.name, tc.value)
+			_, err := Run("crashsweep", tiny())
+			if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), strconv.Quote(tc.value)) {
+				t.Fatalf("%s=%q: err %v, want one naming the variable and the value", tc.name, tc.value, err)
+			}
+		})
 	}
 }
 

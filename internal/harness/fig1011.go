@@ -7,6 +7,7 @@ import (
 	"almanac/internal/core"
 	"almanac/internal/fsim"
 	"almanac/internal/ransom"
+	"almanac/internal/sweep"
 	"almanac/internal/timekits"
 	"almanac/internal/vclock"
 )
@@ -25,7 +26,7 @@ func Figure10(c Config) (*Table, error) {
 		fg, ts *ransom.RecoverStats
 	}
 	runs := make([]famRun, len(ransom.Families))
-	err := c.parallel(2*len(ransom.Families), func(i int) error {
+	err := sweep.Parallel(c.Workers, 2*len(ransom.Families), func(i int) error {
 		fam := ransom.Families[i/2]
 		scaled := fam
 		scaled.Files = int(float64(fam.Files) * c.RansomScale)
@@ -127,7 +128,7 @@ func Figure11(c Config) (*Table, error) {
 	// One fresh run per thread count (reverting mutates state); the runs
 	// are independent simulations, dispatched across the worker pool.
 	results := make([]map[string]vclock.Duration, len(c.Fig11Threads))
-	err := c.parallel(len(c.Fig11Threads), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(c.Fig11Threads), func(i int) error {
 		times, err := c.runFig11(c.Fig11Threads[i])
 		if err != nil {
 			return err

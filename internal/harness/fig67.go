@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"almanac/internal/sweep"
 	"almanac/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func (c Config) runPairs() ([]pairResult, error) {
 		}
 	}
 	out := make([]pairResult, len(jobs))
-	err := c.parallel(len(jobs), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(jobs), func(i int) error {
 		usage, name := jobs[i].usage, jobs[i].name
 		reg, err := c.newRegular()
 		if err != nil {
@@ -90,15 +91,6 @@ func Figure7(c Config) (*Table, error) {
 		return nil, err
 	}
 	return figure7From(pairs), nil
-}
-
-// Figures6And7 runs the pair sweep once and produces both tables.
-func Figures6And7(c Config) (*Table, *Table, error) {
-	pairs, err := c.runPairs()
-	if err != nil {
-		return nil, nil, err
-	}
-	return figure6From(pairs), figure7From(pairs), nil
 }
 
 func figure6From(pairs []pairResult) *Table {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"almanac/internal/sweep"
 	"almanac/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func Figure8(c Config) (*Table, error) {
 		}
 	}
 	rows := make([][]string, len(cells))
-	err := c.parallel(len(cells), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(cells), func(i int) error {
 		j := cells[i]
 		dev, err := c.newTimeSSD(nil)
 		if err != nil {

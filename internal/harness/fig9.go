@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"almanac/internal/apps"
+	"almanac/internal/sweep"
 	"almanac/internal/vclock"
 )
 
@@ -31,7 +32,7 @@ func Figure9IOZone(c Config) (*Table, error) {
 	rates := map[string]phaseRates{}
 	order := []string{"SeqRead", "SeqWrite", "RandomRead", "RandomWrite"}
 	results := make([]*apps.IOZoneResult, len(fig9aStacks))
-	err := c.parallel(len(fig9aStacks), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(fig9aStacks), func(i int) error {
 		k := fig9aStacks[i]
 		fs, _, err := c.newFSStack(k)
 		if err != nil {
@@ -108,7 +109,7 @@ func Figure9OLTP(c Config) (*Table, error) {
 		}
 	}
 	rates := make([]float64, len(cells))
-	err := c.parallel(len(cells), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(cells), func(i int) error {
 		k := cells[i].stack
 		fs, _, err := c.newFSStack(k)
 		if err != nil {

@@ -8,9 +8,7 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"almanac/internal/core"
 	"almanac/internal/flash"
@@ -224,53 +222,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// parallel runs n independent jobs across the configured worker pool and
-// waits for all of them. Jobs must not share mutable state: each builds its
-// own devices/RNGs and writes only its own result slot (by index), so table
-// assembly afterwards is deterministic regardless of execution order. When
-// several jobs fail, the lowest-indexed error is returned — the one the
-// serial order would have hit first.
-func (c Config) parallel(n int, job func(i int) error) error {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = job(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // newRegular builds the baseline device.
 func (c Config) newRegular() (*ftl.Regular, error) {
 	return ftl.NewRegular(ftl.WithFlash(c.Flash))
@@ -298,25 +249,13 @@ type traceRun struct {
 // named workload over cfg.Days at the given utilisation.
 func (c Config) runTrace(dev ftl.Device, name string, usage float64, days int) (*traceRun, error) {
 	footprint := uint64(float64(dev.LogicalPages()) * usage)
-	if footprint == 0 {
-		return nil, fmt.Errorf("harness: zero footprint")
-	}
-	gen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, c.Seed)
-	warmEnd, err := trace.Fill(dev, footprint, gen, 0)
-	if err != nil {
-		return nil, fmt.Errorf("warmup: %w", err)
-	}
 	spec, err := trace.NamedSpec(name, footprint, days, c.ReqPerDay, c.Seed)
 	if err != nil {
 		return nil, err
 	}
-	reqs, err := trace.Generate(spec)
+	reqs, gen, _, err := trace.Warm(dev, spec)
 	if err != nil {
 		return nil, err
-	}
-	shift := warmEnd.Add(vclock.Second)
-	for i := range reqs {
-		reqs[i].At = reqs[i].At + shift
 	}
 	st, err := trace.Replay(dev, reqs, gen)
 	if err != nil {
@@ -376,7 +315,6 @@ func (c Config) newFSStack(k fsKind) (*fsim.FS, ftl.Device, error) {
 	return fs, dev, nil
 }
 
-func ms(d vclock.Duration) string   { return fmt.Sprintf("%.3f", d.Seconds()*1e3) }
-func pct(x float64) string          { return fmt.Sprintf("%+.1f%%", x*100) }
-func f2(x float64) string           { return fmt.Sprintf("%.2f", x) }
-func days(d vclock.Duration) string { return fmt.Sprintf("%.1f", d.Hours()/24) }
+func ms(d vclock.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()*1e3) }
+func pct(x float64) string        { return fmt.Sprintf("%+.1f%%", x*100) }
+func f2(x float64) string         { return fmt.Sprintf("%.2f", x) }

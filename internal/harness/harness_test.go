@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,11 +80,11 @@ func TestTableRenderRagged(t *testing.T) {
 }
 
 func TestFigures6And7(t *testing.T) {
-	c := tiny()
-	f6, f7, err := Figures6And7(c)
+	pairs, err := tiny().runPairs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	f6, f7 := figure6From(pairs), figure7From(pairs)
 	// 12 workloads × 2 usages.
 	if len(f6.Rows) != 24 || len(f7.Rows) != 24 {
 		t.Fatalf("row counts: %d, %d", len(f6.Rows), len(f7.Rows))
@@ -394,64 +397,58 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestNamesCoverExperiments checks the experiment table: no name twice,
+// and the full built-in suite present.
 func TestNamesCoverExperiments(t *testing.T) {
-	names := Names()
-	if len(names) < 18 {
-		t.Fatalf("registry suspiciously small: %d experiments", len(names))
-	}
 	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate name %q in Names()", n)
+	for _, e := range experiments {
+		if seen[e.name] {
+			t.Fatalf("experiment %q has two rows", e.name)
 		}
-		seen[n] = true
-		e, ok := Lookup(n)
-		if !ok {
-			t.Fatalf("%q in Names() but not resolvable via Lookup", n)
-		}
-		if e.Name() != n {
-			t.Fatalf("experiment registered as %q reports Name() %q", n, e.Name())
-		}
+		seen[e.name] = true
 	}
-	// The full built-in suite must be reachable through the registry.
 	for _, n := range []string{"fig6", "fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11",
 		"table3", "ablation-compress", "ablation-group", "ablation-th", "ablation-bound",
 		"ablation-mapcache", "ablation-wear", "scaling", "obs", "crashsweep", "service", "sweep"} {
 		if !seen[n] {
-			t.Fatalf("built-in experiment %q missing from registry", n)
+			t.Fatalf("built-in experiment %q missing from the table", n)
 		}
 	}
 }
 
-// TestRegistryDrivesCustomExperiments is the API-redesign contract: an
-// experiment registered at run time is immediately enumerable and
-// runnable exactly like the built-ins.
-func TestRegistryDrivesCustomExperiments(t *testing.T) {
-	RegisterFunc("test-custom", func(c Config) (*Table, error) {
-		tab := &Table{Title: "custom", Header: []string{"k"}}
-		tab.AddRow("v")
-		return tab, nil
-	})
-	found := false
+// TestDocsNameExperiments: every `go run ./cmd/almanac <name>` in the user
+// docs names a row of the experiment table, so the CLI and the docs cannot
+// drift apart.
+func TestDocsNameExperiments(t *testing.T) {
+	known := map[string]bool{}
 	for _, n := range Names() {
-		if n == "test-custom" {
-			found = true
+		known[n] = true
+	}
+	valued := map[string]bool{"-scale": true, "-seed": true, "-j": true, "-replay": true}
+	cmd := regexp.MustCompile("go run ./cmd/almanac([^`#\n>|;&]*)")
+	named := 0
+	for _, doc := range []string{"EXPERIMENTS.md", "README.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cmd.FindAllStringSubmatch(string(b), -1) {
+			args := strings.Fields(m[1])
+			for i := 0; i < len(args); i++ {
+				switch a := args[i]; {
+				case valued[a]:
+					i++
+				case strings.HasPrefix(a, "-") || strings.HasPrefix(a, "<"):
+				default:
+					named++
+					if !known[a] {
+						t.Errorf("%s: `go run ./cmd/almanac ... %s` names no experiment", doc, a)
+					}
+				}
+			}
 		}
 	}
-	if !found {
-		t.Fatal("registered experiment missing from Names()")
+	if named == 0 {
+		t.Fatal("the docs name no experiment; is the pattern stale?")
 	}
-	tab, err := Run("test-custom", tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 || tab.Rows[0][0] != "v" {
-		t.Fatalf("custom experiment table mangled: %+v", tab)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	RegisterFunc("test-custom", func(c Config) (*Table, error) { return &Table{}, nil })
 }

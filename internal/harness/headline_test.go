@@ -14,10 +14,11 @@ func TestQuickScaleHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-scale sweep")
 	}
-	f6, f7, err := Figures6And7(Quick())
+	pairs, err := Quick().runPairs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	f6, f7 := figure6From(pairs), figure7From(pairs)
 	meanOf := func(tab *Table, usage string) float64 {
 		var sum float64
 		n := 0

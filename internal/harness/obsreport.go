@@ -48,25 +48,16 @@ func ObsReport(c Config) (*Table, error) {
 	}
 
 	footprint := uint64(float64(dev.LogicalPages()) * 0.5)
-	gen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, c.Seed)
-	warmEnd, err := trace.Fill(dev, footprint, gen, 0)
-	if err != nil {
-		return nil, fmt.Errorf("warmup: %w", err)
-	}
-	addPhase("warm")
-
 	spec, err := trace.NamedSpec(ablationWorkload, footprint, c.Days, c.ReqPerDay, c.Seed)
 	if err != nil {
 		return nil, err
 	}
-	reqs, err := trace.Generate(spec)
+	reqs, gen, warmEnd, err := trace.Warm(dev, spec)
 	if err != nil {
 		return nil, err
 	}
-	shift := warmEnd.Add(vclock.Second)
-	for i := range reqs {
-		reqs[i].At = reqs[i].At + shift
-	}
+	addPhase("warm")
+
 	st, err := trace.Replay(dev, reqs, gen)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)

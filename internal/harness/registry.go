@@ -1,149 +1,52 @@
 package harness
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Experiment is one runnable evaluation unit: a paper figure, an
-// ablation, or an engine-level study like the design-space sweep. The
-// harness used to dispatch experiments through a hardcoded map, which
-// meant nothing outside this package could enumerate or extend the set;
-// the registry replaces that so cmd/almanac (-list), cmd/almasweep, and
-// tests all drive experiments through one programmatic surface.
-//
-// Run fills t in place rather than returning a table so an Experiment
-// can stream rows and notes into a caller-owned result and so adapters
-// can wrap existing table-returning functions without copying semantics.
-type Experiment interface {
-	// Name is the stable identifier used on the CLI and in reports.
-	Name() string
-	// Run executes the experiment at the given configuration, filling t.
-	Run(c Config, t *Table) error
-}
-
-// funcExperiment adapts the classic `func(Config) (*Table, error)`
-// experiment shape to the Experiment interface.
-type funcExperiment struct {
+// experiments is the evaluation suite: one row per experiment, in the
+// paper's presentation order, which is the CLI's run order. cmd/almanac
+// runs and lists experiments only through this table (Names, Run), and
+// TestDocsNameExperiments checks that every `go run ./cmd/almanac <name>`
+// in the docs names a row of it.
+var experiments = []struct {
 	name string
-	fn   func(Config) (*Table, error)
+	run  func(Config) (*Table, error)
+}{
+	{"fig6", Figure6},
+	{"fig7", Figure7},
+	{"fig8", Figure8},
+	{"fig9a", Figure9IOZone},
+	{"fig9b", Figure9OLTP},
+	{"fig10", Figure10},
+	{"fig11", Figure11},
+	{"table3", Table3},
+	{"ablation-compress", AblationCompression},
+	{"ablation-group", AblationGroupSize},
+	{"ablation-th", AblationThreshold},
+	{"ablation-bound", AblationMinRetention},
+	{"ablation-mapcache", AblationMapCache},
+	{"ablation-wear", AblationWear},
+	{"scaling", ArrayScaling},
+	{"obs", ObsReport},
+	{"crashsweep", CrashSweep},
+	{"service", ServiceFleet},
+	{"sweep", designSweep},
 }
 
-func (e funcExperiment) Name() string { return e.name }
-
-func (e funcExperiment) Run(c Config, t *Table) error {
-	tab, err := e.fn(c)
-	if err != nil {
-		return err
-	}
-	*t = *tab
-	return nil
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Experiment{}
-	regOrder []string
-)
-
-// Register adds an experiment under the given name. Registration is
-// typically done from init functions; duplicate or empty names and nil
-// experiments are programming errors and panic. Names() preserves
-// registration order, which is the CLI run order.
-func Register(name string, e Experiment) {
-	if name == "" {
-		panic("harness: Register with empty experiment name")
-	}
-	if e == nil {
-		panic(fmt.Sprintf("harness: Register(%q) with nil experiment", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("harness: experiment %q registered twice", name))
-	}
-	registry[name] = e
-	regOrder = append(regOrder, name)
-}
-
-// RegisterFunc registers a classic table-returning experiment function.
-func RegisterFunc(name string, fn func(Config) (*Table, error)) {
-	Register(name, funcExperiment{name: name, fn: fn})
-}
-
-// Lookup returns the registered experiment, if any.
-func Lookup(name string) (Experiment, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
-}
-
-// Names returns the experiment identifiers in registration (run) order.
+// Names returns the experiment identifiers in run order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(regOrder))
-	copy(out, regOrder)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
 	return out
 }
 
-// Run executes one named experiment through the registry.
+// Run executes one named experiment.
 func Run(name string, c Config) (*Table, error) {
-	e, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", name, Names())
-	}
-	t := &Table{}
-	if err := e.Run(c, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RunAll executes every registered experiment and returns the tables in
-// registration order. fig6/fig7 share one trace sweep when run together,
-// so they are produced by the combined entry point rather than run twice.
-func RunAll(c Config) ([]*Table, error) {
-	var out []*Table
-	f6, f7, err := Figures6And7(c)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f6, f7)
-	for _, name := range Names() {
-		if name == "fig6" || name == "fig7" {
-			continue
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(c)
 		}
-		t, err := Run(name, c)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		out = append(out, t)
 	}
-	return out, nil
-}
-
-// The built-in evaluation suite, registered in the paper's presentation
-// order. New experiments self-register from their own files (see
-// sweep.go) and append after these.
-func init() {
-	RegisterFunc("fig6", Figure6)
-	RegisterFunc("fig7", Figure7)
-	RegisterFunc("fig8", Figure8)
-	RegisterFunc("fig9a", Figure9IOZone)
-	RegisterFunc("fig9b", Figure9OLTP)
-	RegisterFunc("fig10", Figure10)
-	RegisterFunc("fig11", Figure11)
-	RegisterFunc("table3", Table3)
-	RegisterFunc("ablation-compress", AblationCompression)
-	RegisterFunc("ablation-group", AblationGroupSize)
-	RegisterFunc("ablation-th", AblationThreshold)
-	RegisterFunc("ablation-bound", AblationMinRetention)
-	RegisterFunc("ablation-mapcache", AblationMapCache)
-	RegisterFunc("ablation-wear", AblationWear)
-	RegisterFunc("scaling", ArrayScaling)
-	RegisterFunc("obs", ObsReport)
-	RegisterFunc("crashsweep", CrashSweep)
-	RegisterFunc("service", ServiceFleet)
+	return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", name, Names())
 }

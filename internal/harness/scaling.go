@@ -132,18 +132,9 @@ func (c Config) runScale(n int, footprint uint64, requests int) (*trace.RunStats
 		return nil, 0, 0, err
 	}
 	defer arr.Close()
-	gen := trace.NewContentGen(arr.PageSize(), trace.ContentSimilar, c.Seed)
-	warmEnd, err := trace.Fill(arr, footprint, gen, 0)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("warmup: %w", err)
-	}
-	reqs, err := trace.Generate(scalingSpec(footprint, requests, c.Seed))
+	reqs, gen, _, err := trace.Warm(arr, scalingSpec(footprint, requests, c.Seed))
 	if err != nil {
 		return nil, 0, 0, err
-	}
-	shift := warmEnd.Add(vclock.Second)
-	for i := range reqs {
-		reqs[i].At = reqs[i].At + shift
 	}
 	wallStart := time.Now() //almalint:allow wallclock reason: the scaling experiment measures real host parallelism
 	st, err := array.Replay(arr, reqs, gen)

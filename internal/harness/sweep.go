@@ -8,34 +8,30 @@ import (
 	"almanac/internal/sweep"
 )
 
-// sweepExperiment runs the design-space exploration engine as a harness
+// designSweep runs the design-space exploration engine as a harness
 // experiment: the default grid over the Config's device geometry, with
 // the worker pool shared through Config.Workers. Every metric the sweep
 // extracts is virtual-time-derived, so — like the figure experiments and
 // unlike scaling/obs — the rendered table is byte-identical at any
 // worker count and participates in TestParallelMatchesSerial.
-type sweepExperiment struct{}
-
-func (sweepExperiment) Name() string { return "sweep" }
-
-func (sweepExperiment) Run(c Config, t *Table) error {
+func designSweep(c Config) (*Table, error) {
 	spec := sweep.DefaultSpec(c.Seed, c.SweepAxisValues, c.SweepDays, c.SweepReqPerDay)
 	base := core.DefaultConfig(ftl.WithFlash(c.Flash))
 	base.MinRetention = c.MinRetention
 	eng := &sweep.Engine{Spec: spec, Base: base, Workers: c.Workers}
 	res, err := eng.Run()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pareto := res.Pareto()
 	header, rows := res.TableFor(pareto)
-	t.Title = res.Title()
-	t.Header = header
-	t.Rows = rows
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("Pareto frontier: %d of %d design points are non-dominated (objectives: min gc-ovh, min wear-max, min p99-write, max retention)", len(pareto), len(res.Points)),
-		"run the full space with cmd/almasweep: larger grids, LHS sampling, checkpoint/resume, committed SWEEP_N.json artifacts")
-	return nil
+	return &Table{
+		Title:  res.Title(),
+		Header: header,
+		Rows:   rows,
+		Notes: []string{
+			fmt.Sprintf("Pareto frontier: %d of %d design points are non-dominated (objectives: min gc-ovh, min wear-max, min p99-write, max retention)", len(pareto), len(res.Points)),
+			"run the full space with cmd/almasweep: larger grids, LHS sampling, checkpoint/resume, committed SWEEP_N.json artifacts",
+		},
+	}, nil
 }
-
-func init() { Register("sweep", sweepExperiment{}) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"almanac/internal/sweep"
 	"almanac/internal/timekits"
 	"almanac/internal/trace"
 	"almanac/internal/vclock"
@@ -23,7 +24,7 @@ func Table3(c Config) (*Table, error) {
 	// across the worker pool, one row slot per workload.
 	names := trace.AllNames()
 	rows := make([][]string, len(names))
-	err := c.parallel(len(names), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(names), func(i int) error {
 		name := names[i]
 		dev, err := c.newTimeSSD(nil)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"almanac/internal/core"
 	"almanac/internal/ftl"
+	"almanac/internal/sweep"
 	"almanac/internal/trace"
 	"almanac/internal/vclock"
 )
@@ -29,7 +30,7 @@ func AblationWear(c Config) (*Table, error) {
 		{"timessd", true}, {"timessd", false},
 	}
 	rows := make([][]string, len(variants))
-	err := c.parallel(len(variants), func(i int) error {
+	err := sweep.Parallel(c.Workers, len(variants), func(i int) error {
 		r := variants[i]
 		var dev ftl.Device
 		var spreadOf func() (int, int)

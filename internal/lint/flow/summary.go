@@ -30,9 +30,6 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%s:%d", p.File, p.Line) }
 
-// IsValid reports whether the position was filled in.
-func (p Pos) IsValid() bool { return p.File != "" && p.Line > 0 }
-
 // DepKind classifies one taint dependency of an expression.
 type DepKind string
 

@@ -108,17 +108,6 @@ func (c Class) String() string {
 	}
 }
 
-// ClassByName is the inverse of Class.String; ok is false for unknown
-// names (e.g. a newer peer's classes arriving over the wire).
-func ClassByName(name string) (Class, bool) {
-	for c := Class(0); c < NumClasses; c++ {
-		if c.String() == name {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // classMetrics is the per-class recording state.
 type classMetrics struct {
 	errors atomic.Int64
@@ -156,14 +145,6 @@ func (r *Registry) SetShard(id int) {
 	if r != nil {
 		r.shard.Store(int64(id))
 	}
-}
-
-// Shard returns the configured shard label.
-func (r *Registry) Shard() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.shard.Load())
 }
 
 // wallBase anchors wall-time measurement: samples are offsets from process

@@ -65,7 +65,7 @@ func TestDisabledRecordsNothing(t *testing.T) {
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	if r.Enabled() || r.Start() != 0 || r.Shard() != 0 {
+	if r.Enabled() || r.Start() != 0 {
 		t.Fatal("nil registry must read as disabled")
 	}
 	r.SetEnabled(true)
@@ -103,21 +103,16 @@ func TestObserveCountsAndErrors(t *testing.T) {
 	}
 }
 
+// TestClassNamesRoundTrip: every class has its own name, so a snapshot
+// keyed by name (Registry.Ops) maps back to one class.
 func TestClassNamesRoundTrip(t *testing.T) {
 	seen := map[string]bool{}
 	for c := Class(0); c < NumClasses; c++ {
 		name := c.String()
-		if seen[name] {
-			t.Fatalf("duplicate class name %q", name)
+		if seen[name] || name == NumClasses.String() {
+			t.Fatalf("class %d: name %q is a duplicate or unknown", c, name)
 		}
 		seen[name] = true
-		got, ok := ClassByName(name)
-		if !ok || got != c {
-			t.Fatalf("ClassByName(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := ClassByName("no-such-class"); ok {
-		t.Fatal("unknown name resolved")
 	}
 }
 

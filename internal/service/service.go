@@ -241,15 +241,6 @@ func (s *Service) Attach(name, key string) (*Volume, error) {
 	return v, nil
 }
 
-// Lookup returns the attached-volume handle for an id (the wire protocol
-// resolves batch frames by id after an attach).
-func (s *Service) Lookup(id uint32) (*Volume, bool) {
-	s.mu.Lock()
-	v, ok := s.byID[id]
-	s.mu.Unlock()
-	return v, ok
-}
-
 // Info is the public description of one volume — everything List exposes
 // to unauthenticated callers (no keys).
 type Info struct {

@@ -131,11 +131,11 @@ func TestListOrderAndIDs(t *testing.T) {
 	if v.ID() != 4 {
 		t.Fatalf("deleted id reused: %d", v.ID())
 	}
-	if got, ok := s.Lookup(v.ID()); !ok || got != v {
-		t.Fatal("Lookup broken")
+	if s.byID[v.ID()] != v {
+		t.Fatal("new volume not indexed by its id")
 	}
-	if _, ok := s.Lookup(3); ok {
-		t.Fatal("Lookup found a deleted volume")
+	if _, ok := s.byID[3]; ok {
+		t.Fatal("a deleted volume is still indexed by its id")
 	}
 }
 

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 )
 
@@ -66,20 +65,4 @@ func (a Artifact) WriteFile(path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// ReadArtifact loads and schema-checks a committed artifact.
-func ReadArtifact(path string) (*Artifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a Artifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("sweep: %s: %w", path, err)
-	}
-	if a.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("sweep: %s: schema %q, want %q", path, a.Schema, ArtifactSchema)
-	}
-	return &a, nil
 }

@@ -130,7 +130,7 @@ func (e *Engine) Run() (*Results, error) {
 		budget = int64(e.StopAfter)
 		stopped = true
 	}
-	err = e.parallel(len(todo), func(ti int) error {
+	err = Parallel(e.Workers, len(todo), func(ti int) error {
 		if atomic.AddInt64(&started, 1) > budget {
 			return nil
 		}
@@ -207,11 +207,14 @@ func (e *Engine) loadCheckpoint() (map[string]Metrics, error) {
 	return done, nil
 }
 
-// parallel mirrors the harness worker-pool discipline: n independent
-// jobs, preassigned result slots, lowest-index error wins, and Workers=1
-// degenerates to the serial order.
-func (e *Engine) parallel(n int, job func(i int) error) error {
-	workers := e.Workers
+// Parallel runs n independent jobs on a pool of workers (0 = GOMAXPROCS,
+// 1 = serial) and waits for all of them. Jobs must not share mutable
+// state: each builds its own devices/RNGs and writes only its own result
+// slot (by index), so what is assembled afterwards is deterministic
+// regardless of execution order. When several jobs fail, the
+// lowest-indexed error is returned — the one the serial order would have
+// hit first.
+func Parallel(workers, n int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -262,25 +265,13 @@ func runPoint(s *Spec, p Point) (Metrics, error) {
 	dev.Obs().SetEnabled(true)
 
 	footprint := uint64(float64(dev.LogicalPages()) * s.Usage)
-	if footprint == 0 {
-		return Metrics{}, fmt.Errorf("sweep: zero footprint at usage %g", s.Usage)
-	}
-	gen := trace.NewContentGen(dev.PageSize(), trace.ContentSimilar, s.Seed)
-	warmEnd, err := trace.Fill(dev, footprint, gen, 0)
-	if err != nil {
-		return Metrics{}, fmt.Errorf("warmup: %w", err)
-	}
 	tspec, err := trace.NamedSpec(s.Workload, footprint, s.Days, s.ReqPerDay, s.Seed)
 	if err != nil {
 		return Metrics{}, err
 	}
-	reqs, err := trace.Generate(tspec)
+	reqs, gen, _, err := trace.Warm(dev, tspec)
 	if err != nil {
 		return Metrics{}, err
-	}
-	shift := warmEnd.Add(vclock.Second)
-	for i := range reqs {
-		reqs[i].At = reqs[i].At + shift
 	}
 	st, err := trace.Replay(dev, reqs, gen)
 	if err != nil {

@@ -82,11 +82,6 @@ func (r *Results) TableFor(points []PointResult) (header []string, rows [][]stri
 	return header, rows
 }
 
-// ParetoTable renders the Pareto frontier.
-func (r *Results) ParetoTable() (header []string, rows [][]string) {
-	return r.TableFor(r.Pareto())
-}
-
 // Title is the canonical table title for this sweep.
 func (r *Results) Title() string {
 	return fmt.Sprintf("Design-space sweep %q: %d points, workload %s @%.0f%% usage",

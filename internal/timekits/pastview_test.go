@@ -12,6 +12,34 @@ import (
 	"almanac/internal/vclock"
 )
 
+// pastDevice is a read-only block device whose contents are dev as it
+// stood at when: every Read resolves through VersionAt, and a page with no
+// version then reads as zeroes.
+type pastDevice struct {
+	dev  *core.TimeSSD
+	when vclock.Time
+}
+
+var errReadOnly = errors.New("past view is read-only")
+
+func (p pastDevice) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
+	v, done, err := p.dev.VersionAt(lpa, p.when, at)
+	switch {
+	case err != nil:
+		return nil, done, err
+	case v == nil:
+		return make([]byte, p.dev.PageSize()), done, nil
+	}
+	return v.Data, done, nil
+}
+
+func (p pastDevice) Write(uint64, []byte, vclock.Time) (vclock.Time, error) {
+	return 0, errReadOnly
+}
+func (p pastDevice) Trim(uint64, vclock.Time) (vclock.Time, error) { return 0, errReadOnly }
+func (p pastDevice) LogicalPages() int                             { return p.dev.LogicalPages() }
+func (p pastDevice) PageSize() int                                 { return p.dev.PageSize() }
+
 // TestMountFileSystemAsOfThePast is the headline integration: a file
 // system is created, evolves (edits, new files, deletions), and then the
 // entire tree is mounted read-only exactly as it stood at an earlier
@@ -30,7 +58,6 @@ func TestMountFileSystemAsOfThePast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := New(dev)
 	fs, at, err := fsim.Mkfs(dev, fsim.DefaultOptions(fsim.ModeInPlace), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +102,7 @@ func TestMountFileSystemAsOfThePast(t *testing.T) {
 	}
 
 	// …and the past is mountable.
-	past, done, err := fsim.Mount(k.DeviceAt(snapshot), at)
+	past, done, err := fsim.Mount(pastDevice{dev, snapshot}, at)
 	if err != nil {
 		t.Fatalf("mounting the past: %v", err)
 	}
@@ -114,37 +141,5 @@ func TestMountFileSystemAsOfThePast(t *testing.T) {
 	cur2, _, _ := fs.Read("report.txt", 0, int(sz), at)
 	if !bytes.Equal(cur2, v2) {
 		t.Fatal("past browsing disturbed the present")
-	}
-}
-
-func TestPastDeviceBasics(t *testing.T) {
-	k := newKit(t)
-	d := k.Device()
-	page := func(b byte) []byte {
-		p := make([]byte, d.PageSize())
-		p[0] = b
-		return p
-	}
-	d.Write(5, page(1), vclock.Time(vclock.Hour))
-	d.Write(5, page(2), vclock.Time(2*vclock.Hour))
-
-	pv := k.DeviceAt(vclock.Time(90 * vclock.Minute))
-	if pv.LogicalPages() != d.LogicalPages() || pv.PageSize() != d.PageSize() {
-		t.Fatal("geometry mismatch")
-	}
-	data, _, err := pv.Read(5, vclock.Time(3*vclock.Hour))
-	if err != nil || data[0] != 1 {
-		t.Fatalf("past read: %v %d", err, data[0])
-	}
-	// Unwritten-at-that-time pages read zero.
-	data, _, err = pv.Read(6, vclock.Time(3*vclock.Hour))
-	if err != nil || data[0] != 0 {
-		t.Fatalf("past read of empty page: %v", err)
-	}
-	if _, err := pv.Write(5, page(9), 0); !errors.Is(err, ErrReadOnly) {
-		t.Fatal("write accepted")
-	}
-	if _, err := pv.Trim(5, 0); !errors.Is(err, ErrReadOnly) {
-		t.Fatal("trim accepted")
 	}
 }

@@ -218,35 +218,3 @@ func (k *Kit) RollBackParallel(lpas []uint64, threads int, t, at vclock.Time) (R
 	}
 	return result(changed, at, done), nil
 }
-
-// VersionsParallel fetches full version histories for a set of LPAs with
-// the given host thread count, returning when the slowest thread finishes.
-func (k *Kit) VersionsParallel(lpas []uint64, threads int, at vclock.Time) (Result[[]PageVersions], error) {
-	if threads < 1 {
-		return Result[[]PageVersions]{}, fmt.Errorf("%w: threads %d", ErrBadRange, threads)
-	}
-	if threads > len(lpas) && len(lpas) > 0 {
-		threads = len(lpas)
-	}
-	cur := make([]vclock.Time, threads)
-	for i := range cur {
-		cur[i] = at
-	}
-	out := make([]PageVersions, 0, len(lpas))
-	for i, lpa := range lpas {
-		th := i % threads
-		vers, done, err := k.dev.Versions(lpa, cur[th])
-		if err != nil {
-			return Result[[]PageVersions]{}, err
-		}
-		cur[th] = done
-		out = append(out, PageVersions{LPA: lpa, Versions: vers})
-	}
-	done := at
-	for _, c := range cur {
-		if c > done {
-			done = c
-		}
-	}
-	return result(out, at, done), nil
-}

@@ -307,28 +307,27 @@ func TestRollBackParallelCorrectAndFaster(t *testing.T) {
 		lpas[i] = uint64(i)
 	}
 	// Measure with 1 thread on a fresh device copy is impossible (state
-	// mutates), so measure 1-thread on the second half and 4-thread on the
-	// first half; both shards are statistically identical.
-	t1, err := k.VersionsParallel(lpas[:n/2], 1, at)
+	// mutates), so roll back the first half with 1 thread and the second
+	// half with 4; both halves are statistically identical.
+	t1, err := k.RollBackParallel(lpas[:n/2], 1, endRound0, at)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Start the second measurement after the first drains so residual
 	// channel busy-time does not pollute it.
-	t4, err := k.VersionsParallel(lpas[n/2:], 4, t1.Done)
+	t4, err := k.RollBackParallel(lpas[n/2:], 4, endRound0, t1.Done)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t4.Elapsed >= t1.Elapsed {
 		t.Fatalf("4 threads (%v) not faster than 1 (%v)", t4.Elapsed, t1.Elapsed)
 	}
-	// And parallel rollback restores content correctly.
-	res, err := k.RollBackParallel(lpas, 4, endRound0, t4.Done)
-	if err != nil {
-		t.Fatal(err)
+	if t1.Value+t4.Value != n {
+		t.Fatalf("changed %d pages, want %d", t1.Value+t4.Value, n)
 	}
+	// And the parallel rollback restores content correctly.
 	for lpa := 0; lpa < n; lpa++ {
-		data, _, _ := d.Read(uint64(lpa), res.Done)
+		data, _, _ := d.Read(uint64(lpa), t4.Done)
 		if data[0] != 0 {
 			t.Fatalf("lpa %d: rollback restored wrong round %d", lpa, data[0])
 		}

@@ -218,3 +218,25 @@ func Fill(dev ftl.Device, footprint uint64, gen *ContentGen, at vclock.Time) (vc
 	}
 	return at, nil
 }
+
+// Warm is the prologue of every warmed replay: it generates s, fills
+// [0, s.Footprint) once with similar content seeded by s.Seed, and shifts
+// every arrival to one second after the fill. Replay the requests with the
+// returned generator; fillEnd is when the fill completed. Generation is
+// seeded and touches no device, so it may run before the fill.
+func Warm(dev ftl.Device, s Spec) (reqs []Request, gen *ContentGen, fillEnd vclock.Time, err error) {
+	reqs, err = Generate(s)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	gen = NewContentGen(dev.PageSize(), ContentSimilar, s.Seed)
+	fillEnd, err = Fill(dev, s.Footprint, gen, 0)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("warmup: %w", err)
+	}
+	shift := fillEnd.Add(vclock.Second)
+	for i := range reqs {
+		reqs[i].At += shift
+	}
+	return reqs, gen, fillEnd, nil
+}

@@ -1,9 +1,8 @@
 // Package trace provides the workload substrate for the evaluation
 // (Table 2): parameterised synthetic block traces standing in for the MSR
-// Cambridge and FIU production traces, generators for IOZone-, PostMark-
-// and OLTP-style block streams, trace prolongation as described in §5.2,
-// content synthesis with controlled delta-compression ratio, and a replayer
-// that drives any ftl.Device and gathers response-time statistics.
+// Cambridge and FIU production traces, trace prolongation as described in
+// §5.2, content synthesis with controlled delta-compression ratio, and a
+// replayer that drives any ftl.Device and gathers response-time statistics.
 //
 // Substitution note (see DESIGN.md): the original traces are not
 // redistributable, so each named workload is generated from parameters
@@ -216,25 +215,6 @@ func Prolong(reqs []Request, times int, footprint uint64, seed int64) []Request 
 				nr.LPA = footprint - uint64(nr.Pages)
 			}
 			out = append(out, nr)
-		}
-	}
-	return out
-}
-
-// Scale rescales a trace's footprint onto [0, newFootprint) preserving the
-// access pattern (modulo wrap).
-func Scale(reqs []Request, newFootprint uint64) []Request {
-	out := make([]Request, len(reqs))
-	for i, r := range reqs {
-		out[i] = r
-		out[i].LPA = r.LPA % newFootprint
-		if out[i].LPA+uint64(r.Pages) > newFootprint {
-			if uint64(r.Pages) >= newFootprint {
-				out[i].Pages = int(newFootprint)
-				out[i].LPA = 0
-			} else {
-				out[i].LPA = newFootprint - uint64(r.Pages)
-			}
 		}
 	}
 	return out

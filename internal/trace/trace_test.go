@@ -135,16 +135,6 @@ func TestProlong(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	reqs, _ := Generate(baseSpec())
-	scaled := Scale(reqs, 128)
-	for i, r := range scaled {
-		if r.LPA+uint64(r.Pages) > 128 {
-			t.Fatalf("scaled request %d out of range: %d+%d", i, r.LPA, r.Pages)
-		}
-	}
-}
-
 func TestNamedSpecs(t *testing.T) {
 	for _, name := range AllNames() {
 		s, err := NamedSpec(name, 10000, 7, 1000, 1)
@@ -180,27 +170,19 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
-func TestIOZonePhases(t *testing.T) {
-	for _, ph := range IOZonePhases {
-		reqs, err := IOZone(ph, 512, 1000, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(reqs) != 1000 {
-			t.Fatalf("%v: %d requests", ph, len(reqs))
-		}
-		for _, r := range reqs {
-			wantWrite := ph == SeqWrite || ph == RandomWrite
-			if (r.Op == OpWrite) != wantWrite {
-				t.Fatalf("%v: wrong op %v", ph, r.Op)
-			}
-		}
+// TestGenerateSequential: with SeqProb 1 every request starts where the
+// one before it ended, unless that would run past the footprint.
+func TestGenerateSequential(t *testing.T) {
+	s := baseSpec()
+	s.SeqProb = 1
+	reqs, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Sequential phases are actually sequential.
-	reqs, _ := IOZone(SeqWrite, 4096, 100, 1)
-	for i := 1; i < 50; i++ {
-		if reqs[i].LPA != reqs[i-1].LPA+uint64(reqs[i-1].Pages) {
-			t.Fatalf("SeqWrite not sequential at %d", i)
+	for i := 1; i < len(reqs); i++ {
+		prevEnd := reqs[i-1].LPA + uint64(reqs[i-1].Pages)
+		if prevEnd+uint64(reqs[i].Pages) < s.Footprint && reqs[i].LPA != prevEnd {
+			t.Fatalf("request %d at %d, want %d", i, reqs[i].LPA, prevEnd)
 		}
 	}
 }

@@ -112,60 +112,3 @@ func ClassOf(name string) (Class, error) {
 	}
 	return p.class, nil
 }
-
-// IOZonePhase is one phase of the IOZone benchmark (Fig. 9a).
-type IOZonePhase int
-
-const (
-	SeqRead IOZonePhase = iota
-	SeqWrite
-	RandomRead
-	RandomWrite
-)
-
-func (p IOZonePhase) String() string {
-	switch p {
-	case SeqRead:
-		return "SeqRead"
-	case SeqWrite:
-		return "SeqWrite"
-	case RandomRead:
-		return "RandomRead"
-	case RandomWrite:
-		return "RandomWrite"
-	default:
-		return fmt.Sprintf("phase(%d)", int(p))
-	}
-}
-
-// IOZonePhases lists the four phases in figure order.
-var IOZonePhases = []IOZonePhase{SeqRead, SeqWrite, RandomRead, RandomWrite}
-
-// IOZone generates one benchmark phase over a file region of `footprint`
-// pages: back-to-back 4 KiB operations, as the paper runs it.
-func IOZone(phase IOZonePhase, footprint uint64, ops int, seed int64) ([]Request, error) {
-	if footprint == 0 || ops <= 0 {
-		return nil, fmt.Errorf("trace: bad IOZone parameters")
-	}
-	s := Spec{
-		Name:      "iozone-" + phase.String(),
-		Seed:      seed,
-		Requests:  ops,
-		Duration:  vclock.Duration(ops) * 200 * vclock.Microsecond,
-		Footprint: footprint,
-		AvgPages:  1,
-		BurstLen:  ops,
-		BurstGap:  100 * vclock.Microsecond,
-	}
-	switch phase {
-	case SeqRead:
-		s.WriteRatio, s.SeqProb = 0, 1
-	case SeqWrite:
-		s.WriteRatio, s.SeqProb = 1, 1
-	case RandomRead:
-		s.WriteRatio, s.SeqProb = 0, 0
-	case RandomWrite:
-		s.WriteRatio, s.SeqProb = 1, 0
-	}
-	return Generate(s)
-}

@@ -43,9 +43,6 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
 
-// Days returns t expressed in (fractional) virtual days since the epoch.
-func (t Time) Days() float64 { return float64(t) / float64(Day) }
-
 // String renders the time as d:hh:mm:ss.mmm for readable logs.
 func (t Time) String() string {
 	d := time.Duration(t)
@@ -59,36 +56,4 @@ func (t Time) String() string {
 	d -= s * time.Second
 	ms := d / time.Millisecond
 	return fmt.Sprintf("%dd%02dh%02dm%02d.%03ds", days, h, m, s, ms)
-}
-
-// Clock is a monotonic virtual clock. Advancing it never moves backwards:
-// attempts to set an earlier time are ignored, which makes it safe to merge
-// timelines from independently progressing components (host arrivals vs.
-// device completions).
-type Clock struct {
-	now Time
-}
-
-// New returns a clock positioned at the epoch.
-func New() *Clock { return &Clock{} }
-
-// Now returns the current virtual time.
-func (c *Clock) Now() Time { return c.now }
-
-// AdvanceTo moves the clock forward to t. If t is in the past the clock is
-// unchanged. It returns the (possibly unchanged) current time.
-func (c *Clock) AdvanceTo(t Time) Time {
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
-// Advance moves the clock forward by d (d must be non-negative; negative
-// durations are ignored) and returns the new time.
-func (c *Clock) Advance(d Duration) Time {
-	if d > 0 {
-		c.now += Time(d)
-	}
-	return c.now
 }

@@ -5,30 +5,6 @@ import (
 	"time"
 )
 
-func TestClockMonotonic(t *testing.T) {
-	c := New()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("fresh clock at %v, want 0", got)
-	}
-	c.AdvanceTo(100)
-	if got := c.Now(); got != 100 {
-		t.Fatalf("AdvanceTo(100) -> %v", got)
-	}
-	// Moving backwards is ignored.
-	c.AdvanceTo(50)
-	if got := c.Now(); got != 100 {
-		t.Fatalf("AdvanceTo(50) moved clock backwards to %v", got)
-	}
-	c.Advance(25)
-	if got := c.Now(); got != 125 {
-		t.Fatalf("Advance(25) -> %v", got)
-	}
-	c.Advance(-10)
-	if got := c.Now(); got != 125 {
-		t.Fatalf("negative Advance moved clock to %v", got)
-	}
-}
-
 func TestTimeArithmetic(t *testing.T) {
 	var epoch Time
 	noon := epoch.Add(12 * Hour)
@@ -37,9 +13,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if d := noon.Sub(epoch); d != 12*Hour {
 		t.Fatalf("Sub = %v, want 12h", d)
-	}
-	if days := epoch.Add(36 * Hour).Days(); days != 1.5 {
-		t.Fatalf("Days = %v, want 1.5", days)
 	}
 }
 
