@@ -165,15 +165,17 @@ func TestRefCacheSteadyStateAllocs(t *testing.T) {
 
 // TestUpdatedBetweenAllocs pins what a full-device time query may allocate:
 // the records it returns (one Times slice each, plus the doublings of the
-// record slice), and nothing per LPA scanned or per chain hop walked. The
-// same three-record query is run over a short history and over one with
-// four times the LPAs and three times the versions; both must cost the same.
+// record slice), and nothing per LPA scanned or per chain hop walked or
+// replayed. The same three-record query is run over a short history and
+// over one with four times the LPAs and three times the versions, once
+// replaying the scan memo and once walking cold; all four must cost the
+// same.
 func TestUpdatedBetweenAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
 	}
 	const matches = 3
-	measure := func(lpas, versions int) float64 {
+	measure := func(lpas, versions int) [2]float64 {
 		d := newTiny(t, func(c *Config) {
 			c.FTL.Flash.PageSize = 512
 			c.MinRetention = vclock.Day // keep every version: the chains must be long
@@ -198,22 +200,32 @@ func TestUpdatedBetweenAllocs(t *testing.T) {
 				at = done
 			}
 		}
-		if stamps, _, _ := d.appendTimestamps(nil, 0, at); len(stamps) != versions {
+		if stamps, _ := lpaTimestamps(d, 0, at); len(stamps) != versions {
 			t.Fatalf("%d LPAs x %d versions: lpa 0 kept %d versions", lpas, versions, len(stamps))
 		}
 		if versions > 4 && d.Counters().DeltaPagesWritten == 0 {
 			t.Fatalf("%d LPAs x %d versions: no delta chains to walk", lpas, versions)
 		}
-		return testing.AllocsPerRun(20, func() {
+		query := func() {
 			recs, _, err := d.UpdatedBetween(from, to, at)
 			if err != nil || len(recs) != matches {
 				t.Fatalf("UpdatedBetween = %d records, %v; want %d", len(recs), err, matches)
 			}
+		}
+		replayed := testing.AllocsPerRun(20, query)
+		walked := testing.AllocsPerRun(20, func() {
+			d.gen++ // as a mutator would: the next query walks cold
+			query()
 		})
+		return [2]float64{walked, replayed}
 	}
 	short, long := measure(8, 4), measure(32, 12)
 	// 3 Times slices + the record slice growing 1 -> 2 -> 4.
-	if want := float64(2 * matches); short != want || long != want {
-		t.Fatalf("UpdatedBetween allocates %.0f times over 8 LPAs x 4 versions and %.0f over 32 x 12, want %.0f both", short, long, want)
+	want := float64(2 * matches)
+	for i, path := range []string{"a walked", "a replayed"} {
+		if short[i] != want || long[i] != want {
+			t.Fatalf("%s UpdatedBetween allocates %.0f times over 8 LPAs x 4 versions and %.0f over 32 x 12, want %.0f both",
+				path, short[i], long[i], want)
+		}
 	}
 }

@@ -483,6 +483,7 @@ func (t *TimeSSD) programDeltaPage(seg *segment, data []byte, oob flash.OOB, at 
 // FlushDeltas forces every segment buffer to flash. Tests and shutdown
 // paths use it; normal operation flushes on pressure.
 func (t *TimeSSD) FlushDeltas(at vclock.Time) (vclock.Time, error) {
+	t.gen++
 	for _, seg := range t.cohorts {
 		if seg == nil {
 			continue
@@ -531,6 +532,7 @@ func (t *TimeSSD) observeArrival(at vclock.Time) {
 // Work stops as soon as virtual time reaches `until` (the paper suspends
 // background compression when a request arrives).
 func (t *TimeSSD) Idle(now, until vclock.Time) {
+	t.gen++
 	gap := until.Sub(now)
 	if gap < t.cfg.IdleThreshold {
 		return

@@ -230,21 +230,23 @@ func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.
 }
 
 // appendTimestamps appends the write timestamps of every retrievable
-// version of lpa (newest first) to out without decompressing content.
-// Data-chain hops read only OOB; a delta-chain hop reads its page and one
-// header entry. A scan that walks many LPAs passes one slice for all of
+// version of lpa (newest first) to m.ts without decompressing content, and
+// the channel of every read it charges to m.ch, in the order it charges
+// them. Data-chain hops read only OOB; a delta-chain hop reads its page and
+// one header entry. A scan that walks many LPAs passes one memo for all of
 // them. lpa must be in range.
-func (t *TimeSSD) appendTimestamps(out []vclock.Time, lpa uint64, at vclock.Time) ([]vclock.Time, vclock.Time, error) {
+func (t *TimeSSD) appendTimestamps(m *scanMemo, lpa uint64, at vclock.Time) (vclock.Time, error) {
 	prevTS := maxTime
 
 	cur := flash.NullPPA
 	if head := t.AMT[lpa]; head != flash.NullPPA {
 		oob, done, err := t.Arr.ReadOOB(head, at)
 		if err != nil {
-			return nil, at, err
+			return at, err
 		}
 		at = done
-		out = append(out, oob.TS)
+		m.read(t.Arr, head)
+		m.ts = append(m.ts, oob.TS)
 		prevTS = oob.TS
 		cur = oob.BackPtr
 	} else if rec := t.trimmed[lpa]; rec.head != flash.NullPPA {
@@ -260,20 +262,21 @@ func (t *TimeSSD) appendTimestamps(out []vclock.Time, lpa uint64, at vclock.Time
 			break
 		}
 		at = done
+		m.read(t.Arr, cur)
 		if oob.Kind != flash.KindData || oob.LPA != lpa || oob.TS >= prevTS {
 			break
 		}
 		if _, hit := t.chain.Contains(uint64(cur)); !hit {
 			break
 		}
-		out = append(out, oob.TS)
+		m.ts = append(m.ts, oob.TS)
 		prevTS = oob.TS
 		cur = oob.BackPtr
 	}
 
 	dcur, dslot := flash.NullPPA, uint16(0)
 	if p := t.pending[lpa]; p.d != nil && p.d.TS < prevTS {
-		out = append(out, p.d.TS)
+		m.ts = append(m.ts, p.d.TS)
 		prevTS = p.d.TS
 		dcur, dslot = flash.PPA(p.d.BackPtr), p.d.BackSlot
 	} else if h := t.imt[lpa]; h != flash.NullPPA {
@@ -285,11 +288,12 @@ func (t *TimeSSD) appendTimestamps(out []vclock.Time, lpa uint64, at vclock.Time
 			break
 		}
 		at = done
+		m.read(t.Arr, dcur)
 		if oob.Kind == flash.KindDeltaRaw {
 			if oob.LPA != lpa || oob.TS >= prevTS {
 				break
 			}
-			out = append(out, oob.TS)
+			m.ts = append(m.ts, oob.TS)
 			prevTS = oob.TS
 			dcur, dslot = oob.BackPtr, 0
 			continue
@@ -302,11 +306,48 @@ func (t *TimeSSD) appendTimestamps(out []vclock.Time, lpa uint64, at vclock.Time
 			break
 		}
 		_, prevTS = pg.Key(i)
-		out = append(out, prevTS)
+		m.ts = append(m.ts, prevTS)
 		back, slot := pg.Link(i)
 		dcur, dslot = flash.PPA(back), slot
 	}
-	return out, at, nil
+	return at, nil
+}
+
+// scanMemo records UpdatedBetween's last cold walk of the device: for every
+// candidate LPA in ascending order, the timestamps the walk collected and
+// the channel of every read it charged, both in walk order, plus the LPA's
+// trim record. The walk's outcome is a function of the device's tables and
+// flash contents alone, which only the mutators that bump TimeSSD.gen
+// change; while the generation the memo was taken at is current, a query
+// replays it — the same reads on the same channels from the same instant,
+// so virtual time, flash counters and observations are those of the walk —
+// and filters the recorded timestamps instead of walking the chains again.
+type scanMemo struct {
+	gen   uint64        // device generation the walk ran at
+	valid bool          // a complete walk, taken with no fault plan armed
+	lpas  []memoLPA     // candidate LPAs, ascending
+	ts    []vclock.Time // every LPA's timestamps, newest first, concatenated
+	ch    []uint8       // channel of every charged read, concatenated
+}
+
+// memoLPA is one candidate LPA's entry in a scanMemo. Its runs end where
+// the next LPA's begin; uint32 ends bound the memo at 2^32 retained
+// versions, more than a host-memory flash arena can hold.
+type memoLPA struct {
+	lpa     uint64
+	trim    trimRecord // lpa's trim record when the walk ran
+	tsEnd   uint32     // end of lpa's run in scanMemo.ts
+	readEnd uint32     // end of lpa's run in scanMemo.ch
+}
+
+// read records a charged read of ppa.
+func (m *scanMemo) read(arr *flash.Array, ppa flash.PPA) {
+	m.ch = append(m.ch, uint8(arr.ChannelOfBlock(arr.BlockOf(ppa))))
+}
+
+// scanCurrent reports whether the scan memo describes the device as it is now.
+func (t *TimeSSD) scanCurrent() bool {
+	return t.scan.valid && t.scan.gen == t.gen
 }
 
 // UpdateRecord reports the update history of one LPA within a time query.
@@ -337,26 +378,66 @@ func (t *TimeSSD) CandidateLPAs() []uint64 {
 // [from, to] and returns their timestamps, in ascending LPA order. Per-LPA
 // walks start at the same virtual instant, so the per-channel busy horizons
 // model the paper's chip-parallel query execution; done is the completion
-// of the slowest channel. The scan allocates only what it returns: one
-// Times slice per matching record.
+// of the slowest channel. When nothing has mutated the device since the
+// last scan, the scan is replayed from its memo (scanMemo): the same reads
+// are charged, and no chain is walked on the host. The scan allocates only
+// what it returns: one Times slice per matching record.
 func (t *TimeSSD) UpdatedBetween(from, to vclock.Time, at vclock.Time) ([]UpdateRecord, vclock.Time, error) {
-	var out []UpdateRecord
+	if t.scanCurrent() {
+		return t.scan.records(from, to), t.replayScan(at), nil
+	}
+	done, err := t.walkAll(at)
+	return t.scan.records(from, to), done, err
+}
+
+// walkAll is the cold scan: it walks every candidate LPA's chains from at,
+// charging every read, and records the walk in t.scan. A read error stops
+// it with the LPAs walked so far recorded and the memo invalid.
+func (t *TimeSSD) walkAll(at vclock.Time) (vclock.Time, error) {
+	m := &t.scan
+	m.valid = false
+	m.lpas, m.ts, m.ch = m.lpas[:0], m.ts[:0], m.ch[:0]
 	done := at
 	for lpa := uint64(0); lpa < uint64(t.LogicalPages()); lpa++ {
 		if !t.hasHistory(lpa) {
 			continue
 		}
-		ts, d, err := t.appendTimestamps(t.tsScratch[:0], lpa, at)
+		d, err := t.appendTimestamps(m, lpa, at)
 		if err != nil {
-			return out, done, err
+			return done, err
 		}
-		t.tsScratch = ts[:0]
-		if d > done {
-			done = d
+		done = max(done, d)
+		m.lpas = append(m.lpas, memoLPA{lpa: lpa, trim: t.trimmed[lpa], tsEnd: uint32(len(m.ts)), readEnd: uint32(len(m.ch))})
+	}
+	m.gen, m.valid = t.gen, !t.faultsArmed
+	return done, nil
+}
+
+// replayScan charges the memo's reads as walkAll charged them: each LPA's
+// reads in order on their channels, every LPA starting at at.
+func (t *TimeSSD) replayScan(at vclock.Time) vclock.Time {
+	m := &t.scan
+	done, r := at, uint32(0)
+	for _, e := range m.lpas {
+		end := at
+		for ; r < e.readEnd; r++ {
+			end = t.Arr.ChargeRead(int(m.ch[r]), end)
 		}
+		done = max(done, end)
+	}
+	return done
+}
+
+// records filters the memo's timestamps to [from, to].
+func (m *scanMemo) records(from, to vclock.Time) []UpdateRecord {
+	var out []UpdateRecord
+	start := uint32(0)
+	for _, e := range m.lpas {
+		ts := m.ts[start:e.tsEnd]
+		start = e.tsEnd
 		// A deletion inside the range is an update of this LPA's state even
 		// though it created no new version.
-		rec := t.trimmed[lpa]
+		rec := e.trim
 		trimHit := rec.head != flash.NullPPA && rec.ts >= from && rec.ts <= to
 		// ts descends strictly, so the versions inside [from, to] are one run.
 		lo := 0
@@ -379,9 +460,9 @@ func (t *TimeSSD) UpdatedBetween(from, to vclock.Time, at vclock.Time) ([]Update
 			hit = append(hit, rec.ts)
 		}
 		hit = append(hit, ts[lo:hi]...)
-		out = append(out, UpdateRecord{LPA: lpa, Times: hit})
+		out = append(out, UpdateRecord{LPA: e.lpa, Times: hit})
 	}
-	return out, done, nil
+	return out
 }
 
 // RollBack reverts lpa to the version current at time `when` by writing

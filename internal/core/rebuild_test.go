@@ -257,8 +257,8 @@ func TestRebuildRestoresChainSlots(t *testing.T) {
 				t.Fatalf("lpa %d version %d (ts %v) differs after rebuild", lpa, i, wantV[i].TS)
 			}
 		}
-		wantT, _, _ := d.appendTimestamps(nil, lpa, at)
-		gotT, _, err := r.appendTimestamps(nil, lpa, at)
+		wantT, _ := lpaTimestamps(d, lpa, at)
+		gotT, err := lpaTimestamps(r, lpa, at)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,138 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"almanac/internal/fault"
+	"almanac/internal/vclock"
+)
+
+// lpaTimestamps walks one LPA's chains as a time query does and returns
+// the timestamps found, newest first.
+func lpaTimestamps(d *TimeSSD, lpa uint64, at vclock.Time) ([]vclock.Time, error) {
+	var m scanMemo
+	_, err := d.appendTimestamps(&m, lpa, at)
+	return m.ts, err
+}
+
+// TestScanMemoMatchesColdWalk drives twin devices through one seeded stream
+// of every mutator and rollback, with time queries after each step. The
+// twin's generation is bumped before every query, so it always walks cold;
+// the other device replays its memo whenever it may. After every query the
+// two must agree on the records, the completion time, every counter, the
+// virtual side of every obs histogram, and each channel's busy horizon
+// (probed with one read per channel, charged on both). Every mutator that
+// does not bump the generation lets a stale memo replay, and one of these
+// comparisons fails.
+func TestScanMemoMatchesColdWalk(t *testing.T) {
+	newDev := func() *TimeSSD {
+		d := newTiny(t, func(c *Config) { c.IdleThreshold = vclock.Second })
+		d.Obs().SetEnabled(true)
+		return d
+	}
+	memo, cold := newDev(), newDev()
+	const lpas = 24
+	rng := rand.New(rand.NewSource(7))
+	now := vclock.Time(vclock.Second)
+	seq := 0
+	step := func(name string, f func(d *TimeSSD) (vclock.Time, error)) {
+		t.Helper()
+		dm, em := f(memo)
+		dc, ec := f(cold)
+		if dm != dc || (em == nil) != (ec == nil) {
+			t.Fatalf("%s: memo device (%v, %v), cold twin (%v, %v)", name, dm, em, dc, ec)
+		}
+		if dm > now {
+			now = dm
+		}
+	}
+	query := func(step int, from, to vclock.Time) {
+		t.Helper()
+		cold.gen++
+		rm, dm, em := memo.UpdatedBetween(from, to, now)
+		rc, dc, ec := cold.UpdatedBetween(from, to, now)
+		where := fmt.Sprintf("step %d: UpdatedBetween(%v, %v, %v)", step, from, to, now)
+		if em != nil || ec != nil {
+			t.Fatalf("%s: errors %v, %v", where, em, ec)
+		}
+		if !reflect.DeepEqual(rm, rc) || dm != dc {
+			t.Fatalf("%s: memo device %v done %v, cold twin %v done %v", where, rm, dm, rc, dc)
+		}
+		if cm, cc := memo.Counters(), cold.Counters(); cm != cc {
+			t.Fatalf("%s: counters differ:\nmemo %+v\ncold %+v", where, cm, cc)
+		}
+		om, oc := memo.Obs().Ops(), cold.Obs().Ops()
+		for name, c := range oc {
+			m := om[name]
+			if m.Count != c.Count || m.Errors != c.Errors || m.Virt != c.Virt {
+				t.Fatalf("%s: obs class %s differs: memo %+v, cold %+v", where, name, m, c)
+			}
+		}
+		if len(om) != len(oc) {
+			t.Fatalf("%s: %d obs classes on the memo device, %d on the twin", where, len(om), len(oc))
+		}
+		for ch := 0; ch < memo.Arr.Config().Channels; ch++ {
+			if hm, hc := memo.Arr.ChargeRead(ch, now), cold.Arr.ChargeRead(ch, now); hm != hc {
+				t.Fatalf("%s: channel %d horizon: memo device %v, cold twin %v", where, ch, hm, hc)
+			}
+		}
+	}
+
+	replays := 0
+	for i := 0; i < 600; i++ {
+		lpa := uint64(rng.Intn(lpas))
+		switch op := rng.Intn(20); {
+		case op < 10:
+			seq++
+			step("Write", func(d *TimeSSD) (vclock.Time, error) { return d.Write(lpa, versionPage(d, lpa, seq), now) })
+		case op < 12:
+			step("Trim", func(d *TimeSSD) (vclock.Time, error) { return d.Trim(lpa, now) })
+		case op < 14:
+			until := now.Add(vclock.Duration(1+rng.Intn(600)) * vclock.Second)
+			step("Idle", func(d *TimeSSD) (vclock.Time, error) { d.Idle(now, until); return until, nil })
+		case op < 16:
+			step("FlushDeltas", func(d *TimeSSD) (vclock.Time, error) { return d.FlushDeltas(now) })
+		case op < 18:
+			when := vclock.Time(rng.Int63n(int64(now)))
+			step("RollBack", func(d *TimeSSD) (vclock.Time, error) { return d.RollBack(lpa, when, now) })
+		default:
+			// Arm a plan of ECC-corrected bit flips on a fifth of all
+			// reads, or disarm it: each device gets its own injector from
+			// one plan, so the twins draw identical fault streams.
+			var plan *fault.Plan
+			if !memo.faultsArmed {
+				plan = &fault.Plan{Seed: int64(i), Rules: []fault.Rule{
+					{Effect: fault.BitFlip, Channel: fault.Any, Block: fault.Any, Page: fault.Any, Bits: 1, Prob: 0.2},
+				}}
+			}
+			step("SetFaults", func(d *TimeSSD) (vclock.Time, error) {
+				if plan == nil {
+					d.SetFaults(nil)
+					return now, nil
+				}
+				inj, err := fault.NewInjector(plan)
+				d.SetFaults(inj)
+				return now, err
+			})
+		}
+		now = now.Add(vclock.Duration(1+rng.Intn(1000)) * vclock.Millisecond)
+		// The first query after a mutator walks; the rest replay.
+		for q := 0; q < 3; q++ {
+			if memo.scanCurrent() {
+				replays++
+			}
+			from := vclock.Time(rng.Int63n(int64(now)))
+			to := from.Add(vclock.Duration(rng.Int63n(int64(now))))
+			if q == 0 {
+				from, to = 0, now
+			}
+			query(i, from, to)
+		}
+	}
+	if replays == 0 {
+		t.Fatal("no query replayed the memo")
+	}
+}

@@ -242,8 +242,14 @@ type TimeSSD struct {
 	encScratch  []byte         // delta.EncodeWith staging, reused across GC compressions
 	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
-	tsScratch   []vclock.Time  // UpdatedBetween per-LPA timestamp staging, reused across LPAs
+	scan        scanMemo       // UpdatedBetween's record of its last cold walk
 	faultsArmed bool           // skip almanacdebug shadow decodes under injected faults
+
+	// gen counts the mutators that can change what a chain walk finds:
+	// Write, Trim, Idle, FlushDeltas and SetFaults each bump it on entry
+	// (RollBack* mutates through Write and Trim; Rebuild mounts a fresh
+	// device). scan is replayed only while it is current.
+	gen uint64
 
 	// rebuiltAt is the rebuild instant when this device was mounted by
 	// Rebuild (zero for a fresh device): the newest write timestamp found
@@ -351,8 +357,10 @@ func (t *TimeSSD) Obs() *obs.Registry { return t.obs }
 // layers stay behind the firmware boundary. While an injector is armed the
 // almanacdebug shadow decode of reference-cache hits is suspended: injected
 // silent corruption makes a cold re-decode legitimately differ from the
-// cached (good) bytes.
+// cached (good) bytes, and time queries walk cold: a fault plan decides
+// each read as it is issued, so no recorded scan can stand in for one.
 func (t *TimeSSD) SetFaults(inj *fault.Injector) {
+	t.gen++
 	t.faultsArmed = inj != nil
 	t.Arr.SetFaults(inj)
 }
@@ -449,6 +457,7 @@ func (t *TimeSSD) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) 
 // but retained: its PPA enters the active Bloom filter and it remains
 // reachable through the reverse chain until it expires.
 func (t *TimeSSD) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
+	t.gen++
 	if err := t.CheckLPA(lpa); err != nil {
 		return at, err
 	}
@@ -499,6 +508,7 @@ func (t *TimeSSD) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, e
 // Trim invalidates lpa. The deleted version is retained inside the window,
 // which is what lets TimeKits recover files deleted by malware.
 func (t *TimeSSD) Trim(lpa uint64, at vclock.Time) (vclock.Time, error) {
+	t.gen++
 	if err := t.CheckLPA(lpa); err != nil {
 		return at, err
 	}

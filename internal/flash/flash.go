@@ -344,12 +344,7 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 		return nil, OOB{}, at, ErrReadFree
 	}
 	ws := a.obsr.Start()
-	a.stats.Reads++
-	done = a.occupy(int(a.chanOfBlock[int(ppa)/a.pagesPerBlock]), at, a.cfg.ReadLatency)
-	// Recorded unconditionally (injected failures included) so the class
-	// count tracks stats.Reads exactly; queueing behind a busy channel is
-	// part of the observed virtual latency.
-	a.obsr.Observe(obs.FlashRead, int64(done.Sub(at)), ws, true)
+	done = a.chargeRead(int(a.chanOfBlock[int(ppa)/a.pagesPerBlock]), at, ws)
 	if a.faults != nil {
 		switch out := a.faults.Check(fault.OpRead, a.faultAddr(a.BlockOf(ppa), a.PageOf(ppa)), at); out.Decision {
 		case fault.DecCorrected:
@@ -373,6 +368,28 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 	}
 	data = a.pageData(ppa)
 	return data, oob, done, nil
+}
+
+// ChargeRead charges one read of a programmed page on channel ch, starting
+// no earlier than at, and returns its completion time. It has exactly the
+// side effects of a successful Read (the read count, the channel occupancy
+// and the FlashRead observation) without touching a page: a caller that
+// already knows what a page holds replays the read's cost with it. It does
+// not consult the fault plan, so it is only exact while none is armed.
+func (a *Array) ChargeRead(ch int, at vclock.Time) vclock.Time {
+	return a.chargeRead(ch, at, a.obsr.Start())
+}
+
+// chargeRead is the cost of every read: Read and ChargeRead both go
+// through it. ws is the caller's obs wall-clock start.
+func (a *Array) chargeRead(ch int, at vclock.Time, ws int64) vclock.Time {
+	a.stats.Reads++
+	done := a.occupy(ch, at, a.cfg.ReadLatency)
+	// Recorded unconditionally (injected failures included) so the class
+	// count tracks stats.Reads exactly; queueing behind a busy channel is
+	// part of the observed virtual latency.
+	a.obsr.Observe(obs.FlashRead, int64(done.Sub(at)), ws, true)
+	return done
 }
 
 // PeekPage returns a programmed page's content and OOB without charging

@@ -19,7 +19,8 @@ import (
 )
 
 // Config scales every experiment. Quick() keeps the full sweep under a
-// minute for tests and benchmarks; Standard() is the CLI default.
+// minute for tests, benchmarks and the CLI (its default -scale quick);
+// Standard() is what -scale standard selects.
 type Config struct {
 	Flash flash.Config
 	Seed  int64

@@ -73,7 +73,7 @@ func ObsReport(c Config) (*Table, error) {
 
 	t.Notes = append(t.Notes,
 		"virt columns are simulated device time (includes channel queueing); wall is host CPU cost of the instrumented path",
-		"quantiles are power-of-two bucket upper bounds while max is exact, so max can read below p50",
+		"quantiles are power-of-two bucket upper bounds, clamped to the exact max",
 		"virt max ms is the maximum up to the end of the phase, not within it (histograms subtract, maxima do not)",
 		fmt.Sprintf("count consistency: host-write count matches HostPageWrites (%d), flash-read count matches FlashReads (%d)",
 			prev.C.HostPageWrites, prev.C.FlashReads))

@@ -37,7 +37,7 @@ type callTarget struct {
 var layers = []callTarget{
 	{
 		pkg: "flash", typ: "Array",
-		methods:  set("Program", "Erase", "Charge", "SetFaults"),
+		methods:  set("Program", "Erase", "Charge", "ChargeRead", "SetFaults"),
 		allowed:  set("ftl", "core"),
 		boundary: "raw flash mutation (firmware boundary, DESIGN.md)",
 	},

@@ -91,9 +91,17 @@ func (s HistSnapshot) MeanNS() int64 {
 }
 
 // QuantileNS returns an upper bound on the q-quantile (0 < q ≤ 1): the
-// bound of the first bucket at which the cumulative count reaches
-// q×Count. For the unbounded last bucket it returns MaxNS.
+// q-quantile's bucket bound (QuantileBucketNS), or MaxNS where that is
+// lower — no sample exceeds the maximum, so a bound above it says less.
 func (s HistSnapshot) QuantileNS(q float64) int64 {
+	return min(s.QuantileBucketNS(q), s.MaxNS)
+}
+
+// QuantileBucketNS returns the bound of the first bucket at which the
+// cumulative count reaches q×Count (0 < q ≤ 1), and MaxNS for the
+// unbounded last bucket: a value on the bucket grid, which can exceed
+// MaxNS. Comparisons that want one fixed grid across histograms use it.
+func (s HistSnapshot) QuantileBucketNS(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}

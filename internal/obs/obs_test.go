@@ -46,8 +46,35 @@ func TestHistSnapshotStats(t *testing.T) {
 	if q := s.QuantileNS(0.5); q != 2000 {
 		t.Fatalf("p50 = %d, want 2000", q)
 	}
-	if q := s.QuantileNS(1.0); q != 1_024_000 {
-		t.Fatalf("p100 = %d, want 1024000 (the [512µs,1024µs) bucket bound)", q)
+	// p100 lands in the [512µs,1024µs) bucket, whose bound is above the
+	// maximum: the quantile is clamped to the maximum, the bucket bound is not.
+	if q := s.QuantileNS(1.0); q != 1_000_000 {
+		t.Fatalf("p100 = %d, want 1000000 (MaxNS, below the 1024000 bucket bound)", q)
+	}
+	if q := s.QuantileBucketNS(1.0); q != 1_024_000 {
+		t.Fatalf("p100 bucket = %d, want 1024000 (the [512µs,1024µs) bucket bound)", q)
+	}
+}
+
+// TestQuantileNeverExceedsMax pins the clamp on the case that exposed it:
+// every sample in one bucket, all below that bucket's bound, so each
+// percentile's bucket bound lies above the maximum.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	var h hist
+	for _, ns := range []int64{600_000, 700_000, 750_000} {
+		h.observe(ns)
+	}
+	s := h.snapshot()
+	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
+		if got := s.QuantileNS(q); got != 750_000 {
+			t.Errorf("p%g = %d, want the 750000 maximum", 100*q, got)
+		}
+		if got := s.QuantileBucketNS(q); got != 1_024_000 {
+			t.Errorf("p%g bucket = %d, want 1024000", 100*q, got)
+		}
+	}
+	if got := (HistSnapshot{}).QuantileNS(0.5); got != 0 {
+		t.Errorf("empty histogram p50 = %d, want 0", got)
 	}
 }
 

@@ -295,7 +295,7 @@ func snapshotMetrics(snap obs.Snapshot, dev *core.TimeSSD, end vclock.Time, erro
 	m.WearSpread = maxWear - minWear
 	m.RetentionDays = dev.RetentionDuration(end).Hours() / 24
 	if hwOps, ok := snap.Ops[obs.HostWrite.String()]; ok {
-		m.P99WriteMS = float64(hwOps.Virt.QuantileNS(0.99)) / 1e6
+		m.P99WriteMS = float64(hwOps.Virt.QuantileBucketNS(0.99)) / 1e6
 	}
 	return m
 }
