@@ -280,14 +280,6 @@ func (c *Client) ensureTagged(op Op) error {
 	return nil
 }
 
-// Window returns the server-advertised in-flight window (0 before a v4
-// Identify).
-func (c *Client) Window() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.window
-}
-
 // ---- typed async submissions ----------------------------------------------
 
 // submitLPA submits a command whose payload is an LPA and the issue time:

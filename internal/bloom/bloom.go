@@ -152,9 +152,6 @@ func (f *Filter) recordDebug(key uint64) {
 // Count returns the number of insertions the filter has absorbed.
 func (f *Filter) Count() int { return f.n }
 
-// SizeBytes returns the memory footprint of the bit array.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
 // Chain is the ordered sequence of Bloom filters spanning the retention
 // window, oldest first. The last filter is always the active one.
 type Chain struct {
@@ -323,12 +320,3 @@ func (c *Chain) DropOldest() bool {
 // WindowStart returns the creation time of the oldest filter — the start of
 // the retrievable time window (Fig. 4).
 func (c *Chain) WindowStart() vclock.Time { return c.filters[0].Created }
-
-// SizeBytes returns the total memory footprint of all filters.
-func (c *Chain) SizeBytes() int {
-	total := 0
-	for _, f := range c.filters {
-		total += f.SizeBytes()
-	}
-	return total
-}

@@ -155,13 +155,6 @@ func TestChainContainsChecksNewestFirst(t *testing.T) {
 	}
 }
 
-func TestChainSizeBytes(t *testing.T) {
-	c := NewChain(1000, 0.01, 16, 0)
-	if c.SizeBytes() <= 0 {
-		t.Fatal("chain reports zero size")
-	}
-}
-
 // TestChainMemoMatchesUncached drives a memoized chain and an uncached twin
 // through an identical randomized schedule of invalidations, probes, seals
 // and drops, asserting every Contains answer (index and verdict) is

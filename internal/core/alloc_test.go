@@ -90,6 +90,80 @@ func TestVersionsAllocs(t *testing.T) {
 	}
 }
 
+// TestVersionAtAllocs pins what a deferred VersionAt allocates per call
+// over flushed 16-version delta chains, idle-compressed round by round:
+// the returned Version, plus the returned content when it had to be
+// decoded (or copied out of the reference cache). Nothing else: the
+// references a target decodes through go to the walk's scratch buffers,
+// whether the reference cache is off (every call decodes the target's
+// whole reference chain) or on. The live head costs only the Version.
+func TestVersionAtAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("almanacdebug shadow assertions allocate")
+	}
+	const (
+		pages  = 8
+		rounds = 16
+	)
+	for _, slots := range []int{0, 1024} {
+		d := newTiny(t, func(c *Config) {
+			c.MinRetention = vclock.Day
+			c.RefCacheSlots = slots
+		})
+		at := vclock.Time(0)
+		for round := 0; round < rounds; round++ {
+			for lpa := uint64(0); lpa < pages; lpa++ {
+				at = at.Add(vclock.Second)
+				done, err := d.Write(lpa, versionPage(d, lpa, round), at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = done
+			}
+			// Compress each round against the one after it, so an old
+			// version decodes through every version newer than it.
+			d.Idle(at, at.Add(vclock.Hour))
+			at = at.Add(vclock.Hour)
+		}
+		at, err := d.FlushDeltas(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := d.Counters(); c.IdleCompressions == 0 || c.DeltaPagesWritten == 0 {
+			t.Fatalf("idle passes compressed %d pages into %d delta pages: no chains to walk", c.IdleCompressions, c.DeltaPagesWritten)
+		}
+		stamps := make([][]vclock.Time, pages)
+		for lpa := range stamps {
+			vers, _, err := d.Versions(uint64(lpa), at)
+			if err != nil || len(vers) != rounds {
+				t.Fatalf("Versions(%d) = %d versions, %v; want %d", lpa, len(vers), err, rounds)
+			}
+			for _, v := range vers {
+				stamps[lpa] = append(stamps[lpa], v.TS)
+			}
+		}
+		for _, tc := range []struct {
+			name  string
+			index int // into the chain, newest first
+			want  float64
+		}{{"head", 0, 1}, {"middle", rounds / 2, 2}, {"oldest", rounds - 1, 2}} {
+			lpa := uint64(0)
+			n := testing.AllocsPerRun(200, func() {
+				want := stamps[lpa][tc.index]
+				v, _, err := d.VersionAt(lpa, want, at)
+				if err != nil || v == nil || v.TS != want {
+					t.Fatalf("VersionAt(%d, %v) = %+v, %v", lpa, want, v, err)
+				}
+				lpa = (lpa + 1) % pages
+			})
+			if n > tc.want {
+				t.Fatalf("refcache slots %d: VersionAt of the %s version allocates %.2f times per call, want <= %.0f",
+					slots, tc.name, n, tc.want)
+			}
+		}
+	}
+}
+
 // TestWriteAllocs pins the host write path below one allocation per call in
 // steady state. AllocsPerRun truncates the mean, as allocs/op does: the
 // write itself allocates nothing, and each delta GC emits costs a payload

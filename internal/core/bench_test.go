@@ -101,52 +101,89 @@ func BenchmarkVersionsQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkTimeQueryScan is one full-device time query (core.UpdatedBetween, what
-// TimeKits' TimeQueryRange runs) per iteration over a history shaped like
-// the repo benchmark's timetravel-4k at a quarter of its LPAs: 12 rounds of
+// historyLPAs and historyRounds shape the history roundHistory builds.
+const (
+	historyLPAs   = 1024
+	historyRounds = 12
+)
+
+// roundHistory builds a history shaped like the repo benchmark's
+// timetravel-4k and rollback-4k at a quarter of their LPAs: 12 rounds of
 // writes over 1024 pages with announced idle after each round, so all but
-// the live versions sit in delta chains and the scan is chain hops. The
-// 100 ms query window moves through the rounds, matching ~100 pages. The
-// cold sub-benchmark walks every chain each query; memo replays the scan
-// memo, as queries on a device nothing has mutated since do.
-func BenchmarkTimeQueryScan(b *testing.B) {
-	const (
-		lpas   = 1024
-		rounds = 12
-	)
+// the live versions sit in delta chains, each round compressed against the
+// next. It returns the device, the first instant after the history, and
+// the write stamp of (round, lpa).
+func roundHistory(b *testing.B) (*TimeSSD, vclock.Time, func(round, lpa int) vclock.Time) {
 	d := benchDevice(b)
 	gen := trace.NewContentGen(d.PageSize(), trace.ContentSimilar, 1)
 	stamp := func(round, lpa int) vclock.Time {
 		return vclock.Time(0).Add(vclock.Duration(round)*vclock.Minute + vclock.Duration(lpa)*vclock.Millisecond)
 	}
-	for r := 0; r < rounds; r++ {
-		for lpa := 0; lpa < lpas; lpa++ {
+	for r := 0; r < historyRounds; r++ {
+		for lpa := 0; lpa < historyLPAs; lpa++ {
 			if _, err := d.Write(uint64(lpa), gen.NextVersion(uint64(lpa)), stamp(r, lpa)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		d.Idle(stamp(r, lpas).Add(vclock.Second), stamp(r+1, 0))
+		d.Idle(stamp(r, historyLPAs).Add(vclock.Second), stamp(r+1, 0))
 	}
-	at, err := d.FlushDeltas(stamp(rounds, 0))
+	at, err := d.FlushDeltas(stamp(historyRounds, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if ts, _ := lpaTimestamps(d, 0, at); len(ts) != rounds {
-		b.Fatalf("history kept %d of %d versions", len(ts), rounds)
+	if ts, _ := lpaTimestamps(d, 0, at); len(ts) != historyRounds {
+		b.Fatalf("history kept %d of %d versions", len(ts), historyRounds)
 	}
+	return d, at, stamp
+}
+
+// BenchmarkTimeQueryScan is one full-device time query (core.UpdatedBetween,
+// what TimeKits' TimeQueryRange runs) per iteration over roundHistory. The
+// 100 ms query window moves through the rounds, matching ~100 pages. The
+// cold sub-benchmark walks every chain each query; memo replays the scan
+// memo, as queries on a device nothing has mutated since do.
+func BenchmarkTimeQueryScan(b *testing.B) {
+	d, at, stamp := roundHistory(b)
 	for _, path := range []string{"cold", "memo"} {
 		b.Run(path, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if path == "cold" {
 					d.gen++ // as a mutator would: every query walks the chains
 				}
-				from := stamp(i%rounds, (i*97)%(lpas-100))
+				from := stamp(i%historyRounds, (i*97)%(historyLPAs-100))
 				recs, _, err := d.UpdatedBetween(from, from.Add(100*vclock.Millisecond), at)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(recs) == 0 {
 					b.Fatal("no records")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVersionAt is one VersionAt per iteration over roundHistory, the
+// query behind RollBack and AddrQuery, cycling through the LPAs so the
+// 12 k retained versions overflow the reference cache as on rollback-4k.
+// The target is the live head, the middle round, or the oldest round, which
+// decodes through every newer version of its chain on a cache miss.
+func BenchmarkVersionAt(b *testing.B) {
+	d, at, stamp := roundHistory(b)
+	for _, tc := range []struct {
+		name  string
+		round int
+	}{{"head", historyRounds - 1}, {"middle", historyRounds / 2}, {"oldest", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lpa := (i * 7) % historyLPAs
+				want := stamp(tc.round, lpa)
+				v, _, err := d.VersionAt(uint64(lpa), want, at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if v == nil || v.TS != want {
+					b.Fatalf("VersionAt(%d, %v) = %+v", lpa, want, v)
 				}
 			}
 		})

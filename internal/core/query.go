@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 
 	"almanac/internal/delta"
+	"almanac/internal/fault"
 	"almanac/internal/flash"
 	"almanac/internal/invariant"
 	"almanac/internal/obs"
@@ -33,32 +35,136 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 	if err := t.CheckLPA(lpa); err != nil {
 		return nil, at, err
 	}
-	out := make([]Version, 0, 8)
+	w := chainWalk{mode: walkDecode, vers: make([]Version, 0, 8)}
+	done, err := t.walk(&w, lpa, at)
+	if err != nil {
+		return nil, at, err
+	}
+	return w.vers, done, nil
+}
+
+// VersionAt returns the version of lpa that was current at time `when`
+// (the newest version with TS ≤ when), or nil if the page had no content
+// at that time. It reads and charges exactly what Versions does, decode
+// costs included, but keeps every delta encoded while it walks and then
+// decodes only the version it returns and the XOR references that version
+// needs (resolve): the versions older than it, most of a long chain, are
+// never decompressed. While a fault plan is armed it decodes as it walks,
+// as Versions does, because a silent bit flip can make a decode fail, and
+// a failed decode ends the walk. Returned Data follows Versions' contract.
+func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.Time, error) {
+	if err := t.CheckLPA(lpa); err != nil {
+		return nil, at, err
+	}
+	w := &t.atWalk
+	w.mode, w.vers, w.kept = walkDefer, w.vers[:0], w.kept[:0]
+	if t.faultsArmed || t.eagerVersionAt {
+		w.mode = walkDecode
+	}
+	var busy []vclock.Time
+	if invariant.Enabled && w.mode == walkDefer {
+		busy = t.Arr.Horizons(nil)
+	}
+	done, err := t.walk(w, lpa, at)
+	if err != nil {
+		return nil, at, err
+	}
+	var v *Version
+	for i := range w.vers {
+		if w.vers[i].TS <= when {
+			v = &Version{TS: w.vers[i].TS, Data: w.vers[i].Data, Live: w.vers[i].Live}
+			if w.mode == walkDefer {
+				if v.Data, err = t.resolve(w, lpa, i); err != nil {
+					return nil, done, err
+				}
+			}
+			break
+		}
+	}
+	if invariant.Enabled && w.mode == walkDefer {
+		t.shadowVersionAt(lpa, when, at, busy, v, done)
+	}
+	return v, done, nil
+}
+
+// walkMode is what a chain walk keeps of each version it reaches.
+type walkMode uint8
+
+const (
+	// walkDecode decodes every delta as the walk reaches it (Versions).
+	walkDecode walkMode = iota
+	// walkDefer charges every decode where walkDecode would but keeps the
+	// deltas encoded, for resolve to decode the one VersionAt returns.
+	walkDefer
+	// walkStamps keeps each version's write timestamp and the channel of
+	// every read in a scanMemo. It decodes nothing and charges no decode.
+	walkStamps
+)
+
+// chainWalk is the state of one walk of an LPA's chains (walk).
+type chainWalk struct {
+	mode walkMode
+	vers []Version     // walkDecode, walkDefer: the versions found, newest first
+	kept []keptVersion // walkDefer: how each of vers is held until resolve
+	memo *scanMemo     // walkStamps: where timestamps and read channels go
+
+	// resolve's staging, reused across calls: the versions it decodes,
+	// target first, and two buffers a reference chain decodes through.
+	need []int
+	buf  [2][]byte
+
+	// busy, set only by the almanacdebug shadow of VersionAt, makes the
+	// walk dry: its reads charge nothing and queue on these channel
+	// horizons, and its decodes bypass the reference cache.
+	busy []vclock.Time
+}
+
+// keptVersion is how a deferred walk holds one version until resolve.
+type keptVersion struct {
+	kind keptKind
+	ref  int         // index in vers of the version a kept delta decodes against, or -1
+	d    delta.Delta // keptDelta: the delta, payload still encoded
+}
+
+type keptKind uint8
+
+const (
+	keptData  keptKind = iota // Version.Data is the content: a data page
+	keptDelta                 // decode d
+	keptRaw                   // Version.Data is a raw retained page, still sealed
+)
+
+// walk follows lpa's chains from at, newest version first (§3.7): the live
+// head, or a trimmed LPA's remembered head; the data-page chain of
+// uncompressed retained versions; then the delta chain, the pending
+// buffered delta first and then the on-flash chain the index mapping table
+// heads. Every hop is verified against the OOB (the right LPA, strictly
+// decreasing TS), so a stale back-pointer into a reused block ends the
+// walk. Each mode is charged the same reads, and walkDecode and walkDefer
+// the same decodes. Only a failed read of the live head is an error;
+// anything else the walk cannot follow ends it.
+func (t *TimeSSD) walk(w *chainWalk, lpa uint64, at vclock.Time) (vclock.Time, error) {
 	prevTS := maxTime
 
-	// Live head, if the LPA is mapped.
 	cur := flash.NullPPA
 	if head := t.AMT[lpa]; head != flash.NullPPA {
-		data, oob, done, err := t.Arr.Read(head, at)
+		data, oob, done, err := w.read(t, head, at)
 		if err != nil {
-			return nil, at, err
+			return at, err
 		}
 		at = done
-		out = append(out, Version{TS: oob.TS, Data: data, Live: true})
+		w.found(oob.TS, data, true)
 		prevTS = oob.TS
 		cur = oob.BackPtr
 	} else if rec := t.trimmed[lpa]; rec.head != flash.NullPPA {
 		cur = rec.head
 	}
 
-	// Data-page chain: uncompressed retained versions. Every hop is
-	// verified against the OOB (correct LPA, strictly decreasing TS) so a
-	// stale back-pointer into a reused block terminates the walk (§3.7).
 	for cur != flash.NullPPA {
 		if t.PVT[cur] || t.prt[cur] {
 			break // relocation shadow, or continued in the delta chain
 		}
-		data, oob, done, err := t.Arr.Read(cur, at)
+		data, oob, done, err := w.read(t, cur, at)
 		if err != nil {
 			break // chain ran into an erased block
 		}
@@ -69,27 +175,23 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 		if _, hit := t.chain.Contains(uint64(cur)); !hit {
 			break // expired: outside the retention window
 		}
-		out = append(out, Version{TS: oob.TS, Data: data})
+		w.found(oob.TS, data, false)
 		prevTS = oob.TS
 		cur = oob.BackPtr
 	}
 
-	// Delta-page chain: first the (at most one) pending buffered delta,
-	// then the on-flash chain headed by the index mapping table.
 	dcur, dslot := flash.NullPPA, uint16(0)
 	if p := t.pending[lpa]; p.d != nil && p.d.TS < prevTS {
-		if data, hit := t.cachedDecode(p.d, out); hit {
-			at = t.chargeDecode(p.d.Enc, at)
-			out = append(out, Version{TS: p.d.TS, Data: data})
+		var ok bool
+		if at, ok = t.takeDelta(w, p.d, at); ok {
 			prevTS = p.d.TS
 			dcur, dslot = flash.PPA(p.d.BackPtr), p.d.BackSlot
 		}
 	} else if h := t.imt[lpa]; h != flash.NullPPA {
 		dcur, dslot = h, t.imtSlot[lpa]
 	}
-
 	for dcur != flash.NullPPA {
-		data, oob, done, err := t.Arr.Read(dcur, at)
+		data, oob, done, err := w.read(t, dcur, at)
 		if err != nil {
 			break // segment retired and erased
 		}
@@ -97,47 +199,251 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 		switch oob.Kind {
 		case flash.KindDeltaRaw:
 			if oob.LPA != lpa || oob.TS >= prevTS {
-				return out, at, nil
+				return at, nil
 			}
-			cp := t.refcache.get(lpa, oob.TS)
-			if cp != nil {
-				if invariant.Enabled && !t.faultsArmed {
-					cold := t.openRetained(oob.LPA, oob.TS, data)
-					invariant.Assert(bytes.Equal(cold, cp),
-						"refcache: cached raw version differs from cold decode (lpa %d ts %d)", lpa, oob.TS)
-				}
-				// Copy out: the cache slot can be evicted and its buffer
-				// reused by a later query, which is not a device mutation.
-				cp = append([]byte(nil), cp...)
-			} else {
-				// openRetained returns its input unchanged when no retention
-				// key is configured, so cp may alias the flash page — covered
-				// by the read-only until-next-mutation contract above.
-				cp = t.openRetained(oob.LPA, oob.TS, data)
-				t.refcache.put(lpa, oob.TS, cp)
-			}
-			out = append(out, Version{TS: oob.TS, Data: cp})
+			t.takeRaw(w, lpa, oob.TS, data)
 			prevTS = oob.TS
 			dcur, dslot = oob.BackPtr, 0 // OOB carries no slot: the next hop searches
 		case flash.KindDelta:
 			pg, i := t.hop(data, dslot, lpa, prevTS)
+			if i < 0 {
+				return at, nil
+			}
+			if w.mode == walkStamps {
+				// A timestamp needs only the entry's header fields.
+				_, prevTS = pg.Key(i)
+				w.memo.ts = append(w.memo.ts, prevTS)
+				back, slot := pg.Link(i)
+				dcur, dslot = flash.PPA(back), slot
+				continue
+			}
 			var mine delta.Delta
-			if i < 0 || pg.Delta(i, &mine) != nil {
-				return out, at, nil
+			if pg.Delta(i, &mine) != nil {
+				return at, nil
 			}
-			dec, ok := t.cachedDecode(&mine, out)
-			if !ok {
-				return out, at, nil
+			var ok bool
+			if at, ok = t.takeDelta(w, &mine, at); !ok {
+				return at, nil
 			}
-			at = t.chargeDecode(mine.Enc, at)
-			out = append(out, Version{TS: mine.TS, Data: dec})
 			prevTS = mine.TS
 			dcur, dslot = flash.PPA(mine.BackPtr), mine.BackSlot
 		default:
-			return out, at, nil
+			return at, nil
 		}
 	}
-	return out, at, nil
+	return at, nil
+}
+
+// read is the walk's flash read: charged, and recorded in the memo on a
+// timestamps walk; on a dry walk, charged to nothing (dryRead).
+func (w *chainWalk) read(t *TimeSSD, ppa flash.PPA, at vclock.Time) ([]byte, flash.OOB, vclock.Time, error) {
+	if invariant.Enabled && w.busy != nil {
+		return t.dryRead(w.busy, ppa, at)
+	}
+	data, oob, done, err := t.Arr.Read(ppa, at)
+	if err == nil && w.mode == walkStamps {
+		w.memo.read(t.Arr, ppa)
+	}
+	return data, oob, done, err
+}
+
+// found takes a version whose content is the flash page just read: the
+// live head or a data-chain hop.
+func (w *chainWalk) found(ts vclock.Time, data []byte, live bool) {
+	switch w.mode {
+	case walkStamps:
+		w.memo.ts = append(w.memo.ts, ts)
+		return
+	case walkDefer:
+		w.kept = append(w.kept, keptVersion{kind: keptData})
+	}
+	w.vers = append(w.vers, Version{TS: ts, Data: data, Live: live})
+}
+
+// takeRaw takes a retained raw page (KindDeltaRaw): opened through the
+// reference cache now, kept sealed for resolve, or just its timestamp.
+func (t *TimeSSD) takeRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte) {
+	switch w.mode {
+	case walkStamps:
+		w.memo.ts = append(w.memo.ts, ts)
+		return
+	case walkDefer:
+		w.kept = append(w.kept, keptVersion{kind: keptRaw, ref: -1})
+	default:
+		data = t.openRaw(w, lpa, ts, data)
+	}
+	w.vers = append(w.vers, Version{TS: ts, Data: data})
+}
+
+// bypassCache reports whether a decoding walk must leave the reference
+// cache alone. While a fault plan is armed a read can come back silently
+// corrupted, and whether a corrupt delta decodes decides where the walk
+// ends: answering from the cache would let host-side state move virtual
+// time, and a cached corrupt decode would outlive the plan. A dry walk
+// must have no side effect at all.
+func (t *TimeSSD) bypassCache(w *chainWalk) bool {
+	return t.faultsArmed || (invariant.Enabled && w.busy != nil)
+}
+
+// openRaw returns a raw retained page's content through the reference
+// cache. On a miss the result may alias the flash page (openRetained
+// returns its input when no retention key is configured), which Versions'
+// read-only until-next-mutation contract covers.
+func (t *TimeSSD) openRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte) []byte {
+	if t.bypassCache(w) {
+		return t.openRetained(lpa, ts, data)
+	}
+	if cp := t.refcache.get(lpa, ts); cp != nil {
+		if invariant.Enabled {
+			cold := t.openRetained(lpa, ts, data)
+			invariant.Assert(bytes.Equal(cold, cp),
+				"refcache: cached raw version differs from cold decode (lpa %d ts %d)", lpa, ts)
+		}
+		// Copy out: the cache slot can be evicted and its buffer reused by
+		// a later query, which is not a device mutation.
+		return append([]byte(nil), cp...)
+	}
+	cp := t.openRetained(lpa, ts, data)
+	t.refcache.put(lpa, ts, cp)
+	return cp
+}
+
+// takeDelta takes one delta the walk reached and charges its decode. It
+// reports false, charging nothing, when the delta does not decode, which
+// ends the walk. A deferred walk cannot try the decode: it checks what
+// the decode needs of the walk, the XOR reference, and trusts the payload,
+// which only an armed fault plan can corrupt (VersionAt).
+func (t *TimeSSD) takeDelta(w *chainWalk, d *delta.Delta, at vclock.Time) (vclock.Time, bool) {
+	switch w.mode {
+	case walkStamps:
+		w.memo.ts = append(w.memo.ts, d.TS)
+		return at, true
+	case walkDefer:
+		k := keptVersion{kind: keptDelta, ref: -1, d: *d}
+		if d.Enc == delta.EncXORLZF {
+			if k.ref = w.refIndex(d.RefTS, t.PageSize()); k.ref < 0 {
+				return at, false
+			}
+		}
+		w.kept = append(w.kept, k)
+		w.vers = append(w.vers, Version{TS: d.TS})
+	default:
+		data, ok := t.cachedDecode(w, d)
+		if !ok {
+			return at, false
+		}
+		w.vers = append(w.vers, Version{TS: d.TS, Data: data})
+	}
+	return t.chargeDecode(d.Enc, at), true
+}
+
+// refIndex returns the index of the version found so far that an XOR delta
+// written against refTS decodes with, or -1: the version decodeDelta would
+// pick, if Decode would accept it as a reference.
+func (w *chainWalk) refIndex(refTS vclock.Time, pageSize int) int {
+	for i := range w.vers {
+		if w.vers[i].TS == refTS {
+			if w.kept[i].kind == keptDelta || len(w.vers[i].Data) == pageSize {
+				return i
+			}
+			return -1
+		}
+	}
+	return -1
+}
+
+// resolve returns the content of w.vers[k] after a deferred walk of lpa.
+// It follows k's XOR references towards the head until a version needs no
+// decode (a data page, or a reference cache hit), then decodes back down
+// to k, each version against the one before: the references through the
+// walk's two scratch buffers, k into an allocation of its own. Each decode
+// is cached, as the decoding walk would cache it. A data page is returned
+// as it was read, a cached version as a private copy.
+func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int) ([]byte, error) {
+	need, ref := w.need[:0], []byte(nil)
+	for j := k; j >= 0; j = w.kept[j].ref {
+		if w.kept[j].kind == keptData {
+			ref = w.vers[j].Data
+			break
+		}
+		if c := t.refcache.get(lpa, w.vers[j].TS); c != nil {
+			ref = c
+			break
+		}
+		need = append(need, j)
+	}
+	w.need = need
+	if len(need) == 0 {
+		if w.kept[k].kind == keptData {
+			return ref, nil
+		}
+		// The cache slot can be evicted and reused by a later query.
+		return append([]byte(nil), ref...), nil
+	}
+	for i := len(need) - 1; i >= 0; i-- {
+		j := need[i]
+		ts := w.vers[j].TS
+		var dec []byte
+		if kv := &w.kept[j]; kv.kind == keptRaw {
+			dec = t.openRetained(lpa, ts, w.vers[j].Data)
+		} else {
+			var dst []byte
+			if i == 0 {
+				dst = make([]byte, 0, t.PageSize())
+			} else {
+				dst = w.buf[i&1][:0]
+			}
+			var err error
+			if dec, err = delta.DecodeAppend(dst, kv.d.Enc, t.openRetained(lpa, ts, kv.d.Payload), ref, t.PageSize()); err != nil {
+				return nil, fmt.Errorf("core: lpa %d version %v does not decode: %w", lpa, ts, err)
+			}
+			if i > 0 {
+				w.buf[i&1] = dec
+			}
+		}
+		t.refcache.put(lpa, ts, dec)
+		ref = dec
+	}
+	return ref, nil
+}
+
+// shadowVersionAt checks a deferred VersionAt (almanacdebug): a dry decoding
+// walk of lpa from at and from the channel horizons the real walk started
+// on must pick the same version, byte for byte, done at the same instant.
+func (t *TimeSSD) shadowVersionAt(lpa uint64, when, at vclock.Time, busy []vclock.Time, got *Version, gotDone vclock.Time) {
+	w := chainWalk{mode: walkDecode, busy: busy}
+	done, err := t.walk(&w, lpa, at)
+	invariant.AssertNoErr(err, "VersionAt shadow walk")
+	var want *Version
+	for i := range w.vers {
+		if w.vers[i].TS <= when {
+			want = &w.vers[i]
+			break
+		}
+	}
+	invariant.Assert(done == gotDone, "VersionAt(%d, %v): deferred walk done %v, decoding walk %v", lpa, when, gotDone, done)
+	invariant.Assert((want == nil) == (got == nil), "VersionAt(%d, %v): deferred walk found %v, decoding walk %v", lpa, when, got, want)
+	if want != nil {
+		invariant.Assert(want.TS == got.TS && want.Live == got.Live && bytes.Equal(want.Data, got.Data),
+			"VersionAt(%d, %v): deferred walk returned ts %v live %v, decoding walk ts %v live %v (bytes equal %v)",
+			lpa, when, got.TS, got.Live, want.TS, want.Live, bytes.Equal(want.Data, got.Data))
+	}
+}
+
+// dryRead is Read's answer and virtual timing with no side effect: nothing
+// is charged, counted or observed, and the read queues on busy, a copy of
+// the channel horizons, instead of on the array's own.
+func (t *TimeSSD) dryRead(busy []vclock.Time, ppa flash.PPA, at vclock.Time) ([]byte, flash.OOB, vclock.Time, error) {
+	if t.Arr.Dead() {
+		return nil, flash.OOB{}, at, fault.ErrPowerCut
+	}
+	data, oob, err := t.Arr.PeekPage(ppa)
+	if err != nil {
+		return nil, flash.OOB{}, at, err
+	}
+	ch := t.Arr.ChannelOfBlock(t.Arr.BlockOf(ppa))
+	busy[ch] = max(at, busy[ch]).Add(t.Arr.Config().ReadLatency)
+	return data, oob, busy[ch], nil
 }
 
 // hop steps a chain walk into the packed delta page `data`: the index of
@@ -165,18 +471,23 @@ func (t *TimeSSD) hop(data []byte, slot uint16, lpa uint64, before vclock.Time) 
 // on a hit the host-side decode (LZF, XOR, retained-data decryption) is
 // skipped, on a miss the cold decode is performed and cached. Either way the
 // caller charges the same virtual-time decode cost — the cache alters host
-// speed only. The returned slice is private to the caller.
-func (t *TimeSSD) cachedDecode(d *delta.Delta, walked []Version) ([]byte, bool) {
+// speed only. Under bypassCache every decode is cold and nothing is cached.
+// The returned slice is private to the caller.
+func (t *TimeSSD) cachedDecode(w *chainWalk, d *delta.Delta) ([]byte, bool) {
+	if t.bypassCache(w) {
+		dec, err := t.decodeDelta(d, w.vers)
+		return dec, err == nil
+	}
 	if cached := t.refcache.get(d.LPA, d.TS); cached != nil {
-		if invariant.Enabled && !t.faultsArmed {
-			cold, err := t.decodeDelta(d, walked)
+		if invariant.Enabled {
+			cold, err := t.decodeDelta(d, w.vers)
 			invariant.AssertNoErr(err, "refcache shadow decode")
 			invariant.Assert(bytes.Equal(cold, cached),
 				"refcache: cached version differs from cold decode (lpa %d ts %d)", d.LPA, d.TS)
 		}
 		return append([]byte(nil), cached...), true
 	}
-	dec, err := t.decodeDelta(d, walked)
+	dec, err := t.decodeDelta(d, w.vers)
 	if err != nil {
 		return nil, false
 	}
@@ -213,104 +524,14 @@ func (t *TimeSSD) decodeDelta(d *delta.Delta, walked []Version) ([]byte, error) 
 	return delta.Decode(d.Enc, payload, ref, t.PageSize())
 }
 
-// VersionAt returns the version of lpa that was current at time `when`
-// (the newest version with TS ≤ when), or nil if the page had no content
-// at that time.
-func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.Time, error) {
-	vers, done, err := t.Versions(lpa, at)
-	if err != nil {
-		return nil, done, err
-	}
-	for i := range vers {
-		if vers[i].TS <= when {
-			return &vers[i], done, nil
-		}
-	}
-	return nil, done, nil
-}
-
 // appendTimestamps appends the write timestamps of every retrievable
-// version of lpa (newest first) to m.ts without decompressing content, and
-// the channel of every read it charges to m.ch, in the order it charges
-// them. Data-chain hops read only OOB; a delta-chain hop reads its page and
-// one header entry. A scan that walks many LPAs passes one memo for all of
-// them. lpa must be in range.
+// version of lpa (newest first) to m.ts, and the channel of every read it
+// charges to m.ch in the order it charges them, without decoding anything:
+// a delta-chain hop reads its page but only one header entry. A scan that
+// walks many LPAs passes one memo for all of them. lpa must be in range.
 func (t *TimeSSD) appendTimestamps(m *scanMemo, lpa uint64, at vclock.Time) (vclock.Time, error) {
-	prevTS := maxTime
-
-	cur := flash.NullPPA
-	if head := t.AMT[lpa]; head != flash.NullPPA {
-		oob, done, err := t.Arr.ReadOOB(head, at)
-		if err != nil {
-			return at, err
-		}
-		at = done
-		m.read(t.Arr, head)
-		m.ts = append(m.ts, oob.TS)
-		prevTS = oob.TS
-		cur = oob.BackPtr
-	} else if rec := t.trimmed[lpa]; rec.head != flash.NullPPA {
-		cur = rec.head
-	}
-
-	for cur != flash.NullPPA {
-		if t.PVT[cur] || t.prt[cur] {
-			break
-		}
-		oob, done, err := t.Arr.ReadOOB(cur, at)
-		if err != nil {
-			break
-		}
-		at = done
-		m.read(t.Arr, cur)
-		if oob.Kind != flash.KindData || oob.LPA != lpa || oob.TS >= prevTS {
-			break
-		}
-		if _, hit := t.chain.Contains(uint64(cur)); !hit {
-			break
-		}
-		m.ts = append(m.ts, oob.TS)
-		prevTS = oob.TS
-		cur = oob.BackPtr
-	}
-
-	dcur, dslot := flash.NullPPA, uint16(0)
-	if p := t.pending[lpa]; p.d != nil && p.d.TS < prevTS {
-		m.ts = append(m.ts, p.d.TS)
-		prevTS = p.d.TS
-		dcur, dslot = flash.PPA(p.d.BackPtr), p.d.BackSlot
-	} else if h := t.imt[lpa]; h != flash.NullPPA {
-		dcur, dslot = h, t.imtSlot[lpa]
-	}
-	for dcur != flash.NullPPA {
-		data, oob, done, err := t.Arr.Read(dcur, at)
-		if err != nil {
-			break
-		}
-		at = done
-		m.read(t.Arr, dcur)
-		if oob.Kind == flash.KindDeltaRaw {
-			if oob.LPA != lpa || oob.TS >= prevTS {
-				break
-			}
-			m.ts = append(m.ts, oob.TS)
-			prevTS = oob.TS
-			dcur, dslot = oob.BackPtr, 0
-			continue
-		}
-		if oob.Kind != flash.KindDelta {
-			break
-		}
-		pg, i := t.hop(data, dslot, lpa, prevTS)
-		if i < 0 {
-			break
-		}
-		_, prevTS = pg.Key(i)
-		m.ts = append(m.ts, prevTS)
-		back, slot := pg.Link(i)
-		dcur, dslot = flash.PPA(back), slot
-	}
-	return at, nil
+	w := chainWalk{mode: walkStamps, memo: m}
+	return t.walk(&w, lpa, at)
 }
 
 // scanMemo records UpdatedBetween's last cold walk of the device: for every

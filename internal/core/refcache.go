@@ -5,13 +5,16 @@ import (
 )
 
 // refCache is a bounded LRU of decoded retained versions keyed by
-// (LPA, write timestamp). Version walks re-decode the same delta chains on
-// every query (§3.7 walks are newest-first, and a page's older versions
-// reappear in every Versions/VersionAt call that reaches them); the cache
-// skips the host-side work of a repeat decode — LZF decompression, XOR
-// reconstruction, and retained-data decryption — while the walk still issues
-// every flash read and still charges the firmware's delta-decode cost, so
-// virtual-time results are identical with the cache on, off, or cold.
+// (LPA, write timestamp). Queries re-decode the same versions call after
+// call: a Versions walk decodes every delta it reaches, and a VersionAt
+// decodes its target through the same chain of XOR references each time
+// (resolve), so a page's newer versions reappear in every query that
+// reaches past them. The cache skips the host-side work of a repeat decode
+// — LZF decompression, XOR reconstruction, and retained-data decryption —
+// while the walk still issues every flash read and still charges the
+// firmware's delta-decode cost, so virtual-time results are identical with
+// the cache on, off, or cold. Only the versions a query decodes are probed
+// and filled.
 //
 // A (LPA, TS) pair names immutable content while the version is retrievable;
 // the entry is dropped anyway on every event that could retire or replace

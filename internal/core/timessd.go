@@ -243,7 +243,13 @@ type TimeSSD struct {
 	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
 	scan        scanMemo       // UpdatedBetween's record of its last cold walk
-	faultsArmed bool           // skip almanacdebug shadow decodes under injected faults
+	atWalk      chainWalk      // VersionAt's deferred walk, reused across calls
+	faultsArmed bool           // a fault plan is armed: no memo, cache or deferred decode (SetFaults)
+
+	// eagerVersionAt makes VersionAt decode as it walks, as it does while
+	// a fault plan is armed: the reference twin of a test of the deferred
+	// walk.
+	eagerVersionAt bool
 
 	// gen counts the mutators that can change what a chain walk finds:
 	// Write, Trim, Idle, FlushDeltas and SetFaults each bump it on entry
@@ -354,11 +360,13 @@ func (t *TimeSSD) Obs() *obs.Registry { return t.obs }
 
 // SetFaults arms a plan-driven fault injector on the device's flash array
 // (nil restores the perfect device). Core owns the forwarding so host-side
-// layers stay behind the firmware boundary. While an injector is armed the
-// almanacdebug shadow decode of reference-cache hits is suspended: injected
-// silent corruption makes a cold re-decode legitimately differ from the
-// cached (good) bytes, and time queries walk cold: a fault plan decides
-// each read as it is issued, so no recorded scan can stand in for one.
+// layers stay behind the firmware boundary. A fault plan decides each read
+// as it is issued and may corrupt it silently, so while an injector is
+// armed nothing host-side stands in for a read or a decode: time queries
+// walk cold instead of replaying the scan memo, version walks bypass the
+// reference cache (a cached good copy would hide a corrupt delta that
+// fails to decode and so ends the walk), and VersionAt decodes as it walks
+// (a deferred decode would learn of the failure too late).
 func (t *TimeSSD) SetFaults(inj *fault.Injector) {
 	t.gen++
 	t.faultsArmed = inj != nil

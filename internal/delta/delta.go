@@ -317,9 +317,6 @@ func (b *Buffer) Add(d *Delta) bool {
 	return true
 }
 
-// Len returns the number of buffered deltas.
-func (b *Buffer) Len() int { return len(b.deltas) }
-
 // Empty reports whether the buffer holds no deltas.
 func (b *Buffer) Empty() bool { return len(b.deltas) == 0 }
 

@@ -270,9 +270,6 @@ func NewInjector(p *Plan) (*Injector, error) {
 	}, nil
 }
 
-// ECCBudget returns the effective per-page correctable-bit budget.
-func (i *Injector) ECCBudget() int { return i.budget }
-
 // Check evaluates the plan for one operation at virtual time `at`. Rules
 // are evaluated in plan order; the first rule that fires decides the
 // operation's fate. Once a PowerCut rule has fired, every subsequent check
@@ -355,11 +352,4 @@ func (i *Injector) Corrupt(data []byte, bits int) {
 		bit := i.rng.Intn(n)
 		data[bit/8] ^= 1 << (bit % 8)
 	}
-}
-
-// Cut reports whether a PowerCut rule has fired.
-func (i *Injector) Cut() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.cut
 }

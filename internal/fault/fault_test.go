@@ -98,7 +98,7 @@ func TestVirtualTimeTrigger(t *testing.T) {
 		t.Fatalf("at 3h: got %v, want powercut", out.Decision)
 	}
 	// The cut latches: every later op fails, even at earlier times.
-	if out := inj.Check(OpRead, addr, 0); out.Decision != DecPowerCut || !inj.Cut() {
+	if out := inj.Check(OpRead, addr, 0); out.Decision != DecPowerCut || !inj.cut {
 		t.Fatal("power cut did not latch")
 	}
 }
@@ -167,7 +167,7 @@ func TestECCBudgetBoundary(t *testing.T) {
 			}
 		})
 	}
-	if mustInjector(t, &Plan{Seed: 1}).ECCBudget() != DefaultECCBudget {
+	if mustInjector(t, &Plan{Seed: 1}).budget != DefaultECCBudget {
 		t.Fatal("zero budget did not default")
 	}
 }

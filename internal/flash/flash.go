@@ -295,7 +295,7 @@ func (a *Array) ChannelOfBlock(blockIdx int) int {
 }
 
 func (a *Array) checkPPA(ppa PPA) error {
-	if int(ppa) >= a.totalPages {
+	if ppa >= PPA(a.totalPages) {
 		return fmt.Errorf("%w: ppa %d", ErrBadAddress, ppa)
 	}
 	return nil
@@ -311,6 +311,13 @@ func (a *Array) occupy(ch int, at vclock.Time, d vclock.Duration) vclock.Time {
 	end := start.Add(d)
 	a.busy[ch] = end
 	return end
+}
+
+// Horizons appends every channel's busy horizon, the instant it next falls
+// idle, to dst. A model of reads that charges nothing (an almanacdebug
+// shadow walk) starts from them.
+func (a *Array) Horizons(dst []vclock.Time) []vclock.Time {
+	return append(dst, a.busy...)
 }
 
 // Charge occupies channel ch for an operation of duration d starting no
@@ -333,7 +340,7 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 	if a.dead {
 		return nil, OOB{}, at, fault.ErrPowerCut
 	}
-	if int(ppa) >= a.totalPages {
+	if ppa >= PPA(a.totalPages) {
 		return nil, OOB{}, at, fmt.Errorf("%w: ppa %d", ErrBadAddress, ppa)
 	}
 	oob = a.oob[ppa]

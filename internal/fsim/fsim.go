@@ -374,9 +374,6 @@ func Mount(dev ftl.Device, at vclock.Time) (*FS, vclock.Time, error) {
 	return fs, at, nil
 }
 
-// Mode returns the commit mode.
-func (fs *FS) Mode() Mode { return fs.sb.mode }
-
 // Device returns the underlying device.
 func (fs *FS) Device() ftl.Device { return fs.dev }
 

@@ -213,8 +213,8 @@ func TestMountRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Mode() != fs.Mode() {
-			t.Fatalf("mode lost: %v vs %v", m.Mode(), fs.Mode())
+		if m.sb.mode != fs.sb.mode {
+			t.Fatalf("mode lost: %v vs %v", m.sb.mode, fs.sb.mode)
 		}
 		if len(m.List()) != len(files) {
 			t.Fatalf("mounted %d files, want %d", len(m.List()), len(files))

@@ -11,11 +11,15 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite the equivalence goldens from the current tree")
 
 // equivalenceSkip lists experiments whose rendered tables cannot be
-// goldened: scaling, obs and service report host wall-clock columns that
-// differ between any two runs (the same set TestParallelMatchesSerial
-// excludes; service has its own determinism test over the outcome
-// digest). Everything else is pure virtual time plus seeded randomness
-// and must render byte-identically on any host forever.
+// goldened (the same set TestParallelMatchesSerial excludes). scaling and
+// obs report host wall-clock columns that differ between any two runs.
+// service does too, and its virtual latency columns also differ between
+// runs of one binary: its concurrent tenants reach a shard in whatever
+// order the Go scheduler gives, and an op queues in virtual time behind
+// whatever reached its channel first (ROADMAP item 2). Its outcome digest
+// is reproducible and has its own determinism test. Everything else is
+// pure virtual time plus seeded randomness and must render
+// byte-identically on any host forever.
 var equivalenceSkip = map[string]bool{
 	"scaling": true,
 	"obs":     true,

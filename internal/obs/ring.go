@@ -20,13 +20,16 @@ type Event struct {
 const RingSize = 4096
 
 // ring is a lock-free, fixed-size trace buffer. Writers claim a ticket
-// from next and publish through the slot's sequence word (odd while the
-// slot is being written, 2×ticket once published), so readers can detect
-// torn or overwritten slots without ever blocking a writer. Every slot
-// word is atomic, which keeps the structure race-detector-clean. If more
-// than RingSize writers are simultaneously in flight, a reader may skip
-// the contested slots — the ring is best-effort recent history, not an
-// audit log.
+// from next, then claim the ticket's slot by swapping its sequence word
+// from an even value older than the ticket to odd (2×ticket−1), and
+// publish by storing 2×ticket. A claim fails when the slot is being
+// written or already holds a newer ticket; the writer then drops its
+// event, so two writers a lap apart never write one slot at once. Readers
+// detect overwritten slots through the sequence word without ever
+// blocking a writer. Every slot word is atomic, which keeps the structure
+// race-detector-clean. If more than RingSize writers are simultaneously
+// in flight, events are dropped and a reader may skip the contested slots
+// — the ring is best-effort recent history, not an audit log.
 type ring struct {
 	next  atomic.Uint64
 	slots [RingSize]slot
@@ -51,7 +54,10 @@ func packMeta(c Class, shard uint32, ok bool) uint64 {
 func (r *ring) push(c Class, shard uint32, ok bool, lpa uint64, issue, done int64) {
 	t := r.next.Add(1) // tickets start at 1
 	s := &r.slots[(t-1)&(RingSize-1)]
-	s.seq.Store(2*t - 1)
+	seq := s.seq.Load()
+	if seq&1 != 0 || seq >= 2*t || !s.seq.CompareAndSwap(seq, 2*t-1) {
+		return // a lapped or lapping writer holds the slot
+	}
 	s.meta.Store(packMeta(c, shard, ok))
 	s.lpa.Store(lpa)
 	s.issue.Store(issue)

@@ -186,7 +186,4 @@ func (g *ContentGen) VersionContent(lpa uint64, v uint64) []byte {
 	return p
 }
 
-// Versions returns how many versions of lpa have been generated so far.
-func (g *ContentGen) Versions(lpa uint64) uint64 { return g.ver[g.global(lpa)] }
-
 func (g *ContentGen) global(lpa uint64) uint64 { return lpa*g.stride + g.offset }

@@ -219,8 +219,8 @@ func TestContentReproducible(t *testing.T) {
 			}
 		}
 	}
-	if g1.Versions(7) != 5 {
-		t.Fatalf("version counter = %d", g1.Versions(7))
+	if n := g1.ver[g1.global(7)]; n != 5 {
+		t.Fatalf("version counter = %d", n)
 	}
 	// VersionContent reconstructs past versions.
 	v2a := g1.VersionContent(7, 2)
@@ -256,8 +256,8 @@ func TestStripeMatchesWhole(t *testing.T) {
 	}
 	split.Unstripe(parts)
 	for lpa := uint64(0); lpa < span; lpa++ {
-		if split.Versions(lpa) != whole.Versions(lpa) {
-			t.Fatalf("lpa %d: %d versions after Unstripe, want %d", lpa, split.Versions(lpa), whole.Versions(lpa))
+		if got, want := split.ver[split.global(lpa)], whole.ver[whole.global(lpa)]; got != want {
+			t.Fatalf("lpa %d: %d versions after Unstripe, want %d", lpa, got, want)
 		}
 	}
 }
