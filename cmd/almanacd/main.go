@@ -14,10 +14,11 @@
 // (internal/array; a single device is a 1-shard array and answers exactly
 // as the bare device would), the multi-tenant volume service
 // (internal/service) sits on the array, and one protocol server fronts
-// the service. Pre-v4 clients get the plain block surface and array-wide
-// TimeKits; v4 clients additionally create, attach, pipeline batched
-// reads/writes/trims against, and independently roll back named volumes
-// carved from the array's address space.
+// the service. Clients speak protocol v4 (pre-v4 peers are refused at the
+// handshake): the plain block surface and array-wide TimeKits, and named
+// volumes carved from the array's address space that they create,
+// attach, pipeline batched reads/writes/trims against, and independently
+// roll back.
 //
 // -volumes only pre-provisions: each comma-separated
 // name:pages[:key[:retention]] spec creates one named volume at start-up,
@@ -27,10 +28,10 @@
 // Observability is on by default (-obs=false disables it): the devices
 // record per-operation latency histograms in both virtual device time
 // and host wall time, plus a ring of recent trace events, and every
-// volume records its own. Clients fetch them with the OpMetrics/OpTrace
-// (protocol v3) and OpVolStats (v4) commands; the optional -metrics-addr
-// listener additionally exposes the same snapshot as expvar JSON
-// together with the standard pprof handlers.
+// volume records its own. Clients fetch them with the OpMetrics, OpTrace
+// and OpVolStats commands; the optional -metrics-addr listener
+// additionally exposes the same snapshot as expvar JSON together with the
+// standard pprof handlers.
 //
 // With -shards N > 1 the logical address space is striped page-wise
 // across N identical TimeSSDs, each with its own worker, so commands to

@@ -1,7 +1,6 @@
 package almaproto
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,27 +14,24 @@ import (
 
 // Client is the host-side driver: it issues protocol commands over a
 // connection and exposes the same shapes the in-process TimeKits API does.
-// A Client is safe for concurrent use. Against a pre-v4 server commands
-// serialise on the wire; once Identify negotiates v4 the connection
-// switches to the tagged transport and concurrent commands pipeline —
-// each call still blocks, but it no longer queues behind the others.
+// A Client is safe for concurrent use from its first call on: the first
+// frame out, whichever call and goroutine sends it, is the handshake (see
+// open), and every command after it pipelines on the tagged transport —
+// each call still blocks, but it does not queue behind the others.
 // SubmitBatch/Wait (client_async.go) is the one asynchronous surface.
 //
 // Every command is built once and decoded once: a synchronous method is
-// its submission followed by its wait. The two transports differ only
-// below that (see send).
+// its submission followed by its wait.
 type Client struct {
-	mu         sync.Mutex // guards the three fields below and serialises lockstep round trips
-	conn       io.ReadWriteCloser
-	version    uint32 // negotiated protocol version; 0 until Identify runs
-	window     int    // server-advertised in-flight window (v4)
-	maxVersion uint32 // negotiation cap; 0 means CurrentVersion (tests lower it)
+	conn io.ReadWriteCloser
 
-	// Tagged (v4) transport state; see client_async.go. rtoken (cap 1,
-	// created with the transport) holds the reader token: whoever takes it
-	// is the one goroutine reading conn.
+	// opened runs the handshake (see open); a failed one is recorded as
+	// readErr.
+	opened sync.Once
+
+	// Tagged transport state; see client_async.go. rtoken (cap 1) holds
+	// the reader token: whoever takes it is the one goroutine reading conn.
 	pmu     sync.Mutex
-	tagged  bool
 	nextID  uint64
 	pend    map[uint64]chan response
 	pfree   []*rawPending // recycled pendings (with their channels)
@@ -43,8 +39,8 @@ type Client struct {
 	rtoken  chan struct{}
 
 	// Frame pools: request frames cycle submit → flush → release; response
-	// frames cycle reading waiter → typed wait → release. w is the tagged
-	// transport's send queue.
+	// frames cycle reading waiter → typed wait → release. w is the send
+	// queue.
 	reqPool  framePool
 	respPool framePool
 	w        *sendQueue[*frameBuf]
@@ -59,76 +55,54 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// NewClient wraps an existing connection (tests use net.Pipe).
-func NewClient(conn io.ReadWriteCloser) *Client { return &Client{conn: conn} }
+// NewClient wraps an existing connection (tests use net.Pipe). Nothing is
+// sent until the first call.
+func NewClient(conn io.ReadWriteCloser) *Client {
+	c := &Client{conn: conn, nextID: 1, pend: make(map[uint64]chan response), rtoken: make(chan struct{}, 1)}
+	c.rtoken <- struct{}{}
+	// A flush failure fails every in-flight submission with a typed
+	// ErrConnClosed; the queue drains later frames without writing, so
+	// submitters never hang on a dead connection. The framing is lost, so
+	// the connection is closed too: the waiter that is reading it has its
+	// failure delivered like the others, and this is what wakes it.
+	c.w = newSendQueue(conn, &c.reqPool, nil,
+		func(fb *frameBuf) *frameBuf { return fb },
+		func(_ int, err error) {
+			if err != nil {
+				c.failPending(fmt.Errorf("%w: %w", ErrConnClosed, err))
+				_ = conn.Close() // the write error is the one reported
+			}
+		})
+	return c
+}
 
-// Close shuts the connection. On a tagged connection it also stops the
-// writer goroutine and waits for it, so every in-flight Wait observes a
-// typed ErrConnClosed failure (from whichever waiter is reading, or next
-// reads, the closed connection) rather than hanging — closing
-// mid-coalesced-flush is safe: the blocked Write fails, the writer fails
-// all pendings, and exits.
+// Close shuts the connection, stops the writer goroutine and waits for
+// it, so every in-flight Wait observes a typed ErrConnClosed failure
+// (from whichever waiter is reading, or next reads, the closed
+// connection) rather than hanging — closing mid-coalesced-flush is safe:
+// the blocked Write fails, the writer fails all pendings, and exits.
 func (c *Client) Close() error {
 	err := c.conn.Close()
-	c.stopWriter()
+	c.w.stop()
 	return err
 }
 
-// request starts a lockstep request body: the opcode, then whatever the
-// caller appends.
-func request(op Op) *enc {
-	e := &enc{}
-	e.u8(uint8(op))
-	return e
-}
-
 // reqBuf is one request under construction: an encoder positioned past
-// the opcode. On the tagged transport it builds in place in a pooled
-// frame (fb), behind 12 bytes of header room — u32 frame length and u64
-// request ID, both stamped by submitFrame; on the lockstep transport it
-// is a plain body and fb is nil. The encoder may grow past the frame's
-// capacity, so the frame goes back to the client through send, never by
-// touching fb.b.
+// the opcode, building in place in a pooled frame (fb) behind 12 bytes of
+// header room — u32 frame length and u64 request ID, both stamped by
+// send. The encoder may grow past the frame's capacity, so the frame goes
+// back to the client through send, never by touching fb.b.
 type reqBuf struct {
 	enc
 	fb *frameBuf
 }
 
-// begin starts a request for the connection's current transport.
+// begin starts a request.
 func (c *Client) begin(op Op) reqBuf {
-	if !c.isTagged() {
-		return reqBuf{enc: *request(op)}
-	}
 	fb := c.reqPool.acquire(12)
 	rq := reqBuf{enc: enc{b: fb.b[:12]}, fb: fb}
 	rq.u8(uint8(op))
 	return rq
-}
-
-// send issues a built request and returns its pending completion. On the
-// tagged transport the frame goes to the send queue and the completion is
-// read by whichever waiter holds the reader token, in any order. On the lockstep transport the
-// round trip happens here, one at a time under c.mu, and the pending
-// returned has already completed.
-func (c *Client) send(rq *reqBuf) (*rawPending, error) {
-	if rq.fb != nil {
-		return c.submitFrame(rq.fb, rq.b)
-	}
-	c.mu.Lock()
-	err := writeFrame(c.conn, rq.b)
-	var body []byte
-	if err == nil {
-		body, err = readFrame(c.conn)
-	}
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	c.pmu.Lock()
-	p := c.leasePending()
-	c.pmu.Unlock()
-	p.ch <- completion(c, body, 0, nil)
-	return p, nil
 }
 
 // roundTrip sends a built request and waits for its completion.
@@ -141,86 +115,85 @@ func (c *Client) roundTrip(rq *reqBuf) (response, error) {
 	return r, r.err
 }
 
-// Identify fetches device geometry and the retention window start, and
-// negotiates the protocol version: the client announces CurrentVersion,
-// the server replies with the agreed one. Servers from before the
-// negotiation revision reject the announcement as trailing request bytes;
-// Identify then falls back to the legacy bare request and records the
-// pre-negotiation wire level.
-//
-// When the agreed version is ≥ v4 the connection switches to the tagged
-// transport the moment Identify returns. Run the first Identify to
-// completion before issuing commands from other goroutines: a command
-// racing the negotiation could hit the wire in the old framing after the
-// server has already switched. The negotiation is final: a later Identify
-// on the tagged connection reports the same version and window.
-func (c *Client) Identify() (Identity, error) {
-	rq := c.begin(OpIdentify)
-	rq.u32(c.announceMax())
-	r, err := c.roundTrip(&rq)
-	legacy := false
+// open makes sure the handshake has happened before a tagged frame goes
+// out: an untagged Identify announcing CurrentVersion, answered by the
+// device's identity. Exactly one caller sends it — whichever gets here
+// first, on whatever goroutine — while the others wait for its answer, so
+// no command can overtake it. A failed handshake is final: it becomes the
+// connection's error, which every later submission reports. fresh says
+// this call did the handshake, and id and err are then its outcome.
+func (c *Client) open() (id Identity, fresh bool, err error) {
+	c.opened.Do(func() {
+		fresh = true
+		if id, err = c.handshake(); err != nil {
+			c.pmu.Lock()
+			c.readErr = err
+			c.pmu.Unlock()
+		}
+	})
+	return id, fresh, err
+}
+
+// handshake sends the untagged Identify and reads its untagged answer.
+func (c *Client) handshake() (Identity, error) {
+	var e enc
+	e.u8(uint8(OpIdentify))
+	e.u32(CurrentVersion)
+	err := writeFrame(c.conn, e.b)
+	var body []byte
+	if err == nil {
+		body, err = readFrame(c.conn)
+	}
 	if err != nil {
-		var re *RemoteError
-		if !errors.As(err, &re) {
-			return Identity{}, err
-		}
-		legacy = true
-		rq = c.begin(OpIdentify)
-		if r, err = c.roundTrip(&rq); err != nil {
-			return Identity{}, err
-		}
+		return Identity{}, fmt.Errorf("%w: handshake: %w", ErrConnClosed, err)
 	}
-	id := Identity{
-		PageSize:     int(r.u32()),
-		LogicalPages: int(r.u64()),
-		Channels:     int(r.u32()),
-		Shards:       int(r.u32()),
-		WindowStart:  r.time(),
-		Version:      VersionArray,
-	}
-	if !legacy && r.pos < len(r.b) {
-		id.Version = int(r.u32())
-	}
-	if !legacy && r.pos < len(r.b) {
-		id.Window = int(r.u32())
-	}
-	if err := r.finish(); err != nil {
+	d := dec{b: body}
+	if err := d.status(); err != nil {
 		return Identity{}, err
 	}
-	c.mu.Lock()
-	c.version = uint32(id.Version)
-	c.window = id.Window
-	c.mu.Unlock()
-	if id.Version >= VersionService {
-		c.enableTagged()
+	return decIdentity(&d)
+}
+
+// decIdentity reads an Identify response payload. A server that agrees a
+// version below v4 speaks a transport this client does not, so the
+// connection is refused rather than desynchronised. Fields a later
+// revision appends are ignored.
+func decIdentity(d *dec) (Identity, error) {
+	id := Identity{
+		PageSize:     int(d.u32()),
+		LogicalPages: int(d.u64()),
+		Channels:     int(d.u32()),
+		Shards:       int(d.u32()),
+		WindowStart:  d.time(),
+		Version:      int(d.u32()),
+	}
+	if d.err == nil && id.Version < VersionService {
+		return Identity{}, fmt.Errorf("almaproto: server agreed protocol v%d; this client requires v%d", id.Version, VersionService)
+	}
+	id.Window = int(d.u32())
+	if d.err != nil {
+		return Identity{}, d.err
 	}
 	return id, nil
 }
 
-// announceMax returns the highest version this client announces.
-func (c *Client) announceMax() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxVersion != 0 {
-		return c.maxVersion
+// Identify fetches device geometry, the retention window start, and the
+// connection's protocol version and in-flight window. On a fresh client it
+// is the handshake itself; afterwards it is an ordinary tagged command
+// that reports the version and window the handshake agreed.
+func (c *Client) Identify() (Identity, error) {
+	if id, fresh, err := c.open(); err != nil || fresh {
+		return id, err
 	}
-	return CurrentVersion
-}
-
-// negotiated returns the connection's protocol version, running Identify
-// first if no negotiation has happened yet.
-func (c *Client) negotiated() (uint32, error) {
-	c.mu.Lock()
-	v := c.version
-	c.mu.Unlock()
-	if v != 0 {
-		return v, nil
-	}
-	id, err := c.Identify()
+	rq := c.begin(OpIdentify)
+	rq.u32(CurrentVersion)
+	r, err := c.roundTrip(&rq)
 	if err != nil {
-		return 0, err
+		return Identity{}, err
 	}
-	return uint32(id.Version), nil
+	id, err := decIdentity(&r.dec)
+	r.release()
+	return id, err
 }
 
 // The three block commands have an async form too (client_async.go): the
@@ -391,19 +364,6 @@ func (c *Client) Stats() (DeviceStats, error) {
 	return st, r.finish()
 }
 
-// requireVersion negotiates if needed and checks the agreed version
-// covers the requested surface.
-func (c *Client) requireVersion(min uint32, op Op) error {
-	v, err := c.negotiated()
-	if err != nil {
-		return err
-	}
-	if v < min {
-		return fmt.Errorf("almaproto: %v requires protocol v%d, server negotiated v%d", op, min, v)
-	}
-	return nil
-}
-
 // snapshot completes a command whose response is one obs.Snapshot.
 func (c *Client) snapshot(rq *reqBuf) (obs.Snapshot, error) {
 	r, err := c.roundTrip(rq)
@@ -415,21 +375,15 @@ func (c *Client) snapshot(rq *reqBuf) (obs.Snapshot, error) {
 }
 
 // Metrics fetches the device's full observability snapshot: counters plus
-// per-class virtual- and wall-time histograms (protocol ≥ v3).
+// per-class virtual- and wall-time histograms.
 func (c *Client) Metrics() (obs.Snapshot, error) {
-	if err := c.requireVersion(VersionObs, OpMetrics); err != nil {
-		return obs.Snapshot{}, err
-	}
 	rq := c.begin(OpMetrics)
 	return c.snapshot(&rq)
 }
 
 // Trace fetches up to max recent trace events, oldest first; max <= 0
-// requests everything the device's rings hold (protocol ≥ v3).
+// requests everything the device's rings hold.
 func (c *Client) Trace(max int) ([]obs.Event, error) {
-	if err := c.requireVersion(VersionObs, OpTrace); err != nil {
-		return nil, err
-	}
 	rq := c.begin(OpTrace)
 	rq.u32(uint32(max))
 	r, err := c.roundTrip(&rq)

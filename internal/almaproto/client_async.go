@@ -9,11 +9,11 @@ import (
 	"almanac/internal/vclock"
 )
 
-// Tagged (v4) client transport: submissions carry a client-chosen request
-// ID and completions arrive in whatever order the server finishes them.
-// Synchronous methods are a submission followed by its wait, so concurrent
-// callers on one connection pipeline; SubmitBatch/Wait hands a caller the
-// pipelining directly.
+// Tagged client transport: after the handshake (client.go's open) every
+// submission carries a client-chosen request ID and completions arrive in
+// whatever order the server finishes them. Synchronous methods are a
+// submission followed by its wait, so concurrent callers on one connection
+// pipeline; SubmitBatch/Wait hands a caller the pipelining directly.
 //
 // The waiter is the reader. There is no goroutine parked on the socket on
 // the client's behalf: a connection has one reader token (Client.rtoken),
@@ -40,19 +40,19 @@ import (
 
 // response is one completion: a decoder positioned past the status byte,
 // or one whose sticky err is the typed failure (a RemoteError, or what
-// killed the connection). On the tagged transport the decoder aliases a
-// pooled frame (fb), which finish returns; every decoder in this package
-// copies what it hands to the application, so nothing outlives that.
+// killed the connection). The decoder aliases a pooled frame (fb), which
+// finish returns; every decoder in this package copies what it hands to
+// the application, so nothing outlives that.
 type response struct {
 	dec
 	c  *Client
 	fb *frameBuf
 }
 
-// completion decodes the status of a response body whose status byte is
-// at pos, releasing fb when the completion is a failure.
-func completion(c *Client, body []byte, pos int, fb *frameBuf) response {
-	r := response{dec: dec{b: body, pos: pos}, c: c, fb: fb}
+// completion decodes the status of a tagged response frame, past its
+// request ID, releasing fb when the completion is a failure.
+func completion(c *Client, fb *frameBuf) response {
+	r := response{dec: dec{b: fb.b, pos: 8}, c: c, fb: fb}
 	if r.err = r.status(); r.err != nil {
 		r.release()
 	}
@@ -94,8 +94,7 @@ type rawPending struct {
 
 // wait blocks for the completion and recycles the pending. If the
 // completion is not in yet and nobody is reading the connection, wait
-// becomes the reader. (On the lockstep transport rtoken is nil and the
-// completion is already in ch.)
+// becomes the reader.
 func (p *rawPending) wait() response {
 	c := p.c
 	var r response
@@ -123,53 +122,6 @@ func (c *Client) leasePending() *rawPending {
 	return &rawPending{c: c, ch: make(chan response, 1)}
 }
 
-func (c *Client) isTagged() bool {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return c.tagged
-}
-
-// enableTagged flips the connection to the tagged transport (idempotent):
-// it puts the reader token in place and starts the coalescing writer.
-// Called by Identify once v4 is agreed.
-func (c *Client) enableTagged() {
-	rtoken := make(chan struct{}, 1)
-	rtoken <- struct{}{}
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.tagged {
-		return
-	}
-	c.tagged = true
-	c.nextID = 1
-	c.pend = make(map[uint64]chan response)
-	c.rtoken = rtoken
-	// A flush failure fails every in-flight submission with a typed
-	// ErrConnClosed; the queue drains later frames without writing, so
-	// submitters never hang on a dead connection. The framing is lost, so
-	// the connection is closed too: the waiter that is reading it has its
-	// failure delivered like the others, and this is what wakes it.
-	c.w = newSendQueue(c.conn, &c.reqPool, nil,
-		func(fb *frameBuf) *frameBuf { return fb },
-		func(_ int, err error) {
-			if err != nil {
-				c.failPending(fmt.Errorf("%w: %w", ErrConnClosed, err))
-				_ = c.conn.Close() // the write error is the one reported
-			}
-		})
-}
-
-// stopWriter stops the coalescing writer once its queue is drained and
-// waits for it. Idempotent; a no-op on untagged connections.
-func (c *Client) stopWriter() {
-	c.pmu.Lock()
-	w := c.w
-	c.pmu.Unlock()
-	if w != nil {
-		w.stop()
-	}
-}
-
 // readFor is the reader's role, played by the waiter on p while it holds
 // the reader token: read completions and route each to its submitter by
 // request ID until p's own is in. Every delivery is a send on a cap-1
@@ -193,7 +145,7 @@ func (c *Client) readFor(p *rawPending) response {
 		}
 		if err != nil {
 			c.failPending(err)
-			go c.stopWriter()
+			go c.w.stop()
 			return <-p.ch // failPending put it there — or an earlier failure already had
 		}
 		reqID := binary.LittleEndian.Uint64(fb.b)
@@ -205,9 +157,9 @@ func (c *Client) readFor(p *rawPending) response {
 		case nil:
 			c.respPool.release(fb) // completion for an abandoned submission
 		case p.ch:
-			return completion(c, fb.b, 8, fb)
+			return completion(c, fb)
 		default:
-			ch <- completion(c, fb.b, 8, fb)
+			ch <- completion(c, fb)
 		}
 	}
 }
@@ -225,12 +177,18 @@ func (c *Client) failPending(err error) {
 	}
 }
 
-// submitFrame registers a pending completion for a request built in fb
-// (see reqBuf), stamps its header, and hands it to the writer goroutine.
-// The frame is owned by the transport from here on: the writer releases
-// it after the flush.
-func (c *Client) submitFrame(fb *frameBuf, frame []byte) (*rawPending, error) {
-	fb.b = frame
+// send registers a pending completion for a built request, stamps its
+// header, and hands it to the send queue, handshaking first if the
+// connection has not opened yet. The frame is owned by the transport from
+// here on: whoever flushes it releases it. The completion is read by
+// whichever waiter holds the reader token, in any order.
+func (c *Client) send(rq *reqBuf) (*rawPending, error) {
+	fb := rq.fb
+	fb.b = rq.b
+	if _, _, err := c.open(); err != nil {
+		c.reqPool.release(fb)
+		return nil, err
+	}
 	binary.LittleEndian.PutUint32(fb.b, uint32(len(fb.b)-4))
 	c.pmu.Lock()
 	if c.readErr != nil {
@@ -265,19 +223,6 @@ func (c *Client) submitFrame(fb *frameBuf, frame []byte) (*rawPending, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// ensureTagged negotiates if needed and confirms the connection speaks
-// the tagged transport.
-func (c *Client) ensureTagged(op Op) error {
-	v, err := c.negotiated()
-	if err != nil {
-		return err
-	}
-	if !c.isTagged() {
-		return fmt.Errorf("almaproto: %v requires protocol v%d, server negotiated v%d", op, VersionService, v)
-	}
-	return nil
 }
 
 // ---- typed async submissions ----------------------------------------------
@@ -333,9 +278,6 @@ type PendingBatch struct {
 // Results are positional and per-op: one failing op surfaces as that
 // slot's typed error without failing the batch or the ops around it.
 func (c *Client) SubmitBatch(volID uint32, ops []service.BatchOp) (*PendingBatch, error) {
-	if err := c.ensureTagged(OpBatch); err != nil {
-		return nil, err
-	}
 	rq := c.begin(OpBatch)
 	rq.u32(volID)
 	rq.u32(uint32(len(ops)))
@@ -406,26 +348,20 @@ type VolumeInfo struct {
 	WindowStart vclock.Time
 }
 
-// volRequest starts a volume-lifecycle request, which needs v4 and opens
-// with the volume's name and the tenant key.
-func (c *Client) volRequest(op Op, name, key string) (reqBuf, error) {
-	if err := c.requireVersion(VersionService, op); err != nil {
-		return reqBuf{}, err
-	}
+// volRequest starts a volume-lifecycle request, which opens with the
+// volume's name and the tenant key.
+func (c *Client) volRequest(op Op, name, key string) reqBuf {
 	rq := c.begin(op)
 	rq.bytes([]byte(name))
 	rq.bytes([]byte(key))
-	return rq, nil
+	return rq
 }
 
 // VolCreate creates a named volume of pages logical pages protected by
 // key, with a per-volume retention promise (0 accepts the device
 // default). at stamps the creation in virtual time.
 func (c *Client) VolCreate(name, key string, pages uint64, retention vclock.Duration, at vclock.Time) (VolumeInfo, error) {
-	rq, err := c.volRequest(OpVolCreate, name, key)
-	if err != nil {
-		return VolumeInfo{}, err
-	}
+	rq := c.volRequest(OpVolCreate, name, key)
 	rq.u64(pages)
 	rq.i64(int64(retention))
 	rq.time(at)
@@ -440,10 +376,7 @@ func (c *Client) VolCreate(name, key string, pages uint64, retention vclock.Dura
 // VolDelete authenticates and deletes a volume; the returned time is the
 // virtual completion of the extent scrub.
 func (c *Client) VolDelete(name, key string, at vclock.Time) (vclock.Time, error) {
-	rq, err := c.volRequest(OpVolDelete, name, key)
-	if err != nil {
-		return at, err
-	}
+	rq := c.volRequest(OpVolDelete, name, key)
 	rq.time(at)
 	p, err := c.send(&rq)
 	if err != nil {
@@ -454,9 +387,6 @@ func (c *Client) VolDelete(name, key string, at vclock.Time) (vclock.Time, error
 
 // VolList describes every volume, in name order.
 func (c *Client) VolList() ([]VolumeInfo, error) {
-	if err := c.requireVersion(VersionService, OpVolList); err != nil {
-		return nil, err
-	}
 	rq := c.begin(OpVolList)
 	r, err := c.roundTrip(&rq)
 	if err != nil {
@@ -484,10 +414,7 @@ func (c *Client) VolList() ([]VolumeInfo, error) {
 // connection for Batch/VolRollBack/VolStats. at is the attach time used
 // to report the volume's current visible window start.
 func (c *Client) VolAttach(name, key string, at vclock.Time) (VolumeInfo, error) {
-	rq, err := c.volRequest(OpVolAttach, name, key)
-	if err != nil {
-		return VolumeInfo{}, err
-	}
+	rq := c.volRequest(OpVolAttach, name, key)
 	rq.time(at)
 	r, err := c.roundTrip(&rq)
 	if err != nil {
@@ -503,9 +430,6 @@ func (c *Client) VolAttach(name, key string, at vclock.Time) (VolumeInfo, error)
 // VolStats fetches the per-volume observability snapshot of an attached
 // volume.
 func (c *Client) VolStats(volID uint32) (obs.Snapshot, error) {
-	if err := c.requireVersion(VersionService, OpVolStats); err != nil {
-		return obs.Snapshot{}, err
-	}
 	rq := c.begin(OpVolStats)
 	rq.u32(volID)
 	return c.snapshot(&rq)
@@ -514,9 +438,6 @@ func (c *Client) VolStats(volID uint32) (obs.Snapshot, error) {
 // VolRollBack reverts an attached volume to its state at time t. Other
 // volumes are untouched.
 func (c *Client) VolRollBack(volID uint32, t, at vclock.Time) (int, vclock.Time, error) {
-	if err := c.requireVersion(VersionService, OpVolRollBack); err != nil {
-		return 0, at, err
-	}
 	rq := c.begin(OpVolRollBack)
 	rq.u32(volID)
 	rq.time(t)

@@ -9,44 +9,42 @@ import (
 	"almanac/internal/vclock"
 )
 
-// opSpec is one row of the dispatch table: the opcode's name, the lowest
-// negotiated version that may issue it, and its handler. A handler
-// decodes its payload from d, executes, and appends the response payload
-// to e (already holding the OK status); everything around that — the
-// version gate, unknown opcodes, trailing request bytes, turning an error
-// into a status frame — is dispatch's.
+// opSpec is one row of the dispatch table: the opcode's name and its
+// handler. A handler decodes its payload from d, executes, and appends the
+// response payload to e (already holding the OK status); everything around
+// that — unknown opcodes, trailing request bytes, turning an error into a
+// status frame — is dispatch's.
 type opSpec struct {
-	name  string
-	since uint32
-	run   func(s *Server, st *connState, d *dec, e *enc) error
+	name string
+	run  func(s *Server, st *connState, d *dec, e *enc) error
 }
 
 // ops is indexed by opcode. Per the revision rule it only ever grows at
 // the end.
 var ops = [...]opSpec{
-	OpIdentify:         {"Identify", Version1, (*Server).identify},
-	OpRead:             {"Read", Version1, (*Server).read},
-	OpWrite:            {"Write", Version1, (*Server).write},
-	OpTrim:             {"Trim", Version1, (*Server).trim},
-	OpAddrQuery:        {"AddrQuery", Version1, (*Server).addrQuery},
-	OpAddrQueryRange:   {"AddrQueryRange", Version1, (*Server).addrQuery},
-	OpAddrQueryAll:     {"AddrQueryAll", Version1, (*Server).addrQuery},
-	OpTimeQuery:        {"TimeQuery", Version1, (*Server).timeQuery},
-	OpTimeQueryRange:   {"TimeQueryRange", Version1, (*Server).timeQuery},
-	OpTimeQueryAll:     {"TimeQueryAll", Version1, (*Server).timeQuery},
-	OpRollBack:         {"RollBack", Version1, (*Server).rollBack},
-	OpRollBackParallel: {"RollBackParallel", Version1, (*Server).rollBackParallel},
-	OpStats:            {"Stats", Version1, (*Server).stats},
-	OpRollBackAll:      {"RollBackAll", VersionArray, (*Server).rollBackAll},
-	OpMetrics:          {"Metrics", VersionObs, (*Server).metrics},
-	OpTrace:            {"Trace", VersionObs, (*Server).trace},
-	OpVolCreate:        {"VolCreate", VersionService, (*Server).volCreate},
-	OpVolDelete:        {"VolDelete", VersionService, (*Server).volDelete},
-	OpVolList:          {"VolList", VersionService, (*Server).volList},
-	OpVolAttach:        {"VolAttach", VersionService, (*Server).volAttach},
-	OpVolStats:         {"VolStats", VersionService, (*Server).volStats},
-	OpVolRollBack:      {"VolRollBack", VersionService, (*Server).volRollBack},
-	OpBatch:            {"Batch", VersionService, (*Server).batch},
+	OpIdentify:         {"Identify", (*Server).identify},
+	OpRead:             {"Read", (*Server).read},
+	OpWrite:            {"Write", (*Server).write},
+	OpTrim:             {"Trim", (*Server).trim},
+	OpAddrQuery:        {"AddrQuery", (*Server).addrQuery},
+	OpAddrQueryRange:   {"AddrQueryRange", (*Server).addrQuery},
+	OpAddrQueryAll:     {"AddrQueryAll", (*Server).addrQuery},
+	OpTimeQuery:        {"TimeQuery", (*Server).timeQuery},
+	OpTimeQueryRange:   {"TimeQueryRange", (*Server).timeQuery},
+	OpTimeQueryAll:     {"TimeQueryAll", (*Server).timeQuery},
+	OpRollBack:         {"RollBack", (*Server).rollBack},
+	OpRollBackParallel: {"RollBackParallel", (*Server).rollBackParallel},
+	OpStats:            {"Stats", (*Server).stats},
+	OpRollBackAll:      {"RollBackAll", (*Server).rollBackAll},
+	OpMetrics:          {"Metrics", (*Server).metrics},
+	OpTrace:            {"Trace", (*Server).trace},
+	OpVolCreate:        {"VolCreate", (*Server).volCreate},
+	OpVolDelete:        {"VolDelete", (*Server).volDelete},
+	OpVolList:          {"VolList", (*Server).volList},
+	OpVolAttach:        {"VolAttach", (*Server).volAttach},
+	OpVolStats:         {"VolStats", (*Server).volStats},
+	OpVolRollBack:      {"VolRollBack", (*Server).volRollBack},
+	OpBatch:            {"Batch", (*Server).batch},
 }
 
 // dispatch executes one command body and builds the response body.
@@ -65,12 +63,9 @@ func (s *Server) execute(st *connState, body []byte, e *enc) error {
 	if len(body) == 0 {
 		return ErrShortPayload
 	}
-	op, v := Op(body[0]), st.version.Load()
+	op := Op(body[0])
 	if int(op) >= len(ops) || ops[op].run == nil {
-		return fmt.Errorf("almaproto: unknown opcode %d (connection negotiated protocol v%d)", body[0], v)
-	}
-	if since := ops[op].since; v < since {
-		return fmt.Errorf("almaproto: %v requires protocol v%d, connection negotiated v%d", op, since, v)
+		return fmt.Errorf("almaproto: unknown opcode %d (protocol v%d)", body[0], CurrentVersion)
 	}
 	if s.hold != nil {
 		s.hold(op, body)
@@ -102,40 +97,48 @@ func (e *enc) count(res timekits.Result[int], err error) error {
 	return err
 }
 
-// identify negotiates the connection's version. v3 clients announce
-// their maximum version; a bare request is a pre-v3 client and pins the
-// connection at the legacy level. The agreed version is appended to the
-// response — legacy clients ignore trailing response bytes, so the
-// extension is compatible — and v4 appends the in-flight window of the
-// tagged transport after it (a pre-v4 negotiation advertises none).
-//
-// Negotiation happens once: on a connection already speaking the tagged
-// transport an Identify reports the agreed version and window and changes
-// neither, whatever it announces — frames are in flight under them.
-func (s *Server) identify(st *connState, d *dec, e *enc) error {
-	v := uint32(VersionArray)
-	if d.pos < len(d.b) {
-		v = max(min(d.u32(), s.serverMax()), Version1)
-		if d.err != nil {
-			return d.err
-		}
+// handshake answers a connection's first frame, which must be an Identify
+// announcing v4 or later and nothing else. The agreed version is
+// min(announced, CurrentVersion): v4, the one transport this server
+// speaks. Anything else — a bare Identify, an older announcement, another
+// opcode, an empty body — is refused with an untagged error frame naming
+// v4; ok reports which, and the caller hangs up on a refusal.
+func (s *Server) handshake(body []byte) (resp []byte, ok bool) {
+	e := &enc{}
+	d := dec{b: body, pos: 1}
+	if len(body) > 0 && Op(body[0]) == OpIdentify && d.u32() >= VersionService && d.pos == len(body) {
+		e.u8(StatusOK)
+		s.identity(e)
+		return e.b, true
 	}
-	if agreed := st.version.Load(); agreed >= VersionService {
-		v = agreed
-	} else {
-		st.version.Store(v)
+	e.u8(StatusError)
+	e.bytes([]byte(fmt.Sprintf("almaproto: protocol v%d required: a connection opens with an Identify announcing v%d or later", VersionService, VersionService)))
+	return e.b, false
+}
+
+// identify answers an Identify on an open connection. The version was
+// agreed at the handshake and is final — frames are in flight under it —
+// so the announcement is read but changes nothing.
+func (s *Server) identify(_ *connState, d *dec, e *enc) error {
+	d.u32()
+	if d.err != nil {
+		return d.err
 	}
+	s.identity(e)
+	return nil
+}
+
+// identity appends the Identify response payload: geometry, the retention
+// window start, the agreed version and the in-flight window.
+func (s *Server) identity(e *enc) {
 	e.u32(uint32(s.arr.PageSize()))
 	e.u64(uint64(s.arr.LogicalPages()))
 	// Total flash channels the host can drive concurrently.
 	e.u32(uint32(s.arr.Shards() * s.arr.ShardConfig().FTL.Flash.Channels))
 	e.u32(uint32(s.arr.Shards()))
 	e.time(s.arr.RetentionWindowStart())
-	e.u32(v)
-	if v >= VersionService {
-		e.u32(uint32(s.window))
-	}
-	return nil
+	e.u32(CurrentVersion)
+	e.u32(uint32(s.window))
 }
 
 func (s *Server) read(_ *connState, d *dec, e *enc) error {

@@ -3,6 +3,7 @@ package almaproto
 import (
 	"encoding/binary"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,18 +30,24 @@ func batchReq(id uint32, n, pageSize int) raw {
 	return req
 }
 
-// FuzzTaggedFrame writes arbitrary bytes into the tagged (v4) serve loop
-// of a connection that negotiated v4, through execute, the batch fast
-// path and the batch decoder. The server must not panic, must answer
-// every frame it can read, and ServeOne must return once the client hangs
-// up. Every frame the server writes must be a well-formed tagged
-// completion: a length prefix, a request ID the input carried (no more
-// often than it carried it), and a status byte.
+// FuzzTaggedFrame fuzzes a connection from its first byte: hs is the body
+// of the handshake frame, and in the bytes written after it, which reach
+// the tagged serve loop, execute, the batch fast path and the batch
+// decoder.
+// The server must not panic and must answer the handshake with one
+// well-formed untagged frame: the identity if hs is an Identify announcing
+// v4 or later, and otherwise an error naming v4, after which it closes.
+// Past an accepted handshake it must answer every frame it can read, and
+// ServeOne must return once the client hangs up. Every frame the server
+// writes there must be a well-formed tagged completion: a length prefix, a
+// request ID the input carried (no more often than it carried it), and a
+// status byte.
 func FuzzTaggedFrame(f *testing.F) {
 	const ps = 512 // newServiceArray's page size
 	at := vclock.Time(vclock.Hour)
 	create := tagged(1, raw{}.u8(uint8(OpVolCreate)).blob([]byte("v")).blob([]byte("k")).u64(16).i64(0).t(at))
 	attach := tagged(2, raw{}.u8(uint8(OpVolAttach)).blob([]byte("v")).blob([]byte("k")).t(at))
+	hello := []byte(raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion))
 	requests := []raw{
 		raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion),
 		raw{}.u8(uint8(OpWrite)).u64(5).t(at).blob(page(nil, 0xa1, ps)),
@@ -64,20 +71,34 @@ func FuzzTaggedFrame(f *testing.F) {
 		raw{}.u8(uint8(OpVolDelete)).blob([]byte("v")).blob([]byte("k")).t(at),
 	}
 	for i, req := range requests {
-		f.Add(append(append([]byte(nil), create...), tagged(uint64(0x100+i), req)...))
+		f.Add(hello, append(append([]byte(nil), create...), tagged(uint64(0x100+i), req)...))
 	}
 	for _, n := range []int{1, 16} {
 		b := append(append([]byte(nil), create...), attach...)
-		f.Add(append(b, tagged(0x200, batchReq(1, n, ps))...))
+		f.Add(hello, append(b, tagged(0x200, batchReq(1, n, ps))...))
 	}
-	f.Add(tagged(0x300, batchReq(1, 1, ps))) // not attached: the generic path
+	f.Add(hello, tagged(0x300, batchReq(1, 1, ps))) // not attached: the generic path
 	whole := tagged(0x400, requests[1])
-	f.Add(whole[:len(whole)/2])                                       // cut mid-body
-	f.Add(whole[:6])                                                  // cut mid-ID
-	f.Add([]byte(raw{}.u32(4).u32(0)))                                // too short for an ID
-	f.Add([]byte(append(raw{}.u32(maxFrame+1), make([]byte, 16)...))) // past maxFrame
+	f.Add(hello, whole[:len(whole)/2])                                       // cut mid-body
+	f.Add(hello, whole[:6])                                                  // cut mid-ID
+	f.Add(hello, []byte(raw{}.u32(4).u32(0)))                                // too short for an ID
+	f.Add(hello, []byte(append(raw{}.u32(maxFrame+1), make([]byte, 16)...))) // past maxFrame
+	// Handshakes: refused ones, then ones past v4 that agree v4.
+	for _, hs := range []raw{
+		raw{}.u8(uint8(OpIdentify)),
+		raw{}.u8(uint8(OpIdentify)).u32(1),
+		raw{}.u8(uint8(OpIdentify)).u32(2),
+		raw{}.u8(uint8(OpIdentify)).u32(3),
+		raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion).u8(0), // trailing byte
+		raw{}.u8(uint8(OpRead)).u64(5).t(at),
+		{},
+		raw{}.u8(uint8(OpIdentify)).u32(5),
+		raw{}.u8(uint8(OpIdentify)).u32(1 << 31),
+	} {
+		f.Add([]byte(hs), whole)
+	}
 
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Fuzz(func(t *testing.T, hs, in []byte) {
 		srv := NewServiceServer(newServiceArray(t))
 		cliEnd, srvEnd := net.Pipe()
 		served := make(chan struct{})
@@ -90,11 +111,32 @@ func FuzzTaggedFrame(f *testing.F) {
 			cliEnd.Close()
 		}()
 
-		if err := writeFrame(cliEnd, raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion)); err != nil {
+		if len(hs) > maxFrame {
+			t.Skip("handshake body past maxFrame")
+		}
+		if _, err := cliEnd.Write(framed(hs)); err != nil {
 			t.Fatal(err)
 		}
-		if resp, err := readFrame(cliEnd); err != nil || len(resp) == 0 || resp[0] != StatusOK {
-			t.Fatalf("v4 Identify: % x, %v", resp, err)
+		resp, err := readFrame(cliEnd)
+		if err != nil || len(resp) == 0 {
+			t.Fatalf("handshake % x: answer % x, %v", hs, resp, err)
+		}
+		d := dec{b: resp}
+		herr := d.status()
+		if len(hs) == 5 && Op(hs[0]) == OpIdentify && binary.LittleEndian.Uint32(hs[1:]) >= CurrentVersion {
+			if id, err := decIdentity(&d); herr != nil || err != nil || id.Version != CurrentVersion || d.pos != len(resp) {
+				t.Fatalf("handshake % x: answer % x (%v, %v), want the v4 identity", hs, resp, herr, err)
+			}
+		} else {
+			if herr == nil || !strings.Contains(herr.Error(), "v4") || d.pos != len(resp) {
+				t.Fatalf("handshake % x: answer % x (%v), want one error naming v4", hs, resp, herr)
+			}
+			select {
+			case <-served:
+			case <-time.After(10 * time.Second):
+				t.Fatal("ServeOne did not return after refusing the handshake")
+			}
+			return
 		}
 
 		// The server answers every frame it reads, even after it stops

@@ -13,47 +13,56 @@
 // Wire format (little endian):
 //
 //	frame  := u32 bodyLen, body
-//	request body  := u8 opcode, payload…
-//	response body := u8 status (0 = OK), payload… | error string
+//
+// # Handshake
+//
+// A connection opens with one untagged exchange: the client's first frame
+// is an Identify announcing the highest version it speaks, and the server
+// answers with the device's identity, the agreed version — min(client
+// max, server max) — and the per-connection in-flight window:
+//
+//	handshake request  := u8 OpIdentify, u32 announced version
+//	handshake response := u8 status (0 = OK), identity… | error string
+//
+// This build speaks v4 only. Pre-v4 peers are refused at the handshake: a
+// first frame that is anything but an Identify announcing v4 or later —
+// a bare Identify, an older announcement, another opcode — gets one
+// untagged error frame naming v4, and the server closes the connection. A
+// client that is offered a version below v4 refuses it too. Neither end
+// ever guesses at a framing the other may not speak.
+//
+// # Tagged transport
+//
+// Every frame after the handshake is tagged:
+//
+//	tagged request body  := u64 reqID, u8 opcode, payload…
+//	tagged response body := u64 reqID, u8 status, payload… | error string
+//
+// Request IDs are chosen by the client and only echoed by the server, so
+// a client may pipeline many submissions and match completions as they
+// arrive — completions are unordered, exactly like an NVMe completion
+// queue. The server bounds concurrency with the in-flight window
+// advertised at the handshake: once the window is full it stops reading
+// further frames, which backpressures the submitter through the
+// transport.
 //
 // # Protocol revisions
 //
 // The revision rule: opcodes are append-only — a new command takes the
 // next free opcode value, and existing opcodes never change value or
 // payload shape. Servers may append new fields to the *end* of an
-// existing response payload only when every older client ignores trailing
-// response bytes for that opcode (the Identify negotiation below relies
-// on exactly this property). Request payloads are closed: servers reject
-// trailing request bytes, so extending a request requires a new opcode.
+// existing response payload only when every client ignores trailing
+// response bytes for that opcode (the Identify response grew this way).
+// Request payloads are closed: servers reject trailing request bytes, so
+// extending a request requires a new opcode. Status codes are append-only
+// as well.
 //
-// Versions gate the opcode set. A client announces the highest version it
-// speaks in OpIdentify (a u32 after the opcode; absent for pre-v3
-// clients), the server replies with the agreed version — min(client max,
-// server max) — appended to the Identify response, and commands
-// introduced after the agreed version fail with an error naming it
-// instead of desynchronising the stream:
+// The revisions so far, of which only the last is still served:
 //
-//	v1: OpIdentify … OpStats (single device)
+//	v1: OpIdentify … OpStats (single device), lockstep frames
 //	v2: + OpRollBackAll (array revision)
 //	v3: + version negotiation, OpMetrics, OpTrace (observability)
 //	v4: + tagged pipelined transport, volume opcodes, OpBatch (service)
-//
-// # Tagged transport (v4)
-//
-// A connection that negotiates v4 switches, starting with the first
-// frame after the Identify response, to tagged frames:
-//
-//	tagged request body  := u64 reqID, u8 opcode, payload…
-//	tagged response body := u64 reqID, u8 status, payload…
-//
-// Request IDs are chosen by the client and only echoed by the server, so
-// a client may pipeline many submissions and match completions as they
-// arrive — completions are unordered, exactly like an NVMe completion
-// queue. The server bounds concurrency with a per-connection in-flight
-// window (advertised in the Identify response): once the window is full
-// it stops reading further frames, which backpressures the submitter
-// through the transport. Pre-v4 connections keep the one-frame-at-a-time
-// request/response transport above, unchanged.
 package almaproto
 
 import (
@@ -90,13 +99,11 @@ const (
 	// the append-only rule it sits after OpStats so every pre-existing
 	// opcode keeps its value.
 	OpRollBackAll
-	// OpMetrics and OpTrace are the v3 observability surface; both
-	// require a negotiated version ≥ VersionObs.
+	// OpMetrics and OpTrace are the v3 observability surface.
 	OpMetrics
 	OpTrace
 	// The v4 service surface (internal/service): named volumes and
-	// multi-op batches. All of these require a negotiated version ≥
-	// VersionService.
+	// multi-op batches.
 	OpVolCreate
 	OpVolDelete
 	OpVolList
@@ -107,12 +114,10 @@ const (
 )
 
 // Protocol versions (see the package documentation for the revision
-// rule). CurrentVersion is the highest version this build speaks.
+// history). VersionService is the lowest version a handshake may agree;
+// CurrentVersion is the highest this build speaks.
 const (
-	Version1       = 1 // single-device command set, through OpStats
-	VersionArray   = 2 // + OpRollBackAll
-	VersionObs     = 3 // + Identify negotiation, OpMetrics, OpTrace
-	VersionService = 4 // + tagged pipelined transport, volumes, OpBatch
+	VersionService = 4 // tagged pipelined transport, volumes, OpBatch
 	CurrentVersion = VersionService
 )
 
@@ -132,8 +137,8 @@ const maxFrame = 64 << 20
 var (
 	ErrFrameTooLarge = errors.New("almaproto: frame exceeds limit")
 	ErrShortPayload  = errors.New("almaproto: truncated payload")
-	// ErrConnClosed marks a tagged-transport failure: the connection died
-	// with submissions in flight. Every outstanding Wait and every later
+	// ErrConnClosed marks a transport failure: the connection died, at
+	// the handshake or with submissions in flight. Every outstanding Wait and every later
 	// Submit on the connection reports it, so pipelined callers get a
 	// typed error instead of a hang when the server goes away.
 	ErrConnClosed = errors.New("almaproto: connection closed")
@@ -415,11 +420,10 @@ func decRecords(d *dec) []core.UpdateRecord {
 // Identity describes the device to the host. Shards advertises the
 // backing topology (1 for a single device, N for a striped array); Channels is
 // the total flash channel count across all shards — the device-internal
-// parallelism TimeKits callers can exploit. Version is the negotiated
-// protocol version for the connection Identify ran on. Window is the
-// server's per-connection in-flight window for the tagged transport
-// (appended to the Identify response by v4 servers; 0 when the peer or
-// the negotiated version predates v4, meaning no pipelining).
+// parallelism TimeKits callers can exploit. Version is the protocol
+// version the connection's handshake agreed — v4, the only one served —
+// and Window the server's per-connection in-flight window for the tagged
+// transport; both are fixed for the life of the connection.
 type Identity struct {
 	PageSize     int
 	LogicalPages int

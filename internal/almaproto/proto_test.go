@@ -2,9 +2,11 @@ package almaproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 
 	"almanac/internal/array"
@@ -247,8 +249,11 @@ func TestTCPServer(t *testing.T) {
 	}
 }
 
-// TestWireFuzz throws random garbage frames at the dispatcher: it must
-// answer every one with an error response, never panic or accept.
+// TestWireFuzz throws random garbage frames at the dispatcher and at the
+// handshake: neither may panic or accept garbage. The dispatcher answers
+// every frame, with an error unless it is a real command, and the
+// handshake accepts only an Identify announcing v4 or later and refuses
+// everything else with an error naming v4.
 func TestWireFuzz(t *testing.T) {
 	dev := newDevice(t)
 	srv := serveDevice(t, dev)
@@ -258,6 +263,14 @@ func TestWireFuzz(t *testing.T) {
 		n := rng.Intn(64)
 		body := make([]byte, n)
 		rng.Read(body)
+		hs, ok := srv.handshake(body)
+		valid := n == 5 && Op(body[0]) == OpIdentify && binary.LittleEndian.Uint32(body[1:]) >= CurrentVersion
+		if ok != valid || len(hs) == 0 || (hs[0] == StatusOK) != valid {
+			t.Fatalf("fuzz %d: handshake on % x: accepted %v, response % x", i, body, ok, hs)
+		}
+		if msg := string((&dec{b: hs, pos: 1}).bytes()); !valid && !strings.Contains(msg, "v4") {
+			t.Fatalf("fuzz %d: handshake refusal does not name v4: %q", i, msg)
+		}
 		resp := srv.dispatch(st, body)
 		if len(resp) == 0 {
 			t.Fatalf("fuzz %d: empty response", i)

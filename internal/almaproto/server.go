@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"almanac/internal/array"
@@ -41,14 +40,12 @@ type Server struct {
 	svc *service.Service
 	arr *array.Array // svc.Array()
 
-	// window is the per-connection in-flight bound of the v4 tagged
-	// transport; maxVersion caps negotiation (CurrentVersion when zero —
-	// tests lower it to emulate older servers). hold, when a test sets it,
-	// runs before each command executes, on the goroutine dispatching it:
-	// the seam tests use to pin a command in flight.
-	window     int
-	maxVersion uint32
-	hold       func(op Op, body []byte)
+	// window is the per-connection in-flight bound of the tagged
+	// transport. hold, when a test sets it, runs before each command
+	// executes, on the goroutine dispatching it: the seam tests use to pin
+	// a command in flight.
+	window int
+	hold   func(op Op, body []byte)
 
 	lnMu     sync.Mutex
 	ln       net.Listener
@@ -63,7 +60,7 @@ type Server struct {
 	wireLive  map[*obs.WireStats]struct{}
 }
 
-// DefaultWindow is the per-connection in-flight window advertised to v4
+// DefaultWindow is the per-connection in-flight window advertised to
 // clients: deep enough to keep every shard queue of a typical array busy,
 // shallow enough to bound per-connection server memory.
 const DefaultWindow = 128
@@ -75,14 +72,6 @@ const DefaultWindow = 128
 // 1-shard array first.
 func NewServiceServer(svc *service.Service) *Server {
 	return &Server{svc: svc, arr: svc.Array(), window: DefaultWindow, conns: make(map[net.Conn]struct{})}
-}
-
-// serverMax returns the highest version this server negotiates.
-func (s *Server) serverMax() uint32 {
-	if s.maxVersion != 0 {
-		return s.maxVersion
-	}
-	return CurrentVersion
 }
 
 // Metrics returns the array's observability snapshot, as OpMetrics does.
@@ -185,27 +174,17 @@ func (s *Server) Shutdown() error {
 	return err
 }
 
-// connState is the per-connection protocol state. Until a client
-// identifies itself, it is assumed to speak the pre-negotiation wire
-// level (VersionArray): every opcode that predates v3 works, the v3
-// surface is gated. The version is negotiated once: it can change while
-// the connection is lockstep, and is fixed from the Identify that agrees
-// v4 onwards — the tagged transport dispatches concurrently, and a later
-// Identify must not pull the version out from under frames in flight.
+// connState is the per-connection protocol state: attached maps volume
+// id → handle for volumes this connection authenticated against with
+// OpVolAttach. Guarded by mu: attaches run concurrently with batch
+// lookups.
 type connState struct {
-	version atomic.Uint32
-
-	// attached maps volume id → handle for volumes this connection
-	// authenticated against with OpVolAttach. Guarded by mu: attaches on
-	// a tagged connection run concurrently with batch lookups.
 	mu       sync.Mutex
 	attached map[uint32]*service.Volume
 }
 
 func newConnState() *connState {
-	st := &connState{attached: make(map[uint32]*service.Volume)}
-	st.version.Store(VersionArray)
-	return st
+	return &connState{attached: make(map[uint32]*service.Volume)}
 }
 
 // volume resolves an attached volume id; the typed ErrAuth failure tells
@@ -221,29 +200,22 @@ func (st *connState) volume(id uint32) (*service.Volume, error) {
 }
 
 // ServeOne handles exactly one connection (Serve runs it per accepted
-// connection; tests call it over net.Pipe): the lockstep transport of
-// v1–v3 — one frame in, one frame out — until an Identify agrees v4,
-// then the tagged transport.
+// connection; tests call it over net.Pipe): the untagged handshake, then
+// the tagged transport until the peer goes away. A peer whose handshake is
+// refused gets one untagged error frame and the connection ends there.
 func (s *Server) ServeOne(conn io.ReadWriter) {
-	st := newConnState()
-	for {
-		body, err := readFrame(conn)
-		if err != nil {
-			return // EOF, broken peer, or drain deadline
-		}
-		if err := writeFrame(conn, s.dispatch(st, body)); err != nil {
-			return
-		}
-		// The Identify response that negotiated v4 is the last untagged
-		// frame; everything after it speaks the tagged transport.
-		if st.version.Load() >= VersionService {
-			s.serveTagged(conn, st)
-			return
-		}
+	body, err := readFrame(conn)
+	if err != nil {
+		return // EOF, broken peer, or drain deadline
 	}
+	resp, ok := s.handshake(body)
+	if writeFrame(conn, resp) != nil || !ok {
+		return
+	}
+	s.serveTagged(conn, newConnState())
 }
 
-// serveTagged is the v4 transport loop, split into a reader (this
+// serveTagged is the tagged transport loop, split into a reader (this
 // goroutine) and a completion-draining writer (sendQueue): the reader
 // pulls tagged frames into pooled buffers, OpBatch frames take a fast
 // path that submits every op to its shard in one pass, every other opcode
@@ -322,7 +294,7 @@ func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
 }
 
 // taggedConn is the server's state for one connection on the tagged
-// transport: the negotiated connState, the request and response frame
+// transport: the connState, the request and response frame
 // pools, the coalescing writer, and a free list of batch scratch sized to
 // the window (at most that many batches are in flight).
 type taggedConn struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -347,102 +346,6 @@ func TestVolumeAuthOverWire(t *testing.T) {
 	}
 }
 
-// TestInteropOldClientNewServer emulates v1/v2/v3 clients against a v4
-// service server: negotiation lands on the client's level, the connection
-// stays untagged, the pre-v4 surface works, and the v4 surface fails with
-// an error naming both versions.
-func TestInteropOldClientNewServer(t *testing.T) {
-	for _, cv := range []uint32{Version1, VersionArray, VersionObs} {
-		t.Run(fmt.Sprintf("v%d", cv), func(t *testing.T) {
-			c, _ := servicePipe(t)
-			c.maxVersion = cv
-			id, err := c.Identify()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if uint32(id.Version) != cv {
-				t.Fatalf("negotiated v%d, want v%d", id.Version, cv)
-			}
-			if id.Window != 0 {
-				t.Fatalf("pre-v4 negotiation advertised window %d", id.Window)
-			}
-			c.pmu.Lock()
-			tagged := c.tagged
-			c.pmu.Unlock()
-			if tagged {
-				t.Fatal("pre-v4 client switched to the tagged transport")
-			}
-
-			at := vclock.Time(vclock.Second)
-			if _, err := c.Write(3, page(c, 0x77, 512), at); err != nil {
-				t.Fatal(err)
-			}
-			data, _, err := c.Read(3, at.Add(vclock.Second))
-			if err != nil || data[0] != 0x77 {
-				t.Fatalf("pre-v4 read broken: %v %#x", err, data[0])
-			}
-
-			_, err = c.VolCreate("x", "k", 8, 0, at)
-			if err == nil || !strings.Contains(err.Error(), "requires protocol v4") ||
-				!strings.Contains(err.Error(), fmt.Sprintf("v%d", cv)) {
-				t.Fatalf("VolCreate on v%d connection: %v", cv, err)
-			}
-
-			_, err = c.Metrics()
-			if cv >= VersionObs && err != nil {
-				t.Fatalf("v3 client lost Metrics: %v", err)
-			}
-			if cv < VersionObs && (err == nil || !strings.Contains(err.Error(), "requires protocol v3")) {
-				t.Fatalf("Metrics on v%d connection: %v", cv, err)
-			}
-		})
-	}
-}
-
-// TestInteropNewClientOldServer emulates v1/v2/v3 servers under a v4
-// client: the client stays on the sync transport, classic commands work,
-// and both the async surface and the volume surface fail with version
-// errors.
-func TestInteropNewClientOldServer(t *testing.T) {
-	for _, sv := range []uint32{Version1, VersionArray, VersionObs} {
-		t.Run(fmt.Sprintf("v%d", sv), func(t *testing.T) {
-			dev := newDevice(t)
-			srv := serveDevice(t, dev)
-			srv.maxVersion = sv
-			cliEnd, srvEnd := net.Pipe()
-			t.Cleanup(func() { cliEnd.Close(); srvEnd.Close() })
-			go srv.ServeOne(srvEnd)
-			c := NewClient(cliEnd)
-
-			id, err := c.Identify()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if uint32(id.Version) != sv || id.Window != 0 {
-				t.Fatalf("negotiated v%d window %d against a v%d server", id.Version, id.Window, sv)
-			}
-
-			at := vclock.Time(vclock.Second)
-			if _, err := c.Write(5, page(c, 0x33, dev.PageSize()), at); err != nil {
-				t.Fatal(err)
-			}
-			data, _, err := c.Read(5, at.Add(vclock.Second))
-			if err != nil || data[0] != 0x33 {
-				t.Fatalf("sync path broken against v%d server: %v", sv, err)
-			}
-
-			if _, err := c.SubmitBatch(1, nil); err == nil ||
-				!strings.Contains(err.Error(), "requires protocol v4") {
-				t.Fatalf("SubmitBatch against v%d server: %v", sv, err)
-			}
-			if _, err := c.VolList(); err == nil ||
-				!strings.Contains(err.Error(), "requires protocol v4") {
-				t.Fatalf("VolList against v%d server: %v", sv, err)
-			}
-		})
-	}
-}
-
 // TestPipelinedClientConcurrency hammers one tagged connection from many
 // goroutines — sync methods and bare submissions together — and then
 // verifies every page landed intact. Run under -race this also proves the
@@ -549,10 +452,9 @@ func TestSubmitSurvivesDrain(t *testing.T) {
 }
 
 // TestIdentifyNegotiatesOnce announces v3 in the middle of a v4 pipeline.
-// The connection is tagged and frames are in flight under the agreed
-// version, so the second Identify must report that version and window
-// and change neither: batches submitted before and after it keep
-// completing.
+// The version was agreed at the handshake and frames are in flight under
+// it, so the tagged Identify must report that version and window and
+// change neither: batches submitted before and after it keep completing.
 func TestIdentifyNegotiatesOnce(t *testing.T) {
 	c, _ := servicePipe(t)
 	id, err := c.Identify()
@@ -586,7 +488,7 @@ func TestIdentifyNegotiatesOnce(t *testing.T) {
 	submit(8)
 
 	rq := c.begin(OpIdentify)
-	rq.u32(VersionObs)
+	rq.u32(3)
 	r, err := c.roundTrip(&rq)
 	if err != nil {
 		t.Fatalf("Identify on a tagged connection: %v", err)

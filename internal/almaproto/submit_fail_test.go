@@ -176,17 +176,14 @@ func TestSubmitServerCloseMidFlight(t *testing.T) {
 	noFrameLeased(t, c)
 }
 
-// taggedClient is a white-box client with the tagged transport forced on
-// and no server: the test plays the peer on the returned end.
+// taggedClient is a white-box client whose handshake is taken as done and
+// no server: the test plays the peer on the returned end.
 func taggedClient(t *testing.T) (*Client, net.Conn) {
 	t.Helper()
 	cliEnd, srvEnd := net.Pipe()
 	t.Cleanup(func() { srvEnd.Close() })
 	c := NewClient(cliEnd)
-	c.mu.Lock()
-	c.version = CurrentVersion
-	c.mu.Unlock()
-	c.enableTagged()
+	c.opened.Do(func() {})
 	return c, srvEnd
 }
 
@@ -290,10 +287,7 @@ func (h *halfDeadConn) Close() error              { h.once.Do(func() { close(h.c
 // closes the connection.
 func TestWriteFailureWakesReadingWaiter(t *testing.T) {
 	c := NewClient(&halfDeadConn{closed: make(chan struct{})})
-	c.mu.Lock()
-	c.version = CurrentVersion
-	c.mu.Unlock()
-	c.enableTagged()
+	c.opened.Do(func() {}) // the handshake is taken as done
 	defer c.Close()
 	// Register a submission without sending it, as if its frame had gone
 	// out while the connection was healthy, and wait on it.

@@ -3,7 +3,6 @@ package almaproto
 import (
 	"bytes"
 	"encoding/binary"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,18 +26,19 @@ func (r raw) blob(p []byte) raw   { return append(r.u32(uint32(len(p))), p...) }
 
 // TestGoldenRequestBytes pins the client-side encoding of a simple
 // request against a hardcoded byte string: opcode, then fields in
-// documented order, little endian throughout.
+// documented order, little endian throughout. The request is built in its
+// frame behind the 12 bytes of header room send stamps.
 func TestGoldenRequestBytes(t *testing.T) {
-	e := request(OpRead)
-	e.u64(0x0102030405060708)
-	e.time(vclock.Time(0x1112131415161718))
+	rq := (&Client{}).begin(OpRead)
+	rq.u64(0x0102030405060708)
+	rq.time(vclock.Time(0x1112131415161718))
 	want := []byte{
 		0x02,
 		0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
 		0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
 	}
-	if !bytes.Equal(e.b, want) {
-		t.Fatalf("OpRead request encoding:\n got % x\nwant % x", e.b, want)
+	if !bytes.Equal(rq.b[12:], want) {
+		t.Fatalf("OpRead request encoding:\n got % x\nwant % x", rq.b[12:], want)
 	}
 }
 
@@ -48,7 +48,8 @@ func TestGoldenRequestBytes(t *testing.T) {
 // direct API; the simulation is deterministic, so the server's response
 // bytes must equal a hand-encoded response derived from the twin.
 // Observability stays disabled so the OpMetrics/OpTrace payloads are
-// deterministic too (counters only, no wall-time histograms).
+// deterministic too (counters only, no wall-time histograms). The first
+// step is also the handshake: its untagged answer is the same payload.
 func TestGoldenWire(t *testing.T) {
 	dev := newDevice(t)
 	twin := newDevice(t)
@@ -82,6 +83,9 @@ func TestGoldenWire(t *testing.T) {
 	want.u32(CurrentVersion)
 	want.u32(DefaultWindow)
 	step("Identify", raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion), want)
+	if resp, ok := srv.handshake(raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion)); !ok || !bytes.Equal(resp, want.b) {
+		t.Fatalf("handshake response (accepted %v):\n got % x\nwant % x", ok, resp, want.b)
+	}
 
 	// Two versions of LPA 5, then a write+trim of LPA 6.
 	dataA, dataB := page(nil, 0xa1, ps), page(nil, 0xb2, ps)
@@ -312,48 +316,6 @@ func TestNegotiationAgreesOnCurrent(t *testing.T) {
 	}
 }
 
-// TestLegacyIdentifyPinsArrayLevel drives the dispatcher the way a pre-v3
-// client would: a bare Identify pins the connection at VersionArray and
-// the v3 surface fails with an error naming both versions.
-func TestLegacyIdentifyPinsArrayLevel(t *testing.T) {
-	dev := newDevice(t)
-	srv := serveDevice(t, dev)
-	st := newConnState()
-
-	resp := srv.dispatch(st, []byte{byte(OpIdentify)})
-	if resp[0] != 0 {
-		t.Fatalf("bare Identify rejected: % x", resp)
-	}
-	if v := st.version.Load(); v != VersionArray {
-		t.Fatalf("bare Identify negotiated v%d, want v%d", v, VersionArray)
-	}
-	// The appended version field says v2; a legacy client never reads it.
-	d := &dec{b: resp, pos: 1}
-	d.u32()
-	d.u64()
-	d.u32()
-	d.u32()
-	d.time()
-	if v := d.u32(); v != VersionArray || d.err != nil {
-		t.Fatalf("trailing version field = %d (err %v), want %d", v, d.err, VersionArray)
-	}
-
-	for _, op := range []Op{OpMetrics, OpTrace} {
-		req := raw{}.u8(uint8(op))
-		if op == OpTrace {
-			req = req.u32(8)
-		}
-		resp = srv.dispatch(st, []byte(req))
-		if resp[0] == 0 {
-			t.Fatalf("%v served on a v2 connection", op)
-		}
-		msg := string((&dec{b: resp, pos: 1}).bytes())
-		if !strings.Contains(msg, "requires protocol v3") || !strings.Contains(msg, "negotiated v2") {
-			t.Fatalf("%v gating error does not name the versions: %q", op, msg)
-		}
-	}
-}
-
 func TestUnknownOpcodeNamesVersion(t *testing.T) {
 	dev := newDevice(t)
 	srv := serveDevice(t, dev)
@@ -363,56 +325,8 @@ func TestUnknownOpcodeNamesVersion(t *testing.T) {
 		t.Fatal("unknown opcode accepted")
 	}
 	msg := string((&dec{b: resp, pos: 1}).bytes())
-	if !strings.Contains(msg, "unknown opcode 200") || !strings.Contains(msg, "v2") {
+	if !strings.Contains(msg, "unknown opcode 200") || !strings.Contains(msg, "v4") {
 		t.Fatalf("error does not name opcode and version: %q", msg)
-	}
-}
-
-// TestClientFallbackToLegacyServer fakes a pre-v3 server: it rejects the
-// Identify announcement as trailing request bytes and answers the bare
-// retry without the version field. The client must fall back and pin
-// VersionArray, refusing the v3 surface locally.
-func TestClientFallbackToLegacyServer(t *testing.T) {
-	dev := newDevice(t)
-	cliEnd, srvEnd := net.Pipe()
-	go func() {
-		for {
-			body, err := readFrame(srvEnd)
-			if err != nil {
-				return
-			}
-			e := &enc{}
-			if Op(body[0]) != OpIdentify || len(body) > 1 {
-				e.u8(1)
-				e.bytes([]byte("Identify: 4 trailing payload bytes"))
-			} else {
-				e.u8(0)
-				e.u32(uint32(dev.PageSize()))
-				e.u64(uint64(dev.LogicalPages()))
-				e.u32(2)
-				e.u32(1)
-				e.time(dev.RetentionWindowStart())
-			}
-			if writeFrame(srvEnd, e.b) != nil {
-				return
-			}
-		}
-	}()
-	c := NewClient(cliEnd)
-	defer func() { c.Close(); srvEnd.Close() }()
-
-	id, err := c.Identify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id.Version != VersionArray {
-		t.Fatalf("fallback negotiated v%d, want v%d", id.Version, VersionArray)
-	}
-	if id.PageSize != dev.PageSize() || id.LogicalPages != dev.LogicalPages() {
-		t.Fatalf("legacy identity mangled: %+v", id)
-	}
-	if _, err := c.Metrics(); err == nil || !strings.Contains(err.Error(), "requires protocol v3") {
-		t.Fatalf("Metrics on a v2 connection: %v", err)
 	}
 }
 

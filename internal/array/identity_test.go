@@ -21,7 +21,7 @@ import (
 // the trace (in the array's completion order). It is what lets the protocol server front a single device as
 // a 1-shard array instead of keeping a second back end. The host is
 // lockstep (each op is issued after the previous one completed), as a
-// pre-v4 client is; error text is not compared, only whether the op
+// synchronous client is; error text is not compared, only whether the op
 // failed — the array words range errors its own way.
 func TestOneShardArrayIsIdentity(t *testing.T) {
 	dev, err := core.New(shardConfig())
