@@ -72,11 +72,11 @@ func TestTaggedTransportAllocs(t *testing.T) {
 }
 
 // TestSubmitWaitAllocs pins the single-op submit/wait path that Read,
-// Write and Trim run. Unlike the batch fast path this one keeps its
-// per-request dispatch goroutine and encoder on the server, so it is not
-// allocation-free — but with warm pools the transport itself recycles,
-// and the total stays bounded instead of paying a fresh frame and channel
-// per op.
+// Write and Trim run. Unlike an OpBatch frame this one runs on its own
+// dispatch goroutine on the server, so it is not allocation-free — but
+// with warm pools the transport itself recycles, the response is encoded
+// straight into its pooled frame, and the total stays bounded instead of
+// paying a fresh frame and channel per op.
 func TestSubmitWaitAllocs(t *testing.T) {
 	c, _ := servicePipe(t)
 	id, err := c.Identify()
@@ -99,7 +99,7 @@ func TestSubmitWaitAllocs(t *testing.T) {
 		roundTrip()
 	}
 	perOp := testing.AllocsPerRun(50, roundTrip)
-	limit := 12.0
+	limit := 6.0
 	if raceEnabled {
 		limit = 48.0
 	}

@@ -10,17 +10,19 @@ import (
 )
 
 // opSpec is one row of the dispatch table: the opcode's name and its
-// handler. A handler decodes its payload from d, executes, and appends the
-// response payload to e (already holding the OK status); everything around
-// that — unknown opcodes, trailing request bytes, turning an error into a
-// status frame — is dispatch's.
+// handler. A handler decodes its whole payload from d and refuses a bad
+// one (dec.end) before it touches the array or the service; then it
+// executes and appends the response payload to e (already holding the OK
+// status). Everything around that — unknown opcodes, turning an error
+// into a status frame — is dispatch's.
 type opSpec struct {
 	name string
-	run  func(s *Server, st *connState, d *dec, e *enc) error
+	run  func(s *Server, tc *taggedConn, d *dec, e *enc) error
 }
 
 // ops is indexed by opcode. Per the revision rule it only ever grows at
-// the end.
+// the end. OpBatch has no handler: the serve loop hands every OpBatch
+// frame to taggedConn.serveBatch.
 var ops = [...]opSpec{
 	OpIdentify:         {"Identify", (*Server).identify},
 	OpRead:             {"Read", (*Server).read},
@@ -44,22 +46,21 @@ var ops = [...]opSpec{
 	OpVolAttach:        {"VolAttach", (*Server).volAttach},
 	OpVolStats:         {"VolStats", (*Server).volStats},
 	OpVolRollBack:      {"VolRollBack", (*Server).volRollBack},
-	OpBatch:            {"Batch", (*Server).batch},
+	OpBatch:            {"Batch", nil},
 }
 
-// dispatch executes one command body and builds the response body.
-func (s *Server) dispatch(st *connState, body []byte) []byte {
-	e := &enc{}
+// dispatch executes one command body and appends its response body —
+// status, then payload or error message — to e.
+func (s *Server) dispatch(tc *taggedConn, body []byte, e *enc) {
+	start := len(e.b)
 	e.u8(StatusOK)
-	if err := s.execute(st, body, e); err != nil {
-		e.b = e.b[:0]
-		e.u8(statusOf(err))
-		e.bytes([]byte(err.Error()))
+	if err := s.execute(tc, body, e); err != nil {
+		e.b = e.b[:start]
+		e.fail(err)
 	}
-	return e.b
 }
 
-func (s *Server) execute(st *connState, body []byte, e *enc) error {
+func (s *Server) execute(tc *taggedConn, body []byte, e *enc) error {
 	if len(body) == 0 {
 		return ErrShortPayload
 	}
@@ -70,14 +71,13 @@ func (s *Server) execute(st *connState, body []byte, e *enc) error {
 	if s.hold != nil {
 		s.hold(op, body)
 	}
-	d := &dec{b: body, pos: 1}
-	if err := ops[op].run(s, st, d, e); err != nil {
-		return err
-	}
-	if d.pos != len(d.b) {
-		return fmt.Errorf("almaproto: %v: %d trailing payload bytes", op, len(d.b)-d.pos)
-	}
-	return nil
+	return ops[op].run(s, tc, &dec{b: body, pos: 1}, e)
+}
+
+// fail appends a failed completion: the error's status code and message.
+func (e *enc) fail(err error) {
+	e.u8(statusOf(err))
+	e.bytes([]byte(err.Error()))
 }
 
 // done and count append the two completion shapes most commands share,
@@ -106,23 +106,22 @@ func (e *enc) count(res timekits.Result[int], err error) error {
 func (s *Server) handshake(body []byte) (resp []byte, ok bool) {
 	e := &enc{}
 	d := dec{b: body, pos: 1}
-	if len(body) > 0 && Op(body[0]) == OpIdentify && d.u32() >= VersionService && d.pos == len(body) {
+	if len(body) > 0 && Op(body[0]) == OpIdentify && d.u32() >= VersionService && d.end() == nil {
 		e.u8(StatusOK)
 		s.identity(e)
 		return e.b, true
 	}
-	e.u8(StatusError)
-	e.bytes([]byte(fmt.Sprintf("almaproto: protocol v%d required: a connection opens with an Identify announcing v%d or later", VersionService, VersionService)))
+	e.fail(fmt.Errorf("almaproto: protocol v%d required: a connection opens with an Identify announcing v%d or later", VersionService, VersionService))
 	return e.b, false
 }
 
 // identify answers an Identify on an open connection. The version was
 // agreed at the handshake and is final — frames are in flight under it —
 // so the announcement is read but changes nothing.
-func (s *Server) identify(_ *connState, d *dec, e *enc) error {
+func (s *Server) identify(_ *taggedConn, d *dec, e *enc) error {
 	d.u32()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	s.identity(e)
 	return nil
@@ -141,10 +140,10 @@ func (s *Server) identity(e *enc) {
 	e.u32(uint32(s.window))
 }
 
-func (s *Server) read(_ *connState, d *dec, e *enc) error {
+func (s *Server) read(_ *taggedConn, d *dec, e *enc) error {
 	lpa, at := d.u64(), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	data, done, err := s.arr.Read(lpa, at)
 	if err != nil {
@@ -155,33 +154,33 @@ func (s *Server) read(_ *connState, d *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) write(_ *connState, d *dec, e *enc) error {
+func (s *Server) write(_ *taggedConn, d *dec, e *enc) error {
 	// The payload aliases the request frame: the array consumes it
 	// synchronously (the device copies it into the arena), and the frame
 	// is only released after dispatch returns.
 	lpa, at, data := d.u64(), d.time(), d.bytesAlias()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	return e.done(s.arr.Write(lpa, data, at))
 }
 
-func (s *Server) trim(_ *connState, d *dec, e *enc) error {
+func (s *Server) trim(_ *taggedConn, d *dec, e *enc) error {
 	lpa, at := d.u64(), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	return e.done(s.arr.Trim(lpa, at))
 }
 
 // addrQuery serves the three address-based queries, which differ only in
 // how many time bounds precede the issue time (see timeBounds).
-func (s *Server) addrQuery(_ *connState, d *dec, e *enc) error {
+func (s *Server) addrQuery(_ *taggedConn, d *dec, e *enc) error {
 	op := Op(d.b[0])
 	addr, cnt := d.u64(), int(d.u32())
 	t1, t2, at := d.bounds(op)
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	var res timekits.Result[[]timekits.PageVersions]
 	var err error
@@ -206,11 +205,11 @@ func (s *Server) addrQuery(_ *connState, d *dec, e *enc) error {
 }
 
 // timeQuery serves the three time-based queries the same way.
-func (s *Server) timeQuery(_ *connState, d *dec, e *enc) error {
+func (s *Server) timeQuery(_ *taggedConn, d *dec, e *enc) error {
 	op := Op(d.b[0])
 	t1, t2, at := d.bounds(op)
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	var res timekits.Result[[]core.UpdateRecord]
 	var err error
@@ -230,23 +229,23 @@ func (s *Server) timeQuery(_ *connState, d *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) rollBack(_ *connState, d *dec, e *enc) error {
+func (s *Server) rollBack(_ *taggedConn, d *dec, e *enc) error {
 	addr, cnt, t, at := d.u64(), int(d.u32()), d.time(), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	return e.count(s.arr.RollBack(addr, cnt, t, at))
 }
 
-func (s *Server) rollBackAll(_ *connState, d *dec, e *enc) error {
+func (s *Server) rollBackAll(_ *taggedConn, d *dec, e *enc) error {
 	t, at := d.time(), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	return e.count(s.arr.RollBackAll(t, at))
 }
 
-func (s *Server) rollBackParallel(_ *connState, d *dec, e *enc) error {
+func (s *Server) rollBackParallel(_ *taggedConn, d *dec, e *enc) error {
 	n := int(d.u32())
 	if d.err != nil || n > maxFrame/8 {
 		return ErrShortPayload
@@ -256,15 +255,18 @@ func (s *Server) rollBackParallel(_ *connState, d *dec, e *enc) error {
 		lpas = append(lpas, d.u64())
 	}
 	threads, t, at := int(d.u32()), d.time(), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	return e.count(s.arr.RollBackParallel(lpas, threads, t, at))
 }
 
 // stats projects the frozen v1 OpStats payload (see DeviceStats) out of
 // the canonical counters.
-func (s *Server) stats(_ *connState, _ *dec, e *enc) error {
+func (s *Server) stats(_ *taggedConn, d *dec, e *enc) error {
+	if err := d.end(); err != nil {
+		return err
+	}
 	c := s.arr.StatsView()
 	for _, v := range [...]int64{c.HostPageWrites, c.HostPageReads, c.FlashPrograms,
 		c.FlashReads, c.FlashErases, c.DeltasCreated, c.WindowDrops} {
@@ -273,25 +275,28 @@ func (s *Server) stats(_ *connState, _ *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) metrics(_ *connState, _ *dec, e *enc) error {
+func (s *Server) metrics(_ *taggedConn, d *dec, e *enc) error {
+	if err := d.end(); err != nil {
+		return err
+	}
 	encSnapshot(e, s.arr.ObsSnapshot())
 	return nil
 }
 
-func (s *Server) trace(_ *connState, d *dec, e *enc) error {
+func (s *Server) trace(_ *taggedConn, d *dec, e *enc) error {
 	max := int(d.u32())
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	encEvents(e, s.arr.TraceEvents(max))
 	return nil
 }
 
-func (s *Server) volCreate(_ *connState, d *dec, e *enc) error {
+func (s *Server) volCreate(_ *taggedConn, d *dec, e *enc) error {
 	name, key := string(d.bytes()), string(d.bytes())
 	pages, retention, at := d.u64(), vclock.Duration(d.i64()), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	vol, err := s.svc.Create(name, key, pages, retention, at)
 	if err != nil {
@@ -301,15 +306,18 @@ func (s *Server) volCreate(_ *connState, d *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) volDelete(_ *connState, d *dec, e *enc) error {
+func (s *Server) volDelete(_ *taggedConn, d *dec, e *enc) error {
 	name, key, at := string(d.bytes()), string(d.bytes()), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	return e.done(s.svc.Delete(name, key, at))
 }
 
-func (s *Server) volList(_ *connState, _ *dec, e *enc) error {
+func (s *Server) volList(_ *taggedConn, d *dec, e *enc) error {
+	if err := d.end(); err != nil {
+		return err
+	}
 	infos := s.svc.List()
 	e.u32(uint32(len(infos)))
 	for _, in := range infos {
@@ -322,18 +330,18 @@ func (s *Server) volList(_ *connState, _ *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) volAttach(st *connState, d *dec, e *enc) error {
+func (s *Server) volAttach(tc *taggedConn, d *dec, e *enc) error {
 	name, key, at := string(d.bytes()), string(d.bytes()), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
 	vol, err := s.svc.Attach(name, key)
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	st.attached[vol.ID()] = vol
-	st.mu.Unlock()
+	tc.mu.Lock()
+	tc.attached[vol.ID()] = vol
+	tc.mu.Unlock()
 	in := vol.Info()
 	e.u32(in.ID)
 	e.u64(in.Pages)
@@ -343,11 +351,12 @@ func (s *Server) volAttach(st *connState, d *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) volStats(st *connState, d *dec, e *enc) error {
-	vol, err := st.volume(d.u32())
-	if d.err != nil {
-		return d.err
+func (s *Server) volStats(tc *taggedConn, d *dec, e *enc) error {
+	id := d.u32()
+	if err := d.end(); err != nil {
+		return err
 	}
+	vol, err := tc.volume(id)
 	if err != nil {
 		return err
 	}
@@ -355,50 +364,31 @@ func (s *Server) volStats(st *connState, d *dec, e *enc) error {
 	return nil
 }
 
-func (s *Server) volRollBack(st *connState, d *dec, e *enc) error {
+func (s *Server) volRollBack(tc *taggedConn, d *dec, e *enc) error {
 	id, t, at := d.u32(), d.time(), d.time()
-	if d.err != nil {
-		return d.err
+	if err := d.end(); err != nil {
+		return err
 	}
-	vol, err := st.volume(id)
+	vol, err := tc.volume(id)
 	if err != nil {
 		return err
 	}
 	return e.count(vol.RollBack(t, at))
 }
 
-// batch is the generic OpBatch path: frames the tagged transport's fast
-// path (taggedConn.tryBatch) declines arrive here and fail the same way a
-// client without the fast path would see.
-func (s *Server) batch(st *connState, d *dec, e *enc) error {
-	id, bops, err := decodeBatchOps(d, nil)
-	if err != nil {
-		return err
-	}
-	vol, err := st.volume(id)
-	if err != nil {
-		return err
-	}
-	encBatchResults(e, bops, vol.Batch(bops))
-	return nil
-}
-
 // maxBatchOps bounds one OpBatch frame; far above any sane batch, low
 // enough that a garbage count cannot balloon the decode allocation.
 const maxBatchOps = 1 << 16
 
-// decodeBatchOps decodes an OpBatch payload (cursor past the opcode)
-// into ops, reusing its capacity — the batch fast path passes the
-// connection's scratch, dispatch passes nil. Write payloads alias the
-// decoder's buffer (see dec.bytesAlias). The returned slice is always
-// the (possibly grown) scratch, even on error.
+// decodeBatchOps decodes a whole OpBatch payload (cursor past the
+// opcode) into ops, reusing its capacity, and refuses a bad one as
+// dec.end does. Write payloads alias the decoder's buffer (see
+// dec.bytesAlias). The returned slice is always the (possibly grown)
+// scratch, even on error.
 func decodeBatchOps(d *dec, ops []service.BatchOp) (uint32, []service.BatchOp, error) {
 	id, n := d.u32(), int(d.u32())
 	if d.err != nil || n > maxBatchOps {
 		return 0, ops, fmt.Errorf("almaproto: %v: bad op count %d", OpBatch, n)
-	}
-	if ops == nil {
-		ops = make([]service.BatchOp, 0, min(n, 4096))
 	}
 	for i := 0; i < n; i++ {
 		bop := service.BatchOp{Kind: service.OpKind(d.u8()), LPA: d.u64(), At: d.time()}
@@ -410,19 +400,16 @@ func decodeBatchOps(d *dec, ops []service.BatchOp) (uint32, []service.BatchOp, e
 		}
 		ops = append(ops, bop)
 	}
-	return id, ops, nil
+	return id, ops, d.end()
 }
 
-// encBatchResults encodes the positional OpBatch response payload. One
-// shared encoder keeps the generic dispatch path and the batch fast path
-// byte-identical on the wire.
+// encBatchResults encodes the positional OpBatch response payload.
 func encBatchResults(e *enc, ops []service.BatchOp, results []service.BatchResult) {
 	e.u32(uint32(len(results)))
 	for i, r := range results {
 		if r.Err != nil {
 			// Typed per-op status: the op failed, the batch did not.
-			e.u8(statusOf(r.Err))
-			e.bytes([]byte(r.Err.Error()))
+			e.fail(r.Err)
 			continue
 		}
 		e.u8(StatusOK)

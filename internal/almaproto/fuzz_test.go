@@ -32,8 +32,7 @@ func batchReq(id uint32, n, pageSize int) raw {
 
 // FuzzTaggedFrame fuzzes a connection from its first byte: hs is the body
 // of the handshake frame, and in the bytes written after it, which reach
-// the tagged serve loop, execute, the batch fast path and the batch
-// decoder.
+// the tagged serve loop, execute, serveBatch and the batch decoder.
 // The server must not panic and must answer the handshake with one
 // well-formed untagged frame: the identity if hs is an Identify announcing
 // v4 or later, and otherwise an error naming v4, after which it closes.
@@ -77,7 +76,12 @@ func FuzzTaggedFrame(f *testing.F) {
 		b := append(append([]byte(nil), create...), attach...)
 		f.Add(hello, append(b, tagged(0x200, batchReq(1, n, ps))...))
 	}
-	f.Add(hello, tagged(0x300, batchReq(1, 1, ps))) // not attached: the generic path
+	f.Add(hello, tagged(0x300, batchReq(1, 1, ps))) // not attached: refused before it runs
+	// Every request again, with one trailing byte: refused before it runs.
+	setup := append(append([]byte(nil), create...), attach...)
+	for i, req := range append(requests, batchReq(1, 1, ps)) {
+		f.Add(hello, append(append([]byte(nil), setup...), tagged(uint64(0x500+i), append(req, 0))...))
+	}
 	whole := tagged(0x400, requests[1])
 	f.Add(hello, whole[:len(whole)/2])                                       // cut mid-body
 	f.Add(hello, whole[:6])                                                  // cut mid-ID

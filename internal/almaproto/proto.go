@@ -53,8 +53,8 @@
 // payload shape. Servers may append new fields to the *end* of an
 // existing response payload only when every client ignores trailing
 // response bytes for that opcode (the Identify response grew this way).
-// Request payloads are closed: servers reject trailing request bytes, so
-// extending a request requires a new opcode. Status codes are append-only
+// Request payloads are closed: servers reject trailing request bytes
+// before executing, so extending a request requires a new opcode. Status codes are append-only
 // as well.
 //
 // The revisions so far, of which only the last is still served:
@@ -304,6 +304,16 @@ func (d *dec) bytes() []byte {
 	return out
 }
 
+// end closes the decode of a request payload (the opcode at b[0]): it
+// reports the decode error, or a refusal naming any bytes left past the
+// last field. A server handler calls it before it executes anything.
+func (d *dec) end() error {
+	if d.err == nil && d.pos != len(d.b) {
+		return fmt.Errorf("almaproto: %v: %d trailing payload bytes", Op(d.b[0]), len(d.b)-d.pos)
+	}
+	return d.err
+}
+
 // bytesAlias reads a length-prefixed byte field without copying: the
 // result aliases the decoder's backing buffer. Server dispatch uses it
 // for request payloads — the backing frame outlives the dispatch (pooled
@@ -450,44 +460,36 @@ type DeviceStats struct {
 	WindowDrops    int64
 }
 
-// encCounters writes the simulated-device counter surface as 20 i64 values
-// in obs.Counters declaration order. The sequence is part of the v3 payload;
-// adding a simulated-device counter to obs.Counters requires a protocol
-// revision. Host-side telemetry in obs.Counters (the RefCache* fields, which
-// measure simulator performance rather than device behavior) is deliberately
-// not part of the payload and must stay out of counterSeq.
+// counterFields lists the simulated-device counter surface in its v3
+// payload order, obs.Counters declaration order: 20 i64 values, encoded
+// and decoded through this one list. Adding a simulated-device counter to
+// obs.Counters requires a protocol revision. Host-side telemetry in
+// obs.Counters (the RefCache* fields, which measure simulator performance
+// rather than device behavior) is deliberately not part of the payload
+// and must stay out of this list.
+func counterFields(c *obs.Counters) [20]*int64 {
+	return [...]*int64{
+		&c.HostPageWrites, &c.HostPageReads, &c.TrimOps,
+		&c.FlashReads, &c.FlashPrograms, &c.FlashErases,
+		&c.GCRuns, &c.GCReads, &c.GCWrites, &c.GCErases, &c.GCDeltaOps,
+		&c.ReadFailures,
+		&c.Invalidations, &c.DeltasCreated, &c.DeltaPagesWritten,
+		&c.ExpiredReclaimed, &c.WindowDrops, &c.IdleCompressions,
+		&c.EstimatorChecks, &c.EstimatorTrips,
+	}
+}
+
 func encCounters(e *enc, c obs.Counters) {
-	for _, v := range counterSeq(c) {
-		e.i64(v)
+	for _, f := range counterFields(&c) {
+		e.i64(*f)
 	}
 }
 
-func decCounters(d *dec) obs.Counters {
-	var c obs.Counters
-	seq := counterSeq(c)
-	for i := range seq {
-		seq[i] = d.i64()
+func decCounters(d *dec) (c obs.Counters) {
+	for _, f := range counterFields(&c) {
+		*f = d.i64()
 	}
-	c.HostPageWrites, c.HostPageReads, c.TrimOps = seq[0], seq[1], seq[2]
-	c.FlashReads, c.FlashPrograms, c.FlashErases = seq[3], seq[4], seq[5]
-	c.GCRuns, c.GCReads, c.GCWrites, c.GCErases, c.GCDeltaOps = seq[6], seq[7], seq[8], seq[9], seq[10]
-	c.ReadFailures = seq[11]
-	c.Invalidations, c.DeltasCreated, c.DeltaPagesWritten = seq[12], seq[13], seq[14]
-	c.ExpiredReclaimed, c.WindowDrops, c.IdleCompressions = seq[15], seq[16], seq[17]
-	c.EstimatorChecks, c.EstimatorTrips = seq[18], seq[19]
 	return c
-}
-
-func counterSeq(c obs.Counters) []int64 {
-	return []int64{
-		c.HostPageWrites, c.HostPageReads, c.TrimOps,
-		c.FlashReads, c.FlashPrograms, c.FlashErases,
-		c.GCRuns, c.GCReads, c.GCWrites, c.GCErases, c.GCDeltaOps,
-		c.ReadFailures,
-		c.Invalidations, c.DeltasCreated, c.DeltaPagesWritten,
-		c.ExpiredReclaimed, c.WindowDrops, c.IdleCompressions,
-		c.EstimatorChecks, c.EstimatorTrips,
-	}
 }
 
 func encHist(e *enc, h obs.HistSnapshot) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"almanac/internal/fault"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
+	"almanac/internal/obs"
 	"almanac/internal/service"
 	"almanac/internal/vclock"
 )
@@ -258,7 +260,7 @@ func TestWireFuzz(t *testing.T) {
 	dev := newDevice(t)
 	srv := serveDevice(t, dev)
 	rng := rand.New(rand.NewSource(11))
-	st := newConnState()
+	dispatch := dispatcher(srv)
 	for i := 0; i < 2000; i++ {
 		n := rng.Intn(64)
 		body := make([]byte, n)
@@ -271,7 +273,7 @@ func TestWireFuzz(t *testing.T) {
 		if msg := string((&dec{b: hs, pos: 1}).bytes()); !valid && !strings.Contains(msg, "v4") {
 			t.Fatalf("fuzz %d: handshake refusal does not name v4: %q", i, msg)
 		}
-		resp := srv.dispatch(st, body)
+		resp := dispatch(body)
 		if len(resp) == 0 {
 			t.Fatalf("fuzz %d: empty response", i)
 		}
@@ -299,6 +301,38 @@ func TestFrameLimits(t *testing.T) {
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	if _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("absurd frame length accepted: %v", err)
+	}
+}
+
+// TestCountersRoundTrip fills every obs.Counters field with a distinct
+// value. The first 20 fields, the simulated-device counters, cross the
+// wire as i64s in declaration order; the host-side RefCache* telemetry
+// after them stays off the wire.
+func TestCountersRoundTrip(t *testing.T) {
+	var c obs.Counters
+	fields := reflect.ValueOf(&c).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		fields.Field(i).SetInt(int64(i+1) * 0x0101)
+	}
+	var e enc
+	encCounters(&e, c)
+	if len(e.b) != 20*8 {
+		t.Fatalf("%d payload bytes, want 20 counters", len(e.b))
+	}
+	for i := 0; i < 20; i++ {
+		if v := int64(binary.LittleEndian.Uint64(e.b[8*i:])); v != fields.Field(i).Int() {
+			t.Fatalf("payload slot %d = %#x, want %s (%#x)", i, v, fields.Type().Field(i).Name, fields.Field(i).Int())
+		}
+	}
+	d := dec{b: e.b}
+	got := decCounters(&d)
+	if d.err != nil || d.pos != len(e.b) {
+		t.Fatalf("decode: err=%v, %d bytes left", d.err, len(e.b)-d.pos)
+	}
+	want := c
+	want.RefCacheHits, want.RefCacheMisses, want.RefCacheEvictions = 0, 0, 0
+	if got != want {
+		t.Fatalf("counters round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 

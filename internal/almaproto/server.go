@@ -35,7 +35,7 @@ import (
 //
 // Connections are handled concurrently; the protocol layer (framing,
 // decode, encode) is lock-free, and per-connection state is the
-// connState below.
+// taggedConn below.
 type Server struct {
 	svc *service.Service
 	arr *array.Array // svc.Array()
@@ -174,57 +174,24 @@ func (s *Server) Shutdown() error {
 	return err
 }
 
-// connState is the per-connection protocol state: attached maps volume
-// id → handle for volumes this connection authenticated against with
-// OpVolAttach. Guarded by mu: attaches run concurrently with batch
-// lookups.
-type connState struct {
-	mu       sync.Mutex
-	attached map[uint32]*service.Volume
-}
-
-func newConnState() *connState {
-	return &connState{attached: make(map[uint32]*service.Volume)}
-}
-
-// volume resolves an attached volume id; the typed ErrAuth failure tells
-// clients authentication (not existence) is what's missing.
-func (st *connState) volume(id uint32) (*service.Volume, error) {
-	st.mu.Lock()
-	vol := st.attached[id]
-	st.mu.Unlock()
-	if vol == nil {
-		return nil, fmt.Errorf("%w: volume id %d not attached on this connection", service.ErrAuth, id)
-	}
-	return vol, nil
-}
-
 // ServeOne handles exactly one connection (Serve runs it per accepted
 // connection; tests call it over net.Pipe): the untagged handshake, then
 // the tagged transport until the peer goes away. A peer whose handshake is
 // refused gets one untagged error frame and the connection ends there.
-func (s *Server) ServeOne(conn io.ReadWriter) {
-	body, err := readFrame(conn)
-	if err != nil {
-		return // EOF, broken peer, or drain deadline
-	}
-	resp, ok := s.handshake(body)
-	if writeFrame(conn, resp) != nil || !ok {
-		return
-	}
-	s.serveTagged(conn, newConnState())
-}
-
-// serveTagged is the tagged transport loop, split into a reader (this
-// goroutine) and a completion-draining writer (sendQueue): the reader
-// pulls tagged frames into pooled buffers, OpBatch frames take a fast
-// path that submits every op to its shard in one pass, every other opcode
-// dispatches on its own goroutine, and all completions funnel through the
-// sendQueue, whose writer goroutine flushes everything ready in as few
-// Writes as possible. The in-flight window is a semaphore acquired before
-// dispatching: when the window is full the loop stops reading, and the
-// transport's flow control backpressures the submitter (a full NVMe
-// submission queue); a slot is released per frame flushed.
+//
+// The tagged transport is split into a reader (this goroutine) and a
+// completion-draining writer (sendQueue): the reader pulls tagged frames
+// into pooled buffers, OpBatch frames go to serveBatch, which submits
+// every op to its shard in one pass, every other opcode dispatches on its
+// own goroutine, and all completions funnel through the sendQueue, whose
+// writer goroutine flushes everything ready in as few Writes as possible.
+// Every frame takes one path: its payload is decoded whole and a bad one
+// is refused before anything runs; then it runs, and its response is
+// encoded once, straight into the pooled frame that goes on the wire. The
+// in-flight window is a semaphore acquired before dispatching: when the
+// window is full the loop stops reading, and the transport's flow control
+// backpressures the submitter (a full NVMe submission queue); a slot is
+// released per frame flushed.
 //
 // A frame alone on its connection — the window holds its slot and no
 // other — is flushed by whoever produced its completion instead of by the
@@ -244,12 +211,20 @@ func (s *Server) ServeOne(conn io.ReadWriter) {
 // the reader flushed itself was on the wire before it read again). This
 // is what lets almanacd save shard images knowing no command is still
 // mutating the device.
-func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
+func (s *Server) ServeOne(conn io.ReadWriter) {
+	body, err := readFrame(conn)
+	if err != nil {
+		return // EOF, broken peer, or drain deadline
+	}
+	resp, ok := s.handshake(body)
+	if writeFrame(conn, resp) != nil || !ok {
+		return
+	}
 	wire := &obs.WireStats{}
 	s.trackWire(wire)
 	defer s.untrackWire(wire)
 	slots := make(chan struct{}, s.window)
-	tc := &taggedConn{st: st, free: make(chan *pendingBatch, s.window)}
+	tc := &taggedConn{attached: make(map[uint32]*service.Volume), free: make(chan *pendingBatch, s.window)}
 	tc.w = newSendQueue(conn, &tc.respPool, wire, tc.frameOf, func(n int, _ error) {
 		for ; n > 0; n-- {
 			<-slots // one window slot per frame written (or dropped on a dead connection)
@@ -271,43 +246,56 @@ func (s *Server) serveTagged(conn io.ReadWriter, st *connState) {
 		slots <- struct{}{}
 		// Only this goroutine adds to slots, so a length of one means the
 		// frame just read is the only one in flight on the connection.
-		if len(fb.b) > 8 && Op(fb.b[8]) == OpBatch && tc.tryBatch(reqID, fb, len(slots) == 1) {
+		if len(fb.b) > 8 && Op(fb.b[8]) == OpBatch {
+			tc.serveBatch(reqID, fb, len(slots) == 1)
 			continue
 		}
 		wg.Add(1)
 		go func(fb *frameBuf, reqID uint64) {
 			defer wg.Done()
-			resp := s.dispatch(st, fb.b[8:])
-			out := tc.respPool.acquire(12 + len(resp))
-			binary.LittleEndian.PutUint32(out.b, uint32(8+len(resp)))
-			binary.LittleEndian.PutUint64(out.b[4:], reqID)
-			copy(out.b[12:], resp)
+			out, e := tc.response()
+			s.dispatch(tc, fb.b[8:], &e)
 			// The request frame is consumed: dispatch is synchronous, so
 			// every payload decoded by aliasing has been copied into the
 			// device (or the response) by now.
 			tc.reqPool.release(fb)
-			tc.w.enqueue(wireItem{fb: out}, len(slots) == 1)
+			tc.w.enqueue(wireItem{fb: seal(out, e, reqID)}, len(slots) == 1)
 		}(fb, reqID)
 	}
 	wg.Wait()
 	tc.w.stop()
 }
 
-// taggedConn is the server's state for one connection on the tagged
-// transport: the connState, the request and response frame
-// pools, the coalescing writer, and a free list of batch scratch sized to
-// the window (at most that many batches are in flight).
+// taggedConn is the server's state for one connection: the volumes it
+// attached, the request and response frame pools, the coalescing writer,
+// and a free list of batch scratch sized to the window (at most that many
+// batches are in flight). attached maps volume id → handle for volumes
+// this connection authenticated against with OpVolAttach; mu guards it,
+// as attaches run concurrently with batch lookups.
 type taggedConn struct {
-	st       *connState
+	mu       sync.Mutex
+	attached map[uint32]*service.Volume
 	reqPool  framePool
 	respPool framePool
 	w        *sendQueue[wireItem]
 	free     chan *pendingBatch
 }
 
+// volume resolves an attached volume id; the typed ErrAuth failure tells
+// clients authentication (not existence) is what's missing.
+func (tc *taggedConn) volume(id uint32) (*service.Volume, error) {
+	tc.mu.Lock()
+	vol := tc.attached[id]
+	tc.mu.Unlock()
+	if vol == nil {
+		return nil, fmt.Errorf("%w: volume id %d not attached on this connection", service.ErrAuth, id)
+	}
+	return vol, nil
+}
+
 // wireItem is one unit of writer work; exactly one field is set: a ready
-// frame (fb), fully built by a per-frame dispatch goroutine, or a pending
-// batch (pb) the reader already submitted to the shard queues.
+// frame (fb) — a dispatched command's completion or a refused batch — or
+// a pending batch (pb) the reader already submitted to the shard queues.
 type wireItem struct {
 	fb *frameBuf
 	pb *pendingBatch
@@ -326,38 +314,38 @@ type pendingBatch struct {
 	run   service.BatchRun
 }
 
-// tryBatch is the batch-aware fast path: decode an OpBatch straight out
-// of the pooled request frame (write payloads alias it — zero copies),
-// submit every op to its shard in one pass, and hand the pending run to
-// the sendQueue: the writer completes and flushes it with the rest of the
+// serveBatch serves an OpBatch frame: decode it straight out of the
+// pooled request frame (write payloads alias it — zero copies), submit
+// every op to its shard in one pass, and hand the pending run to the
+// sendQueue: the writer completes and flushes it with the rest of the
 // ready output, unless the frame is alone on the connection and a single
-// op, which the reader completes and flushes itself. Returns false — with
-// no side effects — when the frame needs the generic path (malformed,
-// volume not attached), so error responses stay byte-identical with
-// dispatch's.
-func (tc *taggedConn) tryBatch(reqID uint64, fb *frameBuf, alone bool) bool {
+// op, which the reader completes and flushes itself. A malformed frame,
+// or one for a volume this connection has not attached, is answered with
+// an error completion, and none of its ops runs.
+func (tc *taggedConn) serveBatch(reqID uint64, fb *frameBuf, alone bool) {
 	var pb *pendingBatch
 	select {
 	case pb = <-tc.free:
 	default:
 		pb = &pendingBatch{}
 	}
-	req := fb.b[8:]
-	d := dec{b: req, pos: 1}
-	id, ops, err := decodeBatchOps(&d, pb.ops[:0])
-	pb.ops = ops // keep grown scratch even when falling back
+	id, ops, err := decodeBatchOps(&dec{b: fb.b[8:], pos: 1}, pb.ops[:0])
+	pb.ops = ops // keep grown scratch even when refusing
 	var vol *service.Volume
-	if err == nil && d.pos == len(req) {
-		vol, err = tc.st.volume(id)
+	if err == nil {
+		vol, err = tc.volume(id)
 	}
-	if vol == nil {
+	if err != nil {
 		tc.free <- pb // never blocks: pb is out of the list, so the list has room
-		return false
+		tc.reqPool.release(fb)
+		out, e := tc.response()
+		e.fail(err)
+		tc.w.enqueue(wireItem{fb: seal(out, e, reqID)}, alone)
+		return
 	}
 	pb.reqID, pb.fb, pb.gen = reqID, fb, fb.gen
 	vol.StartBatch(ops, &pb.run)
 	tc.w.enqueue(wireItem{pb: pb}, alone && len(ops) == 1)
-	return true
 }
 
 // frameOf is the sendQueue's ready hook, run by whoever holds the write
@@ -371,18 +359,33 @@ func (tc *taggedConn) frameOf(it wireItem) *frameBuf {
 		return it.fb
 	}
 	results := pb.run.Complete()
-	out := tc.respPool.acquire(12)
-	e := enc{b: out.b[:12]}
+	out, e := tc.response()
 	e.u8(StatusOK)
 	encBatchResults(&e, pb.ops, results)
-	out.b = e.b
-	binary.LittleEndian.PutUint32(out.b, uint32(len(out.b)-4))
-	binary.LittleEndian.PutUint64(out.b[4:], pb.reqID)
 	if pb.fb.stale(pb.gen) {
 		panic("almaproto: batch request frame recycled while its ops were in flight")
 	}
 	tc.reqPool.release(pb.fb)
 	pb.fb = nil
+	out = seal(out, e, pb.reqID)
 	tc.free <- pb // never blocks: cap is the window, and this batch held one of its slots
+	return out
+}
+
+// response starts a completion: a pooled frame, and an encoder that
+// builds the response body in it behind 12 bytes of header room. The
+// encoder may outgrow the frame, so the two meet again only in seal.
+func (tc *taggedConn) response() (*frameBuf, enc) {
+	out := tc.respPool.acquire(12)
+	return out, enc{b: out.b[:12]}
+}
+
+// seal finishes a completion that response started: the frame takes the
+// encoder's bytes, and its header gets the length prefix and the echoed
+// request ID.
+func seal(out *frameBuf, e enc, reqID uint64) *frameBuf {
+	out.b = e.b
+	binary.LittleEndian.PutUint32(out.b, uint32(len(out.b)-4))
+	binary.LittleEndian.PutUint64(out.b[4:], reqID)
 	return out
 }

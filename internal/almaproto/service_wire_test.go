@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,22 +51,14 @@ func servicePipe(t testing.TB) (*Client, *service.Service) {
 	return c, svc
 }
 
-// TestGoldenWireV4 pins the byte-level encoding of the tagged transport
-// and every v4 opcode. Requests are hand-built (raw, not enc) and written
-// straight to the connection; a twin service is driven through the
-// identical operation sequence via the direct API, and — the simulation
-// being deterministic — the server's response frames must equal
-// hand-encoded responses derived from the twin, request ID echo included.
-// One frame is kept in flight at a time so completions cannot reorder.
-func TestGoldenWireV4(t *testing.T) {
-	svc := newServiceArray(t)
-	twin := newServiceArray(t)
-	srv := NewServiceServer(svc)
+// rawConn connects a hand-driven client end to srv and returns its round
+// trip: write one frame body, read the next. The caller keeps one frame in
+// flight at a time, so completions cannot reorder.
+func rawConn(t *testing.T, srv *Server) func(frame raw) []byte {
 	cliEnd, srvEnd := net.Pipe()
 	t.Cleanup(func() { cliEnd.Close(); srvEnd.Close() })
 	go srv.ServeOne(srvEnd)
-
-	rt := func(frame raw) []byte {
+	return func(frame raw) []byte {
 		t.Helper()
 		var resp []byte
 		var rerr error
@@ -83,6 +76,19 @@ func TestGoldenWireV4(t *testing.T) {
 		}
 		return resp
 	}
+}
+
+// TestGoldenWireV4 pins the byte-level encoding of the tagged transport
+// and every v4 opcode. Requests are hand-built (raw, not enc) and written
+// straight to the connection; a twin service is driven through the
+// identical operation sequence via the direct API, and — the simulation
+// being deterministic — the server's response frames must equal
+// hand-encoded responses derived from the twin, request ID echo included.
+// One frame is kept in flight at a time so completions cannot reorder.
+func TestGoldenWireV4(t *testing.T) {
+	svc := newServiceArray(t)
+	twin := newServiceArray(t)
+	rt := rawConn(t, NewServiceServer(svc))
 	// tagStep sends one tagged request and checks the completion frame
 	// byte-for-byte: echoed request ID, then status and payload.
 	tagStep := func(name string, reqID uint64, req raw, want *enc) {
@@ -149,7 +155,9 @@ func TestGoldenWireV4(t *testing.T) {
 		{Kind: service.KindRead, LPA: 3, At: at2.Add(2 * vclock.Second)},
 		{Kind: service.KindTrim, LPA: 7, At: at2.Add(3 * vclock.Second)},
 	}
-	results := tvol.Batch(ops)
+	var run service.BatchRun
+	tvol.StartBatch(ops, &run)
+	results := run.Complete()
 	req := raw{}.u8(uint8(OpBatch)).u32(tvol.ID()).u32(uint32(len(ops)))
 	for _, op := range ops {
 		req = req.u8(uint8(op.Kind)).u64(op.LPA).t(op.At)
@@ -519,5 +527,127 @@ func TestIdentifyNegotiatesOnce(t *testing.T) {
 		if results[1].Data[0] != byte(i%64) {
 			t.Fatalf("batch %d read back %#x", i, results[1].Data[0])
 		}
+	}
+}
+
+// refusal is the completion of a refused request: the echoed request ID,
+// a status and the error message.
+func refusal(reqID uint64, status uint8, msg string) []byte {
+	return raw{}.u64(reqID).u8(status).blob([]byte(msg))
+}
+
+// TestGoldenBatchRefusals pins the bytes of every way an OpBatch frame is
+// refused as a whole: an id this connection never attached, an op count
+// past maxBatchOps, an op cut short, and a trailing byte after the last
+// op.
+func TestGoldenBatchRefusals(t *testing.T) {
+	svc := newServiceArray(t)
+	rt := rawConn(t, NewServiceServer(svc))
+	at := vclock.Time(vclock.Hour)
+	if resp := rt(raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion)); resp[0] != StatusOK {
+		t.Fatalf("handshake refused: % x", resp)
+	}
+	for i, req := range []raw{
+		raw{}.u8(uint8(OpVolCreate)).blob([]byte("v")).blob([]byte("k")).u64(16).i64(0).t(at),
+		raw{}.u8(uint8(OpVolAttach)).blob([]byte("v")).blob([]byte("k")).t(at),
+	} {
+		if resp := rt(append(raw{}.u64(uint64(i)), req...)); resp[8] != StatusOK {
+			t.Fatalf("setup step %d refused: % x", i, resp)
+		}
+	}
+	read := raw{}.u8(uint8(service.KindRead)).u64(2).t(at)
+	for _, c := range []struct {
+		name string
+		req  raw
+		want []byte
+	}{
+		{"unattached id", append(raw{}.u8(uint8(OpBatch)).u32(9).u32(1), read...),
+			refusal(0xB1, StatusAuth, "service: tenant key rejected: volume id 9 not attached on this connection")},
+		{"op count past maxBatchOps", raw{}.u8(uint8(OpBatch)).u32(1).u32(maxBatchOps + 1),
+			refusal(0xB1, StatusError, "almaproto: Batch: bad op count 65537")},
+		{"truncated op", append(raw{}.u8(uint8(OpBatch)).u32(1).u32(1), read[:5]...),
+			refusal(0xB1, StatusError, "almaproto: truncated payload")},
+		{"trailing byte", append(append(raw{}.u8(uint8(OpBatch)).u32(1).u32(1), read...), 0),
+			refusal(0xB1, StatusError, "almaproto: Batch: 1 trailing payload bytes")},
+	} {
+		if got := rt(append(raw{}.u64(0xB1), c.req...)); !bytes.Equal(got, c.want) {
+			t.Fatalf("%s:\n got % x\nwant % x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRefusedRequestHasNoEffect sends every mutating opcode a valid
+// payload followed by one trailing byte. The request is refused, and
+// refused before it runs: the device counters, the volume list and the
+// connection's attachments read exactly as they did before it.
+func TestRefusedRequestHasNoEffect(t *testing.T) {
+	const lpa = 100 // a block LPA past both volumes' extents
+	t1, t2, t3 := vclock.Time(vclock.Hour), vclock.Time(2*vclock.Hour), vclock.Time(3*vclock.Hour)
+	back := t1.Add(vclock.Second) // between the two versions of every page
+	data := page(nil, 0xc3, 512)
+	for _, c := range []struct {
+		op  Op
+		req raw
+	}{
+		{OpWrite, raw{}.u64(lpa).t(t3).blob(data)},
+		{OpTrim, raw{}.u64(lpa).t(t3)},
+		{OpRollBack, raw{}.u64(lpa).u32(1).t(back).t(t3)},
+		{OpRollBackAll, raw{}.t(back).t(t3)},
+		{OpRollBackParallel, raw{}.u32(1).u64(lpa).u32(1).t(back).t(t3)},
+		{OpVolCreate, raw{}.blob([]byte("c")).blob([]byte("k")).u64(16).i64(0).t(t3)},
+		{OpVolDelete, raw{}.blob([]byte("b")).blob([]byte("k")).t(t3)},
+		{OpVolAttach, raw{}.blob([]byte("b")).blob([]byte("k")).t(t3)},
+		{OpVolRollBack, raw{}.u32(1).t(back).t(t3)},
+		{OpBatch, raw{}.u32(1).u32(1).u8(uint8(service.KindWrite)).u64(0).t(t3).blob(data)},
+	} {
+		t.Run(c.op.String(), func(t *testing.T) {
+			svc := newServiceArray(t)
+			rt := rawConn(t, NewServiceServer(svc))
+			if resp := rt(raw{}.u8(uint8(OpIdentify)).u32(CurrentVersion)); resp[0] != StatusOK {
+				t.Fatalf("handshake refused: % x", resp)
+			}
+			call := func(req raw) []byte { return rt(append(raw{}.u64(7), req...))[8:] }
+			// Two versions of the block LPA and of volume a's page 0, so
+			// every rollback has something to restore; volume a (id 1) is
+			// attached, volume b (id 2) is not.
+			for _, req := range []raw{
+				raw{}.u8(uint8(OpWrite)).u64(lpa).t(t1).blob(page(nil, 1, 512)),
+				raw{}.u8(uint8(OpWrite)).u64(lpa).t(t2).blob(page(nil, 2, 512)),
+				raw{}.u8(uint8(OpVolCreate)).blob([]byte("a")).blob([]byte("k")).u64(16).i64(0).t(t1),
+				raw{}.u8(uint8(OpVolCreate)).blob([]byte("b")).blob([]byte("k")).u64(16).i64(0).t(t1),
+				raw{}.u8(uint8(OpVolAttach)).blob([]byte("a")).blob([]byte("k")).t(t1),
+				raw{}.u8(uint8(OpBatch)).u32(1).u32(2).
+					u8(uint8(service.KindWrite)).u64(0).t(t1).blob(page(nil, 3, 512)).
+					u8(uint8(service.KindWrite)).u64(0).t(t2).blob(page(nil, 4, 512)),
+			} {
+				if resp := call(req); resp[0] != StatusOK {
+					t.Fatalf("setup %v refused: % x", Op(req[0]), resp)
+				}
+			}
+			// attached reports, per volume id, whether the connection holds
+			// it: VolStats answers an unattached id with StatusAuth.
+			attached := func() (out [3]bool) {
+				for id := range out {
+					out[id] = call(raw{}.u8(uint8(OpVolStats)).u32(uint32(id)))[0] == StatusOK
+				}
+				return out
+			}
+			stats, vols, att := svc.Array().StatsView(), svc.List(), attached()
+
+			got := call(append(append(raw{}.u8(uint8(c.op)), c.req...), 0))
+			want := raw{}.u8(StatusError).blob([]byte("almaproto: " + c.op.String() + ": 1 trailing payload bytes"))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("refusal:\n got % x\nwant % x", got, want)
+			}
+			if now := svc.Array().StatsView(); now != stats {
+				t.Errorf("device counters moved:\nbefore %+v\nafter  %+v", stats, now)
+			}
+			if now := svc.List(); !reflect.DeepEqual(now, vols) {
+				t.Errorf("volume list moved:\nbefore %+v\nafter  %+v", vols, now)
+			}
+			if now := attached(); now != att {
+				t.Errorf("attachments moved: before %v, after %v", att, now)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"almanac/internal/obs"
+	"almanac/internal/service"
 	"almanac/internal/timekits"
 	"almanac/internal/vclock"
 )
@@ -42,6 +43,17 @@ func TestGoldenRequestBytes(t *testing.T) {
 	}
 }
 
+// dispatcher returns one connection's command runner: it dispatches a
+// request body as the serve loop does and returns the response body.
+func dispatcher(srv *Server) func(body []byte) []byte {
+	tc := &taggedConn{attached: make(map[uint32]*service.Volume)}
+	return func(body []byte) []byte {
+		var e enc
+		srv.dispatch(tc, body, &e)
+		return e.b
+	}
+}
+
 // TestGoldenWire round-trips every opcode byte-for-byte: each request is
 // hand-built (raw, not enc) and dispatched against one device, while a
 // twin device is driven through the identical operation sequence via the
@@ -54,13 +66,13 @@ func TestGoldenWire(t *testing.T) {
 	dev := newDevice(t)
 	twin := newDevice(t)
 	srv := serveDevice(t, dev)
-	st := newConnState()
+	dispatch := dispatcher(srv)
 	kit := timekits.New(twin)
 	ps := twin.PageSize()
 
 	step := func(name string, req raw, want *enc) {
 		t.Helper()
-		resp := srv.dispatch(st, []byte(req))
+		resp := dispatch(req)
 		if !bytes.Equal(resp, want.b) {
 			t.Fatalf("%s response:\n got % x\nwant % x", name, resp, want.b)
 		}
@@ -319,8 +331,7 @@ func TestNegotiationAgreesOnCurrent(t *testing.T) {
 func TestUnknownOpcodeNamesVersion(t *testing.T) {
 	dev := newDevice(t)
 	srv := serveDevice(t, dev)
-	st := newConnState()
-	resp := srv.dispatch(st, []byte{200})
+	resp := dispatcher(srv)([]byte{200})
 	if resp[0] == 0 {
 		t.Fatal("unknown opcode accepted")
 	}

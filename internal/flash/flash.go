@@ -415,7 +415,7 @@ func (a *Array) PeekPage(ppa PPA) ([]byte, OOB, error) {
 
 // PeekOOB returns a programmed page's OOB without charging time or stats.
 // It exists for consistency checkers and tests; firmware code paths must
-// use Read/ReadOOB so their cost is accounted.
+// use Read so their cost is accounted.
 func (a *Array) PeekOOB(ppa PPA) (OOB, error) {
 	if err := a.checkPPA(ppa); err != nil {
 		return OOB{}, err
@@ -424,12 +424,6 @@ func (a *Array) PeekOOB(ppa PPA) (OOB, error) {
 		return OOB{}, fmt.Errorf("%w: ppa %d", ErrReadFree, ppa)
 	}
 	return a.oob[ppa], nil
-}
-
-// ReadOOB returns only the OOB of a programmed page, charged as a read.
-func (a *Array) ReadOOB(ppa PPA, at vclock.Time) (OOB, vclock.Time, error) {
-	_, oob, done, err := a.Read(ppa, at)
-	return oob, done, err
 }
 
 // setPage stores content and OOB for ppa in the arena.

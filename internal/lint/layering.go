@@ -61,11 +61,10 @@ var layers = []callTarget{
 	{
 		// Tenant I/O must enter through a checked volume handle: the
 		// wire protocol and the harness fleet. Anything else would bypass
-		// extent bounds and window checks.
-		// StartBatch is the split-submission form the server's writer
-		// goroutine completes — same boundary as Batch.
+		// extent bounds and window checks. StartBatch carries every
+		// tenant read, write and trim; RollBack the volume's time travel.
 		pkg: "service", typ: "Volume",
-		methods:      set("Write", "Trim", "Batch", "StartBatch", "RollBack"),
+		methods:      set("StartBatch", "RollBack"),
 		allowed:      set("almaproto", "harness"),
 		boundary:     "volume tenant mutation entry points",
 		internalOnly: true,

@@ -60,14 +60,13 @@ func DirectRetention(dev *core.TimeSSD) {
 // TenantBypass mutates a volume and its lifecycle from outside the wire
 // protocol / harness layer set.
 func TenantBypass(svc *service.Service, v *service.Volume, at vclock.Time) error {
-	if _, err := v.Write(0, []byte("x"), at); err != nil { // want layering
-		return err
-	}
+	var run service.BatchRun
+	v.StartBatch([]service.BatchOp{{Kind: service.KindTrim, LPA: 0, At: at}}, &run) // want layering
+	run.Complete()
 	if _, err := v.RollBack(at.Add(-vclock.Minute), at); err != nil { // want layering
 		return err
 	}
-	v.Batch([]service.BatchOp{{Kind: service.KindTrim, LPA: 0, At: at}}) // want layering
-	if _, err := svc.Create("rogue", "", 1, 0, at); err != nil {         // want layering
+	if _, err := svc.Create("rogue", "", 1, 0, at); err != nil { // want layering
 		return err
 	}
 	_, err := svc.Delete("rogue", "", at) // want layering
@@ -79,6 +78,6 @@ func TenantBypass(svc *service.Service, v *service.Volume, at vclock.Time) error
 func ReadsAreFine(arr *flash.Array, dev *core.TimeSSD, v *service.Volume, at vclock.Time) {
 	_, _, _ = arr.PeekPage(0)
 	_, _, _ = dev.Read(0, at)
-	_, _, _ = v.Read(0, at)
+	_, _ = v.History(0, 1, at)
 	_ = v.WindowStart(at)
 }

@@ -83,7 +83,6 @@ type Service struct {
 
 	mu     sync.Mutex
 	byName map[string]*Volume
-	byID   map[uint32]*Volume
 	nextID uint32
 	free   []extent // sorted by base, adjacent extents merged
 	obsOn  bool
@@ -96,7 +95,6 @@ func New(arr *array.Array) *Service {
 		arr:    arr,
 		floor:  arr.ShardConfig().MinRetention,
 		byName: make(map[string]*Volume),
-		byID:   make(map[uint32]*Volume),
 		nextID: 1,
 		free:   []extent{{base: 0, pages: uint64(arr.LogicalPages())}},
 	}
@@ -171,7 +169,6 @@ func (s *Service) Create(name, key string, pages uint64, retention vclock.Durati
 	s.nextID++
 	v.reg.SetEnabled(s.obsOn)
 	s.byName[name] = v
-	s.byID[v.id] = v
 	s.mu.Unlock()
 	if err := s.applyBound(); err != nil {
 		return nil, err
@@ -196,7 +193,6 @@ func (s *Service) Delete(name, key string, at vclock.Time) (vclock.Time, error) 
 		return at, fmt.Errorf("%w: volume %q", ErrAuth, name)
 	}
 	delete(s.byName, name)
-	delete(s.byID, v.id)
 	s.mu.Unlock()
 
 	v.dead.Store(true)

@@ -76,14 +76,14 @@ func TestVolumeLifecycle(t *testing.T) {
 	}
 
 	ps := s.arr.PageSize()
-	if _, err := v.Write(2, pattern(0xaa, ps), at.Add(vclock.Second)); err != nil {
+	if err := write(v, 2, pattern(0xaa, ps), at.Add(vclock.Second)); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := v.Read(2, at.Add(vclock.Minute))
+	data, err := read(v, 2, at.Add(vclock.Minute))
 	if err != nil || !bytes.Equal(data, pattern(0xaa, ps)) {
 		t.Fatalf("read back: %v", err)
 	}
-	if _, err := v.Write(uint64(v.Pages()), pattern(1, ps), at.Add(vclock.Minute)); !errors.Is(err, ftl.ErrOutOfRange) {
+	if err := write(v, uint64(v.Pages()), pattern(1, ps), at.Add(vclock.Minute)); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Fatalf("out-of-range write: %v", err)
 	}
 
@@ -94,7 +94,7 @@ func TestVolumeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A handle held across the delete fails typed.
-	if _, _, err := v.Read(2, at.Add(3*vclock.Minute)); !errors.Is(err, ErrNoVolume) {
+	if _, err := read(v, 2, at.Add(3*vclock.Minute)); !errors.Is(err, ErrNoVolume) {
 		t.Fatalf("read on deleted volume: %v", err)
 	}
 	if _, err := s.Attach("alpha", "k1"); !errors.Is(err, ErrNoVolume) {
@@ -130,12 +130,6 @@ func TestListOrderAndIDs(t *testing.T) {
 	}
 	if v.ID() != 4 {
 		t.Fatalf("deleted id reused: %d", v.ID())
-	}
-	if s.byID[v.ID()] != v {
-		t.Fatal("new volume not indexed by its id")
-	}
-	if _, ok := s.byID[3]; ok {
-		t.Fatal("a deleted volume is still indexed by its id")
 	}
 }
 
@@ -208,18 +202,18 @@ func TestRollBackIsolation(t *testing.T) {
 	// Interleaved histories: two generations on both volumes.
 	t1, t2 := at.Add(vclock.Minute), at.Add(2*vclock.Minute)
 	for lpa := uint64(0); lpa < 8; lpa++ {
-		if _, err := v0.Write(lpa, pattern(0x10+byte(lpa), ps), t1); err != nil {
+		if err := write(v0, lpa, pattern(0x10+byte(lpa), ps), t1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v1.Write(lpa, pattern(0x50+byte(lpa), ps), t1); err != nil {
+		if err := write(v1, lpa, pattern(0x50+byte(lpa), ps), t1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for lpa := uint64(0); lpa < 8; lpa++ {
-		if _, err := v0.Write(lpa, pattern(0x20+byte(lpa), ps), t2); err != nil {
+		if err := write(v0, lpa, pattern(0x20+byte(lpa), ps), t2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v1.Write(lpa, pattern(0x60+byte(lpa), ps), t2); err != nil {
+		if err := write(v1, lpa, pattern(0x60+byte(lpa), ps), t2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,14 +241,14 @@ func TestRollBackIsolation(t *testing.T) {
 
 	// v0 really travelled: its pages read generation 1 again.
 	for lpa := uint64(0); lpa < 8; lpa++ {
-		data, _, err := v0.Read(lpa, at.Add(6*vclock.Minute))
+		data, err := read(v0, lpa, at.Add(6*vclock.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if data[0] != 0x10+byte(lpa) {
 			t.Fatalf("v0 lpa %d = %#x after rollback, want %#x", lpa, data[0], 0x10+byte(lpa))
 		}
-		data, _, err = v1.Read(lpa, at.Add(6*vclock.Minute))
+		data, err = read(v1, lpa, at.Add(6*vclock.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,13 +291,13 @@ func TestRetentionGatesAndBound(t *testing.T) {
 	if want := now.Add(-6 * vclock.Hour); ws != want {
 		t.Fatalf("window start %v, want %v", ws, want)
 	}
-	if _, err := v6.AddrQuery(0, 4, now.Add(-7*vclock.Hour), now); !errors.Is(err, ErrBeforeWindow) {
-		t.Fatalf("pre-window query: %v", err)
+	if _, err := v6.RollBack(now.Add(-7*vclock.Hour), now); !errors.Is(err, ErrBeforeWindow) {
+		t.Fatalf("pre-window rollback: %v", err)
 	}
 	if _, err := v6.RollBack(at.Add(-vclock.Second), now); !errors.Is(err, ErrBeforeWindow) {
 		t.Fatalf("pre-creation rollback: %v", err)
 	}
-	if _, err := v6.Write(0, pattern(1, s.arr.PageSize()), at.Add(-vclock.Minute)); !errors.Is(err, ErrBeforeWindow) {
+	if err := write(v6, 0, pattern(1, s.arr.PageSize()), at.Add(-vclock.Minute)); !errors.Is(err, ErrBeforeWindow) {
 		t.Fatalf("write before creation: %v", err)
 	}
 	if _, err := s.Create("neg", "k", 8, -vclock.Hour, at); err == nil {
@@ -391,7 +385,7 @@ func TestRecycledExtentHidesPriorTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpa := uint64(0); lpa < 16; lpa++ {
-		if _, err := a.Write(lpa, pattern(0xee, ps), at.Add(vclock.Second)); err != nil {
+		if err := write(a, lpa, pattern(0xee, ps), at.Add(vclock.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +401,7 @@ func TestRecycledExtentHidesPriorTenant(t *testing.T) {
 		t.Fatalf("extent not recycled: %d vs %d", b.base, a.base)
 	}
 	// Current content: scrubbed (zero on read).
-	data, _, err := b.Read(0, at.Add(3*vclock.Minute))
+	data, err := read(b, 0, at.Add(3*vclock.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +430,7 @@ func TestBatchPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := v.Batch([]BatchOp{
+	res := batch(v, []BatchOp{
 		{Kind: KindWrite, LPA: 1, Data: pattern(0x42, ps), At: at.Add(vclock.Second)},
 		{Kind: KindWrite, LPA: 500, Data: pattern(1, ps), At: at.Add(vclock.Second)},
 		{Kind: KindRead, LPA: 1, At: at.Add(2 * vclock.Second)},
@@ -474,17 +468,17 @@ func TestObsSnapshotCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 4; i++ {
-		if _, err := v.Write(i, pattern(byte(i+1), ps), at.Add(vclock.Duration(i)*vclock.Second)); err != nil {
+		if err := write(v, i, pattern(byte(i+1), ps), at.Add(vclock.Duration(i)*vclock.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := v.Read(0, at.Add(vclock.Minute)); err != nil {
+	if _, err := read(v, 0, at.Add(vclock.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Trim(3, at.Add(2*vclock.Minute)); err != nil {
-		t.Fatal(err)
+	if res := batch(v, []BatchOp{{Kind: KindTrim, LPA: 3, At: at.Add(2 * vclock.Minute)}}); res[0].Err != nil {
+		t.Fatal(res[0].Err)
 	}
-	v.Batch([]BatchOp{
+	batch(v, []BatchOp{
 		{Kind: KindRead, LPA: 1, At: at.Add(3 * vclock.Minute)},
 		{Kind: KindWrite, LPA: 2, Data: pattern(9, ps), At: at.Add(3 * vclock.Minute)},
 	})
@@ -493,11 +487,57 @@ func TestObsSnapshotCounts(t *testing.T) {
 	if snap.C.HostPageWrites != 5 || snap.C.HostPageReads != 2 || snap.C.TrimOps != 1 {
 		t.Fatalf("derived counters: %+v", snap.C)
 	}
-	if snap.Ops[obs.VolBatch.String()].Count != 1 {
+	// Every op reached the volume as a batch: six one-op batches, then
+	// one of two ops.
+	if snap.Ops[obs.VolBatch.String()].Count != 7 {
 		t.Fatalf("batch class count: %+v", snap.Ops[obs.VolBatch.String()])
 	}
 	merged := s.ObsSnapshot()
 	if merged.C.HostPageWrites != 5 {
 		t.Fatalf("merged counters: %+v", merged.C)
 	}
+}
+
+// TestBatchWallCoversItsOps: a one-op batch on an idle shard executes
+// inline, inside StartBatch, so the vol-batch wall clock must already be
+// running there. The batch's wall sum is then at least the wall time the
+// device recorded for the same op.
+func TestBatchWallCoversItsOps(t *testing.T) {
+	s := newService(t, 2)
+	s.SetObsEnabled(true)
+	s.arr.SetObsEnabled(true)
+	at := vclock.Time(vclock.Hour)
+	v, err := s.Create("v", "k", 16, 0, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := batch(v, []BatchOp{{Kind: KindWrite, LPA: 3, Data: pattern(7, s.arr.PageSize()), At: at.Add(vclock.Second)}}); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	vol := v.Snapshot().Ops[obs.VolBatch.String()].Wall
+	dev := s.arr.ObsSnapshot().Ops[obs.HostWrite.String()].Wall
+	if vol.Count != 1 || dev.Count != 1 {
+		t.Fatalf("wall samples: vol-batch %d, host-write %d, want 1 each", vol.Count, dev.Count)
+	}
+	if vol.SumNS < dev.SumNS {
+		t.Fatalf("vol-batch wall %d ns is shorter than the host-write it ran (%d ns)", vol.SumNS, dev.SumNS)
+	}
+}
+
+// batch runs ops as one batch over a fresh run, as the protocol server
+// does with its recycled ones.
+func batch(v *Volume, ops []BatchOp) []BatchResult {
+	var r BatchRun
+	v.StartBatch(ops, &r)
+	return r.Complete()
+}
+
+// write and read run one op as a one-op batch.
+func write(v *Volume, lpa uint64, data []byte, at vclock.Time) error {
+	return batch(v, []BatchOp{{Kind: KindWrite, LPA: lpa, Data: data, At: at}})[0].Err
+}
+
+func read(v *Volume, lpa uint64, at vclock.Time) ([]byte, error) {
+	r := batch(v, []BatchOp{{Kind: KindRead, LPA: lpa, At: at}})[0]
+	return r.Data, r.Err
 }

@@ -82,60 +82,6 @@ func (v *Volume) checkLPA(lpa uint64) error {
 	return nil
 }
 
-// gateTravel additionally bounds a time-travel target t by the visible
-// window.
-func (v *Volume) gateTravel(t, at vclock.Time) error {
-	if err := v.gate(at); err != nil {
-		return err
-	}
-	if ws := v.WindowStart(at); t < ws {
-		return fmt.Errorf("%w: t %v precedes window start %v of volume %q", ErrBeforeWindow, t, ws, v.name)
-	}
-	return nil
-}
-
-// Read returns the current content of volume page lpa.
-func (v *Volume) Read(lpa uint64, at vclock.Time) ([]byte, vclock.Time, error) {
-	if err := v.gate(at); err != nil {
-		return nil, at, err
-	}
-	if err := v.checkLPA(lpa); err != nil {
-		return nil, at, err
-	}
-	ws := v.reg.Start()
-	data, done, err := v.svc.arr.Read(v.base+lpa, at)
-	v.reg.Record(obs.VolRead, lpa, int64(at), int64(done), ws, err == nil)
-	return data, done, err
-}
-
-// Write stores a new version of volume page lpa.
-func (v *Volume) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
-	if err := v.gate(at); err != nil {
-		return at, err
-	}
-	if err := v.checkLPA(lpa); err != nil {
-		return at, err
-	}
-	ws := v.reg.Start()
-	done, err := v.svc.arr.Write(v.base+lpa, data, at)
-	v.reg.Record(obs.VolWrite, lpa, int64(at), int64(done), ws, err == nil)
-	return done, err
-}
-
-// Trim invalidates volume page lpa.
-func (v *Volume) Trim(lpa uint64, at vclock.Time) (vclock.Time, error) {
-	if err := v.gate(at); err != nil {
-		return at, err
-	}
-	if err := v.checkLPA(lpa); err != nil {
-		return at, err
-	}
-	ws := v.reg.Start()
-	done, err := v.svc.arr.Trim(v.base+lpa, at)
-	v.reg.Record(obs.VolTrim, lpa, int64(at), int64(done), ws, err == nil)
-	return done, err
-}
-
 // OpKind identifies one operation inside a batch.
 type OpKind uint8
 
@@ -163,13 +109,15 @@ type BatchResult struct {
 	Err  error
 }
 
-// BatchRun is the split form of Batch: StartBatch validates and submits
-// every op to its shard in one pass, Complete collects the completions. The struct is reusable scratch — the protocol server
-// keeps one per in-flight batch and recycles it, so a steady-state batch
-// allocates nothing: the command slice holds Cmds by value and their
-// completion channels survive reset (see array.Cmd). A BatchRun must not
-// be touched between StartBatch and Complete, and the ops slice (with
-// its write payloads) must stay valid until Complete returns.
+// BatchRun is one batch in flight, the one way tenant I/O reaches a
+// volume: StartBatch validates and submits every op to its shard in one
+// pass, Complete collects the completions. The struct is reusable
+// scratch — the protocol server keeps one per in-flight batch and
+// recycles it, so a steady-state batch allocates nothing: the command
+// slice holds Cmds by value and their completion channels survive reset
+// (see array.Cmd). A BatchRun must not be touched between StartBatch and
+// Complete, and the ops slice (with its write payloads) must stay valid
+// until Complete returns.
 type BatchRun struct {
 	v     *Volume
 	ops   []BatchOp
@@ -177,6 +125,7 @@ type BatchRun struct {
 	cmds  []array.Cmd
 	sub   []bool // cmds[i] was submitted and must be waited
 	issue vclock.Time
+	wall  int64 // the vol-batch wall clock, started by StartBatch
 }
 
 // StartBatch begins executing ops with true cross-shard pipelining:
@@ -191,6 +140,9 @@ type BatchRun struct {
 func (v *Volume) StartBatch(ops []BatchOp, r *BatchRun) {
 	r.v = v
 	r.ops = ops
+	// A one-op batch may execute right here, so the clock starts before
+	// anything is submitted.
+	r.wall = v.reg.Start()
 	n := len(ops)
 	if cap(r.out) < n {
 		r.out = make([]BatchResult, n)
@@ -247,7 +199,6 @@ func (v *Volume) StartBatch(ops []BatchOp, r *BatchRun) {
 // it is valid until the next StartBatch on the same run.
 func (r *BatchRun) Complete() []BatchResult {
 	v := r.v
-	ws := v.reg.Start()
 	ok := true
 	done := vclock.Time(0)
 	for i := range r.cmds {
@@ -271,18 +222,8 @@ func (r *BatchRun) Complete() []BatchResult {
 	if done < r.issue {
 		done = r.issue
 	}
-	v.reg.Record(obs.VolBatch, uint64(len(r.ops)), int64(r.issue), int64(done), ws, ok)
+	v.reg.Record(obs.VolBatch, uint64(len(r.ops)), int64(r.issue), int64(done), r.wall, ok)
 	return r.out
-}
-
-// Batch executes ops and waits for them: StartBatch plus Complete over a
-// throwaway run. Callers that issue batches repeatedly (the protocol
-// server, fleet harnesses) should hold a BatchRun and use the split form
-// to reuse the command scratch.
-func (v *Volume) Batch(ops []BatchOp) []BatchResult {
-	var r BatchRun
-	v.StartBatch(ops, &r)
-	return r.Complete()
 }
 
 func (v *Volume) observeOp(kind OpKind, lpa uint64, at, done vclock.Time, err error) {
@@ -298,20 +239,6 @@ func (v *Volume) observeOp(kind OpKind, lpa uint64, at, done vclock.Time, err er
 		return
 	}
 	v.reg.Record(c, lpa, int64(at), int64(done), 0, err == nil)
-}
-
-// AddrQuery returns, per volume page in [lpa, lpa+cnt), the version
-// current at time t. LPAs in the result are volume-relative.
-func (v *Volume) AddrQuery(lpa uint64, cnt int, t, at vclock.Time) (timekits.Result[[]timekits.PageVersions], error) {
-	var zero timekits.Result[[]timekits.PageVersions]
-	if err := v.gateTravel(t, at); err != nil {
-		return zero, err
-	}
-	if err := v.checkQueryRange(lpa, cnt); err != nil {
-		return zero, err
-	}
-	res, err := v.svc.arr.AddrQuery(v.base+lpa, cnt, t, at)
-	return v.relocalize(res), err
 }
 
 // History returns every retained version of cnt volume pages from lpa,
@@ -340,16 +267,21 @@ func (v *Volume) History(lpa uint64, cnt int, at vclock.Time) (timekits.Result[[
 			}
 		}
 		res.Value[i].Versions = kept
+		res.Value[i].LPA -= v.base // back to volume-relative
 	}
-	return v.relocalize(res), nil
+	return res, nil
 }
 
 // RollBack reverts the whole volume to its state at time t. Only this
 // volume's extent is touched: every other volume's version history is
-// byte-identical before and after.
+// byte-identical before and after. The target t must lie in the
+// volume's visible window.
 func (v *Volume) RollBack(t, at vclock.Time) (timekits.Result[int], error) {
-	if err := v.gateTravel(t, at); err != nil {
+	if err := v.gate(at); err != nil {
 		return timekits.Result[int]{}, err
+	}
+	if ws := v.WindowStart(at); t < ws {
+		return timekits.Result[int]{}, fmt.Errorf("%w: t %v precedes window start %v of volume %q", ErrBeforeWindow, t, ws, v.name)
 	}
 	ws := v.reg.Start()
 	res, err := v.svc.arr.RollBack(v.base, int(v.pages), t, at)
@@ -362,15 +294,6 @@ func (v *Volume) checkQueryRange(lpa uint64, cnt int) error {
 		return fmt.Errorf("%w: addr %d cnt %d (volume %q has %d pages)", timekits.ErrBadRange, lpa, cnt, v.name, v.pages)
 	}
 	return nil
-}
-
-// relocalize rewrites global LPAs in a query result back to
-// volume-relative addresses.
-func (v *Volume) relocalize(res timekits.Result[[]timekits.PageVersions]) timekits.Result[[]timekits.PageVersions] {
-	for i := range res.Value {
-		res.Value[i].LPA -= v.base
-	}
-	return res
 }
 
 // Snapshot returns the volume's observability snapshot: the vol-* class
