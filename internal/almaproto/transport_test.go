@@ -63,6 +63,14 @@ func (w *whoConn) Write(p []byte) (int, error) {
 	return w.ReadWriteCloser.Write(p)
 }
 
+// onlyKey returns the key of a one-entry map.
+func onlyKey(m map[uint64]int) uint64 {
+	for k := range m {
+		return k
+	}
+	return 0
+}
+
 // reset forgets what was recorded so far; snapshot copies it out.
 func (w *whoConn) reset() {
 	w.mu.Lock()
@@ -121,7 +129,23 @@ func TestLoneFrameRunsOnTwoGoroutines(t *testing.T) {
 			t.Fatalf("op %d: %v %v", i, err, res)
 		}
 	}
-	one(0) // the server's answer to VolAttach came from a dispatch goroutine
+	// The answer to VolAttach came from a dispatch goroutine, which gives
+	// its window slot back only after its Write returns: the next frame can
+	// find that slot still held and go to the writer goroutine, whose own
+	// slot release races the frame after it in turn. Warm up until the
+	// server's reader writes an answer itself. That proves the window was
+	// empty and the writer parked when the frame arrived, and from then on
+	// the reader gives back every slot before it reads again.
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("after 100 warm-up frames the server's reader has not written an answer itself")
+		}
+		sw.reset()
+		one(0)
+		if r, w := sw.snapshot(); len(w) == 1 && r[onlyKey(w)] > 0 {
+			break
+		}
+	}
 	cw.reset()
 	sw.reset()
 	const n = 200

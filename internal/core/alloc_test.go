@@ -241,15 +241,16 @@ func TestRefCacheSteadyStateAllocs(t *testing.T) {
 // the records it returns (one Times slice each, plus the doublings of the
 // record slice), and nothing per LPA scanned or per chain hop walked or
 // replayed. The same three-record query is run over a short history and
-// over one with four times the LPAs and three times the versions, once
-// replaying the scan memo and once walking cold; all four must cost the
-// same.
+// over one with four times the LPAs and three times the versions: walking
+// cold, replaying the scan memo on busy channels (every query at one
+// instant), and replaying it on idle ones (each query at the last one's
+// completion); all six must cost the same.
 func TestUpdatedBetweenAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
 	}
 	const matches = 3
-	measure := func(lpas, versions int) [2]float64 {
+	measure := func(lpas, versions int) [3]float64 {
 		d := newTiny(t, func(c *Config) {
 			c.FTL.Flash.PageSize = 512
 			c.MinRetention = vclock.Day // keep every version: the chains must be long
@@ -280,23 +281,26 @@ func TestUpdatedBetweenAllocs(t *testing.T) {
 		if versions > 4 && d.Counters().DeltaPagesWritten == 0 {
 			t.Fatalf("%d LPAs x %d versions: no delta chains to walk", lpas, versions)
 		}
-		query := func() {
-			recs, _, err := d.UpdatedBetween(from, to, at)
+		query := func(at vclock.Time) vclock.Time {
+			recs, done, err := d.UpdatedBetween(from, to, at)
 			if err != nil || len(recs) != matches {
 				t.Fatalf("UpdatedBetween = %d records, %v; want %d", len(recs), err, matches)
 			}
+			return done
 		}
-		replayed := testing.AllocsPerRun(20, query)
+		loaded := testing.AllocsPerRun(20, func() { query(at) })
 		walked := testing.AllocsPerRun(20, func() {
 			d.gen++ // as a mutator would: the next query walks cold
-			query()
+			query(at)
 		})
-		return [2]float64{walked, replayed}
+		last := query(at)
+		quiet := testing.AllocsPerRun(20, func() { last = query(last) })
+		return [3]float64{walked, loaded, quiet}
 	}
 	short, long := measure(8, 4), measure(32, 12)
 	// 3 Times slices + the record slice growing 1 -> 2 -> 4.
 	want := float64(2 * matches)
-	for i, path := range []string{"a walked", "a replayed"} {
+	for i, path := range []string{"a walked", "a busy replayed", "an idle replayed"} {
 		if short[i] != want || long[i] != want {
 			t.Fatalf("%s UpdatedBetween allocates %.0f times over 8 LPAs x 4 versions and %.0f over 32 x 12, want %.0f both",
 				path, short[i], long[i], want)

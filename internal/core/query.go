@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"almanac/internal/delta"
 	"almanac/internal/fault"
@@ -549,6 +550,15 @@ type scanMemo struct {
 	lpas  []memoLPA     // candidate LPAs, ascending
 	ts    []vclock.Time // every LPA's timestamps, newest first, concatenated
 	ch    []uint8       // channel of every charged read, concatenated
+
+	// The replay's outcome from an all-idle array, as offsets from the
+	// query's at (settle): what a replay that finds every channel it
+	// charges idle applies in one step (flash.Array.ChargeQuiet).
+	settled bool
+	ends    []vclock.Duration // each channel's final horizon; -1 where no read is charged
+	doneOff vclock.Duration   // the completion
+	lat     obs.HistSnapshot  // every read's virtual latency, as chargeRead observes it
+	busy    []vclock.Time     // scratch channel horizons: settle's, or those a replay starts from
 }
 
 // memoLPA is one candidate LPA's entry in a scanMemo. Its runs end where
@@ -559,6 +569,44 @@ type memoLPA struct {
 	trim    trimRecord // lpa's trim record when the walk ran
 	tsEnd   uint32     // end of lpa's run in scanMemo.ts
 	readEnd uint32     // end of lpa's run in scanMemo.ch
+}
+
+// settle computes the replay's outcome from an all-idle array at time 0.
+// A replay whose channels are all idle by its at ends exactly so, shifted
+// by at, since every read it issues is at or after at. It runs the replay
+// dry on the scratch horizons, each first set to -1, which marks a channel
+// no read touches and is idle before any read can start.
+func (m *scanMemo) settle(channels int, readLatency vclock.Duration) {
+	m.busy = m.busy[:0]
+	for range channels {
+		m.busy = append(m.busy, -1)
+	}
+	m.lat = obs.HistSnapshot{}
+	m.doneOff = m.replayDry(m.busy, 0, readLatency, &m.lat).Sub(0)
+	m.ends = m.ends[:0]
+	for _, h := range m.busy {
+		m.ends = append(m.ends, h.Sub(0))
+	}
+	m.settled = true
+}
+
+// replayDry charges the memo's reads as replayScan charges them, each LPA's
+// reads in order from at, to busy, a set of channel horizons, instead of to
+// the array: each read starts when its channel falls idle, as occupy starts
+// it, and its virtual latency goes to lat. It returns the completion.
+func (m *scanMemo) replayDry(busy []vclock.Time, at vclock.Time, readLatency vclock.Duration, lat *obs.HistSnapshot) vclock.Time {
+	done, r := at, uint32(0)
+	for _, e := range m.lpas {
+		end := at
+		for ; r < e.readEnd; r++ {
+			ch := m.ch[r]
+			next := max(end, busy[ch]).Add(readLatency)
+			lat.Observe(int64(next.Sub(end)))
+			busy[ch], end = next, next
+		}
+		done = max(done, end)
+	}
+	return done
 }
 
 // read records a charged read of ppa.
@@ -616,7 +664,7 @@ func (t *TimeSSD) UpdatedBetween(from, to vclock.Time, at vclock.Time) ([]Update
 // it with the LPAs walked so far recorded and the memo invalid.
 func (t *TimeSSD) walkAll(at vclock.Time) (vclock.Time, error) {
 	m := &t.scan
-	m.valid = false
+	m.valid, m.settled = false, false
 	m.lpas, m.ts, m.ch = m.lpas[:0], m.ts[:0], m.ch[:0]
 	done := at
 	for lpa := uint64(0); lpa < uint64(t.LogicalPages()); lpa++ {
@@ -635,9 +683,30 @@ func (t *TimeSSD) walkAll(at vclock.Time) (vclock.Time, error) {
 }
 
 // replayScan charges the memo's reads as walkAll charged them: each LPA's
-// reads in order on their channels, every LPA starting at at.
+// reads in order on their channels, every LPA starting at at. When every
+// channel it charges is idle by at, no horizon can delay any of those
+// reads, so the memo's idle-start outcome (settle) is applied in one step;
+// otherwise the reads are charged one by one, because then each read's
+// latency depends on the horizons it meets.
 func (t *TimeSSD) replayScan(at vclock.Time) vclock.Time {
 	m := &t.scan
+	if !m.settled {
+		if m.busy = t.Arr.Horizons(m.busy[:0]); slices.Max(m.busy) <= at {
+			cfg := t.Arr.Config()
+			m.settle(cfg.Channels, cfg.ReadLatency)
+		}
+	}
+	if m.settled {
+		if invariant.Enabled {
+			m.busy = t.Arr.Horizons(m.busy[:0])
+		}
+		if t.Arr.ChargeQuiet(at, m.ends, &m.lat) {
+			if invariant.Enabled {
+				t.shadowQuietReplay(at)
+			}
+			return at.Add(m.doneOff)
+		}
+	}
 	done, r := at, uint32(0)
 	for _, e := range m.lpas {
 		end := at
@@ -647,6 +716,21 @@ func (t *TimeSSD) replayScan(at vclock.Time) vclock.Time {
 		done = max(done, end)
 	}
 	return done
+}
+
+// shadowQuietReplay checks a replay applied in one step (almanacdebug): the
+// memo's reads charged one by one, dry, from at and from the horizons the
+// replay started on (t.scan.busy), must end on the horizons the array now
+// holds, complete at the same instant and see the same latencies.
+func (t *TimeSSD) shadowQuietReplay(at vclock.Time) {
+	m := &t.scan
+	busy := slices.Clone(m.busy)
+	var lat obs.HistSnapshot
+	done := m.replayDry(busy, at, t.Arr.Config().ReadLatency, &lat)
+	now := t.Arr.Horizons(nil)
+	invariant.Assert(slices.Equal(busy, now), "quiet replay at %v: horizons (ns) %d, read by read %d", at, now, busy)
+	invariant.Assert(done == at.Add(m.doneOff), "quiet replay at %v: done %v, read by read %v", at, at.Add(m.doneOff), done)
+	invariant.Assert(lat == m.lat, "quiet replay at %v: latencies %+v, read by read %+v", at, m.lat, lat)
 }
 
 // records filters the memo's timestamps to [from, to].

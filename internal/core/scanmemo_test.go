@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"almanac/internal/fault"
@@ -21,12 +22,15 @@ func lpaTimestamps(d *TimeSSD, lpa uint64, at vclock.Time) ([]vclock.Time, error
 // TestScanMemoMatchesColdWalk drives twin devices through one seeded stream
 // of every mutator and rollback, with time queries after each step. The
 // twin's generation is bumped before every query, so it always walks cold;
-// the other device replays its memo whenever it may. After every query the
-// two must agree on the records, the completion time, every counter, the
-// virtual side of every obs histogram, and each channel's busy horizon
-// (probed with one read per channel, charged on both). Every mutator that
-// does not bump the generation lets a stale memo replay, and one of these
-// comparisons fails.
+// the other device replays its memo whenever it may. Queries alternate
+// between issuing at the stream's clock, where the channels are still busy
+// with the previous query's reads and a replay charges read by read, and
+// at the latest channel horizon, where every channel is idle and a replay
+// applies its idle-start outcome in one step; both branches must run. After
+// every query the two must agree on the records, the completion time, every
+// counter, the virtual side of every obs histogram, and each channel's busy
+// horizon. Every mutator that does not bump the generation lets a stale
+// memo replay, and one of these comparisons fails.
 func TestScanMemoMatchesColdWalk(t *testing.T) {
 	newDev := func() *TimeSSD {
 		d := newTiny(t, func(c *Config) { c.IdleThreshold = vclock.Second })
@@ -49,12 +53,12 @@ func TestScanMemoMatchesColdWalk(t *testing.T) {
 			now = dm
 		}
 	}
-	query := func(step int, from, to vclock.Time) {
+	query := func(step int, from, to, at vclock.Time) {
 		t.Helper()
 		cold.gen++
-		rm, dm, em := memo.UpdatedBetween(from, to, now)
-		rc, dc, ec := cold.UpdatedBetween(from, to, now)
-		where := fmt.Sprintf("step %d: UpdatedBetween(%v, %v, %v)", step, from, to, now)
+		rm, dm, em := memo.UpdatedBetween(from, to, at)
+		rc, dc, ec := cold.UpdatedBetween(from, to, at)
+		where := fmt.Sprintf("step %d: UpdatedBetween(%v, %v, %v)", step, from, to, at)
 		if em != nil || ec != nil {
 			t.Fatalf("%s: errors %v, %v", where, em, ec)
 		}
@@ -74,14 +78,27 @@ func TestScanMemoMatchesColdWalk(t *testing.T) {
 		if len(om) != len(oc) {
 			t.Fatalf("%s: %d obs classes on the memo device, %d on the twin", where, len(om), len(oc))
 		}
-		for ch := 0; ch < memo.Arr.Config().Channels; ch++ {
-			if hm, hc := memo.Arr.ChargeRead(ch, now), cold.Arr.ChargeRead(ch, now); hm != hc {
-				t.Fatalf("%s: channel %d horizon: memo device %v, cold twin %v", where, ch, hm, hc)
-			}
+		if hm, hc := memo.Arr.Horizons(nil), cold.Arr.Horizons(nil); !slices.Equal(hm, hc) {
+			t.Fatalf("%s: channel horizons (ns): memo device %d, cold twin %d", where, hm, hc)
 		}
 	}
+	// branch reports which way a replay at `at` goes: quiet when every
+	// channel is idle by at, loaded when a channel the memo charges is busy
+	// past it, and neither otherwise (or when the query will walk).
+	branch := func(at vclock.Time) (quiet, loaded bool) {
+		if !memo.scanCurrent() {
+			return false, false
+		}
+		h := memo.Arr.Horizons(nil)
+		for _, ch := range memo.scan.ch {
+			if h[ch] > at {
+				return false, true
+			}
+		}
+		return slices.Max(h) <= at, false
+	}
 
-	replays := 0
+	quietReplays, loadedReplays, queries := 0, 0, 0
 	for i := 0; i < 600; i++ {
 		lpa := uint64(rng.Intn(lpas))
 		switch op := rng.Intn(20); {
@@ -121,18 +138,27 @@ func TestScanMemoMatchesColdWalk(t *testing.T) {
 		now = now.Add(vclock.Duration(1+rng.Intn(1000)) * vclock.Millisecond)
 		// The first query after a mutator walks; the rest replay.
 		for q := 0; q < 3; q++ {
-			if memo.scanCurrent() {
-				replays++
+			at := now
+			if queries++; queries%2 == 0 {
+				at = max(at, slices.Max(memo.Arr.Horizons(nil)))
+			}
+			quiet, loaded := branch(at)
+			if quiet {
+				quietReplays++
+			}
+			if loaded {
+				loadedReplays++
 			}
 			from := vclock.Time(rng.Int63n(int64(now)))
 			to := from.Add(vclock.Duration(rng.Int63n(int64(now))))
 			if q == 0 {
 				from, to = 0, now
 			}
-			query(i, from, to)
+			query(i, from, to, at)
 		}
 	}
-	if replays == 0 {
-		t.Fatal("no query replayed the memo")
+	t.Logf("%d replays on an idle array, %d on a busy one", quietReplays, loadedReplays)
+	if quietReplays < 100 || loadedReplays < 100 {
+		t.Fatalf("%d replays on an idle array and %d on a busy one, want at least 100 of each", quietReplays, loadedReplays)
 	}
 }

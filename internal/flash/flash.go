@@ -387,6 +387,33 @@ func (a *Array) ChargeRead(ch int, at vclock.Time) vclock.Time {
 	return a.chargeRead(ch, at, a.obsr.Start())
 }
 
+// ChargeQuiet applies at `at`, in one step, a run of reads whose outcome
+// on an all-idle array is known: ends[ch] is channel ch's horizon after
+// the run as an offset from its start (negative for a channel the run
+// does not touch), and lat holds the virtual latency of every read. If
+// every touched channel is idle by at, no horizon can delay any read of
+// the run, which therefore ends exactly as it would from idle, shifted by
+// at: the horizons are set, lat.Count reads are counted and their
+// latencies observed, as that many ChargeRead calls would, and it reports
+// true. Otherwise it changes nothing and reports false. Like ChargeRead it
+// does not consult the fault plan.
+func (a *Array) ChargeQuiet(at vclock.Time, ends []vclock.Duration, lat *obs.HistSnapshot) bool {
+	for ch, off := range ends {
+		if off >= 0 && a.busy[ch] > at {
+			return false
+		}
+	}
+	ws := a.obsr.Start()
+	for ch, off := range ends {
+		if off >= 0 {
+			a.busy[ch] = at.Add(off)
+		}
+	}
+	a.stats.Reads += lat.Count
+	a.obsr.ObserveBulk(obs.FlashRead, lat, ws)
+	return true
+}
+
 // chargeRead is the cost of every read: Read and ChargeRead both go
 // through it. ws is the caller's obs wall-clock start.
 func (a *Array) chargeRead(ch int, at vclock.Time, ws int64) vclock.Time {

@@ -3,8 +3,10 @@ package flash
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
+	"almanac/internal/obs"
 	"almanac/internal/vclock"
 )
 
@@ -175,6 +177,66 @@ func TestChannelTimingParallelism(t *testing.T) {
 	_, d3, _ := a.Program(c.BlocksPerChip(), []byte{3}, oob, 0)
 	if d3 != vclock.Time(c.ProgLatency) {
 		t.Fatalf("cross-channel op delayed: %v", d3)
+	}
+}
+
+// TestChargeQuietMatchesChargeRead applies a run of reads once read by
+// read through ChargeRead and once as its idle-start outcome through
+// ChargeQuiet, on two arrays whose channels are idle by the run's start:
+// the horizons, the read count and the flash-read histograms (virtual
+// side, and the wall count) must agree. With a channel still busy at the
+// start, ChargeQuiet must refuse and change nothing.
+func TestChargeQuietMatchesChargeRead(t *testing.T) {
+	c := tinyConfig()
+	newArr := func() *Array {
+		a := mustNew(t, c)
+		r := obs.NewRegistry()
+		r.SetEnabled(true)
+		a.SetObserver(r)
+		return a
+	}
+	// Two runs that start together, so the second queues behind the first.
+	runs := [][]int{{0, 0, 1}, {0, 1}}
+	charge := func(a *Array, at vclock.Time) {
+		for _, run := range runs {
+			end := at
+			for _, ch := range run {
+				end = a.ChargeRead(ch, end)
+			}
+		}
+	}
+	idle := newArr()
+	charge(idle, 0)
+	ends := make([]vclock.Duration, c.Channels)
+	for ch, h := range idle.Horizons(nil) {
+		ends[ch] = h.Sub(0)
+	}
+	lat := idle.obsr.Ops()["flash-read"].Virt
+
+	one, bulk := newArr(), newArr()
+	for _, a := range []*Array{one, bulk} {
+		a.ChargeRead(0, 0) // busy, but idle again by at
+	}
+	at := vclock.Time(vclock.Second)
+	charge(one, at)
+	if !bulk.ChargeQuiet(at, ends, &lat) {
+		t.Fatal("ChargeQuiet refused an idle array")
+	}
+	if ho, hb := one.Horizons(nil), bulk.Horizons(nil); !slices.Equal(ho, hb) {
+		t.Fatalf("horizons: read by read %v, quiet %v", ho, hb)
+	}
+	so, sb := one.obsr.Ops()["flash-read"], bulk.obsr.Ops()["flash-read"]
+	if one.Stats() != bulk.Stats() || so.Virt != sb.Virt || sb.Count != bulk.Stats().Reads || sb.Wall.Count != sb.Count {
+		t.Fatalf("read by read: %+v %+v; quiet: %+v %+v", one.Stats(), so, bulk.Stats(), sb)
+	}
+
+	busy := bulk.ChargeRead(1, at.Add(vclock.Hour))
+	before, stats := bulk.Horizons(nil), bulk.Stats()
+	if bulk.ChargeQuiet(busy-1, ends, &lat) {
+		t.Fatal("ChargeQuiet applied a run to a busy channel")
+	}
+	if !slices.Equal(before, bulk.Horizons(nil)) || stats != bulk.Stats() {
+		t.Fatal("a refused ChargeQuiet changed the array")
 	}
 }
 

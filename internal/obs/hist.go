@@ -43,13 +43,30 @@ type hist struct {
 	buckets [NumBuckets]atomic.Int64
 }
 
-func (h *hist) observe(ns int64) {
+func (h *hist) observe(ns int64) { h.observeN(ns, 1) }
+
+// observeN records n samples of ns each in O(1).
+func (h *hist) observeN(ns, n int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(ns)
-	h.buckets[bucketOf(ns)].Add(1)
+	h.count.Add(n)
+	h.sum.Add(ns * n)
+	h.buckets[bucketOf(ns)].Add(n)
+	h.raiseMax(ns)
+}
+
+// merge records every sample s holds, as observing each one would.
+func (h *hist) merge(s *HistSnapshot) {
+	h.count.Add(s.Count)
+	h.sum.Add(s.SumNS)
+	for i, n := range s.Buckets {
+		h.buckets[i].Add(n)
+	}
+	h.raiseMax(s.MaxNS)
+}
+
+func (h *hist) raiseMax(ns int64) {
 	for {
 		m := h.max.Load()
 		if ns <= m || h.max.CompareAndSwap(m, ns) {
@@ -120,6 +137,15 @@ func (s HistSnapshot) QuantileBucketNS(q float64) int64 {
 		}
 	}
 	return s.MaxNS
+}
+
+// Observe adds one sample to s, bucketed as a registry would record it.
+func (s *HistSnapshot) Observe(ns int64) {
+	ns = max(ns, 0)
+	s.Count++
+	s.SumNS += ns
+	s.MaxNS = max(s.MaxNS, ns)
+	s.Buckets[bucketOf(ns)]++
 }
 
 // Add merges another snapshot into s.

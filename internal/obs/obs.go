@@ -184,6 +184,21 @@ func (r *Registry) Observe(c Class, virtNS, wallStart int64, ok bool) {
 	}
 }
 
+// ObserveBulk records virt.Count successful operations at once: their
+// virtual durations are the samples virt holds, and the wall time since
+// wallStart is split evenly among them, so the class count moves exactly
+// as virt.Count calls to Observe would move it.
+func (r *Registry) ObserveBulk(c Class, virt *HistSnapshot, wallStart int64) {
+	if !r.Enabled() || c >= NumClasses || virt.Count == 0 {
+		return
+	}
+	m := &r.classes[c]
+	m.virt.merge(virt)
+	if wallStart > 0 {
+		m.wall.observeN((wallNow()-wallStart)/virt.Count, virt.Count)
+	}
+}
+
 // Record is Observe plus a trace-ring event carrying the logical page
 // address and the virtual issue/done pair. Host commands, GC passes,
 // delta flushes and rollbacks use it; flash micro-operations use Observe

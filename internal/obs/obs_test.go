@@ -130,6 +130,46 @@ func TestObserveCountsAndErrors(t *testing.T) {
 	}
 }
 
+// TestBulkRecordMatchesOneByOne: merging a snapshot, or observing one value
+// n times at once, leaves a histogram exactly as observing each sample
+// would; ObserveBulk counts every sample on both the virtual and the wall
+// side, as that many Observe calls do.
+func TestBulkRecordMatchesOneByOne(t *testing.T) {
+	samples := []int64{-5, 0, 999, 1000, 1500, 1500, 3000, 250_000, 1_000_000, 1 << 40}
+	var one, merged hist
+	var s HistSnapshot
+	for _, ns := range samples {
+		one.observe(ns)
+		s.Observe(ns)
+	}
+	if s != one.snapshot() {
+		t.Fatalf("HistSnapshot.Observe: %+v, hist.observe: %+v", s, one.snapshot())
+	}
+	merged.observe(7000) // merge adds to what is already there
+	one.observe(7000)
+	merged.merge(&s)
+	if got, want := merged.snapshot(), one.snapshot(); got != want {
+		t.Fatalf("merge: %+v, one by one: %+v", got, want)
+	}
+
+	var many, each hist
+	many.observeN(3000, 5)
+	for range 5 {
+		each.observe(3000)
+	}
+	if got, want := many.snapshot(), each.snapshot(); got != want {
+		t.Fatalf("observeN: %+v, one by one: %+v", got, want)
+	}
+
+	r := NewRegistry()
+	r.SetEnabled(true)
+	r.ObserveBulk(FlashRead, &s, r.Start())
+	st := r.Ops()["flash-read"]
+	if st.Count != s.Count || st.Virt != s || st.Wall.Count != s.Count {
+		t.Fatalf("ObserveBulk: count %d, virt %+v, wall count %d; want %d samples", st.Count, st.Virt, st.Wall.Count, s.Count)
+	}
+}
+
 // TestClassNamesRoundTrip: every class has its own name, so a snapshot
 // keyed by name (Registry.Ops) maps back to one class.
 func TestClassNamesRoundTrip(t *testing.T) {
