@@ -13,10 +13,9 @@ import (
 // frame per request and a frame per completion; allocating each one
 // (64 KB batch frames on the hot path) made the garbage collector the
 // bottleneck of the wire path. A framePool is an explicit generation-
-// tagged free list — the same discipline as lzf.Compressor and the core's
-// flat refcache — so steady-state framing allocates nothing and the
-// AllocsPerRun pins stay deterministic (a sync.Pool can be emptied by any
-// GC cycle mid-run).
+// tagged free list — the same discipline as lzf.Compressor — so
+// steady-state framing allocates nothing and the AllocsPerRun pins stay
+// deterministic (a sync.Pool can be emptied by any GC cycle mid-run).
 //
 // Lifecycle: acquire leases a buffer, release returns it. A release bumps
 // the buffer's generation, so a holder that recorded the generation at

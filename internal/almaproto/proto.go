@@ -464,9 +464,8 @@ type DeviceStats struct {
 // payload order, obs.Counters declaration order: 20 i64 values, encoded
 // and decoded through this one list. Adding a simulated-device counter to
 // obs.Counters requires a protocol revision. Host-side telemetry in
-// obs.Counters (the RefCache* fields, which measure simulator performance
-// rather than device behavior) is deliberately not part of the payload
-// and must stay out of this list.
+// obs.Counters (the retired RefCache* fields, which always read 0) is
+// deliberately not part of the payload and must stay out of this list.
 func counterFields(c *obs.Counters) [20]*int64 {
 	return [...]*int64{
 		&c.HostPageWrites, &c.HostPageReads, &c.TrimOps,

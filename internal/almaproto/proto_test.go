@@ -306,8 +306,8 @@ func TestFrameLimits(t *testing.T) {
 
 // TestCountersRoundTrip fills every obs.Counters field with a distinct
 // value. The first 20 fields, the simulated-device counters, cross the
-// wire as i64s in declaration order; the host-side RefCache* telemetry
-// after them stays off the wire.
+// wire as i64s in declaration order; the retired host-side RefCache*
+// fields after them stay off the wire.
 func TestCountersRoundTrip(t *testing.T) {
 	var c obs.Counters
 	fields := reflect.ValueOf(&c).Elem()

@@ -32,7 +32,7 @@ var configFields = []string{
 	// TimeSSD retention machinery
 	"minret", "th", "nfixed", "deltacost", "idlethresh", "idlealpha",
 	"bfcap", "bffp", "bfgroup", "cohort", "key", "nocompress",
-	"noidlecompress", "refcache",
+	"noidlecompress",
 }
 
 func fmtDur(d vclock.Duration) string { return time.Duration(d).String() }
@@ -74,7 +74,6 @@ func (c Config) String() string {
 		"key":            hex.EncodeToString(c.RetentionKey),
 		"nocompress":     strconv.FormatBool(c.DisableCompression),
 		"noidlecompress": strconv.FormatBool(c.DisableIdleCompression),
-		"refcache":       strconv.Itoa(c.RefCacheSlots),
 	}
 	var b strings.Builder
 	for i, k := range configFields {
@@ -212,8 +211,6 @@ func ParseConfig(s string) (Config, error) {
 				fail("core: bad bool %q: %v", v, err)
 			}
 			c.DisableIdleCompression = b
-		case "refcache":
-			c.RefCacheSlots = pInt(v)
 		}
 		if firstErr != nil {
 			return Config{}, firstErr

@@ -59,7 +59,6 @@ func TestConfigRoundTripRandom(t *testing.T) {
 		c.BFFalsePositive = rng.Float64()/2 + 1e-9
 		c.BFGroup = rng.Intn(128) + 1
 		c.CohortSegments = rng.Intn(8) + 1
-		c.RefCacheSlots = rng.Intn(4096) - 16
 		c.DeltaCost = vclock.Duration(rng.Int63n(int64(vclock.Millisecond)))
 		if rng.Intn(2) == 0 {
 			key := make([]byte, []int{16, 24, 32}[rng.Intn(3)])

@@ -116,7 +116,7 @@ type chainWalk struct {
 
 	// busy, set only by the almanacdebug shadow of VersionAt, makes the
 	// walk dry: its reads charge nothing and queue on these channel
-	// horizons, and its decodes bypass the reference cache.
+	// horizons.
 	busy []vclock.Time
 }
 
@@ -261,8 +261,11 @@ func (w *chainWalk) found(ts vclock.Time, data []byte, live bool) {
 	w.vers = append(w.vers, Version{TS: ts, Data: data, Live: live})
 }
 
-// takeRaw takes a retained raw page (KindDeltaRaw): opened through the
-// reference cache now, kept sealed for resolve, or just its timestamp.
+// takeRaw takes a retained raw page (KindDeltaRaw): opened now, kept
+// sealed for resolve, or just its timestamp. An opened page may alias the
+// flash page (openRetained returns its input when no retention key is
+// configured), which Versions' read-only until-next-mutation contract
+// covers.
 func (t *TimeSSD) takeRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte) {
 	switch w.mode {
 	case walkStamps:
@@ -271,42 +274,9 @@ func (t *TimeSSD) takeRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte)
 	case walkDefer:
 		w.kept = append(w.kept, keptVersion{kind: keptRaw, ref: -1})
 	default:
-		data = t.openRaw(w, lpa, ts, data)
+		data = t.openRetained(lpa, ts, data)
 	}
 	w.vers = append(w.vers, Version{TS: ts, Data: data})
-}
-
-// bypassCache reports whether a decoding walk must leave the reference
-// cache alone. While a fault plan is armed a read can come back silently
-// corrupted, and whether a corrupt delta decodes decides where the walk
-// ends: answering from the cache would let host-side state move virtual
-// time, and a cached corrupt decode would outlive the plan. A dry walk
-// must have no side effect at all.
-func (t *TimeSSD) bypassCache(w *chainWalk) bool {
-	return t.faultsArmed || (invariant.Enabled && w.busy != nil)
-}
-
-// openRaw returns a raw retained page's content through the reference
-// cache. On a miss the result may alias the flash page (openRetained
-// returns its input when no retention key is configured), which Versions'
-// read-only until-next-mutation contract covers.
-func (t *TimeSSD) openRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte) []byte {
-	if t.bypassCache(w) {
-		return t.openRetained(lpa, ts, data)
-	}
-	if cp := t.refcache.get(lpa, ts); cp != nil {
-		if invariant.Enabled {
-			cold := t.openRetained(lpa, ts, data)
-			invariant.Assert(bytes.Equal(cold, cp),
-				"refcache: cached raw version differs from cold decode (lpa %d ts %d)", lpa, ts)
-		}
-		// Copy out: the cache slot can be evicted and its buffer reused by
-		// a later query, which is not a device mutation.
-		return append([]byte(nil), cp...)
-	}
-	cp := t.openRetained(lpa, ts, data)
-	t.refcache.put(lpa, ts, cp)
-	return cp
 }
 
 // takeDelta takes one delta the walk reached and charges its decode. It
@@ -329,8 +299,8 @@ func (t *TimeSSD) takeDelta(w *chainWalk, d *delta.Delta, at vclock.Time) (vcloc
 		w.kept = append(w.kept, k)
 		w.vers = append(w.vers, Version{TS: d.TS})
 	default:
-		data, ok := t.cachedDecode(w, d)
-		if !ok {
+		data, err := t.decodeDelta(d, w.vers)
+		if err != nil {
 			return at, false
 		}
 		w.vers = append(w.vers, Version{TS: d.TS, Data: data})
@@ -355,11 +325,9 @@ func (w *chainWalk) refIndex(refTS vclock.Time, pageSize int) int {
 
 // resolve returns the content of w.vers[k] after a deferred walk of lpa.
 // It follows k's XOR references towards the head until a version needs no
-// decode (a data page, or a reference cache hit), then decodes back down
-// to k, each version against the one before: the references through the
-// walk's two scratch buffers, k into an allocation of its own. Each decode
-// is cached, as the decoding walk would cache it. A data page is returned
-// as it was read, a cached version as a private copy.
+// decode (a data page), then decodes back down to k, each version against
+// the one before: the references through the walk's two scratch buffers,
+// k into an allocation of its own. A data page is returned as it was read.
 func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int) ([]byte, error) {
 	need, ref := w.need[:0], []byte(nil)
 	for j := k; j >= 0; j = w.kept[j].ref {
@@ -367,20 +335,9 @@ func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int) ([]byte, error) {
 			ref = w.vers[j].Data
 			break
 		}
-		if c := t.refcache.get(lpa, w.vers[j].TS); c != nil {
-			ref = c
-			break
-		}
 		need = append(need, j)
 	}
 	w.need = need
-	if len(need) == 0 {
-		if w.kept[k].kind == keptData {
-			return ref, nil
-		}
-		// The cache slot can be evicted and reused by a later query.
-		return append([]byte(nil), ref...), nil
-	}
 	for i := len(need) - 1; i >= 0; i-- {
 		j := need[i]
 		ts := w.vers[j].TS
@@ -402,7 +359,6 @@ func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int) ([]byte, error) {
 				w.buf[i&1] = dec
 			}
 		}
-		t.refcache.put(lpa, ts, dec)
 		ref = dec
 	}
 	return ref, nil
@@ -466,34 +422,6 @@ func (t *TimeSSD) hop(data []byte, slot uint16, lpa uint64, before vclock.Time) 
 			slot, i, want, lpa, before)
 	}
 	return pg, i
-}
-
-// cachedDecode reconstructs a delta's version through the reference cache:
-// on a hit the host-side decode (LZF, XOR, retained-data decryption) is
-// skipped, on a miss the cold decode is performed and cached. Either way the
-// caller charges the same virtual-time decode cost — the cache alters host
-// speed only. Under bypassCache every decode is cold and nothing is cached.
-// The returned slice is private to the caller.
-func (t *TimeSSD) cachedDecode(w *chainWalk, d *delta.Delta) ([]byte, bool) {
-	if t.bypassCache(w) {
-		dec, err := t.decodeDelta(d, w.vers)
-		return dec, err == nil
-	}
-	if cached := t.refcache.get(d.LPA, d.TS); cached != nil {
-		if invariant.Enabled {
-			cold, err := t.decodeDelta(d, w.vers)
-			invariant.AssertNoErr(err, "refcache shadow decode")
-			invariant.Assert(bytes.Equal(cold, cached),
-				"refcache: cached version differs from cold decode (lpa %d ts %d)", d.LPA, d.TS)
-		}
-		return append([]byte(nil), cached...), true
-	}
-	dec, err := t.decodeDelta(d, w.vers)
-	if err != nil {
-		return nil, false
-	}
-	t.refcache.put(d.LPA, d.TS, dec)
-	return dec, true
 }
 
 // chargeDecode charges the firmware CPU cost of decompressing one delta

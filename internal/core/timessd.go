@@ -87,12 +87,6 @@ type Config struct {
 	// DisableIdleCompression keeps GC-time compression but disables the
 	// idle-cycle background pass (ablation).
 	DisableIdleCompression bool
-
-	// RefCacheSlots bounds the host-side cache of decoded retained versions
-	// used by the query paths (<= 0 disables it). The cache changes host
-	// speed only: flash reads and firmware decode costs are charged
-	// identically on hit and miss.
-	RefCacheSlots int
 }
 
 // DefaultConfig derives TimeSSD defaults from FTL parameters.
@@ -125,7 +119,6 @@ func DefaultConfig(p ftl.Params) Config {
 		BFFalsePositive: 0.001,
 		BFGroup:         16,
 		CohortSegments:  cohortSize(p.Flash.TotalBlocks()),
-		RefCacheSlots:   1024,
 	}
 }
 
@@ -238,13 +231,12 @@ type TimeSSD struct {
 	// Host-side hot-path state. Devices are single-goroutine (simulated
 	// threads share a device serially; array shards own their devices), so
 	// the scratch buffers need no locks.
-	refcache    *refCache      // decoded-version cache for query paths
 	encScratch  []byte         // delta.EncodeWith staging, reused across GC compressions
 	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
 	scan        scanMemo       // UpdatedBetween's record of its last cold walk
 	atWalk      chainWalk      // VersionAt's deferred walk, reused across calls
-	faultsArmed bool           // a fault plan is armed: no memo, cache or deferred decode (SetFaults)
+	faultsArmed bool           // a fault plan is armed: no memo or deferred decode (SetFaults)
 
 	// eagerVersionAt makes VersionAt decode as it walks, as it does while
 	// a fault plan is armed: the reference twin of a test of the deferred
@@ -283,12 +275,11 @@ func New(cfg Config) (*TimeSSD, error) {
 		return nil, err
 	}
 	t := &TimeSSD{
-		Base:     b,
-		cfg:      cfg,
-		zero:     make([]byte, cfg.FTL.Flash.PageSize),
-		chain:    bloom.NewChain(cfg.BFCapacity, cfg.BFFalsePositive, cfg.BFGroup, 0),
-		prt:      make([]bool, cfg.FTL.Flash.TotalPages()),
-		refcache: newRefCache(cfg.RefCacheSlots, b.LogicalPages()),
+		Base:  b,
+		cfg:   cfg,
+		zero:  make([]byte, cfg.FTL.Flash.PageSize),
+		chain: bloom.NewChain(cfg.BFCapacity, cfg.BFFalsePositive, cfg.BFGroup, 0),
+		prt:   make([]bool, cfg.FTL.Flash.TotalPages()),
 	}
 	t.chain.EnableMemo(uint64(cfg.FTL.Flash.TotalPages() - 1))
 	t.initTables()
@@ -407,11 +398,6 @@ func (t *TimeSSD) Counters() obs.Counters {
 	c.IdleCompressions = t.st.IdleCompressions
 	c.EstimatorChecks = t.st.EstimatorChecks
 	c.EstimatorTrips = t.st.EstimatorTrips
-	if t.refcache != nil {
-		c.RefCacheHits = t.refcache.hits
-		c.RefCacheMisses = t.refcache.misses
-		c.RefCacheEvictions = t.refcache.evictions
-	}
 	return c
 }
 
@@ -503,7 +489,6 @@ func (t *TimeSSD) Write(lpa uint64, data []byte, at vclock.Time) (vclock.Time, e
 		t.recordInvalidation(old, issue)
 	}
 	t.AMT[lpa] = ppa
-	t.refcache.invalidateLPA(lpa)
 	t.HostPageWrites++
 	t.periodWrites++
 	if t.periodWrites >= int64(t.cfg.NFixed) {
@@ -531,7 +516,6 @@ func (t *TimeSSD) Trim(lpa uint64, at vclock.Time) (vclock.Time, error) {
 		t.recordInvalidation(old, at)
 		t.AMT[lpa] = flash.NullPPA
 		t.trimmed[lpa] = trimRecord{head: old, ts: at}
-		t.refcache.invalidateLPA(lpa)
 	}
 	t.obs.Record(obs.HostTrim, lpa, int64(issue), int64(at), ws, true)
 	return at, nil
@@ -605,10 +589,6 @@ func (t *TimeSSD) shortenWindow(now vclock.Time) bool {
 	}
 	t.st.WindowDrops++
 	t.droppedSegs++
-	// Any LPA's oldest cached versions may have just expired; the walk would
-	// stop before reaching them, but a shrunken window must never serve
-	// decoded bytes the chain no longer reaches.
-	t.refcache.invalidateAll()
 	// Retire every cohort whose last segment has now been dropped: all the
 	// versions its delta blocks hold are expired, so the blocks are
 	// erasable without migration.
@@ -640,7 +620,6 @@ func (t *TimeSSD) retireCohort(id int, seg *segment) {
 			}
 		})
 	}
-	t.refcache.invalidateAll()
 	t.cohorts[id] = nil
 }
 

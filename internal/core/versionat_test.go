@@ -7,18 +7,8 @@ import (
 	"testing"
 
 	"almanac/internal/fault"
-	"almanac/internal/obs"
 	"almanac/internal/vclock"
 )
-
-// modelCounters is Counters without the reference cache's telemetry: the
-// host-side cache is the one thing a deferred VersionAt is allowed to use
-// differently from a decoding one.
-func modelCounters(d *TimeSSD) obs.Counters {
-	c := d.Counters()
-	c.RefCacheHits, c.RefCacheMisses, c.RefCacheEvictions = 0, 0, 0
-	return c
-}
 
 // TestVersionAtMatchesEagerWalk drives twin devices through one seeded
 // stream of every mutator, both rollbacks, and fault plans of ECC-corrected
@@ -26,17 +16,14 @@ func modelCounters(d *TimeSSD) obs.Counters {
 // is forced to decode as it walks, which is what VersionAt did before it
 // deferred. After every step both answer the same (lpa, when) queries, and
 // must agree on the version (timestamp, liveness, bytes), the completion
-// time, every counter but the reference cache's, and the count, errors and
+// time, every counter, and the count, errors and
 // virtual histogram of every obs class. The test also counts the answers
 // that took a reference chain of two or more decodes and the queries asked
 // while silent flips were armed, so a stream that never reaches either
 // fails instead of passing vacuously.
 func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	newDev := func() *TimeSSD {
-		d := newTiny(t, func(c *Config) {
-			c.IdleThreshold = vclock.Second
-			c.RefCacheSlots = 4 // evictions between a reference and its dependants
-		})
+		d := newTiny(t, func(c *Config) { c.IdleThreshold = vclock.Second })
 		d.Obs().SetEnabled(true)
 		return d
 	}
@@ -51,7 +38,7 @@ func TestVersionAtMatchesEagerWalk(t *testing.T) {
 
 	compare := func(where string) {
 		t.Helper()
-		if cl, ce := modelCounters(lazy), modelCounters(eager); cl != ce {
+		if cl, ce := lazy.Counters(), eager.Counters(); cl != ce {
 			t.Fatalf("%s: counters differ:\ndeferred %+v\neager    %+v", where, cl, ce)
 		}
 		ol, oe := lazy.Obs().Ops(), eager.Obs().Ops()
@@ -167,5 +154,59 @@ func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	}
 	if silentQueries == 0 {
 		t.Fatal("no query ran with silent bit flips armed")
+	}
+}
+
+// TestRefCacheCountersStayZero pins the retired decoded-version cache
+// counters at 0 under repeated Versions and VersionAt traffic over delta
+// chains: nothing on the query path caches decodes any more, and the
+// counters stay in obs.Counters only for readers that predate that.
+func TestRefCacheCountersStayZero(t *testing.T) {
+	const pages, rounds = 4, 6
+	d := newTiny(t, func(c *Config) { c.MinRetention = 365 * vclock.Day })
+	at := vclock.Time(0)
+	for seq := 0; seq < rounds; seq++ {
+		for lpa := uint64(0); lpa < pages; lpa++ {
+			at = at.Add(vclock.Second)
+			done, err := d.Write(lpa, versionPage(d, lpa, seq), at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at = done
+		}
+		d.Idle(at, at.Add(vclock.Hour))
+		at = at.Add(vclock.Hour)
+	}
+	at, err := d.FlushDeltas(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained := false
+	for pass := 0; pass < 2; pass++ {
+		for lpa := uint64(0); lpa < pages; lpa++ {
+			vers, done, err := d.Versions(lpa, at)
+			if err != nil || len(vers) != rounds {
+				t.Fatalf("Versions(%d) = %d versions, %v; want %d", lpa, len(vers), err, rounds)
+			}
+			at = done
+			for i, v := range vers {
+				want := versionPage(d, lpa, rounds-1-i)
+				if !bytes.Equal(v.Data, want) {
+					t.Fatalf("Versions(%d)[%d]: content mismatch", lpa, i)
+				}
+				got, done, err := d.VersionAt(lpa, v.TS, at)
+				if err != nil || got == nil || got.TS != v.TS || !bytes.Equal(got.Data, want) {
+					t.Fatalf("VersionAt(%d, %v) = %+v, %v", lpa, v.TS, got, err)
+				}
+				at = done
+				chained = chained || len(d.atWalk.need) >= 2
+			}
+		}
+	}
+	if !chained {
+		t.Fatal("no VersionAt decoded through a reference chain")
+	}
+	if c := d.Counters(); c.RefCacheHits != 0 || c.RefCacheMisses != 0 || c.RefCacheEvictions != 0 {
+		t.Fatalf("retired cache counters moved: hits %d misses %d evictions %d", c.RefCacheHits, c.RefCacheMisses, c.RefCacheEvictions)
 	}
 }

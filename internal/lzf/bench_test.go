@@ -40,18 +40,30 @@ func BenchmarkLZFCompress4K(b *testing.B) {
 	}
 }
 
-// BenchmarkLZFDecompress4K decompresses the scatter residual's payload.
+// BenchmarkLZFDecompress4K times Decompress on the payloads of the same two
+// residual shapes BenchmarkLZFCompress4K encodes: "runs" decodes mostly as
+// zero-run back-references, "scatter" mostly as short literals.
 func BenchmarkLZFDecompress4K(b *testing.B) {
-	var c Compressor
-	comp := c.Compress(nil, lzfCorpus(1, 4096, 200))
-	b.SetBytes(4096)
-	var out []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = Decompress(out[:0], comp, 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		src  []byte
+	}{
+		{"runs", runResidual(rand.New(rand.NewSource(1)), 4096, 16)},
+		{"scatter", lzfCorpus(1, 4096, 200)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var c Compressor
+			comp := c.Compress(nil, bc.src)
+			b.SetBytes(int64(len(bc.src)))
+			out := make([]byte, 0, len(bc.src))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				out, err = Decompress(out[:0], comp, len(bc.src))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

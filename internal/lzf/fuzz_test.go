@@ -2,6 +2,7 @@ package lzf
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -94,4 +95,49 @@ func FuzzLZFDecompressArbitrary(f *testing.F) {
 			t.Fatalf("Decompress returned %d bytes, bound was %d", len(out), maxOut)
 		}
 	})
+}
+
+// FuzzDecompressMatchesReference checks that Decompress returns exactly the
+// bytes and the error class of the frozen reference decoder on any input:
+// decoded payloads land on flash, and whether a corrupt delta decodes
+// decides where a chain walk ends, so the zero-run fill must change
+// neither.
+func FuzzDecompressMatchesReference(f *testing.F) {
+	var c Compressor
+	for _, src := range goldenCorpus() {
+		comp := c.Compress(nil, src)
+		f.Add(comp, len(src))
+		f.Add(comp, len(src)-1)
+		if len(comp) > 1 {
+			f.Add(comp[:len(comp)-1], len(src))
+		}
+	}
+	// A zero run, then a non-zero period, then a reference before the window.
+	f.Add([]byte{0x00, 0x00, 0xE0, 0x20, 0x00, 0x01, 0x07, 0x08, 0x40, 0x01, 0x20, 0x40}, 128)
+	f.Fuzz(func(t *testing.T, src []byte, maxOut int) {
+		if maxOut > 1<<20 {
+			t.Skip()
+		}
+		got, gotErr := Decompress(nil, src, maxOut)
+		want, wantErr := decompressRef(nil, src, maxOut)
+		if errClass(gotErr) != errClass(wantErr) {
+			t.Fatalf("Decompress error %v, reference %v", gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Decompress returned %d bytes, reference %d, or they differ", len(got), len(want))
+		}
+	})
+}
+
+// errClass maps a decoder error to the sentinel it wraps.
+func errClass(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrCorrupt):
+		return ErrCorrupt
+	case errors.Is(err, ErrTooLarge):
+		return ErrTooLarge
+	}
+	return err
 }

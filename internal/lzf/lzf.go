@@ -258,8 +258,18 @@ func Decompress(dst, src []byte, maxOut int) ([]byte, error) {
 		}
 		// Overlapping reference: the copy repeats the period-(off+1)
 		// pattern ending at the write position (run-length encoding uses
-		// off=0). Each bulk append doubles the materialised pattern, so a
-		// long run costs O(log n) memmoves instead of n byte stores.
+		// off=0). On an XOR residual that period is almost always zeros,
+		// and a zero run is one clear of the extended tail (the bound
+		// check above keeps it within the capacity grown up front).
+		if allZero(dst[ref:]) {
+			n := len(dst)
+			dst = dst[:n+mlen]
+			clear(dst[n:])
+			continue
+		}
+		// Any other period: each bulk append doubles the materialised
+		// pattern, so a long run costs O(log n) memmoves instead of n byte
+		// stores.
 		for mlen > 0 {
 			chunk := len(dst) - ref
 			if chunk > mlen {
@@ -270,4 +280,14 @@ func Decompress(dst, src []byte, maxOut int) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// allZero reports whether every byte of p is zero.
+func allZero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package lzf
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 )
 
@@ -112,4 +113,69 @@ func compressRef(dst, src []byte) []byte {
 	}
 	flushLits(len(src))
 	return dst
+}
+
+// decompressRef is the decoder Decompress was derived from, kept frozen as
+// the reference its output and its accept/reject result are checked
+// against (FuzzDecompressMatchesReference). It fills every overlapping
+// back-reference with doubling copies, zero runs included. Do not optimise
+// it.
+func decompressRef(dst, src []byte, maxOut int) ([]byte, error) {
+	base := len(dst)
+	if need := base + maxOut; cap(dst) < need {
+		grown := make([]byte, base, need)
+		copy(grown, dst)
+		dst = grown
+	}
+	i := 0
+	for i < len(src) {
+		ctrl := src[i]
+		i++
+		if ctrl < 0x20 { // literal run
+			n := int(ctrl) + 1
+			if i+n > len(src) {
+				return dst, fmt.Errorf("%w: literal run past end", ErrCorrupt)
+			}
+			if len(dst)-base+n > maxOut {
+				return dst, ErrTooLarge
+			}
+			dst = append(dst, src[i:i+n]...)
+			i += n
+			continue
+		}
+		mlen := int(ctrl >> 5)
+		if mlen == 7 {
+			if i >= len(src) {
+				return dst, fmt.Errorf("%w: truncated length extension", ErrCorrupt)
+			}
+			mlen += int(src[i])
+			i++
+		}
+		mlen += 2
+		if i >= len(src) {
+			return dst, fmt.Errorf("%w: truncated offset", ErrCorrupt)
+		}
+		off := int(ctrl&0x1f)<<8 | int(src[i])
+		i++
+		ref := len(dst) - off - 1
+		if ref < base {
+			return dst, fmt.Errorf("%w: reference before window", ErrCorrupt)
+		}
+		if len(dst)-base+mlen > maxOut {
+			return dst, ErrTooLarge
+		}
+		if ref+mlen <= len(dst) {
+			dst = append(dst, dst[ref:ref+mlen]...)
+			continue
+		}
+		for mlen > 0 {
+			chunk := len(dst) - ref
+			if chunk > mlen {
+				chunk = mlen
+			}
+			dst = append(dst, dst[ref:ref+chunk]...)
+			mlen -= chunk
+		}
+	}
+	return dst, nil
 }

@@ -39,9 +39,10 @@ type Counters struct {
 	EstimatorChecks   int64
 	EstimatorTrips    int64
 
-	// Host-side reference-cache telemetry (query-path decode cache). These
-	// describe simulator performance, not simulated-device behavior, and are
-	// deliberately excluded from the almaproto wire payload.
+	// Retired host-side telemetry of the query path's decoded-version
+	// cache. The cache is gone, so these always read 0; they stay because
+	// the benchmark's per-layer metrics still read them. Like all host-side
+	// telemetry they are excluded from the almaproto wire payload.
 	RefCacheHits      int64
 	RefCacheMisses    int64
 	RefCacheEvictions int64

@@ -8,9 +8,9 @@ import "sync/atomic"
 // is a no-op, so the protocol hot path records unconditionally and the
 // zero value is ready to use.
 //
-// These are host-side telemetry, like the RefCache* counters: they
-// measure the transport implementation, not simulated-device behavior,
-// and are deliberately not part of the almaproto counter payload.
+// These are host-side telemetry: they measure the transport
+// implementation, not simulated-device behavior, and are deliberately not
+// part of the almaproto counter payload.
 type WireStats struct {
 	framesIn  atomic.Int64
 	bytesIn   atomic.Int64

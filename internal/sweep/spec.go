@@ -151,8 +151,6 @@ var knobs = map[string]knob{
 		func(c *core.Config, v int) { c.BFCapacity = v }),
 	"cohort": intKnob("delta-block cohort size (Config.CohortSegments)",
 		func(c *core.Config, v int) { c.CohortSegments = v }),
-	"refcache": intKnob("decoded-version cache slots (Config.RefCacheSlots)",
-		func(c *core.Config, v int) { c.RefCacheSlots = v }),
 	"mapcache": intKnob("demand-paged AMT slots (ftl.Params.MappingCacheSlots)",
 		func(c *core.Config, v int) { c.FTL.MappingCacheSlots = v }),
 	"nfixed": intKnob("Eq. 1 estimation period in writes (Config.NFixed)",
