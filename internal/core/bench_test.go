@@ -143,9 +143,10 @@ func roundHistory(b *testing.B) (*TimeSSD, vclock.Time, func(round, lpa int) vcl
 // cold sub-benchmark walks every chain each query. The other two replay the
 // scan memo, as queries on a device nothing has mutated since do: loaded
 // issues every query at one instant, so each finds the channels still busy
-// with the last one's reads and is charged read by read; quiet issues each
-// at the last one's completion, when every channel is idle, so the replay
-// is applied in one step.
+// with the last one's reads and runs its reads dry on their horizons; quiet
+// issues each at the last one's completion, when every channel is idle, so
+// the replay shifts the memo's cached idle-start outcome. Both apply their
+// outcome to the array in one step.
 func BenchmarkTimeQueryScan(b *testing.B) {
 	d, at, stamp := roundHistory(b)
 	for _, path := range []string{"cold", "loaded", "quiet"} {

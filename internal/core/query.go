@@ -398,9 +398,8 @@ func (t *TimeSSD) dryRead(busy []vclock.Time, ppa flash.PPA, at vclock.Time) ([]
 	if err != nil {
 		return nil, flash.OOB{}, at, err
 	}
-	ch := t.Arr.ChannelOfBlock(t.Arr.BlockOf(ppa))
-	busy[ch] = max(at, busy[ch]).Add(t.Arr.Config().ReadLatency)
-	return data, oob, busy[ch], nil
+	done := t.Arr.QueueRead(busy, t.Arr.ChannelOfBlock(t.Arr.BlockOf(ppa)), at)
+	return data, oob, done, nil
 }
 
 // hop steps a chain walk into the packed delta page `data`: the index of
@@ -479,14 +478,14 @@ type scanMemo struct {
 	ts    []vclock.Time // every LPA's timestamps, newest first, concatenated
 	ch    []uint8       // channel of every charged read, concatenated
 
-	// The replay's outcome from an all-idle array, as offsets from the
-	// query's at (settle): what a replay that finds every channel it
-	// charges idle applies in one step (flash.Array.ChargeQuiet).
+	// The replay's outcome from an all-idle array at time 0 (settle): a
+	// replay on an idle array shifts it by its at instead of running the
+	// reads again.
 	settled bool
-	ends    []vclock.Duration // each channel's final horizon; -1 where no read is charged
-	doneOff vclock.Duration   // the completion
-	lat     obs.HistSnapshot  // every read's virtual latency, as chargeRead observes it
-	busy    []vclock.Time     // scratch channel horizons: settle's, or those a replay starts from
+	ends    []vclock.Time    // each channel's final horizon; -1 where no read is charged
+	doneOff vclock.Duration  // the completion
+	lat     obs.HistSnapshot // every read's virtual latency, as Read observes it
+	busy    []vclock.Time    // scratch: the horizons a replay starts from, then ends on
 }
 
 // memoLPA is one candidate LPA's entry in a scanMemo. Its runs end where
@@ -500,37 +499,32 @@ type memoLPA struct {
 }
 
 // settle computes the replay's outcome from an all-idle array at time 0.
-// A replay whose channels are all idle by its at ends exactly so, shifted
-// by at, since every read it issues is at or after at. It runs the replay
-// dry on the scratch horizons, each first set to -1, which marks a channel
+// A replay that finds every channel idle by its at ends exactly so,
+// shifted by at, since every read it issues is at or after at. It runs the
+// replay dry on ends, each horizon first set to -1, which marks a channel
 // no read touches and is idle before any read can start.
-func (m *scanMemo) settle(channels int, readLatency vclock.Duration) {
-	m.busy = m.busy[:0]
-	for range channels {
-		m.busy = append(m.busy, -1)
+func (m *scanMemo) settle(arr *flash.Array) {
+	m.ends = m.ends[:0]
+	for range arr.Config().Channels {
+		m.ends = append(m.ends, -1)
 	}
 	m.lat = obs.HistSnapshot{}
-	m.doneOff = m.replayDry(m.busy, 0, readLatency, &m.lat).Sub(0)
-	m.ends = m.ends[:0]
-	for _, h := range m.busy {
-		m.ends = append(m.ends, h.Sub(0))
-	}
+	m.doneOff = m.replayDry(arr, m.ends, 0, &m.lat).Sub(0)
 	m.settled = true
 }
 
-// replayDry charges the memo's reads as replayScan charges them, each LPA's
+// replayDry charges the memo's reads as walkAll charged them, each LPA's
 // reads in order from at, to busy, a set of channel horizons, instead of to
-// the array: each read starts when its channel falls idle, as occupy starts
-// it, and its virtual latency goes to lat. It returns the completion.
-func (m *scanMemo) replayDry(busy []vclock.Time, at vclock.Time, readLatency vclock.Duration, lat *obs.HistSnapshot) vclock.Time {
+// the array (flash.Array.QueueRead), and each read's virtual latency to
+// lat. It returns the completion.
+func (m *scanMemo) replayDry(arr *flash.Array, busy []vclock.Time, at vclock.Time, lat *obs.HistSnapshot) vclock.Time {
 	done, r := at, uint32(0)
 	for _, e := range m.lpas {
 		end := at
 		for ; r < e.readEnd; r++ {
-			ch := m.ch[r]
-			next := max(end, busy[ch]).Add(readLatency)
+			next := arr.QueueRead(busy, int(m.ch[r]), end)
 			lat.Observe(int64(next.Sub(end)))
-			busy[ch], end = next, next
+			end = next
 		}
 		done = max(done, end)
 	}
@@ -611,53 +605,49 @@ func (t *TimeSSD) walkAll(at vclock.Time) (vclock.Time, error) {
 }
 
 // replayScan charges the memo's reads as walkAll charged them: each LPA's
-// reads in order on their channels, every LPA starting at at. When every
-// channel it charges is idle by at, no horizon can delay any of those
-// reads, so the memo's idle-start outcome (settle) is applied in one step;
-// otherwise the reads are charged one by one, because then each read's
+// reads in order on their channels, every LPA starting at at. It works
+// out where the reads leave the channel horizons on a copy of them, then
+// applies that outcome to the array in one step. On an array whose
+// channels are all idle by at, no horizon can delay any read, so the
+// outcome is the memo's idle-start one (settle) shifted by at; otherwise
+// the reads are run dry from the live horizons, because then each read's
 // latency depends on the horizons it meets.
 func (t *TimeSSD) replayScan(at vclock.Time) vclock.Time {
 	m := &t.scan
-	if !m.settled {
-		if m.busy = t.Arr.Horizons(m.busy[:0]); slices.Max(m.busy) <= at {
-			cfg := t.Arr.Config()
-			m.settle(cfg.Channels, cfg.ReadLatency)
+	m.busy = t.Arr.Horizons(m.busy[:0])
+	var lat obs.HistSnapshot
+	var done vclock.Time
+	if slices.Max(m.busy) > at {
+		done = m.replayDry(t.Arr, m.busy, at, &lat)
+	} else {
+		if !m.settled {
+			m.settle(t.Arr)
 		}
-	}
-	if m.settled {
-		if invariant.Enabled {
-			m.busy = t.Arr.Horizons(m.busy[:0])
-		}
-		if t.Arr.ChargeQuiet(at, m.ends, &m.lat) {
-			if invariant.Enabled {
-				t.shadowQuietReplay(at)
+		for ch, end := range m.ends {
+			if end >= 0 {
+				m.busy[ch] = at.Add(end.Sub(0))
 			}
-			return at.Add(m.doneOff)
+		}
+		lat, done = m.lat, at.Add(m.doneOff)
+		if invariant.Enabled {
+			t.shadowQuietReplay(at, done)
 		}
 	}
-	done, r := at, uint32(0)
-	for _, e := range m.lpas {
-		end := at
-		for ; r < e.readEnd; r++ {
-			end = t.Arr.ChargeRead(int(m.ch[r]), end)
-		}
-		done = max(done, end)
-	}
+	t.Arr.ChargeReads(m.busy, &lat)
 	return done
 }
 
-// shadowQuietReplay checks a replay applied in one step (almanacdebug): the
-// memo's reads charged one by one, dry, from at and from the horizons the
-// replay started on (t.scan.busy), must end on the horizons the array now
-// holds, complete at the same instant and see the same latencies.
-func (t *TimeSSD) shadowQuietReplay(at vclock.Time) {
+// shadowQuietReplay checks a replay on an idle array (almanacdebug) before
+// it is applied: the memo's reads run dry one by one from at and from the
+// horizons the array holds must end on the horizons the replay is about
+// to apply (t.scan.busy), complete at done and see the same latencies.
+func (t *TimeSSD) shadowQuietReplay(at, done vclock.Time) {
 	m := &t.scan
-	busy := slices.Clone(m.busy)
+	busy := t.Arr.Horizons(nil)
 	var lat obs.HistSnapshot
-	done := m.replayDry(busy, at, t.Arr.Config().ReadLatency, &lat)
-	now := t.Arr.Horizons(nil)
-	invariant.Assert(slices.Equal(busy, now), "quiet replay at %v: horizons (ns) %d, read by read %d", at, now, busy)
-	invariant.Assert(done == at.Add(m.doneOff), "quiet replay at %v: done %v, read by read %v", at, at.Add(m.doneOff), done)
+	want := m.replayDry(t.Arr, busy, at, &lat)
+	invariant.Assert(slices.Equal(busy, m.busy), "quiet replay at %v: horizons (ns) %d, read by read %d", at, m.busy, busy)
+	invariant.Assert(done == want, "quiet replay at %v: done %v, read by read %v", at, done, want)
 	invariant.Assert(lat == m.lat, "quiet replay at %v: latencies %+v, read by read %+v", at, m.lat, lat)
 }
 

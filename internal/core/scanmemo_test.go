@@ -24,9 +24,10 @@ func lpaTimestamps(d *TimeSSD, lpa uint64, at vclock.Time) ([]vclock.Time, error
 // twin's generation is bumped before every query, so it always walks cold;
 // the other device replays its memo whenever it may. Queries alternate
 // between issuing at the stream's clock, where the channels are still busy
-// with the previous query's reads and a replay charges read by read, and
-// at the latest channel horizon, where every channel is idle and a replay
-// applies its idle-start outcome in one step; both branches must run. After
+// with the previous query's reads and a replay runs its reads dry on their
+// horizons, and at the latest channel horizon, where every channel is idle
+// and a replay shifts its cached idle-start outcome; both branches must
+// run. After
 // every query the two must agree on the records, the completion time, every
 // counter, the virtual side of every obs histogram, and each channel's busy
 // horizon. Every mutator that does not bump the generation lets a stale

@@ -301,23 +301,53 @@ func (a *Array) checkPPA(ppa PPA) error {
 	return nil
 }
 
+// queue is the channel timing rule, the one place it is written: an
+// operation of duration d on a channel whose horizon is *h starts at
+// max(at, *h) and holds the channel until it completes, the new horizon,
+// which it returns.
+func queue(h *vclock.Time, at vclock.Time, d vclock.Duration) vclock.Time {
+	*h = max(at, *h).Add(d)
+	return *h
+}
+
 // occupy charges one operation of duration d on channel ch starting no
 // earlier than at, and returns the completion time.
 func (a *Array) occupy(ch int, at vclock.Time, d vclock.Duration) vclock.Time {
-	start := at
-	if a.busy[ch] > start {
-		start = a.busy[ch]
-	}
-	end := start.Add(d)
-	a.busy[ch] = end
-	return end
+	return queue(&a.busy[ch], at, d)
 }
 
 // Horizons appends every channel's busy horizon, the instant it next falls
-// idle, to dst. A model of reads that charges nothing (an almanacdebug
-// shadow walk) starts from them.
+// idle, to dst. A caller that works out the cost of reads without
+// charging them (QueueRead) starts from them, and ChargeReads applies the
+// horizons it ends on.
 func (a *Array) Horizons(dst []vclock.Time) []vclock.Time {
 	return append(dst, a.busy...)
+}
+
+// QueueRead is a read's timing with no side effect: a read on channel ch
+// issued at at queues on busy, a copy of the channel horizons, exactly as
+// Read queues on the array's own, and QueueRead returns its completion.
+func (a *Array) QueueRead(busy []vclock.Time, ch int, at vclock.Time) vclock.Time {
+	return queue(&busy[ch], at, a.cfg.ReadLatency)
+}
+
+// ChargeReads applies a run of reads whose outcome was worked out on a
+// copy of the horizons (QueueRead): horizons is where every channel ends,
+// and lat holds every read's virtual latency. It sets the horizons, counts
+// lat.Count reads and observes their latencies, as that many Reads would,
+// splitting the wall time of the apply evenly among them. It does not
+// consult the fault plan, so it is only exact while none is armed.
+func (a *Array) ChargeReads(horizons []vclock.Time, lat *obs.HistSnapshot) {
+	ws := a.obsr.Start()
+	if invariant.Enabled {
+		invariant.Assert(len(horizons) == len(a.busy), "ChargeReads: %d horizons for %d channels", len(horizons), len(a.busy))
+		for ch, h := range horizons {
+			invariant.Assert(h >= a.busy[ch], "ChargeReads: channel %d horizon moves back from %v to %v", ch, a.busy[ch], h)
+		}
+	}
+	copy(a.busy, horizons)
+	a.stats.Reads += lat.Count
+	a.obsr.ObserveBulk(obs.FlashRead, lat, ws)
 }
 
 // Charge occupies channel ch for an operation of duration d starting no
@@ -351,7 +381,12 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 		return nil, OOB{}, at, ErrReadFree
 	}
 	ws := a.obsr.Start()
-	done = a.chargeRead(int(a.chanOfBlock[int(ppa)/a.pagesPerBlock]), at, ws)
+	a.stats.Reads++
+	done = a.occupy(int(a.chanOfBlock[int(ppa)/a.pagesPerBlock]), at, a.cfg.ReadLatency)
+	// Recorded unconditionally (injected failures included) so the class
+	// count tracks stats.Reads exactly; queueing behind a busy channel is
+	// part of the observed virtual latency.
+	a.obsr.Observe(obs.FlashRead, int64(done.Sub(at)), ws, true)
 	if a.faults != nil {
 		switch out := a.faults.Check(fault.OpRead, a.faultAddr(a.BlockOf(ppa), a.PageOf(ppa)), at); out.Decision {
 		case fault.DecCorrected:
@@ -375,55 +410,6 @@ func (a *Array) Read(ppa PPA, at vclock.Time) (data []byte, oob OOB, done vclock
 	}
 	data = a.pageData(ppa)
 	return data, oob, done, nil
-}
-
-// ChargeRead charges one read of a programmed page on channel ch, starting
-// no earlier than at, and returns its completion time. It has exactly the
-// side effects of a successful Read (the read count, the channel occupancy
-// and the FlashRead observation) without touching a page: a caller that
-// already knows what a page holds replays the read's cost with it. It does
-// not consult the fault plan, so it is only exact while none is armed.
-func (a *Array) ChargeRead(ch int, at vclock.Time) vclock.Time {
-	return a.chargeRead(ch, at, a.obsr.Start())
-}
-
-// ChargeQuiet applies at `at`, in one step, a run of reads whose outcome
-// on an all-idle array is known: ends[ch] is channel ch's horizon after
-// the run as an offset from its start (negative for a channel the run
-// does not touch), and lat holds the virtual latency of every read. If
-// every touched channel is idle by at, no horizon can delay any read of
-// the run, which therefore ends exactly as it would from idle, shifted by
-// at: the horizons are set, lat.Count reads are counted and their
-// latencies observed, as that many ChargeRead calls would, and it reports
-// true. Otherwise it changes nothing and reports false. Like ChargeRead it
-// does not consult the fault plan.
-func (a *Array) ChargeQuiet(at vclock.Time, ends []vclock.Duration, lat *obs.HistSnapshot) bool {
-	for ch, off := range ends {
-		if off >= 0 && a.busy[ch] > at {
-			return false
-		}
-	}
-	ws := a.obsr.Start()
-	for ch, off := range ends {
-		if off >= 0 {
-			a.busy[ch] = at.Add(off)
-		}
-	}
-	a.stats.Reads += lat.Count
-	a.obsr.ObserveBulk(obs.FlashRead, lat, ws)
-	return true
-}
-
-// chargeRead is the cost of every read: Read and ChargeRead both go
-// through it. ws is the caller's obs wall-clock start.
-func (a *Array) chargeRead(ch int, at vclock.Time, ws int64) vclock.Time {
-	a.stats.Reads++
-	done := a.occupy(ch, at, a.cfg.ReadLatency)
-	// Recorded unconditionally (injected failures included) so the class
-	// count tracks stats.Reads exactly; queueing behind a busy channel is
-	// part of the observed virtual latency.
-	a.obsr.Observe(obs.FlashRead, int64(done.Sub(at)), ws, true)
-	return done
 }
 
 // PeekPage returns a programmed page's content and OOB without charging

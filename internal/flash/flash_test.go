@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"almanac/internal/invariant"
 	"almanac/internal/obs"
 	"almanac/internal/vclock"
 )
@@ -180,63 +181,75 @@ func TestChannelTimingParallelism(t *testing.T) {
 	}
 }
 
-// TestChargeQuietMatchesChargeRead applies a run of reads once read by
-// read through ChargeRead and once as its idle-start outcome through
-// ChargeQuiet, on two arrays whose channels are idle by the run's start:
-// the horizons, the read count and the flash-read histograms (virtual
-// side, and the wall count) must agree. With a channel still busy at the
-// start, ChargeQuiet must refuse and change nothing.
-func TestChargeQuietMatchesChargeRead(t *testing.T) {
+// TestChargeReadsMatchesRead charges two runs of reads that start
+// together, so the second queues behind the first, on channels still busy
+// with programs: once through Read, and once dry through QueueRead on a
+// copy of the horizons and then applied in one step through ChargeReads.
+// The horizons, the stats, the flash-read virtual histogram and its wall
+// count must agree. Under almanacdebug, applying horizons that move a
+// channel backwards must panic.
+func TestChargeReadsMatchesRead(t *testing.T) {
 	c := tinyConfig()
-	newArr := func() *Array {
+	c.Channels = 3
+	newArr := func() (*Array, []PPA) {
 		a := mustNew(t, c)
 		r := obs.NewRegistry()
 		r.SetEnabled(true)
 		a.SetObserver(r)
-		return a
+		page := make([]PPA, c.Channels) // a programmed page on each channel
+		for b := 0; b < c.TotalBlocks(); b += c.BlocksPerChip() {
+			ppa, _, err := a.Program(b, []byte{byte(b)}, OOB{Kind: KindData}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page[a.ChannelOfBlock(b)] = ppa
+		}
+		return a, page
 	}
-	// Two runs that start together, so the second queues behind the first.
-	runs := [][]int{{0, 0, 1}, {0, 1}}
-	charge := func(a *Array, at vclock.Time) {
-		for _, run := range runs {
-			end := at
-			for _, ch := range run {
-				end = a.ChargeRead(ch, end)
+	runs := [][]int{{0, 0, 1, 2}, {0, 1, 1}} // channels, in read order
+	at := vclock.Time(c.ReadLatency)         // before the programs complete
+
+	one, page := newArr()
+	for _, run := range runs {
+		end := at
+		for _, ch := range run {
+			var err error
+			if _, _, end, err = one.Read(page[ch], end); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	idle := newArr()
-	charge(idle, 0)
-	ends := make([]vclock.Duration, c.Channels)
-	for ch, h := range idle.Horizons(nil) {
-		ends[ch] = h.Sub(0)
+	bulk, _ := newArr()
+	busy := bulk.Horizons(nil)
+	var lat obs.HistSnapshot
+	for _, run := range runs {
+		end := at
+		for _, ch := range run {
+			next := bulk.QueueRead(busy, ch, end)
+			lat.Observe(int64(next.Sub(end)))
+			end = next
+		}
 	}
-	lat := idle.obsr.Ops()["flash-read"].Virt
+	bulk.ChargeReads(busy, &lat)
 
-	one, bulk := newArr(), newArr()
-	for _, a := range []*Array{one, bulk} {
-		a.ChargeRead(0, 0) // busy, but idle again by at
-	}
-	at := vclock.Time(vclock.Second)
-	charge(one, at)
-	if !bulk.ChargeQuiet(at, ends, &lat) {
-		t.Fatal("ChargeQuiet refused an idle array")
-	}
 	if ho, hb := one.Horizons(nil), bulk.Horizons(nil); !slices.Equal(ho, hb) {
-		t.Fatalf("horizons: read by read %v, quiet %v", ho, hb)
+		t.Fatalf("horizons: read by read %v, applied %v", ho, hb)
 	}
 	so, sb := one.obsr.Ops()["flash-read"], bulk.obsr.Ops()["flash-read"]
-	if one.Stats() != bulk.Stats() || so.Virt != sb.Virt || sb.Count != bulk.Stats().Reads || sb.Wall.Count != sb.Count {
-		t.Fatalf("read by read: %+v %+v; quiet: %+v %+v", one.Stats(), so, bulk.Stats(), sb)
+	if one.Stats() != bulk.Stats() || so.Virt != sb.Virt || so.Wall.Count != sb.Wall.Count || sb.Count != bulk.Stats().Reads {
+		t.Fatalf("read by read: %+v %+v; applied: %+v %+v", one.Stats(), so, bulk.Stats(), sb)
+	}
+	if so.Virt.MaxNS <= int64(c.ReadLatency) {
+		t.Fatalf("no read queued: max latency %d ns", so.Virt.MaxNS)
 	}
 
-	busy := bulk.ChargeRead(1, at.Add(vclock.Hour))
-	before, stats := bulk.Horizons(nil), bulk.Stats()
-	if bulk.ChargeQuiet(busy-1, ends, &lat) {
-		t.Fatal("ChargeQuiet applied a run to a busy channel")
-	}
-	if !slices.Equal(before, bulk.Horizons(nil)) || stats != bulk.Stats() {
-		t.Fatal("a refused ChargeQuiet changed the array")
+	if invariant.Enabled {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ChargeReads moved a horizon backwards without panicking")
+			}
+		}()
+		bulk.ChargeReads(make([]vclock.Time, c.Channels), &obs.HistSnapshot{})
 	}
 }
 

@@ -312,13 +312,25 @@ func TestServiceFleetShape(t *testing.T) {
 	if !strings.Contains(joined, "clients=2048") {
 		t.Fatalf("fleet below the 2048-client bar:\n%s", joined)
 	}
-	// Every row carries positive counts and zero errors.
+	// Every row carries positive counts and zero errors. The per-op
+	// classes are recorded without a wall start, so their wall columns
+	// read "—"; a batch is timed on the host, so its columns are numbers.
 	for i, row := range tab.Rows {
 		if cell(t, tab, i, 2) <= 0 {
 			t.Fatalf("row %v: zero count", row)
 		}
 		if cell(t, tab, i, 3) != 0 {
 			t.Fatalf("row %v: errors", row)
+		}
+		for col := 7; col < 10; col++ {
+			switch row[1] {
+			case "vol-read", "vol-write", "vol-trim":
+				if row[col] != "—" {
+					t.Fatalf("row %v: unmeasured wall column %q reads %q, want —", row, tab.Header[col], row[col])
+				}
+			case "vol-batch":
+				cell(t, tab, i, col)
+			}
 		}
 	}
 }

@@ -61,7 +61,14 @@ func ServiceFleet(c Config) (*Table, error) {
 		Header: []string{"phase", "op", "count", "errors", "virt p50 ms", "virt p99 ms", "virt p999 ms", "wall p50 µs", "wall p99 µs", "wall p999 µs"},
 	}
 	nsToMS := func(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
-	nsToUS := func(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1e3) }
+	// wallUS is the q-quantile of h in µs, or "—" for a class whose wall
+	// time is never measured (the per-op vol-read/write/trim records).
+	wallUS := func(h obs.HistSnapshot, q float64) string {
+		if h.Count == 0 {
+			return "—"
+		}
+		return fmt.Sprintf("%.1f", float64(h.QuantileNS(q))/1e3)
+	}
 	prev := svc.ObsSnapshot()
 	addPhase := func(name string) {
 		cur := svc.ObsSnapshot()
@@ -74,9 +81,9 @@ func ServiceFleet(c Config) (*Table, error) {
 				nsToMS(st.Virt.QuantileNS(0.5)),
 				nsToMS(st.Virt.QuantileNS(0.99)),
 				nsToMS(st.Virt.QuantileNS(0.999)),
-				nsToUS(st.Wall.QuantileNS(0.5)),
-				nsToUS(st.Wall.QuantileNS(0.99)),
-				nsToUS(st.Wall.QuantileNS(0.999)))
+				wallUS(st.Wall, 0.5),
+				wallUS(st.Wall, 0.99),
+				wallUS(st.Wall, 0.999))
 		}
 		prev = cur
 	}
@@ -221,7 +228,7 @@ func ServiceFleet(c Config) (*Table, error) {
 		fmt.Sprintf("clients=%d ops/client=%d volumes=%d shards=%d seed=%d", clients, ops, vols, shards, c.Seed),
 		fmt.Sprintf("outcome digest %016x (op-level results only; latency-free, order-independent), verification failures %d", digest, failures),
 		fmt.Sprintf("rollback of vol-000 to %v changed %d pages; vol-001 history identical before/after: %t", tCut, res.Value, isolated),
-		"virt columns are simulated device time; wall columns are host-side cost and vary run to run",
+		"virt columns are simulated device time; wall columns are host-side cost and vary run to run; — marks a class whose wall time is not measured",
 	)
 	if failures > 0 {
 		return tab, fmt.Errorf("harness: service fleet had %d verification failures", failures)

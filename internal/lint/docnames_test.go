@@ -14,8 +14,9 @@ import (
 )
 
 // docNames maps each library package of the module, by package name, to
-// the names it declares at top level and the names of its methods, since
-// the docs also write a method as pkg.Method. Every .go file counts, tests
+// the names it declares at top level, the names of its methods, since the
+// docs also write a method as pkg.Method, and every Type.Member: the
+// methods and fields of each of its types. Every .go file counts, tests
 // and every build variant included, since a doc may name any of them.
 type docNames map[string]map[string]bool
 
@@ -52,6 +53,9 @@ func loadDocNames(t *testing.T, root string) docNames {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					names[pkg][d.Name.Name] = true
+					if d.Recv != nil {
+						names[pkg][recvName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
@@ -61,6 +65,9 @@ func loadDocNames(t *testing.T, root string) docNames {
 							}
 						case *ast.TypeSpec:
 							names[pkg][s.Name.Name] = true
+							for _, m := range typeMembers(s.Type) {
+								names[pkg][s.Name.Name+"."+m] = true
+							}
 						}
 					}
 				}
@@ -68,6 +75,46 @@ func loadDocNames(t *testing.T, root string) docNames {
 		}
 	}
 	return names
+}
+
+// recvName returns the name of a method receiver's type: T for T, *T,
+// T[K] and *T[K].
+func recvName(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+// typeMembers returns the fields of a struct type, an embedded field under
+// its type's name, and the methods of an interface type.
+func typeMembers(e ast.Expr) []string {
+	var list *ast.FieldList
+	switch x := e.(type) {
+	case *ast.StructType:
+		list = x.Fields
+	case *ast.InterfaceType:
+		list = x.Methods
+	default:
+		return nil
+	}
+	var out []string
+	for _, f := range list.List {
+		for _, n := range f.Names {
+			out = append(out, n.Name)
+		}
+		if f.Names == nil {
+			out = append(out, recvName(f.Type))
+		}
+	}
+	return out
 }
 
 // benchMetrics returns the metric names BENCHMARK.json declares.
@@ -93,16 +140,16 @@ func benchMetrics(t *testing.T, root string) map[string]bool {
 
 var (
 	codeSpan = regexp.MustCompile("`([^`]+)`")
-	// pkg.Name not inside a path or a longer selector, with an optional
-	// trailing * standing for a prefix.
-	qualName = regexp.MustCompile(`(?:^|[^\w./*-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(\*?)`)
+	// pkg.Name or pkg.Type.Member not inside a path or a longer selector,
+	// with an optional trailing * standing for a prefix.
+	qualName = regexp.MustCompile(`(?:^|[^\w./*-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)(\*?)`)
 )
 
 // fileExts are the suffixes that make pkg.ext a file name, not a Go name.
 var fileExts = map[string]bool{"go": true, "md": true, "json": true, "spec": true, "golden": true, "sh": true, "yml": true, "txt": true}
 
-// resolves reports whether pkg declares name, or a name it prefixes when
-// wild.
+// resolves reports whether pkg declares name, a Name or a Type.Member,
+// or one that name prefixes when wild.
 func (n docNames) resolves(pkg, name string, wild bool) bool {
 	if !wild {
 		return n[pkg][name]
@@ -115,10 +162,11 @@ func (n docNames) resolves(pkg, name string, wild bool) bool {
 	return false
 }
 
-// staleDocNames returns every backticked pkg.Name in doc, outside fenced
-// code blocks, whose package is one of the module's and declares no such
-// name, as "pkg.Name (line n)". Benchmark metric names, which share the
-// shape, and file names are skipped.
+// staleDocNames returns every backticked pkg.Name or pkg.Type.Member in
+// doc, outside fenced code blocks, whose package is one of the module's
+// and declares no such name, or no such type with such a method or field,
+// as "pkg.Name (line n)". Benchmark metric names, which share the shape,
+// and file names are skipped.
 func staleDocNames(names docNames, metrics map[string]bool, doc string) []string {
 	var prose strings.Builder
 	fenced := false
@@ -136,7 +184,7 @@ func staleDocNames(names docNames, metrics map[string]bool, doc string) []string
 	for _, span := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 		for _, m := range qualName.FindAllStringSubmatch(text[span[2]:span[3]], -1) {
 			pkg, name := m[1], m[2]
-			if names[pkg] == nil || fileExts[name] || metrics[pkg+"."+name] || names.resolves(pkg, name, m[3] == "*") {
+			if names[pkg] == nil || fileExts[name[strings.LastIndex(name, ".")+1:]] || metrics[pkg+"."+name] || names.resolves(pkg, name, m[3] == "*") {
 				continue
 			}
 			line := 1 + strings.Count(text[:span[0]], "\n")
@@ -147,8 +195,8 @@ func staleDocNames(names docNames, metrics map[string]bool, doc string) []string
 }
 
 // TestDocNamesResolve fails when DESIGN.md or README.md names, in a code
-// span, a pkg.Name of one of this module's packages that no declaration
-// matches: the doc outlived a rename or a deletion.
+// span, a pkg.Name or pkg.Type.Member of one of this module's packages
+// that no declaration matches: the doc outlived a rename or a deletion.
 // Unqualified names (the -bench names, for one) are out of its scope.
 func TestDocNamesResolve(t *testing.T) {
 	root := moduleRoot(t)
@@ -172,12 +220,14 @@ func TestDocNamesCatchStale(t *testing.T) {
 	doc := "Live: `core.Config`, `lzf.Decompress(dst, src, n)`, `flash.Array.Horizons`,\n" +
 		"`obs.Counters.RefCache*`, `flash.WriteImage`, `flash.reads`, `lzf.go`, `internal/lzf/lzf.go`.\n" +
 		"```\ncore.Gone()\n```\n" +
-		"Stale: `core.RefCacheSlots`, `lzf.Nothing*`, `x := delta.Gone(p)`.\n"
+		"Stale: `core.RefCacheSlots`, `lzf.Nothing*`, `x := delta.Gone(p)`, `flash.Array.ChargeQuiet`, `obs.Counters.Gone*`.\n"
 	got := staleDocNames(names, metrics, doc)
 	want := []string{
 		"core.RefCacheSlots (line 6)",
 		"lzf.Nothing* (line 6)",
 		"delta.Gone (line 6)",
+		"flash.Array.ChargeQuiet (line 6)",
+		"obs.Counters.Gone* (line 6)",
 	}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("stale names %q, want %q", got, want)

@@ -8,6 +8,7 @@ import (
 
 	"almanac/internal/core"
 	"almanac/internal/flash"
+	"almanac/internal/obs"
 	"almanac/internal/service"
 	"almanac/internal/vclock"
 )
@@ -21,6 +22,16 @@ func RawProgram(arr *flash.Array, at vclock.Time) error {
 	}
 	_, err := arr.Erase(0, at) // want layering
 	return err
+}
+
+// RawReadCharge applies a run of reads' cost to the array without reading
+// anything: forbidden outside internal/ftl and internal/core. Working out
+// that cost on a copy of the horizons changes nothing and is allowed.
+func RawReadCharge(arr *flash.Array, at vclock.Time) {
+	busy := arr.Horizons(nil)
+	var lat obs.HistSnapshot
+	lat.Observe(int64(arr.QueueRead(busy, 0, at).Sub(at)))
+	arr.ChargeReads(busy, &lat) // want layering
 }
 
 // DirectWrite drives a member device directly instead of going through the
