@@ -81,9 +81,8 @@ func (a *Array) addrFan(addr uint64, cnt int, at vclock.Time,
 	return timekits.Result[[]timekits.PageVersions]{Value: out, Start: at, Done: done, Elapsed: done.Sub(at)}, nil
 }
 
-// ownVersions replaces every Version.Data, which the device returns as an
-// alias of its flash arena or reference cache, with a copy in one buffer the
-// result owns. It runs on the shard worker, before the worker's next command
+// ownVersions replaces every Version.Data, which the device may return as an
+// alias of its flash arena, with a copy in one buffer the result owns. It runs on the shard worker, before the worker's next command
 // can re-program the pages the aliases point into (the query twin of the
 // copy shard.exec makes for reads).
 func ownVersions(pvs []timekits.PageVersions) {

@@ -173,10 +173,9 @@ func BenchmarkTimeQueryScan(b *testing.B) {
 }
 
 // BenchmarkVersionAt is one VersionAt per iteration over roundHistory, the
-// query behind RollBack and AddrQuery, cycling through the LPAs so the
-// 12 k retained versions overflow the reference cache as on rollback-4k.
-// The target is the live head, the middle round, or the oldest round, which
-// decodes through every newer version of its chain on a cache miss.
+// query behind RollBack and AddrQuery, cycling through the LPAs as
+// rollback-4k does. The target is the live head, the middle round, or the
+// oldest round, which decodes through every newer version of its chain.
 func BenchmarkVersionAt(b *testing.B) {
 	d, at, stamp := roundHistory(b)
 	for _, tc := range []struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -19,70 +20,99 @@ import (
 // single line of space-separated key=value pairs in a fixed field order;
 // ParseConfig is strict (every key exactly once, no unknowns) so that
 // String∘ParseConfig and ParseConfig∘String are both identities.
+//
+// fields is the one place a key is named: String, ParseConfig and the
+// by-key SetField/Field the sweep uses all walk it. Adding a Config field
+// means adding its row there; TestConfigFieldsHaveOneKey fails while any
+// field has no key or shares one.
 
-// configFields is the canonical field order. Adding a Config field means
-// adding a row here (and to the encoder/decoder below) — the round-trip
-// test fails loudly if the three fall out of sync.
-var configFields = []string{
-	// flash geometry + timing
-	"channels", "chips", "planes", "blocks", "pages", "pagesize",
-	"readlat", "proglat", "eraselat",
-	// base FTL policy
-	"op", "gclow", "gchigh", "weardelta", "wearevery", "mapcache",
-	// TimeSSD retention machinery
-	"minret", "th", "nfixed", "deltacost", "idlethresh", "idlealpha",
-	"bfcap", "bffp", "bfgroup", "cohort", "key", "nocompress",
-	"noidlecompress",
+// configField is one key of the encoding and a pointer to the Config
+// field it names: *int, *float64, *vclock.Duration, *bool or *[]byte.
+type configField struct {
+	key string
+	ptr any
 }
 
-func fmtDur(d vclock.Duration) string { return time.Duration(d).String() }
-func fmtF(f float64) string           { return strconv.FormatFloat(f, 'g', -1, 64) }
+// fields lists c's fields in canonical order.
+func (c *Config) fields() []configField {
+	fc, p := &c.FTL.Flash, &c.FTL
+	return []configField{
+		// flash geometry + timing
+		{"channels", &fc.Channels}, {"chips", &fc.ChipsPerChannel}, {"planes", &fc.PlanesPerChip},
+		{"blocks", &fc.BlocksPerPlane}, {"pages", &fc.PagesPerBlock}, {"pagesize", &fc.PageSize},
+		{"readlat", &fc.ReadLatency}, {"proglat", &fc.ProgLatency}, {"eraselat", &fc.EraseLatency},
+		// base FTL policy
+		{"op", &p.OPRatio}, {"gclow", &p.GCLowBlocks}, {"gchigh", &p.GCHighBlocks},
+		{"weardelta", &p.WearDelta}, {"wearevery", &p.WearCheckEvery}, {"mapcache", &p.MappingCacheSlots},
+		// TimeSSD retention machinery
+		{"minret", &c.MinRetention}, {"th", &c.TH}, {"nfixed", &c.NFixed},
+		{"deltacost", &c.DeltaCost}, {"idlethresh", &c.IdleThreshold}, {"idlealpha", &c.IdleAlpha},
+		{"bfcap", &c.BFCapacity}, {"bffp", &c.BFFalsePositive}, {"bfgroup", &c.BFGroup},
+		{"cohort", &c.CohortSegments}, {"key", &c.RetentionKey},
+		{"nocompress", &c.DisableCompression}, {"noidlecompress", &c.DisableIdleCompression},
+	}
+}
+
+// field finds the row for key.
+func (c *Config) field(key string) (configField, error) {
+	for _, f := range c.fields() {
+		if f.key == key {
+			return f, nil
+		}
+	}
+	return configField{}, fmt.Errorf("core: unknown config key %q", key)
+}
+
+// fieldText is the canonical spelling of the value behind a field pointer.
+func fieldText(ptr any) string {
+	switch v := ptr.(type) {
+	case *int:
+		return strconv.Itoa(*v)
+	case *float64:
+		return strconv.FormatFloat(*v, 'g', -1, 64)
+	case *vclock.Duration:
+		return v.String()
+	case *bool:
+		return strconv.FormatBool(*v)
+	case *[]byte:
+		return hex.EncodeToString(*v)
+	}
+	panic(fmt.Sprintf("core: config field of type %T", ptr))
+}
+
+// parseField stores s, spelled as fieldText spells it, behind a field
+// pointer. An empty key decodes to nil.
+func parseField(ptr any, s string) (err error) {
+	switch v := ptr.(type) {
+	case *int:
+		*v, err = strconv.Atoi(s)
+	case *float64:
+		*v, err = strconv.ParseFloat(s, 64)
+	case *vclock.Duration:
+		*v, err = time.ParseDuration(s)
+	case *bool:
+		*v, err = strconv.ParseBool(s)
+	case *[]byte:
+		*v = nil
+		if s != "" {
+			*v, err = hex.DecodeString(s)
+		}
+	}
+	return err
+}
 
 // String renders the canonical text encoding of the configuration. The
 // output is deterministic, single-line, and round-trips exactly through
 // ParseConfig for every valid Config.
 func (c Config) String() string {
-	fc := c.FTL.Flash
-	vals := map[string]string{
-		"channels": strconv.Itoa(fc.Channels),
-		"chips":    strconv.Itoa(fc.ChipsPerChannel),
-		"planes":   strconv.Itoa(fc.PlanesPerChip),
-		"blocks":   strconv.Itoa(fc.BlocksPerPlane),
-		"pages":    strconv.Itoa(fc.PagesPerBlock),
-		"pagesize": strconv.Itoa(fc.PageSize),
-		"readlat":  fmtDur(fc.ReadLatency),
-		"proglat":  fmtDur(fc.ProgLatency),
-		"eraselat": fmtDur(fc.EraseLatency),
-
-		"op":        fmtF(c.FTL.OPRatio),
-		"gclow":     strconv.Itoa(c.FTL.GCLowBlocks),
-		"gchigh":    strconv.Itoa(c.FTL.GCHighBlocks),
-		"weardelta": strconv.Itoa(c.FTL.WearDelta),
-		"wearevery": strconv.Itoa(c.FTL.WearCheckEvery),
-		"mapcache":  strconv.Itoa(c.FTL.MappingCacheSlots),
-
-		"minret":         fmtDur(c.MinRetention),
-		"th":             fmtF(c.TH),
-		"nfixed":         strconv.Itoa(c.NFixed),
-		"deltacost":      fmtDur(c.DeltaCost),
-		"idlethresh":     fmtDur(c.IdleThreshold),
-		"idlealpha":      fmtF(c.IdleAlpha),
-		"bfcap":          strconv.Itoa(c.BFCapacity),
-		"bffp":           fmtF(c.BFFalsePositive),
-		"bfgroup":        strconv.Itoa(c.BFGroup),
-		"cohort":         strconv.Itoa(c.CohortSegments),
-		"key":            hex.EncodeToString(c.RetentionKey),
-		"nocompress":     strconv.FormatBool(c.DisableCompression),
-		"noidlecompress": strconv.FormatBool(c.DisableIdleCompression),
-	}
 	var b strings.Builder
-	for i, k := range configFields {
+	for i, f := range c.fields() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(k)
+		b.WriteString(f.key)
 		b.WriteByte('=')
-		b.WriteString(vals[k])
+		b.WriteString(fieldText(f.ptr))
 	}
 	return b.String()
 }
@@ -94,134 +124,71 @@ func (c Config) String() string {
 // validates) before building a device from untrusted text.
 func ParseConfig(s string) (Config, error) {
 	var c Config
-	seen := make(map[string]bool, len(configFields))
-	canonical := make(map[string]bool, len(configFields))
-	for _, k := range configFields {
-		canonical[k] = true
-	}
-
-	var firstErr error
-	fail := func(format string, args ...any) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf(format, args...)
-		}
-	}
-	pInt := func(v string) int {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail("core: bad integer %q: %v", v, err)
-		}
-		return n
-	}
-	pF := func(v string) float64 {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			fail("core: bad float %q: %v", v, err)
-		}
-		return f
-	}
-	pDur := func(v string) vclock.Duration {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			fail("core: bad duration %q: %v", v, err)
-		}
-		return vclock.Duration(d)
-	}
-
+	seen := map[string]bool{}
 	for _, tok := range strings.Fields(s) {
 		k, v, ok := strings.Cut(tok, "=")
 		if !ok {
 			return Config{}, fmt.Errorf("core: config token %q is not key=value", tok)
 		}
-		if !canonical[k] {
-			return Config{}, fmt.Errorf("core: unknown config key %q", k)
-		}
 		if seen[k] {
 			return Config{}, fmt.Errorf("core: duplicate config key %q", k)
 		}
 		seen[k] = true
-		switch k {
-		case "channels":
-			c.FTL.Flash.Channels = pInt(v)
-		case "chips":
-			c.FTL.Flash.ChipsPerChannel = pInt(v)
-		case "planes":
-			c.FTL.Flash.PlanesPerChip = pInt(v)
-		case "blocks":
-			c.FTL.Flash.BlocksPerPlane = pInt(v)
-		case "pages":
-			c.FTL.Flash.PagesPerBlock = pInt(v)
-		case "pagesize":
-			c.FTL.Flash.PageSize = pInt(v)
-		case "readlat":
-			c.FTL.Flash.ReadLatency = pDur(v)
-		case "proglat":
-			c.FTL.Flash.ProgLatency = pDur(v)
-		case "eraselat":
-			c.FTL.Flash.EraseLatency = pDur(v)
-		case "op":
-			c.FTL.OPRatio = pF(v)
-		case "gclow":
-			c.FTL.GCLowBlocks = pInt(v)
-		case "gchigh":
-			c.FTL.GCHighBlocks = pInt(v)
-		case "weardelta":
-			c.FTL.WearDelta = pInt(v)
-		case "wearevery":
-			c.FTL.WearCheckEvery = pInt(v)
-		case "mapcache":
-			c.FTL.MappingCacheSlots = pInt(v)
-		case "minret":
-			c.MinRetention = pDur(v)
-		case "th":
-			c.TH = pF(v)
-		case "nfixed":
-			c.NFixed = pInt(v)
-		case "deltacost":
-			c.DeltaCost = pDur(v)
-		case "idlethresh":
-			c.IdleThreshold = pDur(v)
-		case "idlealpha":
-			c.IdleAlpha = pF(v)
-		case "bfcap":
-			c.BFCapacity = pInt(v)
-		case "bffp":
-			c.BFFalsePositive = pF(v)
-		case "bfgroup":
-			c.BFGroup = pInt(v)
-		case "cohort":
-			c.CohortSegments = pInt(v)
-		case "key":
-			if v != "" {
-				key, err := hex.DecodeString(v)
-				if err != nil {
-					fail("core: bad retention key hex %q: %v", v, err)
-				}
-				c.RetentionKey = key
-			}
-		case "nocompress":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				fail("core: bad bool %q: %v", v, err)
-			}
-			c.DisableCompression = b
-		case "noidlecompress":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				fail("core: bad bool %q: %v", v, err)
-			}
-			c.DisableIdleCompression = b
-		}
-		if firstErr != nil {
-			return Config{}, firstErr
+		if err := c.SetField(k, v); err != nil {
+			return Config{}, err
 		}
 	}
-	for _, k := range configFields {
-		if !seen[k] {
-			return Config{}, fmt.Errorf("core: config key %q missing", k)
+	for _, f := range c.fields() {
+		if !seen[f.key] {
+			return Config{}, fmt.Errorf("core: config key %q missing", f.key)
 		}
 	}
 	return c, nil
+}
+
+// SetField sets the field named key from its text in the canonical
+// encoding. On error the field's value is unspecified.
+func (c *Config) SetField(key, s string) error {
+	f, err := c.field(key)
+	if err != nil {
+		return err
+	}
+	if err := parseField(f.ptr, s); err != nil {
+		return fmt.Errorf("core: config key %s: %v", key, err)
+	}
+	return nil
+}
+
+// Field returns the canonical text of the field named key, or "" when no
+// field has that key.
+func (c Config) Field(key string) string {
+	f, err := c.field(key)
+	if err != nil {
+		return ""
+	}
+	return fieldText(f.ptr)
+}
+
+// SetFieldNumber sets the numeric field named key to x: an integer field
+// rounds x to the nearest integer and a duration field truncates x
+// nanoseconds toward zero, which is how the sweep places Latin-hypercube
+// samples between a range's bounds.
+func (c *Config) SetFieldNumber(key string, x float64) error {
+	f, err := c.field(key)
+	if err != nil {
+		return err
+	}
+	switch v := f.ptr.(type) {
+	case *int:
+		*v = int(math.Round(x))
+	case *float64:
+		*v = x
+	case *vclock.Duration:
+		*v = vclock.Duration(x)
+	default:
+		return fmt.Errorf("core: config key %s is not numeric", key)
+	}
+	return nil
 }
 
 // Validate reports whether the configuration can build a working TimeSSD.
@@ -231,6 +198,21 @@ func ParseConfig(s string) (Config, error) {
 func (c Config) Validate() error {
 	if err := c.FTL.Flash.Validate(); err != nil {
 		return err
+	}
+	// A NaN slips past every range check below (each comparison with it
+	// is false), and no ratio or span of virtual time may be infinite or
+	// negative.
+	for _, f := range c.fields() {
+		switch v := f.ptr.(type) {
+		case *float64:
+			if math.IsNaN(*v) || math.IsInf(*v, 0) {
+				return fmt.Errorf("core: %s=%g is not finite", f.key, *v)
+			}
+		case *vclock.Duration:
+			if *v < 0 {
+				return fmt.Errorf("core: %s=%v is negative", f.key, *v)
+			}
+		}
 	}
 	if c.FTL.Flash.PageSize > delta.MaxPageSize {
 		return fmt.Errorf("core: page size %d exceeds %d, the largest a delta entry's 16-bit length and slot can describe",
@@ -245,20 +227,11 @@ func (c Config) Validate() error {
 	if c.FTL.MappingCacheSlots < 0 {
 		return fmt.Errorf("core: negative mapping-cache slots %d", c.FTL.MappingCacheSlots)
 	}
-	if c.MinRetention < 0 {
-		return fmt.Errorf("core: negative minimum retention %v", c.MinRetention)
-	}
 	if c.TH <= 0 {
 		return fmt.Errorf("core: GC-overhead threshold TH must be positive, got %g", c.TH)
 	}
 	if c.NFixed < 1 {
 		return fmt.Errorf("core: NFixed must be at least 1, got %d", c.NFixed)
-	}
-	if c.DeltaCost < 0 {
-		return fmt.Errorf("core: negative delta cost %v", c.DeltaCost)
-	}
-	if c.IdleThreshold < 0 {
-		return fmt.Errorf("core: negative idle threshold %v", c.IdleThreshold)
 	}
 	if c.IdleAlpha < 0 || c.IdleAlpha > 1 {
 		return fmt.Errorf("core: idle-prediction alpha %g outside [0,1]", c.IdleAlpha)

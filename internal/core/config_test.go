@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +79,69 @@ func TestConfigRoundTripRandom(t *testing.T) {
 	}
 }
 
+// TestConfigFieldsHaveOneKey walks every leaf field of Config, through
+// FTL and FTL.Flash: setting one to a distinct non-zero value must change
+// exactly one key's text in String, and no key may answer to two fields.
+// A field with no key would still round-trip, but two configs differing
+// only in it would share a sweep checkpoint key.
+func TestConfigFieldsHaveOneKey(t *testing.T) {
+	split := func(c Config) map[string]string {
+		kv := map[string]string{}
+		for _, tok := range strings.Fields(c.String()) {
+			k, v, _ := strings.Cut(tok, "=")
+			kv[k] = v
+		}
+		return kv
+	}
+	zero := split(Config{})
+	owner := map[string]string{} // key -> the field that changed it
+	var walk func(path string, typ reflect.Type, index []int)
+	walk = func(path string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			name := path + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(name+".", f.Type, idx)
+				continue
+			}
+			var c Config
+			v := reflect.ValueOf(&c).Elem().FieldByIndex(idx)
+			n := len(owner) + 2 // distinct per field, never 0 or 1
+			switch v.Kind() {
+			case reflect.Int, reflect.Int64:
+				v.SetInt(int64(n))
+			case reflect.Float64:
+				v.SetFloat(float64(n) + 0.5)
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Slice:
+				v.SetBytes([]byte{byte(n)})
+			default:
+				t.Fatalf("%s: kind %v has no config encoding", name, v.Kind())
+			}
+			var changed []string
+			for k, val := range split(c) {
+				if val != zero[k] {
+					changed = append(changed, k)
+				}
+			}
+			slices.Sort(changed)
+			if len(changed) != 1 {
+				t.Fatalf("%s: setting it changed keys %v, want exactly one", name, changed)
+			}
+			if prev, ok := owner[changed[0]]; ok {
+				t.Fatalf("key %q answers to both %s and %s", changed[0], prev, name)
+			}
+			owner[changed[0]] = name
+		}
+	}
+	walk("", reflect.TypeOf(Config{}), nil)
+	if len(owner) != len(zero) {
+		t.Fatalf("%d fields own keys but String writes %d keys", len(owner), len(zero))
+	}
+}
+
 func TestParseConfigRejects(t *testing.T) {
 	valid := DefaultConfig(ftl.WithFlash(flash.DefaultConfig())).String()
 	cases := map[string]string{
@@ -117,6 +183,15 @@ func TestConfigValidate(t *testing.T) {
 		"zero bfgroup":  func(c *Config) { c.BFGroup = 0 },
 		"zero cohort":   func(c *Config) { c.CohortSegments = 0 },
 		"short key":     func(c *Config) { c.RetentionKey = []byte("short") },
+		"NaN op":        func(c *Config) { c.FTL.OPRatio = math.NaN() },
+		"+Inf op":       func(c *Config) { c.FTL.OPRatio = math.Inf(1) },
+		"NaN TH":        func(c *Config) { c.TH = math.NaN() },
+		"+Inf TH":       func(c *Config) { c.TH = math.Inf(1) },
+		"NaN alpha":     func(c *Config) { c.IdleAlpha = math.NaN() },
+		"NaN bffp":      func(c *Config) { c.BFFalsePositive = math.NaN() },
+		"neg readlat":   func(c *Config) { c.FTL.Flash.ReadLatency = -75 * vclock.Microsecond },
+		"neg proglat":   func(c *Config) { c.FTL.Flash.ProgLatency = -1 },
+		"neg eraselat":  func(c *Config) { c.FTL.Flash.EraseLatency = -1 },
 	}
 	for name, mutate := range mutations {
 		c := DefaultConfig(ftl.WithFlash(flash.DefaultConfig()))

@@ -354,10 +354,8 @@ func (t *TimeSSD) Obs() *obs.Registry { return t.obs }
 // layers stay behind the firmware boundary. A fault plan decides each read
 // as it is issued and may corrupt it silently, so while an injector is
 // armed nothing host-side stands in for a read or a decode: time queries
-// walk cold instead of replaying the scan memo, version walks bypass the
-// reference cache (a cached good copy would hide a corrupt delta that
-// fails to decode and so ends the walk), and VersionAt decodes as it walks
-// (a deferred decode would learn of the failure too late).
+// walk cold instead of replaying the scan memo, and VersionAt decodes as
+// it walks (a deferred decode would learn of the failure too late).
 func (t *TimeSSD) SetFaults(inj *fault.Injector) {
 	t.gen++
 	t.faultsArmed = inj != nil

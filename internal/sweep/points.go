@@ -43,7 +43,7 @@ func (s *Spec) Points(base core.Config) ([]Point, error) {
 		// The base retention key is shared, not cloned: knobs never touch
 		// it and configs are otherwise value types.
 		for i, a := range s.Axes {
-			if err := knobs[a.Knob].apply(&cfg, tuple[i]); err != nil {
+			if err := cfg.SetField(a.Knob, tuple[i]); err != nil {
 				return nil, fmt.Errorf("sweep: axis %q value %q: %v", a.Knob, tuple[i], err)
 			}
 		}
@@ -94,15 +94,17 @@ func lhsTuples(axes []Axis, n int, seed int64) [][]string {
 	rng := rand.New(rand.NewSource(seed))
 	perAxis := make([][]string, len(axes))
 	for ai, a := range axes {
-		k := knobs[a.Knob]
-		lo, _ := k.parse(a.Min)
-		hi, _ := k.parse(a.Max)
+		lo, _ := number(a.Knob, a.Min)
+		hi, _ := number(a.Knob, a.Max)
 		perm := rng.Perm(n)
 		vals := make([]string, n)
+		var c core.Config
 		for i := 0; i < n; i++ {
 			stratum := float64(perm[i])
 			pos := (stratum + rng.Float64()) / float64(n)
-			vals[i] = k.format(lo + pos*(hi-lo))
+			// Every knob is numeric (TestKnobsDocumented), so this sets.
+			_ = c.SetFieldNumber(a.Knob, lo+pos*(hi-lo))
+			vals[i] = c.Field(a.Knob)
 		}
 		perAxis[ai] = vals
 	}

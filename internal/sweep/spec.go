@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"almanac/internal/core"
-	"almanac/internal/vclock"
 )
 
 // Axis is one swept dimension: a named knob and either an explicit value
@@ -63,100 +62,53 @@ type Spec struct {
 	Axes      []Axis
 }
 
-// knob describes one sweepable core.Config dimension: how to parse and
-// canonicalise its values, how to interpolate it for Latin-hypercube
-// sampling, and how to apply it to a config.
-type knob struct {
-	doc    string
-	parse  func(string) (float64, error) // value text → numeric position
-	format func(float64) string          // numeric position → canonical text
-	apply  func(*core.Config, string) error
+// knobs is the sweepable surface over core.Config: each name is a
+// core.Config key, set through Config.SetField and spelled as
+// Config.Field spells it, so the sweep names no field and spells no
+// value itself. Geometry is fixed by the engine's base config — sweeping
+// device size changes the workload footprint, which compares devices on
+// different problems.
+var knobs = map[string]string{
+	"op":         "over-provisioning ratio (ftl.Params.OPRatio)",
+	"minret":     "guaranteed retention lower bound (Config.MinRetention)",
+	"th":         "Eq. 1 GC-overhead threshold (Config.TH)",
+	"bfgroup":    "Bloom page-group granularity N (Config.BFGroup)",
+	"bfcap":      "Bloom segment capacity (Config.BFCapacity)",
+	"cohort":     "delta-block cohort size (Config.CohortSegments)",
+	"mapcache":   "demand-paged AMT slots (ftl.Params.MappingCacheSlots)",
+	"nfixed":     "Eq. 1 estimation period in writes (Config.NFixed)",
+	"idlethresh": "background-compression idle threshold (Config.IdleThreshold)",
 }
 
-func intKnob(doc string, apply func(*core.Config, int)) knob {
-	return knob{
-		doc: doc,
-		parse: func(s string) (float64, error) {
-			n, err := strconv.Atoi(s)
-			return float64(n), err
-		},
-		format: func(f float64) string {
-			return strconv.Itoa(int(math.Round(f)))
-		},
-		apply: func(c *core.Config, s string) error {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				return err
-			}
-			apply(c, n)
-			return nil
-		},
+// canonical respells value as core spells knob's field, or returns it
+// unchanged when the field cannot hold it (Validate reports that).
+func canonical(knob, value string) string {
+	var c core.Config
+	if c.SetField(knob, value) != nil {
+		return value
 	}
+	return c.Field(knob)
 }
 
-func floatKnob(doc string, apply func(*core.Config, float64)) knob {
-	return knob{
-		doc: doc,
-		parse: func(s string) (float64, error) {
-			return strconv.ParseFloat(s, 64)
-		},
-		format: func(f float64) string {
-			return strconv.FormatFloat(f, 'g', -1, 64)
-		},
-		apply: func(c *core.Config, s string) error {
-			f, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return err
-			}
-			apply(c, f)
-			return nil
-		},
+// number reads value as knob's field holds it — integers and floats as
+// themselves, durations in nanoseconds — for range checks and
+// Latin-hypercube interpolation. A value the field cannot hold, or one
+// that is not finite, is an error.
+func number(knob, value string) (float64, error) {
+	var c core.Config
+	if err := c.SetField(knob, value); err != nil {
+		return 0, err
 	}
-}
-
-func durKnob(doc string, apply func(*core.Config, vclock.Duration)) knob {
-	return knob{
-		doc: doc,
-		parse: func(s string) (float64, error) {
-			d, err := time.ParseDuration(s)
-			return float64(d), err
-		},
-		format: func(f float64) string {
-			return time.Duration(f).String()
-		},
-		apply: func(c *core.Config, s string) error {
-			d, err := time.ParseDuration(s)
-			if err != nil {
-				return err
-			}
-			apply(c, vclock.Duration(d))
-			return nil
-		},
+	text := c.Field(knob)
+	x, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		d, _ := time.ParseDuration(text)
+		x = float64(d)
 	}
-}
-
-// knobs is the sweepable surface over core.Config. Geometry is fixed by
-// the engine's base config — sweeping device size changes the workload
-// footprint, which compares devices on different problems.
-var knobs = map[string]knob{
-	"op": floatKnob("over-provisioning ratio (ftl.Params.OPRatio)",
-		func(c *core.Config, v float64) { c.FTL.OPRatio = v }),
-	"minret": durKnob("guaranteed retention lower bound (Config.MinRetention)",
-		func(c *core.Config, v vclock.Duration) { c.MinRetention = v }),
-	"th": floatKnob("Eq. 1 GC-overhead threshold (Config.TH)",
-		func(c *core.Config, v float64) { c.TH = v }),
-	"bfgroup": intKnob("Bloom page-group granularity N (Config.BFGroup)",
-		func(c *core.Config, v int) { c.BFGroup = v }),
-	"bfcap": intKnob("Bloom segment capacity (Config.BFCapacity)",
-		func(c *core.Config, v int) { c.BFCapacity = v }),
-	"cohort": intKnob("delta-block cohort size (Config.CohortSegments)",
-		func(c *core.Config, v int) { c.CohortSegments = v }),
-	"mapcache": intKnob("demand-paged AMT slots (ftl.Params.MappingCacheSlots)",
-		func(c *core.Config, v int) { c.FTL.MappingCacheSlots = v }),
-	"nfixed": intKnob("Eq. 1 estimation period in writes (Config.NFixed)",
-		func(c *core.Config, v int) { c.NFixed = v }),
-	"idlethresh": durKnob("background-compression idle threshold (Config.IdleThreshold)",
-		func(c *core.Config, v vclock.Duration) { c.IdleThreshold = v }),
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, fmt.Errorf("%s is not finite", text)
+	}
+	return x, nil
 }
 
 // Knobs returns the sweepable knob names and their documentation, sorted
@@ -169,7 +121,7 @@ func Knobs() [][2]string {
 	sort.Strings(names)
 	out := make([][2]string, len(names))
 	for i, name := range names {
-		out[i] = [2]string{name, knobs[name].doc}
+		out[i] = [2]string{name, knobs[name]}
 	}
 	return out
 }
@@ -212,8 +164,7 @@ func (s *Spec) Validate() error {
 	}
 	seen := map[string]bool{}
 	for _, a := range s.Axes {
-		k, ok := knobs[a.Knob]
-		if !ok {
+		if _, ok := knobs[a.Knob]; !ok {
 			return fmt.Errorf("sweep: unknown knob %q", a.Knob)
 		}
 		if seen[a.Knob] {
@@ -229,7 +180,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("sweep: axis %q lists explicit values but sampling is lhs (use range)", a.Knob)
 			}
 			for _, v := range a.Values {
-				if _, err := k.parse(v); err != nil {
+				if _, err := number(a.Knob, v); err != nil {
 					return fmt.Errorf("sweep: axis %q value %q: %v", a.Knob, v, err)
 				}
 			}
@@ -237,11 +188,11 @@ func (s *Spec) Validate() error {
 			if s.Sampling == "grid" {
 				return fmt.Errorf("sweep: axis %q gives a range but sampling is grid (list values)", a.Knob)
 			}
-			lo, err := k.parse(a.Min)
+			lo, err := number(a.Knob, a.Min)
 			if err != nil {
 				return fmt.Errorf("sweep: axis %q min %q: %v", a.Knob, a.Min, err)
 			}
-			hi, err := k.parse(a.Max)
+			hi, err := number(a.Knob, a.Max)
 			if err != nil {
 				return fmt.Errorf("sweep: axis %q max %q: %v", a.Knob, a.Max, err)
 			}
@@ -369,25 +320,11 @@ func Parse(text string) (*Spec, error) {
 	// Canonicalise axis values so String output, point values, and
 	// checkpoint keys never depend on how the author spelled a number.
 	for i := range s.Axes {
-		k, ok := knobs[s.Axes[i].Knob]
-		if !ok {
-			continue // Validate reports it with a better message
+		a := &s.Axes[i]
+		for j, v := range a.Values {
+			a.Values[j] = canonical(a.Knob, v)
 		}
-		for j, v := range s.Axes[i].Values {
-			if f, err := k.parse(v); err == nil {
-				s.Axes[i].Values[j] = k.format(f)
-			}
-		}
-		if s.Axes[i].Min != "" {
-			if f, err := k.parse(s.Axes[i].Min); err == nil {
-				s.Axes[i].Min = k.format(f)
-			}
-		}
-		if s.Axes[i].Max != "" {
-			if f, err := k.parse(s.Axes[i].Max); err == nil {
-				s.Axes[i].Max = k.format(f)
-			}
-		}
+		a.Min, a.Max = canonical(a.Knob, a.Min), canonical(a.Knob, a.Max)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

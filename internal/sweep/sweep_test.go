@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,6 +100,11 @@ func TestParseRejects(t *testing.T) {
 		{"bad usage", "sweep a\nworkload src usage 1.5 days 2 reqperday 10\naxis op 0.1 0.2\n"},
 		{"bad days", "sweep a\nworkload src usage 0.5 days 0 reqperday 10\naxis op 0.1 0.2\n"},
 		{"name with spaces impossible via parse but blank", "sweep \naxis op 0.1 0.2\n"},
+		{"NaN value", "sweep a\naxis th NaN\n"},
+		{"NaN op value", "sweep a\naxis op NaN\n"},
+		{"+Inf value", "sweep a\naxis th 0.1 +Inf\n"},
+		{"NaN range bound", "sweep a\nsample lhs 2\naxis th range 0.1 NaN\n"},
+		{"-Inf range bound", "sweep a\nsample lhs 2\naxis op range -Inf 0.4\n"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.text); err == nil {
@@ -180,6 +186,42 @@ func TestLHSSampling(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seed change did not change the LHS design")
+	}
+}
+
+// TestLHSPinned pins one seeded Latin-hypercube design over an integer
+// knob (rounded), a float knob and a duration knob (truncated to the
+// nanosecond): the exact sample tuples and config keys, so any change to
+// how a knob value is read, interpolated or spelled shows here.
+func TestLHSPinned(t *testing.T) {
+	s := mustParse(t, "sweep lhs-pin\nseed 11\nsample lhs 5\n"+
+		"axis mapcache range 8 200\naxis th range 0.05 0.4\naxis idlethresh range 1ms 50ms\n")
+	pts, err := s.Points(microBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "channels=2 chips=1 planes=1 blocks=8 pages=16 pagesize=2048 " +
+		"readlat=75µs proglat=750µs eraselat=3.8ms op=0.15 gclow=3 gchigh=6 " +
+		"weardelta=32 wearevery=64 mapcache=%s minret=30m0s th=%s nfixed=64 " +
+		"deltacost=120µs idlethresh=%s idlealpha=0.5 bfcap=16 bffp=0.001 " +
+		"bfgroup=16 cohort=1 key= nocompress=false noidlecompress=false"
+	want := [][]string{
+		{"128", "0.05874243939330771", "15.407446ms"},
+		{"77", "0.39953045246263647", "21.382269ms"},
+		{"120", "0.2589314658472862", "42.827277ms"},
+		{"26", "0.141750588879146", "6.787195ms"},
+		{"173", "0.3039672948883308", "34.937258ms"},
+	}
+	if len(pts) != len(want) {
+		t.Fatalf("got %d points, want %d", len(pts), len(want))
+	}
+	for i, p := range pts {
+		if strings.Join(p.Values, " ") != strings.Join(want[i], " ") {
+			t.Errorf("point %d values %q, want %q", i, p.Values, want[i])
+		}
+		if k := fmt.Sprintf(key, want[i][0], want[i][1], want[i][2]); p.Key != k {
+			t.Errorf("point %d key\n got %s\nwant %s", i, p.Key, k)
+		}
 	}
 }
 
@@ -432,6 +474,11 @@ func TestKnobsDocumented(t *testing.T) {
 	for i, k := range ks {
 		if k[1] == "" {
 			t.Errorf("knob %q undocumented", k[0])
+		}
+		// Latin-hypercube sampling sets every knob by number.
+		var c core.Config
+		if err := c.SetFieldNumber(k[0], 1); err != nil {
+			t.Errorf("knob %q: %v", k[0], err)
 		}
 		if i > 0 && ks[i-1][0] >= k[0] {
 			t.Errorf("Knobs() unsorted at %q", k[0])
