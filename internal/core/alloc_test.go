@@ -100,14 +100,70 @@ func TestVersionAtAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
 	}
-	const (
-		pages  = 8
-		rounds = 16
-	)
+	d, stamps, at := deltaChains(t)
+	for _, tc := range []struct {
+		name  string
+		index int // into the chain, newest first
+		want  float64
+	}{{"head", 0, 1}, {"middle", chainRounds / 2, 2}, {"oldest", chainRounds - 1, 2}} {
+		lpa := uint64(0)
+		n := testing.AllocsPerRun(200, func() {
+			want := stamps[lpa][tc.index]
+			v, _, err := d.VersionAt(lpa, want, at)
+			if err != nil || v == nil || v.TS != want {
+				t.Fatalf("VersionAt(%d, %v) = %+v, %v", lpa, want, v, err)
+			}
+			lpa = (lpa + 1) % chainPages
+		})
+		if n > tc.want {
+			t.Fatalf("VersionAt of the %s version allocates %.2f times per call, want <= %.0f", tc.name, n, tc.want)
+		}
+	}
+}
+
+// TestRollBackAllocs pins what rolling a page back to a delta-chain version
+// allocates: VersionAt's Version and the version's decoded content, which
+// Write then takes as it is (the program copies it into the array), and no
+// copy of it: a defensive copy before the write would make it 3. The pages
+// rolled back take turns; each write-back is a new live version, so the
+// next rollback of the page writes again.
+func TestRollBackAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("almanacdebug shadow assertions allocate")
+	}
+	d, stamps, at := deltaChains(t)
+	lpa := uint64(0)
+	n := testing.AllocsPerRun(2*chainPages, func() {
+		when := stamps[lpa][chainRounds/2]
+		done, err := d.RollBack(lpa, when, at)
+		if err != nil {
+			t.Fatalf("RollBack(%d, %v): %v", lpa, when, err)
+		}
+		at = done
+		lpa = (lpa + 1) % chainPages
+	})
+	if n > 2 {
+		t.Fatalf("RollBack to a delta-chain version allocates %.2f times per call, want <= 2", n)
+	}
+}
+
+// chainPages and chainRounds shape deltaChains' history.
+const (
+	chainPages  = 8
+	chainRounds = 16
+)
+
+// deltaChains builds a device holding chainRounds versions of each of
+// chainPages LPAs in delta chains, each round compressed against the one
+// after it so an old version decodes through every version newer than it.
+// It returns the device, every LPA's version timestamps (newest first) and
+// the instant the history was built by.
+func deltaChains(t *testing.T) (*TimeSSD, [][]vclock.Time, vclock.Time) {
+	t.Helper()
 	d := newTiny(t, func(c *Config) { c.MinRetention = vclock.Day })
 	at := vclock.Time(0)
-	for round := 0; round < rounds; round++ {
-		for lpa := uint64(0); lpa < pages; lpa++ {
+	for round := 0; round < chainRounds; round++ {
+		for lpa := uint64(0); lpa < chainPages; lpa++ {
 			at = at.Add(vclock.Second)
 			done, err := d.Write(lpa, versionPage(d, lpa, round), at)
 			if err != nil {
@@ -115,8 +171,6 @@ func TestVersionAtAllocs(t *testing.T) {
 			}
 			at = done
 		}
-		// Compress each round against the one after it, so an old
-		// version decodes through every version newer than it.
 		d.Idle(at, at.Add(vclock.Hour))
 		at = at.Add(vclock.Hour)
 	}
@@ -125,36 +179,19 @@ func TestVersionAtAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c := d.Counters(); c.IdleCompressions == 0 || c.DeltaPagesWritten == 0 {
-		t.Fatalf("idle passes compressed %d pages into %d delta pages: no chains to walk", c.IdleCompressions, c.DeltaPagesWritten)
+		t.Fatalf("idle passes compressed %d chainPages into %d delta chainPages: no chains to walk", c.IdleCompressions, c.DeltaPagesWritten)
 	}
-	stamps := make([][]vclock.Time, pages)
+	stamps := make([][]vclock.Time, chainPages)
 	for lpa := range stamps {
 		vers, _, err := d.Versions(uint64(lpa), at)
-		if err != nil || len(vers) != rounds {
-			t.Fatalf("Versions(%d) = %d versions, %v; want %d", lpa, len(vers), err, rounds)
+		if err != nil || len(vers) != chainRounds {
+			t.Fatalf("Versions(%d) = %d versions, %v; want %d", lpa, len(vers), err, chainRounds)
 		}
 		for _, v := range vers {
 			stamps[lpa] = append(stamps[lpa], v.TS)
 		}
 	}
-	for _, tc := range []struct {
-		name  string
-		index int // into the chain, newest first
-		want  float64
-	}{{"head", 0, 1}, {"middle", rounds / 2, 2}, {"oldest", rounds - 1, 2}} {
-		lpa := uint64(0)
-		n := testing.AllocsPerRun(200, func() {
-			want := stamps[lpa][tc.index]
-			v, _, err := d.VersionAt(lpa, want, at)
-			if err != nil || v == nil || v.TS != want {
-				t.Fatalf("VersionAt(%d, %v) = %+v, %v", lpa, want, v, err)
-			}
-			lpa = (lpa + 1) % pages
-		})
-		if n > tc.want {
-			t.Fatalf("VersionAt of the %s version allocates %.2f times per call, want <= %.0f", tc.name, n, tc.want)
-		}
-	}
+	return d, stamps, at
 }
 
 // TestWriteAllocs pins the host write path below one allocation per call in

@@ -191,3 +191,64 @@ func TestRetentionKeyValidation(t *testing.T) {
 		t.Fatal("bad key length accepted")
 	}
 }
+
+// TestKeylessRebuildVersionAt queries the history of a device rebuilt
+// without its retention key (§3.10). Every sealed payload then fails to
+// decode, so a walk ends at the first retained delta. VersionAt and
+// RollBack must answer as a decoding walk does (Versions, which stops
+// there, and a twin forced to decode as it walks), with no error: not
+// report the undecodable version, nor charge the chain past it.
+func TestKeylessRebuildVersionAt(t *testing.T) {
+	d, versions, at := cryptoRig(t, testKey)
+	cfg := d.cfg
+	cfg.RetentionKey = nil
+	var img bytes.Buffer
+	if err := d.Arr.WriteImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	rebuild := func() *TimeSSD {
+		arr, err := flash.ReadImage(bytes.NewReader(img.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Rebuild(arr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	far := at.Add(30 * vclock.Day)
+	for _, when := range []vclock.Time{0, vclock.Time(vclock.Hour), at, far} {
+		r, eager := rebuild(), rebuild()
+		eager.eagerVersionAt = true
+		got, done, err := r.VersionAt(9, when, at)
+		if err != nil {
+			t.Fatalf("VersionAt(9, %v) on a keyless rebuild: %v", when, err)
+		}
+		want, wantDone, err := eager.VersionAt(9, when, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done != wantDone || (got == nil) != (want == nil) {
+			t.Fatalf("VersionAt(9, %v): done %v found %v, decoding walk done %v found %v", when, done, got, wantDone, want)
+		}
+		if got != nil && (got.TS != want.TS || !bytes.Equal(got.Data, want.Data)) {
+			t.Fatalf("VersionAt(9, %v): ts %v, decoding walk ts %v (bytes equal %v)", when, got.TS, want.TS, bytes.Equal(got.Data, want.Data))
+		}
+		for i, v := range versions {
+			if got != nil && bytes.Equal(got.Data, v) {
+				t.Fatalf("VersionAt(9, %v) returned retained version %d without the key", when, i)
+			}
+		}
+
+		r, eager = rebuild(), rebuild()
+		eager.eagerVersionAt = true
+		done, err = r.RollBack(9, 1, at)
+		if err != nil {
+			t.Fatalf("RollBack(9, 1) on a keyless rebuild: %v", err)
+		}
+		if wantDone, err = eager.RollBack(9, 1, at); err != nil || done != wantDone {
+			t.Fatalf("RollBack(9, 1): done %v, decoding walk done %v (err %v)", done, wantDone, err)
+		}
+	}
+}

@@ -50,12 +50,24 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 // costs included, but keeps every delta encoded while it walks and then
 // decodes only the version it returns and the XOR references that version
 // needs (resolve): the versions older than it, most of a long chain, are
-// never decompressed. While a fault plan is armed it decodes as it walks,
-// as Versions does, because a silent bit flip can make a decode fail, and
-// a failed decode ends the walk. Returned Data follows Versions' contract.
+// never decompressed. It decodes as it walks, as Versions does, wherever a
+// payload can fail to decode, because a failed decode ends the walk: while
+// a fault plan is armed (a silent bit flip), and on a device Rebuild
+// mounted (a payload sealed under another retention key, §3.10). Returned
+// Data follows Versions' contract.
 func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.Time, error) {
+	v, _, done, err := t.versionAt(lpa, when, at)
+	return v, done, err
+}
+
+// versionAt is VersionAt, and also reports whether v.Data is an allocation
+// of its own: a delta resolve decoded, or a raw page a retention key
+// sealed. Otherwise it is a view that may alias flash: a data page, an
+// unsealed raw page, or any version of a decoding walk (whose kinds the
+// walk does not keep).
+func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time) (v *Version, owned bool, done vclock.Time, err error) {
 	if err := t.CheckLPA(lpa); err != nil {
-		return nil, at, err
+		return nil, false, at, err
 	}
 	w := &t.atWalk
 	w.mode, w.vers, w.kept = walkDefer, w.vers[:0], w.kept[:0]
@@ -66,18 +78,19 @@ func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.
 	if invariant.Enabled && w.mode == walkDefer {
 		busy = t.Arr.Horizons(nil)
 	}
-	done, err := t.walk(w, lpa, at)
+	done, err = t.walk(w, lpa, at)
 	if err != nil {
-		return nil, at, err
+		return nil, false, at, err
 	}
-	var v *Version
 	for i := range w.vers {
 		if w.vers[i].TS <= when {
 			v = &Version{TS: w.vers[i].TS, Data: w.vers[i].Data, Live: w.vers[i].Live}
 			if w.mode == walkDefer {
 				if v.Data, err = t.resolve(w, lpa, i); err != nil {
-					return nil, done, err
+					return nil, false, done, err
 				}
+				kind := w.kept[i].kind
+				owned = kind == keptDelta || kind == keptRaw && t.aes != nil
 			}
 			break
 		}
@@ -85,7 +98,7 @@ func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.
 	if invariant.Enabled && w.mode == walkDefer {
 		t.shadowVersionAt(lpa, when, at, busy, v, done)
 	}
-	return v, done, nil
+	return v, owned, done, nil
 }
 
 // walkMode is what a chain walk keeps of each version it reaches.
@@ -282,8 +295,9 @@ func (t *TimeSSD) takeRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte)
 // takeDelta takes one delta the walk reached and charges its decode. It
 // reports false, charging nothing, when the delta does not decode, which
 // ends the walk. A deferred walk cannot try the decode: it checks what
-// the decode needs of the walk, the XOR reference, and trusts the payload,
-// which only an armed fault plan can corrupt (VersionAt).
+// the decode needs of the walk, the XOR reference, and trusts the payload.
+// VersionAt defers only on a device whose payloads all decode: one that
+// sealed them itself, with no fault plan armed.
 func (t *TimeSSD) takeDelta(w *chainWalk, d *delta.Delta, at vclock.Time) (vclock.Time, bool) {
 	switch w.mode {
 	case walkStamps:
@@ -658,11 +672,9 @@ func (m *scanMemo) records(from, to vclock.Time) []UpdateRecord {
 	for _, e := range m.lpas {
 		ts := m.ts[start:e.tsEnd]
 		start = e.tsEnd
-		// A deletion inside the range is an update of this LPA's state even
-		// though it created no new version.
-		rec := e.trim
-		trimHit := rec.head != flash.NullPPA && rec.ts >= from && rec.ts <= to
-		// ts descends strictly, so the versions inside [from, to] are one run.
+		// ts descends strictly, so the versions inside [from, to] are one
+		// run. Scanning before the trim test keeps the first scan's loop
+		// free of a stack reload.
 		lo := 0
 		for lo < len(ts) && ts[lo] > to {
 			lo++
@@ -671,6 +683,10 @@ func (m *scanMemo) records(from, to vclock.Time) []UpdateRecord {
 		for hi < len(ts) && ts[hi] >= from {
 			hi++
 		}
+		// A deletion inside the range is an update of this LPA's state even
+		// though it created no new version.
+		rec := e.trim
+		trimHit := rec.head != flash.NullPPA && rec.ts >= from && rec.ts <= to
 		n := hi - lo
 		if trimHit {
 			n++
@@ -701,7 +717,7 @@ func (t *TimeSSD) RollBack(lpa uint64, when, at vclock.Time) (vclock.Time, error
 }
 
 func (t *TimeSSD) rollBackOne(lpa uint64, when, at vclock.Time) (vclock.Time, error) {
-	v, done, err := t.VersionAt(lpa, when, at)
+	v, owned, done, err := t.versionAt(lpa, when, at)
 	if err != nil {
 		return done, err
 	}
@@ -712,9 +728,20 @@ func (t *TimeSSD) rollBackOne(lpa uint64, when, at vclock.Time) (vclock.Time, er
 	if v.Live {
 		return at, nil // already at the requested state
 	}
-	// Copy before writing back: v.Data may alias flash storage, and the
-	// write's own GC could reclaim that page mid-operation.
-	return t.Write(lpa, append([]byte(nil), v.Data...), at)
+	return t.writeBack(lpa, v, owned, at)
+}
+
+// writeBack writes the retained version v of lpa back as its newest
+// version. Content that may alias flash is copied first: the write's own
+// GC could reclaim that page mid-operation. Content versionAt allocated
+// goes as it is, since Write keeps nothing of its input (the program
+// copies it into the array).
+func (t *TimeSSD) writeBack(lpa uint64, v *Version, owned bool, at vclock.Time) (vclock.Time, error) {
+	data := v.Data
+	if !owned {
+		data = append([]byte(nil), data...)
+	}
+	return t.Write(lpa, data, at)
 }
 
 // RollBackAll reverts every candidate LPA to its state at time `when`.
@@ -734,7 +761,7 @@ func (t *TimeSSD) RollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 func (t *TimeSSD) rollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 	changed := 0
 	for _, lpa := range t.CandidateLPAs() {
-		v, done, err := t.VersionAt(lpa, when, at)
+		v, owned, done, err := t.versionAt(lpa, when, at)
 		if err != nil {
 			return changed, done, err
 		}
@@ -752,8 +779,7 @@ func (t *TimeSSD) rollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 		if v.Live {
 			continue
 		}
-		// Same aliasing hazard as rollBackOne: copy before writing back.
-		if at, err = t.Write(lpa, append([]byte(nil), v.Data...), at); err != nil {
+		if at, err = t.writeBack(lpa, v, owned, at); err != nil {
 			return changed, at, err
 		}
 		changed++

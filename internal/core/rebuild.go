@@ -62,6 +62,10 @@ func Rebuild(arr *flash.Array, cfg Config) (*TimeSSD, error) {
 		cfg:  cfg,
 		zero: make([]byte, cfg.FTL.Flash.PageSize),
 		prt:  make([]bool, cfg.FTL.Flash.TotalPages()),
+		// The medium may hold payloads sealed under another retention key
+		// (or none), which fail to decode: VersionAt must try each decode
+		// where the walk reaches it, as Versions does.
+		eagerVersionAt: true,
 	}
 	t.initTables()
 	if err := t.initCipher(); err != nil {

@@ -239,8 +239,9 @@ type TimeSSD struct {
 	faultsArmed bool           // a fault plan is armed: no memo or deferred decode (SetFaults)
 
 	// eagerVersionAt makes VersionAt decode as it walks, as it does while
-	// a fault plan is armed: the reference twin of a test of the deferred
-	// walk.
+	// a fault plan is armed. Rebuild sets it: a mounted medium may hold
+	// payloads another retention key sealed. Tests set it on the reference
+	// twin of the deferred walk.
 	eagerVersionAt bool
 
 	// gen counts the mutators that can change what a chain walk finds:

@@ -17,8 +17,35 @@ func benchPage(seed int64, n int) []byte {
 	return p
 }
 
-// BenchmarkDeltaEncode4K delta-encodes a page against a reference differing
-// in 200 scattered bytes, through one reused compressor as the GC does.
+// lineagePair returns two successive versions of a page the way the
+// repository benchmark's corpus makes them: the first drawn from a 32-word
+// dictionary of 16-byte words, one word in four random, the second a copy
+// with four runs of n/256 changed bytes.
+func lineagePair(seed int64, n int) (old, ref []byte) {
+	rng := rand.New(rand.NewSource(seed))
+	var dict [32][16]byte
+	for i := range dict {
+		rng.Read(dict[i][:])
+	}
+	old = make([]byte, n)
+	for off := 0; off < n; off += 16 {
+		if rng.Intn(4) == 0 {
+			rng.Read(old[off : off+16])
+		} else {
+			copy(old[off:], dict[rng.Intn(32)][:])
+		}
+	}
+	ref = append([]byte(nil), old...)
+	run := n / 256
+	for k := 0; k < 4; k++ {
+		rng.Read(ref[rng.Intn(n-run+1):][:run])
+	}
+	return old, ref
+}
+
+// BenchmarkDeltaEncode4K delta-encodes a page against its reference through
+// one reused compressor, as the GC does: "scatter" differs in 200 scattered
+// bytes, "lineage" is one step of the benchmark corpus (four 16-byte runs).
 func BenchmarkDeltaEncode4K(b *testing.B) {
 	old := benchPage(1, 4096)
 	ref := append([]byte(nil), old...)
@@ -26,11 +53,21 @@ func BenchmarkDeltaEncode4K(b *testing.B) {
 	for i := 0; i < 200; i++ {
 		ref[rng.Intn(4096)] ^= byte(1 + rng.Intn(255))
 	}
-	var c lzf.Compressor
-	b.SetBytes(4096)
-	var out []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, out = EncodeWith(&c, out[:0], old, ref)
+	lold, lref := lineagePair(1, 4096)
+	for _, bc := range []struct {
+		name     string
+		old, ref []byte
+	}{
+		{"scatter", old, ref},
+		{"lineage", lold, lref},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var c lzf.Compressor
+			b.SetBytes(int64(len(bc.old)))
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				_, out = EncodeWith(&c, out[:0], bc.old, bc.ref)
+			}
+		})
 	}
 }

@@ -70,6 +70,10 @@ func FuzzCompressorMatchesReference(f *testing.F) {
 			f.Add(runResidual(rng, n, runs))
 		}
 	}
+	// Every way a match extension can end (TestCompressorExtension).
+	for _, tc := range extensionCases() {
+		f.Add(tc.src)
+	}
 
 	var c Compressor
 	f.Fuzz(func(t *testing.T, src []byte) {

@@ -19,6 +19,15 @@ func runResidual(rng *rand.Rand, n, runs int) []byte {
 	return p
 }
 
+// periodic is n bytes of period q.
+func periodic(n, q int) []byte {
+	p := make([]byte, n)
+	for j := range p {
+		p[j] = byte(j%q) * 37
+	}
+	return p
+}
+
 // goldenCorpus is a fixed, seeded set of the input shapes the device
 // compresses: run-shaped residuals of 512 B and 4 KiB pages, single-byte
 // scatter, periodic input and random input.
@@ -37,11 +46,7 @@ func goldenCorpus() [][]byte {
 			c = append(c, p)
 		}
 		for q := 1; q <= 12; q++ {
-			p := make([]byte, n)
-			for j := range p {
-				p[j] = byte(j%q) * 37
-			}
-			c = append(c, p)
+			c = append(c, periodic(n, q))
 		}
 		p := make([]byte, n)
 		rng.Read(p)

@@ -7,9 +7,10 @@
 // within an 8 KiB window. It favours speed over ratio, exactly the trade-off
 // a firmware compressor makes.
 //
-// Compressor is the one encoder. It keeps its match table across calls and
-// seeds it once per period of a periodic match, yet emits exactly the bytes
-// of the plain table-per-call loop kept in the tests as the reference:
+// Compressor is the one encoder. It keeps its match table across calls,
+// seeds it once per period of a periodic match and tests a long match's
+// whole window in one compare, yet emits exactly the bytes of the plain
+// table-per-call loop kept in the tests as the reference:
 // compressed payloads land on simulated flash, so every layout and
 // retention number the simulator reports depends on them.
 //
@@ -23,6 +24,7 @@
 package lzf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -131,11 +133,11 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 					src[cand] == src[i] && src[cand+1] == src[i+1] && src[cand+2] == src[i+2]
 			}
 			if hit {
-				// Extend eight bytes per step while both sides keep whole
-				// words in range; the XOR's trailing zero count pinpoints
-				// the first differing byte, so the byte-wise tail only runs
-				// when the word loop ran out of room rather than out of
-				// match.
+				// Extend the match to its first differing byte or to
+				// limit, in up to four steps, each taken only while the
+				// last found no difference: a byte probe, one word, the
+				// whole rest of the window, and a word loop with a byte
+				// tail.
 				mlen := minMatch
 				limit := len(src) - i
 				if limit > maxMatch {
@@ -148,6 +150,33 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 				if mlen < limit && src[cand+mlen] != src[i+mlen] {
 					exact = true
 				}
+				// After a matching first word, compare the rest of the
+				// window at once (a vectorised memequal): the long zero
+				// runs of an XOR residual match to limit, and one compare
+				// replaces ~32 word steps. If it is equal, the word loop
+				// and its tail would have stopped at limit too; if not,
+				// the loop walks on from the first word as it would have.
+				// Either way mlen, and every output byte, is unchanged.
+				// The full first word is the guard: a match that ends
+				// within a few bytes never pays for a call that fails at
+				// once.
+				if !exact && mlen+8 <= limit {
+					x := binary.LittleEndian.Uint64(src[cand+mlen:]) ^ binary.LittleEndian.Uint64(src[i+mlen:])
+					if x != 0 {
+						mlen += bits.TrailingZeros64(x) >> 3
+						exact = true
+					} else {
+						mlen += 8
+						if bytes.Equal(src[cand+mlen:cand+limit], src[i+mlen:i+limit]) {
+							mlen = limit
+							exact = true
+						}
+					}
+				}
+				// Eight bytes per step while both sides keep whole words in
+				// range; the XOR's trailing zero count pinpoints the first
+				// differing byte, so the byte-wise tail only runs when the
+				// word loop ran out of room rather than out of match.
 				for !exact && mlen+8 <= limit {
 					x := binary.LittleEndian.Uint64(src[cand+mlen:]) ^ binary.LittleEndian.Uint64(src[i+mlen:])
 					if x != 0 {

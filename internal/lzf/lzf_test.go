@@ -2,6 +2,7 @@ package lzf
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -193,5 +194,114 @@ func TestCompressorMatchesPure(t *testing.T) {
 	src := mk(2048, 2)
 	if !bytes.Equal(c.Compress(nil, src), compressRef(nil, src)) {
 		t.Fatal("compressor diverges after generation wrap")
+	}
+}
+
+// extensionCase is an input whose first back-reference lands at position
+// at and extends exactly want bytes: random bytes, then a copy of their
+// first bytes, cut at a chosen length or broken by a changed byte.
+type extensionCase struct {
+	name     string
+	src      []byte
+	at, want int // -1: no check of the first back-reference (periodic input)
+}
+
+// extensionCases covers every way Compress's match extension can end: the
+// byte probe, the first word, the whole-window compare and the word loop
+// behind it, and the byte tail, at maxMatch and at a limit the end of the
+// input sets.
+func extensionCases() []extensionCase {
+	rng := rand.New(rand.NewSource(39))
+	pre := make([]byte, maxMatch+16)
+	rng.Read(pre)
+	// build copies pre[:l] after pre, changes the copied byte at m (m < 0:
+	// none), and appends tail random bytes whose first one breaks the copy.
+	build := func(l, m, tail int) []byte {
+		src := append(append([]byte(nil), pre...), pre[:l]...)
+		if m >= 0 {
+			src[len(pre)+m] ^= 0xff
+		}
+		for k := 0; k < tail; k++ {
+			b := byte(rng.Intn(256))
+			if k == 0 && b == pre[l] {
+				b ^= 0xff
+			}
+			src = append(src, b)
+		}
+		return src
+	}
+	n := len(pre)
+	var cs []extensionCase
+	add := func(name string, src []byte, want int) {
+		cs = append(cs, extensionCase{name, src, n, want})
+	}
+	add("ends at maxMatch", build(maxMatch, -1, 40), maxMatch)
+	add("runs past maxMatch", build(maxMatch+8, -1, 40), maxMatch)
+	add("mismatch at maxMatch", build(maxMatch+8, maxMatch, 40), maxMatch)
+	for l := minMatch; l < maxMatch; l++ {
+		add(fmt.Sprintf("ends at len(src), limit %d", l), build(l, -1, 0), l)
+	}
+	for _, limit := range []int{maxMatch, 100, 20} {
+		for d := 1; d <= 7; d++ {
+			if limit == maxMatch {
+				add(fmt.Sprintf("%d short of maxMatch", d), build(maxMatch+8, maxMatch-d, 40), maxMatch-d)
+			} else {
+				add(fmt.Sprintf("%d short of len(src), limit %d", d, limit), build(limit, limit-d, 0), limit-d)
+			}
+		}
+	}
+	for m := minMatch; m < minMatch+8; m++ {
+		add(fmt.Sprintf("probe or first word ends at %d", m), build(maxMatch, m, 40), m)
+	}
+	for m := minMatch + 8; m < maxMatch; m++ {
+		add(fmt.Sprintf("window mismatch at %d", m), build(maxMatch, m, 40), m)
+	}
+	for q := 1; q <= 8; q++ {
+		cs = append(cs, extensionCase{fmt.Sprintf("period %d", q), periodic(3*maxMatch+q+5, q), -1, -1})
+	}
+	return cs
+}
+
+// firstMatch returns the output position and length of the first
+// back-reference in an LZF stream, or -1, -1 if it has none.
+func firstMatch(comp []byte) (at, length int) {
+	out := 0
+	for i := 0; i < len(comp); {
+		ctrl := comp[i]
+		if ctrl < 0x20 {
+			out += int(ctrl) + 1
+			i += int(ctrl) + 2
+			continue
+		}
+		l := int(ctrl >> 5)
+		if l == 7 {
+			l += int(comp[i+1])
+		}
+		return out, l + 2
+	}
+	return -1, -1
+}
+
+// TestCompressorExtension checks every way a match extension can end
+// against the frozen reference, through a fresh Compressor and through one
+// reused across all cases, and checks that each constructed case reaches
+// the extension it names: its first back-reference has the intended
+// position and length.
+func TestCompressorExtension(t *testing.T) {
+	var reused Compressor
+	for _, tc := range extensionCases() {
+		want := compressRef(nil, tc.src)
+		if got := compress(tc.src); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Compress diverges from the reference", tc.name)
+		}
+		if got := reused.Compress(nil, tc.src); !bytes.Equal(got, want) {
+			t.Fatalf("%s: reused Compressor diverges from the reference", tc.name)
+		}
+		if tc.at >= 0 {
+			if at, l := firstMatch(want); at != tc.at || l != tc.want {
+				t.Fatalf("%s: first match at %d of length %d, case built for %d of length %d", tc.name, at, l, tc.at, tc.want)
+			}
+		}
+		roundTrip(t, tc.src)
 	}
 }
