@@ -11,9 +11,12 @@
 # and odd pairs run <rev> first, even pairs HEAD first. Per end-to-end
 # metric of BENCHMARK.json the report gives the two medians, the distance
 # between the quartiles of <rev>'s own runs, and in how many pairs HEAD read
-# better (ties count for neither), then every run's value. Claim a gain only
-# when HEAD wins at least nine tenths of the pairs and the medians differ by
-# more than that spread.
+# better (ties count for neither), then every run's value. A metric whose
+# HEAD median is worse than <rev>'s by more than its "bound" in
+# BENCHMARK.json is flagged OVER BOUND, and the two sides' shares of failed
+# ops are printed side by side: a breach or a larger failed share is what
+# rejects a change. Claim a gain only when HEAD wins at least nine tenths
+# of the pairs and the medians differ by more than that spread.
 set -euo pipefail
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
   echo "usage: $0 <rev> <workload> [pairs=10]" >&2
@@ -48,8 +51,11 @@ import json, statistics, sys
 spec, tmp, workload, parent, change = sys.argv[1:]
 runs = {s: [json.loads(l) for l in open("%s/%s.jsonl" % (tmp, s))] for s in ("parent", "change")}
 print("%s: %d pairs, parent = %s, change = %s" % (workload, len(runs["parent"]), parent, change))
-for s in ("parent", "change"):
-    print("%-6s failed ops: %d of %d attempted" % (s, sum(r["failed"] for r in runs[s]), sum(r["attempted"] for r in runs[s])))
+failed = {s: (sum(r["failed"] for r in runs[s]), sum(r["attempted"] for r in runs[s])) for s in runs}
+share = {s: f / a if a else 0.0 for s, (f, a) in failed.items()}
+print("failed ops: parent %d of %d (%.4g%%), change %d of %d (%.4g%%)%s" % (
+    *failed["parent"], 100 * share["parent"], *failed["change"], 100 * share["change"],
+    "  MORE FAILED" if share["change"] > share["parent"] else ""))
 print("%-18s %14s %14s %8s %12s %s" % ("metric", "parent median", "change median", "change", "parent IQR", "change wins"))
 for m in json.load(open(spec))["end_to_end"]:
     a, b = ([r["metrics"][m["name"]]["value"] for r in runs[s]] for s in ("parent", "change"))
@@ -59,7 +65,10 @@ for m in json.load(open(spec))["end_to_end"]:
     wins = sum(better(x, y) for x, y in zip(a, b))
     ties = sum(x == y for x, y in zip(a, b))
     delta = "%+.1f%%" % (100 * (mb - ma) / ma) if ma else "n/a"
-    print("%-18s %14.6g %14.6g %8s %12.4g %d/%d%s  (%s %s is better)" % (
-        m["name"], ma, mb, delta, q[2] - q[0], wins, len(a), ", %d tied" % ties if ties else "", m["better"], m["unit"]))
+    worse = better(mb, ma)
+    over = worse and (ma == 0 or abs(mb - ma) / abs(ma) > m["bound"])
+    print("%-18s %14.6g %14.6g %8s %12.4g %d/%d%s  (%s %s is better)%s" % (
+        m["name"], ma, mb, delta, q[2] - q[0], wins, len(a), ", %d tied" % ties if ties else "", m["better"], m["unit"],
+        "  OVER BOUND (%g)" % m["bound"] if over else ""))
     print("    parent %s\n    change %s" % (" ".join("%.6g" % x for x in a), " ".join("%.6g" % x for x in b)))
 EOF

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"almanac/internal/invariant"
@@ -235,13 +236,15 @@ func TestWriteAllocs(t *testing.T) {
 }
 
 // TestUpdatedBetweenAllocs pins what a full-device time query may allocate:
-// the records it returns (one Times slice each, plus the doublings of the
-// record slice), and nothing per LPA scanned or per chain hop walked or
-// replayed. The same three-record query is run over a short history and
-// over one with four times the LPAs and three times the versions: walking
-// cold, replaying the scan memo on busy channels (every query at one
-// instant), and replaying it on idle ones (each query at the last one's
-// completion); all six must cost the same.
+// the records it returns and the one array their Times share, each sized
+// from the hit count, and nothing per record, per LPA scanned or per chain
+// hop walked or replayed. The same three-record query is run over a short
+// history and over one with four times the LPAs and three times the
+// versions: walking cold (and rebuilding the time index), replaying the
+// scan memo on busy channels (every query at one instant), and replaying
+// it on idle ones (each query at the last one's completion); all six must
+// cost the same. The shared array must not alias: each record's Times is
+// capacity-limited, so appending to one leaves the next as it was.
 func TestUpdatedBetweenAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
@@ -285,6 +288,12 @@ func TestUpdatedBetweenAllocs(t *testing.T) {
 			}
 			return done
 		}
+		recs, _, _ := d.UpdatedBetween(from, to, at)
+		next := slices.Clone(recs[1].Times)
+		recs[0].Times = append(recs[0].Times, -1)
+		if !slices.Equal(recs[1].Times, next) {
+			t.Fatalf("appending to record 0's Times changed record 1's from %v to %v", next, recs[1].Times)
+		}
 		loaded := testing.AllocsPerRun(20, func() { query(at) })
 		walked := testing.AllocsPerRun(20, func() {
 			d.gen++ // as a mutator would: the next query walks cold
@@ -295,8 +304,8 @@ func TestUpdatedBetweenAllocs(t *testing.T) {
 		return [3]float64{walked, loaded, quiet}
 	}
 	short, long := measure(8, 4), measure(32, 12)
-	// 3 Times slices + the record slice growing 1 -> 2 -> 4.
-	want := float64(2 * matches)
+	// The record slice and the Times array they share.
+	const want = 2.0
 	for i, path := range []string{"a walked", "a busy replayed", "an idle replayed"} {
 		if short[i] != want || long[i] != want {
 			t.Fatalf("%s UpdatedBetween allocates %.0f times over 8 LPAs x 4 versions and %.0f over 32 x 12, want %.0f both",

@@ -140,31 +140,52 @@ func roundHistory(b *testing.B) (*TimeSSD, vclock.Time, func(round, lpa int) vcl
 // BenchmarkTimeQueryScan is one full-device time query (core.UpdatedBetween,
 // what TimeKits' TimeQueryRange runs) per iteration over roundHistory. The
 // 100 ms query window moves through the rounds, matching ~100 pages. The
-// cold sub-benchmark walks every chain each query. The other two replay the
-// scan memo, as queries on a device nothing has mutated since do: loaded
-// issues every query at one instant, so each finds the channels still busy
-// with the last one's reads and runs its reads dry on their horizons; quiet
-// issues each at the last one's completion, when every channel is idle, so
-// the replay shifts the memo's cached idle-start outcome. Both apply their
-// outcome to the array in one step.
+// cold sub-benchmark walks every chain each query. loaded and quiet replay
+// the scan memo, as queries on a device nothing has mutated since do:
+// loaded issues every query at one instant, so each finds the channels
+// still busy with the last one's reads and runs its reads dry on their
+// horizons; quiet issues each at the last one's completion, when every
+// channel is idle, so the replay shifts the memo's cached idle-start
+// outcome. Both apply their outcome to the array in one step. wide is quiet
+// over the whole history, the time index's worst case: every stamp hits and
+// every LPA is a record. live is forensics on a device still being written:
+// liveWrites writes, then one query, so every query pays the cold walk and
+// the index build. It mutates the history, so it runs last, and its ns/op
+// compares across builds only at one fixed -benchtime=Nx.
 func BenchmarkTimeQueryScan(b *testing.B) {
 	d, at, stamp := roundHistory(b)
-	for _, path := range []string{"cold", "loaded", "quiet"} {
+	const liveWrites = 8
+	gen := trace.NewContentGen(d.PageSize(), trace.ContentSimilar, 2)
+	for _, path := range []string{"cold", "loaded", "quiet", "wide", "live"} {
 		b.Run(path, func(b *testing.B) {
 			when := at
 			for i := 0; i < b.N; i++ {
-				if path == "cold" {
+				switch path {
+				case "cold":
 					d.gen++ // as a mutator would: every query walks the chains
+				case "live":
+					for w := 0; w < liveWrites; w++ {
+						lpa := uint64((i*liveWrites + w) * 131 % historyLPAs)
+						done, err := d.Write(lpa, gen.NextVersion(lpa), when)
+						if err != nil {
+							b.Fatal(err)
+						}
+						when = done.Add(vclock.Millisecond)
+					}
 				}
 				from := stamp(i%historyRounds, (i*97)%(historyLPAs-100))
-				recs, done, err := d.UpdatedBetween(from, from.Add(100*vclock.Millisecond), when)
+				to := from.Add(100 * vclock.Millisecond)
+				if path == "wide" {
+					from, to = 0, at
+				}
+				recs, done, err := d.UpdatedBetween(from, to, when)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(recs) == 0 {
 					b.Fatal("no records")
 				}
-				if path == "quiet" {
+				if path != "cold" && path != "loaded" {
 					when = done
 				}
 			}

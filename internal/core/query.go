@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"almanac/internal/delta"
@@ -484,7 +485,8 @@ func (t *TimeSSD) appendTimestamps(m *scanMemo, lpa uint64, at vclock.Time) (vcl
 // change; while the generation the memo was taken at is current, a query
 // replays it — the same reads on the same channels from the same instant,
 // so virtual time, flash counters and observations are those of the walk —
-// and filters the recorded timestamps instead of walking the chains again.
+// and reads its records off the memo's time index instead of walking the
+// chains again.
 type scanMemo struct {
 	gen   uint64        // device generation the walk ran at
 	valid bool          // a complete walk, taken with no fault plan armed
@@ -500,6 +502,25 @@ type scanMemo struct {
 	doneOff vclock.Duration  // the completion
 	lat     obs.HistSnapshot // every read's virtual latency, as Read observes it
 	busy    []vclock.Time    // scratch: the horizons a replay starts from, then ends on
+
+	// The time index (index), built by every walk: each recorded timestamp
+	// and trim time with the entry it belongs to, counting-sorted into
+	// buckets 1<<shift wide from base. Bucket b is idx[off[b]:off[b+1]].
+	idx   []stampRef
+	off   []uint32
+	base  vclock.Time
+	shift uint
+	marks []uint64 // scratch: one bit per entry of lpas, set by records' hits; clear between queries
+}
+
+// stampsPerBucket is the mean bucket load the time index is sized for.
+const stampsPerBucket = 4
+
+// stampRef is one time-index entry: a timestamp or trim time, and the
+// index in scanMemo.lpas of the entry it belongs to.
+type stampRef struct {
+	ts vclock.Time
+	e  uint32
 }
 
 // memoLPA is one candidate LPA's entry in a scanMemo. Its runs end where
@@ -586,18 +607,27 @@ func (t *TimeSSD) CandidateLPAs() []uint64 {
 // of the slowest channel. When nothing has mutated the device since the
 // last scan, the scan is replayed from its memo (scanMemo): the same reads
 // are charged, and no chain is walked on the host. The scan allocates only
-// what it returns: one Times slice per matching record.
+// what it returns: the record slice and one array that every record's
+// Times is a capacity-limited window of.
 func (t *TimeSSD) UpdatedBetween(from, to vclock.Time, at vclock.Time) ([]UpdateRecord, vclock.Time, error) {
+	var done vclock.Time
+	var err error
 	if t.scanCurrent() {
-		return t.scan.records(from, to), t.replayScan(at), nil
+		done = t.replayScan(at)
+	} else {
+		done, err = t.walkAll(at)
 	}
-	done, err := t.walkAll(at)
-	return t.scan.records(from, to), done, err
+	recs := t.scan.records(from, to)
+	if invariant.Enabled {
+		t.scan.shadowRecords(from, to, recs)
+	}
+	return recs, done, err
 }
 
 // walkAll is the cold scan: it walks every candidate LPA's chains from at,
-// charging every read, and records the walk in t.scan. A read error stops
-// it with the LPAs walked so far recorded and the memo invalid.
+// charging every read, and records the walk in t.scan, time index
+// included. A read error stops it with the LPAs walked so far recorded and
+// indexed and the memo invalid.
 func (t *TimeSSD) walkAll(at vclock.Time) (vclock.Time, error) {
 	m := &t.scan
 	m.valid, m.settled = false, false
@@ -609,11 +639,13 @@ func (t *TimeSSD) walkAll(at vclock.Time) (vclock.Time, error) {
 		}
 		d, err := t.appendTimestamps(m, lpa, at)
 		if err != nil {
+			m.index()
 			return done, err
 		}
 		done = max(done, d)
 		m.lpas = append(m.lpas, memoLPA{lpa: lpa, trim: t.trimmed[lpa], tsEnd: uint32(len(m.ts)), readEnd: uint32(len(m.ch))})
 	}
+	m.index()
 	m.gen, m.valid = t.gen, !t.faultsArmed
 	return done, nil
 }
@@ -665,16 +697,168 @@ func (t *TimeSSD) shadowQuietReplay(at, done vclock.Time) {
 	invariant.Assert(lat == m.lat, "quiet replay at %v: latencies %+v, read by read %+v", at, m.lat, lat)
 }
 
-// records filters the memo's timestamps to [from, to].
+// index builds the memo's time index over its entries' runs and trim
+// times: a counting sort into buckets of the narrowest power-of-two width
+// that leaves about stampsPerBucket stamps per bucket over [oldest,
+// newest]. A run descends, so its ends bound it and the extremes cost one
+// look per entry; counting and placing are one pass each over the stamps.
+// A bucket's offset starts at its end (the prefix sum of the counts) and
+// moves down as its stamps are placed, ending at its start.
+func (m *scanMemo) index() {
+	n, lo, hi := 0, maxTime, vclock.Time(math.MinInt64)
+	start := uint32(0)
+	for _, e := range m.lpas {
+		if e.tsEnd > start {
+			lo, hi = min(lo, m.ts[e.tsEnd-1]), max(hi, m.ts[start])
+			n += int(e.tsEnd - start)
+		}
+		if e.trim.head != flash.NullPPA {
+			lo, hi = min(lo, e.trim.ts), max(hi, e.trim.ts)
+			n++
+		}
+		start = e.tsEnd
+	}
+	m.idx, m.off = m.idx[:0], m.off[:0]
+	if n == 0 {
+		return
+	}
+	span, want := uint64(hi)-uint64(lo), uint64(max(1, n/stampsPerBucket))
+	shift := uint(0)
+	for span>>shift >= want {
+		shift++
+	}
+	m.base, m.shift = lo, shift
+	off := slices.Grow(m.off, int(span>>shift)+2)[:span>>shift+2]
+	clear(off)
+	for _, ts := range m.ts[:start] {
+		off[bucketOf(ts, lo, shift)]++
+	}
+	for _, e := range m.lpas {
+		if e.trim.head != flash.NullPPA {
+			off[bucketOf(e.trim.ts, lo, shift)]++
+		}
+	}
+	sum := uint32(0)
+	for b, c := range off {
+		sum += c
+		off[b] = sum
+	}
+	idx := slices.Grow(m.idx, n)[:n]
+	start = 0
+	for i, e := range m.lpas {
+		for _, ts := range m.ts[start:e.tsEnd] {
+			b := bucketOf(ts, lo, shift)
+			off[b]--
+			idx[off[b]] = stampRef{ts, uint32(i)}
+		}
+		if e.trim.head != flash.NullPPA {
+			b := bucketOf(e.trim.ts, lo, shift)
+			off[b]--
+			idx[off[b]] = stampRef{e.trim.ts, uint32(i)}
+		}
+		start = e.tsEnd
+	}
+	m.idx, m.off = idx, off
+}
+
+// bucketOf is the index of ts's bucket in a time index whose buckets are
+// 1<<shift wide from base; ts must be at or after base.
+func bucketOf(ts, base vclock.Time, shift uint) uint64 {
+	return (uint64(ts) - uint64(base)) >> shift
+}
+
+// records returns the memo's update records in [from, to], in ascending
+// LPA order. Only the index buckets [from, to] covers are scanned: each
+// stamp in the range marks its entry, and a sweep of the marks emits each
+// marked entry's record. The records share one Times array, each a
+// capacity-limited window of it, so appending to one cannot reach the next.
 func (m *scanMemo) records(from, to vclock.Time) []UpdateRecord {
+	if len(m.off) == 0 || to < from || to < m.base {
+		return nil
+	}
+	last := uint64(len(m.off) - 2) // the newest bucket
+	b0, b1 := uint64(0), min(bucketOf(to, m.base, m.shift), last)
+	if from > m.base {
+		b0 = min(bucketOf(from, m.base, m.shift), last+1)
+	}
+	if words := (len(m.lpas) + 63) / 64; len(m.marks) < words {
+		m.marks = make([]uint64, words)
+	}
+	times, first, end := 0, uint32(len(m.lpas)), uint32(0)
+	for _, r := range m.idx[m.off[b0]:m.off[b1+1]] {
+		if r.ts < from || r.ts > to {
+			continue
+		}
+		times++
+		m.marks[r.e/64] |= 1 << (r.e % 64)
+		first, end = min(first, r.e), max(end, r.e+1)
+	}
+	if times == 0 {
+		return nil
+	}
+	marks := m.marks[first/64 : (end+63)/64]
+	recs := 0
+	for _, word := range marks {
+		recs += bits.OnesCount64(word)
+	}
+	out := make([]UpdateRecord, recs)
+	back := make([]vclock.Time, 0, times)
+	i := 0
+	for w, word := range marks {
+		marks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			e := (int(first/64)+w)*64 + bits.TrailingZeros64(word)
+			n := len(back)
+			back = m.appendHits(back, e, from, to)
+			out[i] = UpdateRecord{LPA: m.lpas[e].lpa, Times: back[n:len(back):len(back)]}
+			i++
+		}
+	}
+	return out
+}
+
+// appendHits appends entry e's times in [from, to] to dst as its record
+// lists them: the trim time first, when the deletion falls in the range (a
+// deletion is an update of the LPA's state though it created no version),
+// then the run's timestamps in the range, newest first. The run descends,
+// so those are one stretch of it, which ends at the first stamp before
+// from and starts after the stamps above to.
+func (m *scanMemo) appendHits(dst []vclock.Time, e int, from, to vclock.Time) []vclock.Time {
+	if rec := m.lpas[e].trim; rec.head != flash.NullPPA && rec.ts >= from && rec.ts <= to {
+		dst = append(dst, rec.ts)
+	}
+	run := m.run(e)
+	lo, hi := 0, 0
+	for hi < len(run) && run[hi] >= from {
+		if run[hi] > to {
+			lo++
+		}
+		hi++
+	}
+	return append(dst, run[lo:hi]...)
+}
+
+// run is entry e's timestamps, newest first.
+func (m *scanMemo) run(e int) []vclock.Time {
+	start := uint32(0)
+	if e > 0 {
+		start = m.lpas[e-1].tsEnd
+	}
+	return m.ts[start:m.lpas[e].tsEnd]
+}
+
+// filterRecords is records by the full scan the time index replaces: every
+// entry's run and trim time tested against [from, to], sharing no code with
+// the index. It is the reference that shadowRecords and the tests check
+// records against.
+func (m *scanMemo) filterRecords(from, to vclock.Time) []UpdateRecord {
 	var out []UpdateRecord
 	start := uint32(0)
 	for _, e := range m.lpas {
 		ts := m.ts[start:e.tsEnd]
 		start = e.tsEnd
 		// ts descends strictly, so the versions inside [from, to] are one
-		// run. Scanning before the trim test keeps the first scan's loop
-		// free of a stack reload.
+		// run.
 		lo := 0
 		for lo < len(ts) && ts[lo] > to {
 			lo++
@@ -702,6 +886,15 @@ func (m *scanMemo) records(from, to vclock.Time) []UpdateRecord {
 		out = append(out, UpdateRecord{LPA: e.lpa, Times: hit})
 	}
 	return out
+}
+
+// shadowRecords checks the time index's answer (almanacdebug): records
+// must equal filterRecords' full scan of the memo, record by record.
+func (m *scanMemo) shadowRecords(from, to vclock.Time, got []UpdateRecord) {
+	want := m.filterRecords(from, to)
+	invariant.Assert(slices.EqualFunc(got, want, func(a, b UpdateRecord) bool {
+		return a.LPA == b.LPA && slices.Equal(a.Times, b.Times)
+	}), "time index over [%v, %v]: records %v, full scan %v", from, to, got, want)
 }
 
 // RollBack reverts lpa to the version current at time `when` by writing
