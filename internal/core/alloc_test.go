@@ -94,9 +94,9 @@ func TestVersionsAllocs(t *testing.T) {
 // TestVersionAtAllocs pins what a deferred VersionAt allocates per call
 // over flushed 16-version delta chains, idle-compressed round by round:
 // the returned Version, plus the returned content when it had to be
-// decoded. Nothing else: the references a target decodes through, its
-// whole reference chain on every call, go to the walk's scratch buffers.
-// The live head costs only the Version.
+// decoded. Nothing else: the target is rebuilt in that one page, its
+// whole reference chain applied onto it on every call. The live head
+// costs only the Version.
 func TestVersionAtAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
@@ -122,12 +122,13 @@ func TestVersionAtAllocs(t *testing.T) {
 	}
 }
 
-// TestRollBackAllocs pins what rolling a page back to a delta-chain version
-// allocates: VersionAt's Version and the version's decoded content, which
-// Write then takes as it is (the program copies it into the array), and no
-// copy of it: a defensive copy before the write would make it 3. The pages
-// rolled back take turns; each write-back is a new live version, so the
-// next rollback of the page writes again.
+// TestRollBackAllocs pins that rolling a page back to a delta-chain version
+// allocates nothing: versionAt returns the Version by value and rebuilds
+// the version in the device's write-back page, which Write then takes as
+// it is (the program copies it into the array). A fresh page per rollback
+// would make it 1, and a defensive copy of the page before the write 2.
+// The pages rolled back take turns; each write-back is a new live version,
+// so the next rollback of the page writes again.
 func TestRollBackAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("almanacdebug shadow assertions allocate")
@@ -143,8 +144,8 @@ func TestRollBackAllocs(t *testing.T) {
 		at = done
 		lpa = (lpa + 1) % chainPages
 	})
-	if n > 2 {
-		t.Fatalf("RollBack to a delta-chain version allocates %.2f times per call, want <= 2", n)
+	if n != 0 {
+		t.Fatalf("RollBack to a delta-chain version allocates %.2f times per call, want 0", n)
 	}
 }
 

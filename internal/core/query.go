@@ -57,18 +57,21 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 // mounted (a payload sealed under another retention key, §3.10). Returned
 // Data follows Versions' contract.
 func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.Time, error) {
-	v, _, done, err := t.versionAt(lpa, when, at)
-	return v, done, err
+	v, found, done, err := t.versionAt(lpa, when, at, nil)
+	if !found {
+		return nil, done, err
+	}
+	return &v, done, err
 }
 
-// versionAt is VersionAt, and also reports whether v.Data is an allocation
-// of its own: a delta resolve decoded, or a raw page a retention key
-// sealed. Otherwise it is a view that may alias flash: a data page, an
-// unsealed raw page, or any version of a decoding walk (whose kinds the
-// walk does not keep).
-func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time) (v *Version, owned bool, done vclock.Time, err error) {
+// versionAt is VersionAt, with found false where VersionAt returns nil,
+// and a destination for the content it decodes: resolve builds a delta's
+// version in dst, a page long, or in an allocation of its own when dst is
+// nil. Any other content is a view that may alias flash: a data page, an
+// unsealed raw page, or any version of a decoding walk.
+func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time, dst []byte) (v Version, found bool, done vclock.Time, err error) {
 	if err := t.CheckLPA(lpa); err != nil {
-		return nil, false, at, err
+		return Version{}, false, at, err
 	}
 	w := &t.atWalk
 	w.mode, w.vers, w.kept = walkDefer, w.vers[:0], w.kept[:0]
@@ -81,25 +84,23 @@ func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time) (v *Version, owned
 	}
 	done, err = t.walk(w, lpa, at)
 	if err != nil {
-		return nil, false, at, err
+		return Version{}, false, at, err
 	}
 	for i := range w.vers {
 		if w.vers[i].TS <= when {
-			v = &Version{TS: w.vers[i].TS, Data: w.vers[i].Data, Live: w.vers[i].Live}
+			v, found = w.vers[i], true
 			if w.mode == walkDefer {
-				if v.Data, err = t.resolve(w, lpa, i); err != nil {
-					return nil, false, done, err
+				if v.Data, err = t.resolve(w, lpa, i, dst); err != nil {
+					return Version{}, false, done, err
 				}
-				kind := w.kept[i].kind
-				owned = kind == keptDelta || kind == keptRaw && t.aes != nil
 			}
 			break
 		}
 	}
 	if invariant.Enabled && w.mode == walkDefer {
-		t.shadowVersionAt(lpa, when, at, busy, v, done)
+		t.shadowVersionAt(lpa, when, at, busy, v, found, done)
 	}
-	return v, owned, done, nil
+	return v, found, done, nil
 }
 
 // walkMode is what a chain walk keeps of each version it reaches.
@@ -123,10 +124,9 @@ type chainWalk struct {
 	kept []keptVersion // walkDefer: how each of vers is held until resolve
 	memo *scanMemo     // walkStamps: where timestamps and read channels go
 
-	// resolve's staging, reused across calls: the versions it decodes,
-	// target first, and two buffers a reference chain decodes through.
+	// resolve's staging, reused across calls: the versions it rebuilds
+	// the target through, target first.
 	need []int
-	buf  [2][]byte
 
 	// busy, set only by the almanacdebug shadow of VersionAt, makes the
 	// walk dry: its reads charge nothing and queue on these channel
@@ -340,49 +340,53 @@ func (w *chainWalk) refIndex(refTS vclock.Time, pageSize int) int {
 
 // resolve returns the content of w.vers[k] after a deferred walk of lpa.
 // It follows k's XOR references towards the head until a version needs no
-// decode (a data page), then decodes back down to k, each version against
-// the one before: the references through the walk's two scratch buffers,
-// k into an allocation of its own. A data page is returned as it was read.
-func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int) ([]byte, error) {
-	need, ref := w.need[:0], []byte(nil)
+// reference (a data page, a raw page, or a delta of another encoding),
+// then rebuilds k in place: the base goes into dst once (copied, or
+// decoded straight into it) and each residual down the chain to k is
+// applied onto that one page (delta.DecodeOnto). dst is a page long, or
+// nil for an allocation of resolve's own. A data page, or a raw page that
+// is the target itself, is returned as the walk holds it.
+func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int, dst []byte) ([]byte, error) {
+	need, base := w.need[:0], []byte(nil)
 	for j := k; j >= 0; j = w.kept[j].ref {
 		if w.kept[j].kind == keptData {
-			ref = w.vers[j].Data
+			base = w.vers[j].Data
 			break
 		}
 		need = append(need, j)
 	}
 	w.need = need
-	for i := len(need) - 1; i >= 0; i-- {
-		j := need[i]
-		ts := w.vers[j].TS
-		var dec []byte
-		if kv := &w.kept[j]; kv.kind == keptRaw {
-			dec = t.openRetained(lpa, ts, w.vers[j].Data)
-		} else {
-			var dst []byte
-			if i == 0 {
-				dst = make([]byte, 0, t.PageSize())
-			} else {
-				dst = w.buf[i&1][:0]
-			}
-			var err error
-			if dec, err = delta.DecodeAppend(dst, kv.d.Enc, t.openRetained(lpa, ts, kv.d.Payload), ref, t.PageSize()); err != nil {
-				return nil, fmt.Errorf("core: lpa %d version %v does not decode: %w", lpa, ts, err)
-			}
-			if i > 0 {
-				w.buf[i&1] = dec
-			}
-		}
-		ref = dec
+	if len(need) == 0 {
+		return base, nil
 	}
-	return ref, nil
+	i := len(need) - 1
+	if w.kept[need[i]].kind == keptRaw {
+		base = t.openRetained(lpa, w.vers[need[i]].TS, w.vers[need[i]].Data)
+		if i == 0 {
+			return base, nil
+		}
+		i--
+	}
+	if dst == nil {
+		dst = make([]byte, t.PageSize())
+	}
+	if base != nil {
+		copy(dst, base)
+	}
+	for ; i >= 0; i-- {
+		j := need[i]
+		kv, ts := &w.kept[j], w.vers[j].TS
+		if err := delta.DecodeOnto(dst, kv.d.Enc, t.openRetained(lpa, ts, kv.d.Payload), &t.dec); err != nil {
+			return nil, fmt.Errorf("core: lpa %d version %v does not decode: %w", lpa, ts, err)
+		}
+	}
+	return dst, nil
 }
 
 // shadowVersionAt checks a deferred VersionAt (almanacdebug): a dry decoding
 // walk of lpa from at and from the channel horizons the real walk started
 // on must pick the same version, byte for byte, done at the same instant.
-func (t *TimeSSD) shadowVersionAt(lpa uint64, when, at vclock.Time, busy []vclock.Time, got *Version, gotDone vclock.Time) {
+func (t *TimeSSD) shadowVersionAt(lpa uint64, when, at vclock.Time, busy []vclock.Time, got Version, gotFound bool, gotDone vclock.Time) {
 	w := chainWalk{mode: walkDecode, busy: busy}
 	done, err := t.walk(&w, lpa, at)
 	invariant.AssertNoErr(err, "VersionAt shadow walk")
@@ -394,7 +398,7 @@ func (t *TimeSSD) shadowVersionAt(lpa uint64, when, at vclock.Time, busy []vcloc
 		}
 	}
 	invariant.Assert(done == gotDone, "VersionAt(%d, %v): deferred walk done %v, decoding walk %v", lpa, when, gotDone, done)
-	invariant.Assert((want == nil) == (got == nil), "VersionAt(%d, %v): deferred walk found %v, decoding walk %v", lpa, when, got, want)
+	invariant.Assert((want != nil) == gotFound, "VersionAt(%d, %v): deferred walk found %v, decoding walk %v", lpa, when, gotFound, want != nil)
 	if want != nil {
 		invariant.Assert(want.TS == got.TS && want.Live == got.Live && bytes.Equal(want.Data, got.Data),
 			"VersionAt(%d, %v): deferred walk returned ts %v live %v, decoding walk ts %v live %v (bytes equal %v)",
@@ -448,23 +452,35 @@ func (t *TimeSSD) chargeDecode(enc delta.Encoding, at vclock.Time) vclock.Time {
 	return at
 }
 
-// decodeDelta reconstructs a version from its delta. XOR deltas need the
-// reference version, which — because obsolete versions are reclaimed in
-// time order — has always been reconstructed earlier in the walk, so a
-// linear scan over the versions walked so far finds it (version counts are
-// small; a per-call map would cost an allocation per query).
+// decodeDelta reconstructs a version from its delta into a page of its
+// own. XOR deltas need the reference version, which — because obsolete
+// versions are reclaimed in time order — has always been reconstructed
+// earlier in the walk, so a linear scan over the versions walked so far
+// finds it (version counts are small; a per-call map would cost an
+// allocation per query). The page starts as a copy of the reference, which
+// the decode turns into the version: append allocates it without zeroing
+// what the copy overwrites.
 func (t *TimeSSD) decodeDelta(d *delta.Delta, walked []Version) ([]byte, error) {
-	var ref []byte
+	var page []byte
 	if d.Enc == delta.EncXORLZF {
+		var ref []byte
 		for i := range walked {
 			if walked[i].TS == d.RefTS {
 				ref = walked[i].Data
 				break
 			}
 		}
+		if len(ref) != t.PageSize() {
+			return nil, fmt.Errorf("core: lpa %d version %v: reference %v is %d bytes, want %d", d.LPA, d.TS, d.RefTS, len(ref), t.PageSize())
+		}
+		page = append([]byte(nil), ref...)
+	} else {
+		page = make([]byte, t.PageSize())
 	}
-	payload := t.openRetained(d.LPA, d.TS, d.Payload)
-	return delta.Decode(d.Enc, payload, ref, t.PageSize())
+	if err := delta.DecodeOnto(page, d.Enc, t.openRetained(d.LPA, d.TS, d.Payload), &t.dec); err != nil {
+		return nil, err
+	}
+	return page, nil
 }
 
 // appendTimestamps appends the write timestamps of every retrievable
@@ -910,31 +926,41 @@ func (t *TimeSSD) RollBack(lpa uint64, when, at vclock.Time) (vclock.Time, error
 }
 
 func (t *TimeSSD) rollBackOne(lpa uint64, when, at vclock.Time) (vclock.Time, error) {
-	v, owned, done, err := t.versionAt(lpa, when, at)
+	v, found, done, err := t.versionAt(lpa, when, at, t.rollBackPage())
 	if err != nil {
 		return done, err
 	}
 	at = done
-	if v == nil {
+	if !found {
 		return t.Trim(lpa, at)
 	}
 	if v.Live {
 		return at, nil // already at the requested state
 	}
-	return t.writeBack(lpa, v, owned, at)
+	return t.writeBack(lpa, v.Data, at)
 }
 
-// writeBack writes the retained version v of lpa back as its newest
-// version. Content that may alias flash is copied first: the write's own
-// GC could reclaim that page mid-operation. Content versionAt allocated
-// goes as it is, since Write keeps nothing of its input (the program
-// copies it into the array).
-func (t *TimeSSD) writeBack(lpa uint64, v *Version, owned bool, at vclock.Time) (vclock.Time, error) {
-	data := v.Data
-	if !owned {
-		data = append([]byte(nil), data...)
+// rollBackPage returns the device's write-back page, allocated on first
+// use: rollbacks rebuild a version into it and write it from there.
+func (t *TimeSSD) rollBackPage() []byte {
+	if t.rbPage == nil {
+		t.rbPage = make([]byte, t.PageSize())
 	}
-	return t.Write(lpa, data, at)
+	return t.rbPage
+}
+
+// writeBack writes data, a retained version of lpa, back as its newest
+// version from the write-back page. versionAt decoded a delta's version
+// into that page already; any other content may alias flash, which the
+// write's own GC could reclaim mid-operation, so it is copied in first.
+// Write keeps nothing of its input (the program copies it into the
+// array), so one page serves every rollback.
+func (t *TimeSSD) writeBack(lpa uint64, data []byte, at vclock.Time) (vclock.Time, error) {
+	page := t.rollBackPage()
+	if &data[0] != &page[0] {
+		copy(page, data)
+	}
+	return t.Write(lpa, page, at)
 }
 
 // RollBackAll reverts every candidate LPA to its state at time `when`.
@@ -954,12 +980,12 @@ func (t *TimeSSD) RollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 func (t *TimeSSD) rollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 	changed := 0
 	for _, lpa := range t.CandidateLPAs() {
-		v, owned, done, err := t.versionAt(lpa, when, at)
+		v, found, done, err := t.versionAt(lpa, when, at, t.rollBackPage())
 		if err != nil {
 			return changed, done, err
 		}
 		at = done
-		if v == nil {
+		if !found {
 			if t.AMT[lpa] == flash.NullPPA {
 				continue
 			}
@@ -972,7 +998,7 @@ func (t *TimeSSD) rollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 		if v.Live {
 			continue
 		}
-		if at, err = t.writeBack(lpa, v, owned, at); err != nil {
+		if at, err = t.writeBack(lpa, v.Data, at); err != nil {
 			return changed, at, err
 		}
 		changed++

@@ -236,6 +236,8 @@ type TimeSSD struct {
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
 	scan        scanMemo       // UpdatedBetween's record of its last cold walk
 	atWalk      chainWalk      // VersionAt's deferred walk, reused across calls
+	dec         delta.Scratch  // every delta decode's staging; counts in-place and two-pass decodes
+	rbPage      []byte         // RollBack's write-back page (rollBackPage)
 	faultsArmed bool           // a fault plan is armed: no memo or deferred decode (SetFaults)
 
 	// eagerVersionAt makes VersionAt decode as it walks, as it does while

@@ -18,9 +18,11 @@ import (
 // must agree on the version (timestamp, liveness, bytes), the completion
 // time, every counter, and the count, errors and
 // virtual histogram of every obs class. The test also counts the answers
-// that took a reference chain of two or more decodes and the queries asked
-// while silent flips were armed, so a stream that never reaches either
-// fails instead of passing vacuously.
+// that took a reference chain of two or more decodes, the queries asked
+// while silent flips were armed, and, with no plan armed, the answers that
+// applied a residual in place and those that took the two-pass decode
+// (a match that copies nonzero bytes), so a stream that never reaches one
+// of them fails instead of passing vacuously.
 func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	newDev := func() *TimeSSD {
 		d := newTiny(t, func(c *Config) { c.IdleThreshold = vclock.Second })
@@ -33,7 +35,7 @@ func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	now := vclock.Time(vclock.Second)
 	seq := 0
-	var chained, silentQueries int
+	var chained, silentQueries, inPlaceQueries, twoPassQueries int
 	silent := false
 
 	compare := func(where string) {
@@ -67,7 +69,12 @@ func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	query := func(i int, lpa uint64, when vclock.Time) {
 		t.Helper()
 		where := fmt.Sprintf("step %d: VersionAt(%d, %v, %v)", i, lpa, when, now)
+		inPlace, twoPass := lazy.dec.Decodes()
 		vl, dl, el := lazy.VersionAt(lpa, when, now)
+		if ip, tp := lazy.dec.Decodes(); !lazy.faultsArmed {
+			inPlaceQueries += min(ip-inPlace, 1)
+			twoPassQueries += min(tp-twoPass, 1)
+		}
 		ve, de, ee := eager.VersionAt(lpa, when, now)
 		if dl != de || (el == nil) != (ee == nil) {
 			t.Fatalf("%s: deferred twin done %d ns err %v, eager twin done %d ns err %v", where, dl, el, de, ee)
@@ -155,6 +162,9 @@ func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	if silentQueries == 0 {
 		t.Fatal("no query ran with silent bit flips armed")
 	}
+	if inPlaceQueries == 0 || twoPassQueries == 0 {
+		t.Fatalf("with no fault plan armed, %d answers applied a residual in place and %d decoded one in two passes; want both", inPlaceQueries, twoPassQueries)
+	}
 }
 
 // TestRefCacheCountersStayZero pins the retired decoded-version cache
@@ -209,4 +219,50 @@ func TestRefCacheCountersStayZero(t *testing.T) {
 	if c := d.Counters(); c.RefCacheHits != 0 || c.RefCacheMisses != 0 || c.RefCacheEvictions != 0 {
 		t.Fatalf("retired cache counters moved: hits %d misses %d evictions %d", c.RefCacheHits, c.RefCacheMisses, c.RefCacheEvictions)
 	}
+}
+
+// TestVersionAtResultSurvivesRollBack pins that a VersionAt answer decoded
+// from a delta is the caller's own page: rollbacks rebuild versions in the
+// device's write-back page, and none of them may write into an answer
+// already returned. The answer must stay byte-identical across a RollBack
+// of its own LPA and of another LPA, each to a version that decodes, and
+// across a RollBackAll.
+func TestVersionAtResultSurvivesRollBack(t *testing.T) {
+	d, stamps, at := deltaChains(t)
+	const lpa = 3
+	v, done, err := d.VersionAt(lpa, stamps[lpa][chainRounds/2], at)
+	if err != nil || v == nil || v.Live {
+		t.Fatalf("VersionAt(%d) = %+v, %v; want a retained version", lpa, v, err)
+	}
+	if len(d.atWalk.need) == 0 {
+		t.Fatal("the answer did not decode a delta")
+	}
+	at = done
+	want := append([]byte(nil), v.Data...)
+	check := func(what string, inPlace int) {
+		t.Helper()
+		if n, _ := d.dec.Decodes(); n == inPlace {
+			t.Fatalf("%s decoded no delta in place", what)
+		}
+		if !bytes.Equal(v.Data, want) {
+			t.Fatalf("%s changed an earlier VersionAt answer", what)
+		}
+	}
+	for _, rb := range []struct {
+		name string
+		lpa  uint64
+		idx  int
+	}{{"RollBack of the same LPA", lpa, chainRounds - 1}, {"RollBack of another LPA", lpa + 1, chainRounds / 2}} {
+		inPlace, _ := d.dec.Decodes()
+		if at, err = d.RollBack(rb.lpa, stamps[rb.lpa][rb.idx], at); err != nil {
+			t.Fatalf("%s: %v", rb.name, err)
+		}
+		check(rb.name, inPlace)
+	}
+	inPlace, _ := d.dec.Decodes()
+	changed, _, err := d.RollBackAll(stamps[0][chainRounds-2], at)
+	if err != nil || changed == 0 {
+		t.Fatalf("RollBackAll changed %d pages: %v", changed, err)
+	}
+	check("RollBackAll", inPlace)
 }

@@ -93,43 +93,70 @@ func EncodeWith(c *lzf.Compressor, dst, old, ref []byte) (Encoding, []byte) {
 	return enc, dst
 }
 
-// Decode reconstructs the obsolete version from payload. ref must be the
-// page content whose write timestamp equals the delta's RefTS when Enc is
-// EncXORLZF; it is ignored otherwise. pageSize bounds the output.
-func Decode(enc Encoding, payload, ref []byte, pageSize int) ([]byte, error) {
-	return DecodeAppend(make([]byte, 0, pageSize), enc, payload, ref, pageSize)
+// Scratch is DecodeOnto's reusable staging. The zero value is ready to
+// use; a Scratch is not safe for concurrent use (a device keeps one).
+type Scratch struct {
+	lits     lzf.XORScratch
+	residual []byte // the two-pass decode's residual
+
+	inPlace, twoPass int // XOR decodes applied in place, and those decoded in two passes
 }
 
-// DecodeAppend is Decode with a caller-supplied destination: the decoded
-// version is appended to dst and the extended slice returned. Query paths
-// use it with pooled buffers to keep steady-state decodes allocation-free.
-func DecodeAppend(dst []byte, enc Encoding, payload, ref []byte, pageSize int) ([]byte, error) {
-	base := len(dst)
+// Decodes returns how many XOR decodes through s were applied in place
+// and how many took the two-pass decode, failed ones included.
+func (s *Scratch) Decodes() (inPlace, twoPass int) { return s.inPlace, s.twoPass }
+
+// DecodeOnto reconstructs the obsolete version from payload into page,
+// whose length is the page size. For EncXORLZF, page holds the reference
+// on entry (the version whose write timestamp is the delta's RefTS) and
+// the version on exit: a residual whose matches copy only zero bytes is
+// XORed onto it literal by literal (lzf.ApplyXOR), and any other is
+// decompressed into s and XORed onto it whole. EncRawLZF and EncRaw decode
+// straight into page, ignoring what it held. On an error an XOR reference
+// is left as it was, and the page of any other encoding holds no version.
+func DecodeOnto(page []byte, enc Encoding, payload []byte, s *Scratch) error {
+	pageSize := len(page)
 	switch enc {
 	case EncRaw:
 		if len(payload) != pageSize {
-			return nil, fmt.Errorf("delta: raw payload is %d bytes, want %d", len(payload), pageSize)
+			return fmt.Errorf("delta: raw payload is %d bytes, want %d", len(payload), pageSize)
 		}
-		return append(dst, payload...), nil
-	case EncRawLZF, EncXORLZF:
-		if enc == EncXORLZF && len(ref) != pageSize {
-			return nil, fmt.Errorf("delta: reference is %d bytes, want %d", len(ref), pageSize)
-		}
-		out, err := lzf.Decompress(dst, payload, pageSize)
+		copy(page, payload)
+		return nil
+	case EncRawLZF:
+		out, err := lzf.Decompress(page[:0], payload, pageSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(out)-base != pageSize {
-			return nil, fmt.Errorf("delta: decoded %d bytes, want %d", len(out)-base, pageSize)
+		return checkDecoded(len(out), pageSize)
+	case EncXORLZF:
+		if lzf.ApplyXOR(page, payload, &s.lits) {
+			s.inPlace++
+			return nil
 		}
-		if enc == EncXORLZF {
-			body := out[base:]
-			subtle.XORBytes(body, body, ref) // exact aliasing is allowed
+		s.twoPass++
+		res, err := lzf.Decompress(s.residual[:0], payload, pageSize)
+		s.residual = res[:0]
+		if err != nil {
+			return err
 		}
-		return out, nil
+		if err := checkDecoded(len(res), pageSize); err != nil {
+			return err
+		}
+		subtle.XORBytes(page, page, res)
+		return nil
 	default:
-		return nil, fmt.Errorf("delta: unknown encoding %d", enc)
+		return fmt.Errorf("delta: unknown encoding %d", enc)
 	}
+}
+
+// checkDecoded is the error for a payload that decoded to n bytes of a
+// pageSize-byte page, or nil when n is the page size.
+func checkDecoded(n, pageSize int) error {
+	if n != pageSize {
+		return fmt.Errorf("delta: decoded %d bytes, want %d", n, pageSize)
+	}
+	return nil
 }
 
 // Size returns the number of bytes d occupies inside a delta page,

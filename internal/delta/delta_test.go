@@ -33,7 +33,7 @@ func TestEncodeDecodeXOR(t *testing.T) {
 	for _, frac := range []float64{0, 0.01, 0.05, 0.2, 0.5} {
 		old, ref := similarPages(rng, frac)
 		enc, payload := EncodeWith(&c, nil, old, ref)
-		got, err := Decode(enc, payload, ref, pageSize)
+		got, err := decodeOnto(enc, payload, ref, pageSize, new(Scratch))
 		if err != nil {
 			t.Fatalf("frac=%v: decode: %v", frac, err)
 		}
@@ -66,7 +66,7 @@ func TestEncodeIncompressibleFallsBackToRaw(t *testing.T) {
 	if enc != EncRaw {
 		t.Fatalf("random content without reference chose %v, want EncRaw", enc)
 	}
-	got, err := Decode(enc, payload, nil, pageSize)
+	got, err := decodeOnto(enc, payload, nil, pageSize, new(Scratch))
 	if err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("raw round trip failed: %v", err)
 	}
@@ -79,20 +79,23 @@ func TestEncodeNoReference(t *testing.T) {
 	if enc != EncRawLZF {
 		t.Fatalf("compressible content without reference chose %v", enc)
 	}
-	got, err := Decode(enc, payload, nil, pageSize)
+	got, err := decodeOnto(enc, payload, nil, pageSize, new(Scratch))
 	if err != nil || !bytes.Equal(got, old) {
 		t.Fatalf("round trip failed: %v", err)
 	}
 }
 
 func TestDecodeWrongSizes(t *testing.T) {
-	if _, err := Decode(EncRaw, []byte{1, 2, 3}, nil, pageSize); err == nil {
+	if _, err := decodeOnto(EncRaw, []byte{1, 2, 3}, nil, pageSize, new(Scratch)); err == nil {
 		t.Fatal("short raw payload accepted")
 	}
-	if _, err := Decode(EncXORLZF, nil, []byte{1}, pageSize); err == nil {
-		t.Fatal("wrong-size reference accepted")
+	// One literal byte: a residual one byte long, of either LZF encoding.
+	for _, enc := range []Encoding{EncXORLZF, EncRawLZF} {
+		if _, err := decodeOnto(enc, []byte{0x00, 0x41}, nil, pageSize, new(Scratch)); err == nil {
+			t.Fatalf("enc %d: payload decoding to 1 byte of a %d-byte page accepted", enc, pageSize)
+		}
 	}
-	if _, err := Decode(Encoding(99), nil, nil, pageSize); err == nil {
+	if _, err := decodeOnto(Encoding(99), nil, nil, pageSize, new(Scratch)); err == nil {
 		t.Fatal("unknown encoding accepted")
 	}
 }
@@ -103,7 +106,7 @@ func TestQuickXORRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		old, ref := similarPages(rng, float64(changes%1000)/1000)
 		enc, payload := EncodeWith(&c, nil, old, ref)
-		got, err := Decode(enc, payload, ref, pageSize)
+		got, err := decodeOnto(enc, payload, ref, pageSize, new(Scratch))
 		return err == nil && bytes.Equal(got, old)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

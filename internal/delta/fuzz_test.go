@@ -9,7 +9,7 @@ import (
 	"almanac/internal/vclock"
 )
 
-// FuzzDeltaEncodeDecode checks that EncodeWith∘Decode reconstructs the exact
+// FuzzDeltaEncodeDecode checks that EncodeWith∘DecodeOnto reconstructs the exact
 // obsolete version for every (old, ref) pair, with and without a
 // reference. Deltas are how retained history survives GC (§3.6); a lossy
 // round trip here silently corrupts time travel.
@@ -21,6 +21,7 @@ func FuzzDeltaEncodeDecode(f *testing.F) {
 	f.Add([]byte("self-compressed, no reference"), []byte{}, false)
 
 	var c lzf.Compressor
+	var s Scratch
 	f.Fuzz(func(t *testing.T, old, ref []byte, useRef bool) {
 		if len(old) > 1<<16 {
 			t.Skip()
@@ -35,9 +36,9 @@ func FuzzDeltaEncodeDecode(f *testing.F) {
 			ref = nil
 		}
 		enc, payload := EncodeWith(&c, nil, old, ref)
-		got, err := Decode(enc, payload, ref, len(old))
+		got, err := decodeOnto(enc, payload, ref, len(old), &s)
 		if err != nil {
-			t.Fatalf("Decode(enc=%d) of own payload failed: %v", enc, err)
+			t.Fatalf("DecodeOnto(enc=%d) of own payload failed: %v", enc, err)
 		}
 		if !bytes.Equal(got, old) {
 			t.Fatalf("round trip mismatch for enc=%d: %d bytes in, %d bytes out", enc, len(old), len(got))
@@ -104,6 +105,61 @@ func FuzzChainHop(f *testing.F) {
 				t.Fatalf("Hop returned entry %d: lpa %d ts %d, want lpa %d before %d", got, d.LPA, d.TS, lpa, before)
 			}
 			p.Link(got)
+		}
+	})
+}
+
+// FuzzDecodeOntoMatchesTwoPass checks that DecodeOnto accepts and rejects
+// exactly what the frozen two-pass decoder does, with the same error text,
+// and reconstructs the same bytes, for any encoding, payload and
+// reference. A rejected XOR payload must leave the reference in the page
+// as it was. The reference's length is the page size: DecodeOnto's page is
+// the reference. One Scratch serves every input, as one serves a device.
+func FuzzDecodeOntoMatchesTwoPass(f *testing.F) {
+	var c lzf.Compressor
+	add := func(old, ref []byte) []byte {
+		enc, payload := EncodeWith(&c, nil, old, ref)
+		f.Add(uint8(enc), payload, ref)
+		return payload
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		old, ref := lineagePair(seed, 4096)
+		payload := add(old, ref)
+		// Corrupt after the first literal run: a back-reference before the
+		// window, where the in-place apply has a literal ready to write.
+		if lit := int(payload[0]) + 2; payload[0] < 0x20 && lit < len(payload) {
+			f.Add(uint8(EncXORLZF), append(payload[:lit:lit], 0x20, 0xff), ref)
+		}
+		f.Add(uint8(EncXORLZF), payload[:len(payload)-1], ref)
+	}
+	// A residual with a repeated nonzero run: a match copies nonzero bytes.
+	old, ref := lineagePair(4, 4096)
+	for i := 1000; i < 1200; i++ {
+		old[i] = ref[i] ^ byte(1+i%3)
+	}
+	add(old, ref)
+	add(benchPage(5, 512), nil)
+	noise := make([]byte, 512)
+	rand.New(rand.NewSource(6)).Read(noise)
+	add(noise, nil)
+	f.Add(uint8(99), []byte{0}, []byte{1})
+
+	var s Scratch
+	f.Fuzz(func(t *testing.T, enc uint8, payload, ref []byte) {
+		if len(ref) > MaxPageSize {
+			t.Skip()
+		}
+		want, wantErr := decodeRef(nil, Encoding(enc), payload, ref, len(ref))
+		page := append([]byte(nil), ref...)
+		err := DecodeOnto(page, Encoding(enc), payload, &s)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("enc %d: DecodeOnto error %v, two-pass decode %v", enc, err, wantErr)
+		}
+		switch {
+		case err == nil && !bytes.Equal(page, want):
+			t.Fatalf("enc %d: DecodeOnto and the two-pass decode reconstruct different pages", enc)
+		case err != nil && Encoding(enc) == EncXORLZF && !bytes.Equal(page, ref):
+			t.Fatalf("DecodeOnto rejected an XOR payload (%v) but changed the reference", err)
 		}
 	})
 }

@@ -25,6 +25,7 @@ package lzf
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -315,6 +316,105 @@ func Decompress(dst, src []byte, maxOut int) ([]byte, error) {
 func allZero(p []byte) bool {
 	for _, b := range p {
 		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// XORScratch is ApplyXOR's reusable staging: the literal runs of the
+// payload it validated, kept for the pass that applies them. The zero
+// value is ready to use; an XORScratch is not safe for concurrent use.
+type XORScratch struct {
+	lits []litRun
+}
+
+// litRun is one literal run of a payload: n bytes at src[in:] that decode
+// to output offset out.
+type litRun struct{ out, in, n int }
+
+// ApplyXOR XORs the residual that src, an LZF payload, decodes to onto
+// page, as Decompress followed by an XOR would, when the residual is
+// exactly len(page) bytes and every match in src copies only zero bytes.
+// The residual's nonzero bytes are then all literals, so applying it costs
+// one pass over the literals, not a decode, an XOR and a clear of the
+// whole page. The residual of two similar versions is mostly zero runs
+// and a few literals, which is the case this serves.
+//
+// ApplyXOR checks the whole payload before it writes a byte. For any other
+// payload it reports false and leaves page untouched: one that Decompress
+// rejects or that decodes to another length (the caller's two-pass decode
+// then reports the error), or one with a match that copies a nonzero byte.
+// s carries the literal runs from the check to the apply.
+func ApplyXOR(page, src []byte, s *XORScratch) bool {
+	lits, ok := xorLits(s.lits[:0], src, len(page))
+	s.lits = lits
+	if !ok {
+		return false
+	}
+	for _, r := range lits {
+		subtle.XORBytes(page[r.out:r.out+r.n], page[r.out:r.out+r.n], src[r.in:r.in+r.n])
+	}
+	return true
+}
+
+// xorLits parses src as Decompress would with an output bound of size,
+// appending each literal run to lits. It reports whether src decodes to
+// exactly size bytes and every match copies only zero bytes.
+func xorLits(lits []litRun, src []byte, size int) ([]litRun, bool) {
+	o, i := 0, 0
+	for i < len(src) {
+		ctrl := src[i]
+		i++
+		if ctrl < 0x20 {
+			n := int(ctrl) + 1
+			if i+n > len(src) || o+n > size {
+				return lits, false
+			}
+			lits = append(lits, litRun{out: o, in: i, n: n})
+			o += n
+			i += n
+			continue
+		}
+		mlen := int(ctrl >> 5)
+		if mlen == 7 {
+			if i >= len(src) {
+				return lits, false
+			}
+			mlen += int(src[i])
+			i++
+		}
+		mlen += 2
+		if i >= len(src) {
+			return lits, false
+		}
+		ref := o - (int(ctrl&0x1f)<<8 | int(src[i])) - 1
+		i++
+		if ref < 0 || o+mlen > size {
+			return lits, false
+		}
+		// A match copies [ref, ref+mlen) when that lies behind the write
+		// position, and otherwise repeats the period [ref, o).
+		if !zeroSpan(lits, src, ref, min(ref+mlen, o)) {
+			return lits, false
+		}
+		o += mlen
+	}
+	return lits, o == size
+}
+
+// zeroSpan reports whether output bytes [a, b) are all zero, given that
+// every output byte outside the literal runs lits (ascending, disjoint) is
+// zero: it reads the literal bytes the span covers, newest run first, and
+// stops at the first run that ends before a.
+func zeroSpan(lits []litRun, src []byte, a, b int) bool {
+	for k := len(lits) - 1; k >= 0; k-- {
+		r := lits[k]
+		if r.out+r.n <= a {
+			return true
+		}
+		lo, hi := max(a, r.out), min(b, r.out+r.n)
+		if lo < hi && !allZero(src[r.in+lo-r.out:r.in+hi-r.out]) {
 			return false
 		}
 	}

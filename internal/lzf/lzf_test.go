@@ -305,3 +305,104 @@ func TestCompressorExtension(t *testing.T) {
 		roundTrip(t, tc.src)
 	}
 }
+
+// twoPassXOR is what ApplyXOR stands in for: decompress the residual, then
+// XOR it onto a copy of page. ok is false where Decompress rejects src or
+// it decodes to another length than the page.
+func twoPassXOR(page, src []byte) (out []byte, ok bool) {
+	res, err := Decompress(nil, src, len(page))
+	if err != nil || len(res) != len(page) {
+		return nil, false
+	}
+	out = append([]byte(nil), page...)
+	for i := range out {
+		out[i] ^= res[i]
+	}
+	return out, true
+}
+
+// checkApplyXOR applies src onto a copy of page and checks the result:
+// byte for byte the two-pass decode where ApplyXOR accepts, page untouched
+// where it does not, and never an accept where the two-pass decode
+// rejects. It reports whether ApplyXOR accepted.
+func checkApplyXOR(t *testing.T, name string, page, src []byte, s *XORScratch) bool {
+	t.Helper()
+	got := append([]byte(nil), page...)
+	applied := ApplyXOR(got, src, s)
+	want, ok := twoPassXOR(page, src)
+	switch {
+	case applied && !ok:
+		t.Fatalf("%s: ApplyXOR accepted a payload the two-pass decode rejects", name)
+	case applied && !bytes.Equal(got, want):
+		t.Fatalf("%s: ApplyXOR's page differs from the two-pass decode's", name)
+	case !applied && !bytes.Equal(got, page):
+		t.Fatalf("%s: ApplyXOR reported false but changed the page", name)
+	}
+	return applied
+}
+
+// TestApplyXORLeavesPageOnReject pins ApplyXOR's contract on the payloads
+// it must refuse, each built from a valid residual so that the refusal
+// comes after literals the apply would have written: every corruption
+// Decompress reports, a residual one byte short of the page or one byte
+// over it, and a match that copies a nonzero byte. The page must come back
+// byte-identical. The accepted case and seeded mutations of corpus
+// payloads are checked against the two-pass decode too.
+func TestApplyXORLeavesPageOnReject(t *testing.T) {
+	const n = 512
+	page := periodic(n, 7)
+	var s XORScratch
+	var c Compressor
+	// Literals at 0 and 100, zero runs around them: every match copies zeros.
+	res := make([]byte, n)
+	copy(res, "0123456789abc")
+	copy(res[100:], "ZYXWVUTSRQ")
+	valid := c.Compress(nil, res)
+	if !checkApplyXOR(t, "valid residual", page, valid, &s) {
+		t.Fatal("ApplyXOR refused a residual whose matches copy only zeros")
+	}
+	lit := int(valid[0]) + 2 // the first literal run, control byte included
+	nonzero := make([]byte, n)
+	for i := 200; i < 300; i++ {
+		nonzero[i] = 0x5a // a nonzero run: literal, then a match copying it
+	}
+	for _, tc := range []struct {
+		name string
+		src  []byte
+	}{
+		{"literal run past end", append(valid[:lit:lit], 0x1f, 1, 2)},
+		{"truncated length extension", append(valid[:lit:lit], 0xe0)},
+		{"truncated offset", append(valid[:lit:lit], 0x20)},
+		{"reference before window", append(valid[:lit:lit], 0x20, 0xff)},
+		{"literal past the page", append(valid[:len(valid):len(valid)], 0x00, 0x01)},
+		{"match past the page", append(valid[:len(valid):len(valid)], 0x20, 0x00)},
+		{"one byte short", c.Compress(nil, res[:n-1])},
+		{"nonzero match source", c.Compress(nil, nonzero)},
+	} {
+		if checkApplyXOR(t, tc.name, page, tc.src, &s) {
+			t.Fatalf("%s: ApplyXOR accepted", tc.name)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(43))
+	accepted, refused := 0, 0
+	for k, src := range goldenCorpus() {
+		p := make([]byte, len(src))
+		rng.Read(p)
+		comp := c.Compress(nil, src)
+		for m := 0; m < 20; m++ {
+			mut := append([]byte(nil), comp...)
+			if m > 0 && len(mut) > 0 {
+				mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+			}
+			if checkApplyXOR(t, fmt.Sprintf("corpus %d mutation %d", k, m), p, mut, &s) {
+				accepted++
+			} else {
+				refused++
+			}
+		}
+	}
+	if accepted == 0 || refused == 0 {
+		t.Fatalf("corpus: %d payloads applied in place, %d refused; want both", accepted, refused)
+	}
+}
