@@ -195,8 +195,8 @@ func TestRetentionKeyValidation(t *testing.T) {
 // TestKeylessRebuildVersionAt queries the history of a device rebuilt
 // without its retention key (§3.10). Every sealed payload then fails to
 // decode, so a walk ends at the first retained delta. VersionAt and
-// RollBack must answer as a decoding walk does (Versions, which stops
-// there, and a twin forced to decode as it walks), with no error: not
+// RollBack must answer as an eager walk does (Versions, which stops
+// there, and a twin forced to walk eagerly), with no error: not
 // report the undecodable version, nor charge the chain past it.
 func TestKeylessRebuildVersionAt(t *testing.T) {
 	d, versions, at := cryptoRig(t, testKey)
@@ -230,10 +230,10 @@ func TestKeylessRebuildVersionAt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if done != wantDone || (got == nil) != (want == nil) {
-			t.Fatalf("VersionAt(9, %v): done %v found %v, decoding walk done %v found %v", when, done, got, wantDone, want)
+			t.Fatalf("VersionAt(9, %v): done %v found %v, eager walk done %v found %v", when, done, got, wantDone, want)
 		}
 		if got != nil && (got.TS != want.TS || !bytes.Equal(got.Data, want.Data)) {
-			t.Fatalf("VersionAt(9, %v): ts %v, decoding walk ts %v (bytes equal %v)", when, got.TS, want.TS, bytes.Equal(got.Data, want.Data))
+			t.Fatalf("VersionAt(9, %v): ts %v, eager walk ts %v (bytes equal %v)", when, got.TS, want.TS, bytes.Equal(got.Data, want.Data))
 		}
 		for i, v := range versions {
 			if got != nil && bytes.Equal(got.Data, v) {
@@ -248,7 +248,7 @@ func TestKeylessRebuildVersionAt(t *testing.T) {
 			t.Fatalf("RollBack(9, 1) on a keyless rebuild: %v", err)
 		}
 		if wantDone, err = eager.RollBack(9, 1, at); err != nil || done != wantDone {
-			t.Fatalf("RollBack(9, 1): done %v, decoding walk done %v (err %v)", done, wantDone, err)
+			t.Fatalf("RollBack(9, 1): done %v, eager walk done %v (err %v)", done, wantDone, err)
 		}
 	}
 }

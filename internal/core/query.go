@@ -28,6 +28,9 @@ const maxTime = vclock.Time(math.MaxInt64)
 // first entry (if any) is the live version; the rest are retained invalid
 // versions recovered through the data-page and delta-page chains (§3.7).
 // Reads are charged to virtual time; done is when the last read completes.
+// It walks eagerly (walk): each delta is rebuilt in a page of its own as
+// the walk reaches it. The answer is copied out of the device's walk
+// scratch at its exact length.
 //
 // Returned Version.Data slices are read-only views that may alias device
 // storage — the same contract as Read — and stay valid until the next
@@ -37,25 +40,26 @@ func (t *TimeSSD) Versions(lpa uint64, at vclock.Time) ([]Version, vclock.Time, 
 	if err := t.CheckLPA(lpa); err != nil {
 		return nil, at, err
 	}
-	w := chainWalk{mode: walkDecode, vers: make([]Version, 0, 8)}
-	done, err := t.walk(&w, lpa, at)
+	w := &t.atWalk
+	w.mode, w.eager, w.vers, w.kept = walkKeep, true, w.vers[:0], w.kept[:0]
+	done, err := t.walk(w, lpa, at)
 	if err != nil {
 		return nil, at, err
 	}
-	return w.vers, done, nil
+	return append(make([]Version, 0, len(w.vers)), w.vers...), done, nil
 }
 
 // VersionAt returns the version of lpa that was current at time `when`
 // (the newest version with TS ≤ when), or nil if the page had no content
 // at that time. It reads and charges exactly what Versions does, decode
-// costs included, but keeps every delta encoded while it walks and then
-// decodes only the version it returns and the XOR references that version
-// needs (resolve): the versions older than it, most of a long chain, are
-// never decompressed. It decodes as it walks, as Versions does, wherever a
-// payload can fail to decode, because a failed decode ends the walk: while
-// a fault plan is armed (a silent bit flip), and on a device Rebuild
-// mounted (a payload sealed under another retention key, §3.10). Returned
-// Data follows Versions' contract.
+// costs included, but defers: it keeps every delta encoded while it walks
+// and then rebuilds only the version it returns, through the XOR
+// references that version needs (resolve): the versions older than it,
+// most of a long chain, are never decompressed. It walks eagerly, as
+// Versions does, wherever a payload can fail to decode, because a failed
+// decode ends the walk: while a fault plan is armed (a silent bit flip),
+// and on a device Rebuild mounted (a payload sealed under another
+// retention key, §3.10). Returned Data follows Versions' contract.
 func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.Time, error) {
 	v, found, done, err := t.versionAt(lpa, when, at, nil)
 	if !found {
@@ -67,19 +71,16 @@ func (t *TimeSSD) VersionAt(lpa uint64, when, at vclock.Time) (*Version, vclock.
 // versionAt is VersionAt, with found false where VersionAt returns nil,
 // and a destination for the content it decodes: resolve builds a delta's
 // version in dst, a page long, or in an allocation of its own when dst is
-// nil. Any other content is a view that may alias flash: a data page, an
-// unsealed raw page, or any version of a decoding walk.
+// nil. Any other content is the walk's own: a view that may alias flash
+// (a data page, an unsealed raw page), or a page an eager walk rebuilt.
 func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time, dst []byte) (v Version, found bool, done vclock.Time, err error) {
 	if err := t.CheckLPA(lpa); err != nil {
 		return Version{}, false, at, err
 	}
 	w := &t.atWalk
-	w.mode, w.vers, w.kept = walkDefer, w.vers[:0], w.kept[:0]
-	if t.faultsArmed || t.eagerVersionAt {
-		w.mode = walkDecode
-	}
+	w.mode, w.eager, w.vers, w.kept = walkKeep, t.faultsArmed || t.eagerVersionAt, w.vers[:0], w.kept[:0]
 	var busy []vclock.Time
-	if invariant.Enabled && w.mode == walkDefer {
+	if invariant.Enabled && !w.eager {
 		busy = t.Arr.Horizons(nil)
 	}
 	done, err = t.walk(w, lpa, at)
@@ -89,15 +90,13 @@ func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time, dst []byte) (v Ver
 	for i := range w.vers {
 		if w.vers[i].TS <= when {
 			v, found = w.vers[i], true
-			if w.mode == walkDefer {
-				if v.Data, err = t.resolve(w, lpa, i, dst); err != nil {
-					return Version{}, false, done, err
-				}
+			if v.Data, err = t.resolve(w, lpa, i, dst); err != nil {
+				return Version{}, false, done, err
 			}
 			break
 		}
 	}
-	if invariant.Enabled && w.mode == walkDefer {
+	if invariant.Enabled && !w.eager {
 		t.shadowVersionAt(lpa, when, at, busy, v, found, done)
 	}
 	return v, found, done, nil
@@ -107,11 +106,10 @@ func (t *TimeSSD) versionAt(lpa uint64, when, at vclock.Time, dst []byte) (v Ver
 type walkMode uint8
 
 const (
-	// walkDecode decodes every delta as the walk reaches it (Versions).
-	walkDecode walkMode = iota
-	// walkDefer charges every decode where walkDecode would but keeps the
-	// deltas encoded, for resolve to decode the one VersionAt returns.
-	walkDefer
+	// walkKeep keeps every version it reaches as a keptVersion and
+	// charges each delta's decode; resolve rebuilds a version from what
+	// it kept.
+	walkKeep walkMode = iota
 	// walkStamps keeps each version's write timestamp and the channel of
 	// every read in a scanMemo. It decodes nothing and charges no decode.
 	walkStamps
@@ -120,9 +118,13 @@ const (
 // chainWalk is the state of one walk of an LPA's chains (walk).
 type chainWalk struct {
 	mode walkMode
-	vers []Version     // walkDecode, walkDefer: the versions found, newest first
-	kept []keptVersion // walkDefer: how each of vers is held until resolve
-	memo *scanMemo     // walkStamps: where timestamps and read channels go
+	// eager, on a walkKeep walk, rebuilds each version as the walk
+	// reaches it (hold), so every version it keeps is held as a data
+	// page and a delta that does not decode ends the walk.
+	eager bool
+	vers  []Version     // walkKeep: the versions found, newest first
+	kept  []keptVersion // walkKeep: how each of vers is held for resolve
+	memo  *scanMemo     // walkStamps: where timestamps and read channels go
 
 	// resolve's staging, reused across calls: the versions it rebuilds
 	// the target through, target first.
@@ -134,7 +136,7 @@ type chainWalk struct {
 	busy []vclock.Time
 }
 
-// keptVersion is how a deferred walk holds one version until resolve.
+// keptVersion is how a walkKeep walk holds one version for resolve.
 type keptVersion struct {
 	kind keptKind
 	ref  int         // index in vers of the version a kept delta decodes against, or -1
@@ -155,8 +157,8 @@ const (
 // buffered delta first and then the on-flash chain the index mapping table
 // heads. Every hop is verified against the OOB (the right LPA, strictly
 // decreasing TS), so a stale back-pointer into a reused block ends the
-// walk. Each mode is charged the same reads, and walkDecode and walkDefer
-// the same decodes. Only a failed read of the live head is an error;
+// walk. Each mode is charged the same reads, and a walkKeep walk the same
+// decodes eager or not. Only a failed read of the live head is an error;
 // anything else the walk cannot follow ends it.
 func (t *TimeSSD) walk(w *chainWalk, lpa uint64, at vclock.Time) (vclock.Time, error) {
 	prevTS := maxTime
@@ -198,7 +200,7 @@ func (t *TimeSSD) walk(w *chainWalk, lpa uint64, at vclock.Time) (vclock.Time, e
 	dcur, dslot := flash.NullPPA, uint16(0)
 	if p := t.pending[lpa]; p.d != nil && p.d.TS < prevTS {
 		var ok bool
-		if at, ok = t.takeDelta(w, p.d, at); ok {
+		if at, ok = t.takeDelta(w, lpa, p.d, at); ok {
 			prevTS = p.d.TS
 			dcur, dslot = flash.PPA(p.d.BackPtr), p.d.BackSlot
 		}
@@ -237,7 +239,7 @@ func (t *TimeSSD) walk(w *chainWalk, lpa uint64, at vclock.Time) (vclock.Time, e
 				return at, nil
 			}
 			var ok bool
-			if at, ok = t.takeDelta(w, &mine, at); !ok {
+			if at, ok = t.takeDelta(w, lpa, &mine, at); !ok {
 				return at, nil
 			}
 			prevTS = mine.TS
@@ -265,67 +267,73 @@ func (w *chainWalk) read(t *TimeSSD, ppa flash.PPA, at vclock.Time) ([]byte, fla
 // found takes a version whose content is the flash page just read: the
 // live head or a data-chain hop.
 func (w *chainWalk) found(ts vclock.Time, data []byte, live bool) {
-	switch w.mode {
-	case walkStamps:
+	if w.mode == walkStamps {
 		w.memo.ts = append(w.memo.ts, ts)
 		return
-	case walkDefer:
-		w.kept = append(w.kept, keptVersion{kind: keptData})
 	}
+	w.kept = append(w.kept, keptVersion{kind: keptData})
 	w.vers = append(w.vers, Version{TS: ts, Data: data, Live: live})
 }
 
-// takeRaw takes a retained raw page (KindDeltaRaw): opened now, kept
-// sealed for resolve, or just its timestamp. An opened page may alias the
-// flash page (openRetained returns its input when no retention key is
-// configured), which Versions' read-only until-next-mutation contract
-// covers.
+// takeRaw takes a retained raw page (KindDeltaRaw): kept sealed for
+// resolve, or just its timestamp. An eager walk opens it at once, and the
+// opened page may alias the flash page (openRetained returns its input
+// when no retention key is configured), which Versions' read-only
+// until-next-mutation contract covers.
 func (t *TimeSSD) takeRaw(w *chainWalk, lpa uint64, ts vclock.Time, data []byte) {
-	switch w.mode {
-	case walkStamps:
+	if w.mode == walkStamps {
 		w.memo.ts = append(w.memo.ts, ts)
 		return
-	case walkDefer:
-		w.kept = append(w.kept, keptVersion{kind: keptRaw, ref: -1})
-	default:
-		data = t.openRetained(lpa, ts, data)
 	}
+	w.kept = append(w.kept, keptVersion{kind: keptRaw, ref: -1})
 	w.vers = append(w.vers, Version{TS: ts, Data: data})
+	if w.eager {
+		t.hold(w, lpa) // a raw page always opens
+	}
 }
 
 // takeDelta takes one delta the walk reached and charges its decode. It
 // reports false, charging nothing, when the delta does not decode, which
-// ends the walk. A deferred walk cannot try the decode: it checks what
+// ends the walk. A walk that defers cannot try the decode: it checks what
 // the decode needs of the walk, the XOR reference, and trusts the payload.
 // VersionAt defers only on a device whose payloads all decode: one that
-// sealed them itself, with no fault plan armed.
-func (t *TimeSSD) takeDelta(w *chainWalk, d *delta.Delta, at vclock.Time) (vclock.Time, bool) {
-	switch w.mode {
-	case walkStamps:
+// sealed them itself, with no fault plan armed. An eager walk tries it.
+func (t *TimeSSD) takeDelta(w *chainWalk, lpa uint64, d *delta.Delta, at vclock.Time) (vclock.Time, bool) {
+	if w.mode == walkStamps {
 		w.memo.ts = append(w.memo.ts, d.TS)
 		return at, true
-	case walkDefer:
-		k := keptVersion{kind: keptDelta, ref: -1, d: *d}
-		if d.Enc == delta.EncXORLZF {
-			if k.ref = w.refIndex(d.RefTS, t.PageSize()); k.ref < 0 {
-				return at, false
-			}
-		}
-		w.kept = append(w.kept, k)
-		w.vers = append(w.vers, Version{TS: d.TS})
-	default:
-		data, err := t.decodeDelta(d, w.vers)
-		if err != nil {
+	}
+	k := keptVersion{kind: keptDelta, ref: -1, d: *d}
+	if d.Enc == delta.EncXORLZF {
+		if k.ref = w.refIndex(d.RefTS, t.PageSize()); k.ref < 0 {
 			return at, false
 		}
-		w.vers = append(w.vers, Version{TS: d.TS, Data: data})
+	}
+	w.kept = append(w.kept, k)
+	w.vers = append(w.vers, Version{TS: d.TS})
+	if w.eager && !t.hold(w, lpa) {
+		return at, false
 	}
 	return t.chargeDecode(d.Enc, at), true
 }
 
+// hold resolves the version an eager walk of lpa just took and holds it as
+// a data page, so a later delta's reference is one copy away. When the
+// version does not rebuild it is dropped and hold reports false.
+func (t *TimeSSD) hold(w *chainWalk, lpa uint64) bool {
+	k := len(w.vers) - 1
+	data, err := t.resolve(w, lpa, k, nil)
+	if err != nil {
+		w.vers, w.kept = w.vers[:k], w.kept[:k]
+		return false
+	}
+	w.vers[k].Data, w.kept[k] = data, keptVersion{kind: keptData}
+	return true
+}
+
 // refIndex returns the index of the version found so far that an XOR delta
-// written against refTS decodes with, or -1: the version decodeDelta would
-// pick, if Decode would accept it as a reference.
+// written against refTS decodes with, or -1: the first version with that
+// timestamp, if it is a delta or a page long.
 func (w *chainWalk) refIndex(refTS vclock.Time, pageSize int) int {
 	for i := range w.vers {
 		if w.vers[i].TS == refTS {
@@ -338,14 +346,17 @@ func (w *chainWalk) refIndex(refTS vclock.Time, pageSize int) int {
 	return -1
 }
 
-// resolve returns the content of w.vers[k] after a deferred walk of lpa.
-// It follows k's XOR references towards the head until a version needs no
-// reference (a data page, a raw page, or a delta of another encoding),
-// then rebuilds k in place: the base goes into dst once (copied, or
-// decoded straight into it) and each residual down the chain to k is
-// applied onto that one page (delta.DecodeOnto). dst is a page long, or
-// nil for an allocation of resolve's own. A data page, or a raw page that
-// is the target itself, is returned as the walk holds it.
+// resolve returns the content of w.vers[k], which a walkKeep walk of lpa
+// has reached. It follows k's XOR references towards the head until a
+// version needs no reference (a data page, a raw page, or a delta of
+// another encoding), then rebuilds k in place: the base goes into dst once
+// (copied, or decoded straight into it) and each residual down the chain
+// to k is applied onto that one page (delta.DecodeOnto). dst is a page
+// long, or nil for a fresh page: a copy of the base, which append does not
+// zero first. A data page, or a raw page that is the target itself, is
+// returned as the walk holds it. It is the only decoder of a chain walk:
+// an eager walk calls it on each version it takes (one step, from the
+// data page it holds for the reference), VersionAt on the one it returns.
 func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int, dst []byte) ([]byte, error) {
 	need, base := w.need[:0], []byte(nil)
 	for j := k; j >= 0; j = w.kept[j].ref {
@@ -367,10 +378,12 @@ func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int, dst []byte) ([]byte, 
 		}
 		i--
 	}
-	if dst == nil {
+	switch {
+	case dst == nil && base != nil:
+		dst = append([]byte(nil), base...)
+	case dst == nil:
 		dst = make([]byte, t.PageSize())
-	}
-	if base != nil {
+	case base != nil:
 		copy(dst, base)
 	}
 	for ; i >= 0; i-- {
@@ -383,11 +396,11 @@ func (t *TimeSSD) resolve(w *chainWalk, lpa uint64, k int, dst []byte) ([]byte, 
 	return dst, nil
 }
 
-// shadowVersionAt checks a deferred VersionAt (almanacdebug): a dry decoding
+// shadowVersionAt checks a deferred VersionAt (almanacdebug): a dry eager
 // walk of lpa from at and from the channel horizons the real walk started
 // on must pick the same version, byte for byte, done at the same instant.
 func (t *TimeSSD) shadowVersionAt(lpa uint64, when, at vclock.Time, busy []vclock.Time, got Version, gotFound bool, gotDone vclock.Time) {
-	w := chainWalk{mode: walkDecode, busy: busy}
+	w := chainWalk{mode: walkKeep, eager: true, busy: busy}
 	done, err := t.walk(&w, lpa, at)
 	invariant.AssertNoErr(err, "VersionAt shadow walk")
 	var want *Version
@@ -397,11 +410,11 @@ func (t *TimeSSD) shadowVersionAt(lpa uint64, when, at vclock.Time, busy []vcloc
 			break
 		}
 	}
-	invariant.Assert(done == gotDone, "VersionAt(%d, %v): deferred walk done %v, decoding walk %v", lpa, when, gotDone, done)
-	invariant.Assert((want != nil) == gotFound, "VersionAt(%d, %v): deferred walk found %v, decoding walk %v", lpa, when, gotFound, want != nil)
+	invariant.Assert(done == gotDone, "VersionAt(%d, %v): deferred walk done %v, eager walk %v", lpa, when, gotDone, done)
+	invariant.Assert((want != nil) == gotFound, "VersionAt(%d, %v): deferred walk found %v, eager walk %v", lpa, when, gotFound, want != nil)
 	if want != nil {
 		invariant.Assert(want.TS == got.TS && want.Live == got.Live && bytes.Equal(want.Data, got.Data),
-			"VersionAt(%d, %v): deferred walk returned ts %v live %v, decoding walk ts %v live %v (bytes equal %v)",
+			"VersionAt(%d, %v): deferred walk returned ts %v live %v, eager walk ts %v live %v (bytes equal %v)",
 			lpa, when, got.TS, got.Live, want.TS, want.Live, bytes.Equal(want.Data, got.Data))
 	}
 }
@@ -450,37 +463,6 @@ func (t *TimeSSD) chargeDecode(enc delta.Encoding, at vclock.Time) vclock.Time {
 		return at.Add(t.cfg.DeltaCost)
 	}
 	return at
-}
-
-// decodeDelta reconstructs a version from its delta into a page of its
-// own. XOR deltas need the reference version, which — because obsolete
-// versions are reclaimed in time order — has always been reconstructed
-// earlier in the walk, so a linear scan over the versions walked so far
-// finds it (version counts are small; a per-call map would cost an
-// allocation per query). The page starts as a copy of the reference, which
-// the decode turns into the version: append allocates it without zeroing
-// what the copy overwrites.
-func (t *TimeSSD) decodeDelta(d *delta.Delta, walked []Version) ([]byte, error) {
-	var page []byte
-	if d.Enc == delta.EncXORLZF {
-		var ref []byte
-		for i := range walked {
-			if walked[i].TS == d.RefTS {
-				ref = walked[i].Data
-				break
-			}
-		}
-		if len(ref) != t.PageSize() {
-			return nil, fmt.Errorf("core: lpa %d version %v: reference %v is %d bytes, want %d", d.LPA, d.TS, d.RefTS, len(ref), t.PageSize())
-		}
-		page = append([]byte(nil), ref...)
-	} else {
-		page = make([]byte, t.PageSize())
-	}
-	if err := delta.DecodeOnto(page, d.Enc, t.openRetained(d.LPA, d.TS, d.Payload), &t.dec); err != nil {
-		return nil, err
-	}
-	return page, nil
 }
 
 // appendTimestamps appends the write timestamps of every retrievable
@@ -604,9 +586,9 @@ func (t *TimeSSD) hasHistory(lpa uint64) bool {
 	return t.AMT[lpa] != flash.NullPPA || t.trimmed[lpa].head != flash.NullPPA
 }
 
-// CandidateLPAs returns every LPA that currently has retrievable state, in
+// candidateLPAs returns every LPA that currently has retrievable state, in
 // ascending order.
-func (t *TimeSSD) CandidateLPAs() []uint64 {
+func (t *TimeSSD) candidateLPAs() []uint64 {
 	var out []uint64
 	for lpa := uint64(0); lpa < uint64(t.LogicalPages()); lpa++ {
 		if t.hasHistory(lpa) {
@@ -979,7 +961,9 @@ func (t *TimeSSD) RollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 
 func (t *TimeSSD) rollBackAll(when, at vclock.Time) (int, vclock.Time, error) {
 	changed := 0
-	for _, lpa := range t.CandidateLPAs() {
+	// A snapshot taken before the first write: a rollback's trims and GC
+	// can change which LPAs have history mid-loop.
+	for _, lpa := range t.candidateLPAs() {
 		v, found, done, err := t.versionAt(lpa, when, at, t.rollBackPage())
 		if err != nil {
 			return changed, done, err

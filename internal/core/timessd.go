@@ -235,15 +235,16 @@ type TimeSSD struct {
 	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
 	scan        scanMemo       // UpdatedBetween's record of its last cold walk
-	atWalk      chainWalk      // VersionAt's deferred walk, reused across calls
+	atWalk      chainWalk      // the Versions and VersionAt walk, reused across calls
 	dec         delta.Scratch  // every delta decode's staging; counts in-place and two-pass decodes
 	rbPage      []byte         // RollBack's write-back page (rollBackPage)
 	faultsArmed bool           // a fault plan is armed: no memo or deferred decode (SetFaults)
 
-	// eagerVersionAt makes VersionAt decode as it walks, as it does while
-	// a fault plan is armed. Rebuild sets it: a mounted medium may hold
-	// payloads another retention key sealed. Tests set it on the reference
-	// twin of the deferred walk.
+	// eagerVersionAt makes VersionAt walk eagerly, rebuilding each version
+	// as the walk reaches it, as Versions always does and VersionAt does
+	// while a fault plan is armed. Rebuild sets it: a mounted medium may
+	// hold payloads another retention key sealed. Tests set it on the
+	// reference twin of the deferred walk.
 	eagerVersionAt bool
 
 	// gen counts the mutators that can change what a chain walk finds:

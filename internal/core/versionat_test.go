@@ -10,20 +10,27 @@ import (
 	"almanac/internal/vclock"
 )
 
-// TestVersionAtMatchesEagerWalk drives twin devices through one seeded
-// stream of every mutator, both rollbacks, and fault plans of ECC-corrected
-// and silent bit flips. One twin's VersionAt defers its decodes; the other
-// is forced to decode as it walks, which is what VersionAt did before it
-// deferred. After every step both answer the same (lpa, when) queries, and
-// must agree on the version (timestamp, liveness, bytes), the completion
-// time, every counter, and the count, errors and
-// virtual histogram of every obs class. The test also counts the answers
+// TestVersionAtMatchesEagerWalk drives twin devices through seeded streams
+// of every mutator, both rollbacks, and fault plans of ECC-corrected and
+// silent bit flips, one subtest per seed. One twin's VersionAt defers its
+// decodes and rebuilds its answer through a whole reference chain; the
+// other is forced to walk eagerly, rebuilding each version one step from
+// the last, as Versions does. After every step both answer the same
+// (lpa, when) queries, and must agree on the version (timestamp, liveness,
+// bytes), the completion time, every counter, and the count, errors and
+// virtual histogram of every obs class. Each seed also counts the answers
 // that took a reference chain of two or more decodes, the queries asked
 // while silent flips were armed, and, with no plan armed, the answers that
 // applied a residual in place and those that took the two-pass decode
 // (a match that copies nonzero bytes), so a stream that never reaches one
 // of them fails instead of passing vacuously.
 func TestVersionAtMatchesEagerWalk(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { versionAtMatchesEagerWalk(t, seed) })
+	}
+}
+
+func versionAtMatchesEagerWalk(t *testing.T, seed int64) {
 	newDev := func() *TimeSSD {
 		d := newTiny(t, func(c *Config) { c.IdleThreshold = vclock.Second })
 		d.Obs().SetEnabled(true)
@@ -32,7 +39,7 @@ func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	lazy, eager := newDev(), newDev()
 	eager.eagerVersionAt = true
 	const lpas = 24
-	rng := rand.New(rand.NewSource(11))
+	rng := rand.New(rand.NewSource(seed))
 	now := vclock.Time(vclock.Second)
 	seq := 0
 	var chained, silentQueries, inPlaceQueries, twoPassQueries int
