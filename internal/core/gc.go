@@ -344,7 +344,7 @@ func (t *TimeSSD) emitDelta(v *chainVersion, ref []byte, refTS vclock.Time, at v
 		// right-sized: the payload outlives this call inside the pending
 		// buffer, and sealRetained returns its input unchanged when no
 		// retention key is configured.
-		enc, scratch := delta.EncodeWith(&t.lzc, t.encScratch[:0], v.data, ref)
+		enc, scratch := t.enc.Encode(t.encScratch[:0], v.data, ref)
 		t.encScratch = scratch[:0]
 		payload := append(make([]byte, 0, len(scratch)), scratch...)
 		t.GC.DeltaOps++

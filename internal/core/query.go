@@ -332,10 +332,12 @@ func (t *TimeSSD) hold(w *chainWalk, lpa uint64) bool {
 }
 
 // refIndex returns the index of the version found so far that an XOR delta
-// written against refTS decodes with, or -1: the first version with that
-// timestamp, if it is a delta or a page long.
+// written against refTS decodes with, or -1: the version with that
+// timestamp, if it is a delta or a page long. Timestamps fall strictly
+// along a walk, so it searches from the oldest version found, where the
+// reference almost always is, and stops at the first newer than refTS.
 func (w *chainWalk) refIndex(refTS vclock.Time, pageSize int) int {
-	for i := range w.vers {
+	for i := len(w.vers) - 1; i >= 0 && w.vers[i].TS <= refTS; i-- {
 		if w.vers[i].TS == refTS {
 			if w.kept[i].kind == keptDelta || len(w.vers[i].Data) == pageSize {
 				return i

@@ -25,7 +25,6 @@ import (
 	"almanac/internal/fault"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
-	"almanac/internal/lzf"
 	"almanac/internal/obs"
 	"almanac/internal/vclock"
 )
@@ -231,12 +230,12 @@ type TimeSSD struct {
 	// Host-side hot-path state. Devices are single-goroutine (simulated
 	// threads share a device serially; array shards own their devices), so
 	// the scratch buffers need no locks.
-	encScratch  []byte         // delta.EncodeWith staging, reused across GC compressions
-	lzc         lzf.Compressor // generation-tagged LZF match table, reused across GC compressions
+	encScratch  []byte         // delta.Encoder.Encode's output, reused across GC compressions
+	enc         delta.Encoder  // every delta encode's compressor and residual page
 	gcVers      []chainVersion // compressRetained chain staging, reused across calls
 	scan        scanMemo       // UpdatedBetween's record of its last cold walk
 	atWalk      chainWalk      // the Versions and VersionAt walk, reused across calls
-	dec         delta.Scratch  // every delta decode's staging; counts in-place and two-pass decodes
+	dec         delta.Scratch  // every delta decode's staging; counts the residuals applied
 	rbPage      []byte         // RollBack's write-back page (rollBackPage)
 	faultsArmed bool           // a fault plan is armed: no memo or deferred decode (SetFaults)
 

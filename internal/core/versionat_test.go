@@ -21,9 +21,9 @@ import (
 // virtual histogram of every obs class. Each seed also counts the answers
 // that took a reference chain of two or more decodes, the queries asked
 // while silent flips were armed, and, with no plan armed, the answers that
-// applied a residual in place and those that took the two-pass decode
-// (a match that copies nonzero bytes), so a stream that never reaches one
-// of them fails instead of passing vacuously.
+// applied a residual whose nonzero bytes are all literals and those that
+// applied one with a match that repeats literal bytes, so a stream that
+// never reaches one of them fails instead of passing vacuously.
 func TestVersionAtMatchesEagerWalk(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { versionAtMatchesEagerWalk(t, seed) })
@@ -42,7 +42,7 @@ func versionAtMatchesEagerWalk(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	now := vclock.Time(vclock.Second)
 	seq := 0
-	var chained, silentQueries, inPlaceQueries, twoPassQueries int
+	var chained, silentQueries, literalQueries, copiedQueries int
 	silent := false
 
 	compare := func(where string) {
@@ -76,11 +76,11 @@ func versionAtMatchesEagerWalk(t *testing.T, seed int64) {
 	query := func(i int, lpa uint64, when vclock.Time) {
 		t.Helper()
 		where := fmt.Sprintf("step %d: VersionAt(%d, %v, %v)", i, lpa, when, now)
-		inPlace, twoPass := lazy.dec.Decodes()
+		applied, copied := lazy.dec.Decodes()
 		vl, dl, el := lazy.VersionAt(lpa, when, now)
-		if ip, tp := lazy.dec.Decodes(); !lazy.faultsArmed {
-			inPlaceQueries += min(ip-inPlace, 1)
-			twoPassQueries += min(tp-twoPass, 1)
+		if a, c := lazy.dec.Decodes(); !lazy.faultsArmed {
+			literalQueries += min(a-applied-(c-copied), 1)
+			copiedQueries += min(c-copied, 1)
 		}
 		ve, de, ee := eager.VersionAt(lpa, when, now)
 		if dl != de || (el == nil) != (ee == nil) {
@@ -169,8 +169,8 @@ func versionAtMatchesEagerWalk(t *testing.T, seed int64) {
 	if silentQueries == 0 {
 		t.Fatal("no query ran with silent bit flips armed")
 	}
-	if inPlaceQueries == 0 || twoPassQueries == 0 {
-		t.Fatalf("with no fault plan armed, %d answers applied a residual in place and %d decoded one in two passes; want both", inPlaceQueries, twoPassQueries)
+	if literalQueries == 0 || copiedQueries == 0 {
+		t.Fatalf("with no fault plan armed, %d answers applied a residual of literals only and %d one with a match repeating literal bytes; want both", literalQueries, copiedQueries)
 	}
 }
 

@@ -3,8 +3,6 @@ package delta
 import (
 	"math/rand"
 	"testing"
-
-	"almanac/internal/lzf"
 )
 
 // benchPage builds a dense compressible page (small-alphabet bytes).
@@ -62,11 +60,11 @@ func BenchmarkDeltaEncode4K(b *testing.B) {
 		{"lineage", lold, lref},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var c lzf.Compressor
+			var e Encoder
 			b.SetBytes(int64(len(bc.old)))
 			var out []byte
 			for i := 0; i < b.N; i++ {
-				_, out = EncodeWith(&c, out[:0], bc.old, bc.ref)
+				_, out = e.Encode(out[:0], bc.old, bc.ref)
 			}
 		})
 	}
@@ -76,10 +74,11 @@ func BenchmarkDeltaEncode4K(b *testing.B) {
 // onto their references. "onto" is DecodeOnto, as a chain walk runs it:
 // the reference copied into the page, the residual applied onto it.
 // "twopass" is the frozen two-pass decoder into a reused page: decompress
-// the residual, then XOR the reference onto it. The lineage residual
-// applies in place; the scatter residual holds matches that copy nonzero
-// bytes, so "onto" reports inplace/op 0 and pays the refused check on top
-// of the two-pass decode.
+// the residual, then XOR the reference onto it. Both residuals apply in
+// place, so "onto" reports inplace/op 1: the lineage residual's nonzero
+// bytes are all literals, and the scatter residual holds matches that
+// repeat nonzero bytes (its "00 00 x" strings recur), each applied as
+// segments of the payload it copies.
 func BenchmarkDeltaDecode4K(b *testing.B) {
 	old := benchPage(1, 4096)
 	ref := append([]byte(nil), old...)
@@ -95,8 +94,8 @@ func BenchmarkDeltaDecode4K(b *testing.B) {
 		{"scatter", old, ref},
 		{"lineage", lold, lref},
 	} {
-		var c lzf.Compressor
-		enc, payload := EncodeWith(&c, nil, bc.old, bc.ref)
+		var e Encoder
+		enc, payload := e.Encode(nil, bc.old, bc.ref)
 		if enc != EncXORLZF {
 			b.Fatalf("%s: encoded as %d, want an XOR residual", bc.name, enc)
 		}
@@ -110,8 +109,8 @@ func BenchmarkDeltaDecode4K(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			inPlace, _ := s.Decodes()
-			b.ReportMetric(float64(inPlace)/float64(b.N), "inplace/op")
+			applied, _ := s.Decodes()
+			b.ReportMetric(float64(applied)/float64(b.N), "inplace/op")
 		})
 		b.Run(bc.name+"/twopass", func(b *testing.B) {
 			page := make([]byte, 0, len(bc.ref))

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"almanac/internal/lzf"
 	"almanac/internal/vclock"
@@ -54,41 +53,36 @@ type Delta struct {
 // ErrCorruptPage is returned when a delta page fails to parse.
 var ErrCorruptPage = errors.New("delta: corrupt delta page")
 
-// xorScratch pools the XOR staging buffer EncodeWith needs for EncXORLZF;
-// the harness compresses on many devices concurrently, so the pool (rather
-// than a package-level buffer) keeps EncodeWith safe to call from parallel
-// workers.
-var xorScratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// Encoder is a device's delta encoder: the LZF compressor and the page an
+// XOR residual is staged in, both reused across calls, as Scratch is on
+// the decode side. The zero value is ready to use; an Encoder is not safe
+// for concurrent use.
+type Encoder struct {
+	lzc      lzf.Compressor
+	residual []byte
+}
 
-// EncodeWith compresses old against ref (both pageSize long) through the
-// caller's compressor, appends the chosen payload to dst, and returns the
-// encoding plus the extended slice. ref may be nil, in which case the old
-// version is self-compressed (EncRawLZF or EncRaw). Callers reuse dst and
-// hold one compressor per goroutine (the GC: one per device).
-func EncodeWith(c *lzf.Compressor, dst, old, ref []byte) (Encoding, []byte) {
+// Encode compresses old against ref (both pageSize long), appends the
+// chosen payload to dst, and returns the encoding plus the extended slice.
+// ref may be nil, in which case the old version is self-compressed
+// (EncRawLZF or EncRaw). Callers reuse dst.
+func (e *Encoder) Encode(dst, old, ref []byte) (Encoding, []byte) {
 	if ref != nil && len(ref) != len(old) {
 		panic("delta: reference and version sizes differ")
 	}
 	base := len(dst)
-	src := old
-	enc := EncRawLZF
+	src, enc := old, EncRawLZF
 	if ref != nil {
-		sp := xorScratch.Get().(*[]byte)
-		s := *sp
-		if cap(s) < len(old) {
-			s = make([]byte, len(old))
+		if cap(e.residual) < len(old) {
+			e.residual = make([]byte, len(old))
 		}
-		s = s[:len(old)]
-		subtle.XORBytes(s, old, ref)
-		src = s
-		enc = EncXORLZF
-		defer func() { *sp = s; xorScratch.Put(sp) }()
+		src, enc = e.residual[:len(old)], EncXORLZF
+		subtle.XORBytes(src, old, ref)
 	}
-	dst = c.Compress(dst, src)
+	dst = e.lzc.Compress(dst, src)
 	if len(dst)-base >= len(old) {
 		// Compression did not pay; store verbatim.
-		dst = append(dst[:base], old...)
-		return EncRaw, dst
+		return EncRaw, append(dst[:base], old...)
 	}
 	return enc, dst
 }
@@ -96,24 +90,22 @@ func EncodeWith(c *lzf.Compressor, dst, old, ref []byte) (Encoding, []byte) {
 // Scratch is DecodeOnto's reusable staging. The zero value is ready to
 // use; a Scratch is not safe for concurrent use (a device keeps one).
 type Scratch struct {
-	lits     lzf.XORScratch
-	residual []byte // the two-pass decode's residual
+	xor lzf.XORScratch
 
-	inPlace, twoPass int // XOR decodes applied in place, and those decoded in two passes
+	applied, copied int // XOR residuals applied, and those with a match repeating nonzero bytes
 }
 
-// Decodes returns how many XOR decodes through s were applied in place
-// and how many took the two-pass decode, failed ones included.
-func (s *Scratch) Decodes() (inPlace, twoPass int) { return s.inPlace, s.twoPass }
+// Decodes returns how many XOR residuals were applied through s, and how
+// many of them had a match that repeats nonzero bytes.
+func (s *Scratch) Decodes() (applied, copied int) { return s.applied, s.copied }
 
 // DecodeOnto reconstructs the obsolete version from payload into page,
 // whose length is the page size. For EncXORLZF, page holds the reference
 // on entry (the version whose write timestamp is the delta's RefTS) and
-// the version on exit: a residual whose matches copy only zero bytes is
-// XORed onto it literal by literal (lzf.ApplyXOR), and any other is
-// decompressed into s and XORed onto it whole. EncRawLZF and EncRaw decode
-// straight into page, ignoring what it held. On an error an XOR reference
-// is left as it was, and the page of any other encoding holds no version.
+// the version on exit: the residual is applied onto it in one pass over
+// its nonzero bytes (lzf.ApplyXOR). EncRawLZF and EncRaw decode straight
+// into page, ignoring what it held. On an error an XOR reference is left
+// as it was, and the page of any other encoding holds no version.
 func DecodeOnto(page []byte, enc Encoding, payload []byte, s *Scratch) error {
 	pageSize := len(page)
 	switch enc {
@@ -130,21 +122,21 @@ func DecodeOnto(page []byte, enc Encoding, payload []byte, s *Scratch) error {
 		}
 		return checkDecoded(len(out), pageSize)
 	case EncXORLZF:
-		if lzf.ApplyXOR(page, payload, &s.lits) {
-			s.inPlace++
+		copied, ok := lzf.ApplyXOR(page, payload, &s.xor)
+		if ok {
+			s.applied++
+			if copied {
+				s.copied++
+			}
 			return nil
 		}
-		s.twoPass++
-		res, err := lzf.Decompress(s.residual[:0], payload, pageSize)
-		s.residual = res[:0]
+		// ApplyXOR refuses what Decompress rejects or decodes to another
+		// length: decompress it for the error.
+		res, err := lzf.Decompress(nil, payload, pageSize)
 		if err != nil {
 			return err
 		}
-		if err := checkDecoded(len(res), pageSize); err != nil {
-			return err
-		}
-		subtle.XORBytes(page, page, res)
-		return nil
+		return checkDecoded(len(res), pageSize)
 	default:
 		return fmt.Errorf("delta: unknown encoding %d", enc)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"almanac/internal/lzf"
 	"almanac/internal/vclock"
 )
 
@@ -28,11 +27,11 @@ func similarPages(rng *rand.Rand, frac float64) (old, ref []byte) {
 }
 
 func TestEncodeDecodeXOR(t *testing.T) {
-	var c lzf.Compressor
+	var e Encoder
 	rng := rand.New(rand.NewSource(1))
 	for _, frac := range []float64{0, 0.01, 0.05, 0.2, 0.5} {
 		old, ref := similarPages(rng, frac)
-		enc, payload := EncodeWith(&c, nil, old, ref)
+		enc, payload := e.Encode(nil, old, ref)
 		got, err := decodeOnto(enc, payload, ref, pageSize, new(Scratch))
 		if err != nil {
 			t.Fatalf("frac=%v: decode: %v", frac, err)
@@ -44,10 +43,10 @@ func TestEncodeDecodeXOR(t *testing.T) {
 }
 
 func TestEncodeSimilarPagesCompressWell(t *testing.T) {
-	var c lzf.Compressor
+	var e Encoder
 	rng := rand.New(rand.NewSource(2))
 	old, ref := similarPages(rng, 0.05)
-	enc, payload := EncodeWith(&c, nil, old, ref)
+	enc, payload := e.Encode(nil, old, ref)
 	if enc != EncXORLZF {
 		t.Fatalf("similar pages chose encoding %v", enc)
 	}
@@ -57,12 +56,12 @@ func TestEncodeSimilarPagesCompressWell(t *testing.T) {
 }
 
 func TestEncodeIncompressibleFallsBackToRaw(t *testing.T) {
-	var c lzf.Compressor
+	var e Encoder
 	rng := rand.New(rand.NewSource(3))
 	old := make([]byte, pageSize)
 	rng.Read(old)
 	// No reference at all and random content: LZF will not pay.
-	enc, payload := EncodeWith(&c, nil, old, nil)
+	enc, payload := e.Encode(nil, old, nil)
 	if enc != EncRaw {
 		t.Fatalf("random content without reference chose %v, want EncRaw", enc)
 	}
@@ -73,9 +72,9 @@ func TestEncodeIncompressibleFallsBackToRaw(t *testing.T) {
 }
 
 func TestEncodeNoReference(t *testing.T) {
-	var c lzf.Compressor
+	var e Encoder
 	old := bytes.Repeat([]byte("log entry "), 410)[:pageSize]
-	enc, payload := EncodeWith(&c, nil, old, nil)
+	enc, payload := e.Encode(nil, old, nil)
 	if enc != EncRawLZF {
 		t.Fatalf("compressible content without reference chose %v", enc)
 	}
@@ -101,11 +100,11 @@ func TestDecodeWrongSizes(t *testing.T) {
 }
 
 func TestQuickXORRoundTrip(t *testing.T) {
-	var c lzf.Compressor
+	var e Encoder
 	f := func(seed int64, changes uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		old, ref := similarPages(rng, float64(changes%1000)/1000)
-		enc, payload := EncodeWith(&c, nil, old, ref)
+		enc, payload := e.Encode(nil, old, ref)
 		got, err := decodeOnto(enc, payload, ref, pageSize, new(Scratch))
 		return err == nil && bytes.Equal(got, old)
 	}

@@ -5,11 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"almanac/internal/lzf"
 	"almanac/internal/vclock"
 )
 
-// FuzzDeltaEncodeDecode checks that EncodeWith∘DecodeOnto reconstructs the exact
+// FuzzDeltaEncodeDecode checks that Encoder.Encode∘DecodeOnto reconstructs the exact
 // obsolete version for every (old, ref) pair, with and without a
 // reference. Deltas are how retained history survives GC (§3.6); a lossy
 // round trip here silently corrupts time travel.
@@ -20,14 +19,14 @@ func FuzzDeltaEncodeDecode(f *testing.F) {
 	f.Add([]byte{}, []byte{}, true)
 	f.Add([]byte("self-compressed, no reference"), []byte{}, false)
 
-	var c lzf.Compressor
+	var e Encoder
 	var s Scratch
 	f.Fuzz(func(t *testing.T, old, ref []byte, useRef bool) {
 		if len(old) > 1<<16 {
 			t.Skip()
 		}
 		if useRef {
-			// EncodeWith requires ref and old to be the same page size.
+			// Encode requires ref and old to be the same page size.
 			if len(ref) < len(old) {
 				t.Skip()
 			}
@@ -35,7 +34,7 @@ func FuzzDeltaEncodeDecode(f *testing.F) {
 		} else {
 			ref = nil
 		}
-		enc, payload := EncodeWith(&c, nil, old, ref)
+		enc, payload := e.Encode(nil, old, ref)
 		got, err := decodeOnto(enc, payload, ref, len(old), &s)
 		if err != nil {
 			t.Fatalf("DecodeOnto(enc=%d) of own payload failed: %v", enc, err)
@@ -116,9 +115,9 @@ func FuzzChainHop(f *testing.F) {
 // as it was. The reference's length is the page size: DecodeOnto's page is
 // the reference. One Scratch serves every input, as one serves a device.
 func FuzzDecodeOntoMatchesTwoPass(f *testing.F) {
-	var c lzf.Compressor
+	var e Encoder
 	add := func(old, ref []byte) []byte {
-		enc, payload := EncodeWith(&c, nil, old, ref)
+		enc, payload := e.Encode(nil, old, ref)
 		f.Add(uint8(enc), payload, ref)
 		return payload
 	}

@@ -5,7 +5,8 @@ import "testing"
 // TestCodecAllocs pins the zero-allocation contract of the codec hot path:
 // with a reused, pre-sized destination, Compressor.Compress and Decompress
 // must not allocate at all — both run on every retained version the device
-// moves.
+// moves — and ApplyXOR must not once its scratch has held a residual's
+// segments.
 func TestCodecAllocs(t *testing.T) {
 	// Sparse delta-residual shape: mostly zero with scattered set bytes,
 	// the input almost every production call sees.
@@ -32,5 +33,16 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Decompress allocates %.2f times per call, want 0", n)
+	}
+
+	page := make([]byte, len(src))
+	var s XORScratch
+	ApplyXOR(page, comp, &s)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := ApplyXOR(page, comp, &s); !ok {
+			t.Fatal("ApplyXOR refused a residual it applied before")
+		}
+	}); n != 0 {
+		t.Fatalf("ApplyXOR allocates %.2f times per call in steady state, want 0", n)
 	}
 }

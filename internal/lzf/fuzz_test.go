@@ -74,6 +74,10 @@ func FuzzCompressorMatchesReference(f *testing.F) {
 	for _, tc := range extensionCases() {
 		f.Add(tc.src)
 	}
+	// Every edge of a zero run's chunks (TestCompressorMatchesPure).
+	for _, src := range zeroRunCases() {
+		f.Add(src)
+	}
 
 	var c Compressor
 	f.Fuzz(func(t *testing.T, src []byte) {
@@ -144,4 +148,46 @@ func errClass(err error) error {
 		return ErrTooLarge
 	}
 	return err
+}
+
+// FuzzApplyXORMatchesTwoPass checks ApplyXOR against the two-pass decode
+// it stands in for (twoPassXOR) on any page and payload: both accept or
+// both refuse, an accepted payload leaves the same bytes, and a refused
+// one leaves the page untouched. Its seeds are compressed residuals of the
+// golden corpus and of zero-run edges, whole, cut short and with a byte
+// changed, and payloads whose matches repeat nonzero bytes.
+func FuzzApplyXORMatchesTwoPass(f *testing.F) {
+	var c Compressor
+	rng := rand.New(rand.NewSource(53))
+	add := func(res []byte) {
+		page := make([]byte, len(res))
+		rng.Read(page)
+		comp := c.Compress(nil, res)
+		f.Add(page, comp)
+		if len(comp) > 1 {
+			f.Add(page, comp[:len(comp)-1])
+			mut := append([]byte(nil), comp...)
+			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+			f.Add(page, mut)
+		}
+	}
+	for _, src := range goldenCorpus() {
+		add(src)
+	}
+	for k, src := range zeroRunCases() {
+		if k%67 == 0 {
+			add(src)
+		}
+	}
+	add(bytes.Repeat([]byte("ab\x00"), 100))
+	f.Add([]byte{1, 2, 3, 4}, []byte{0x00, 0x07, 0x40, 0x00})
+	f.Add([]byte{}, []byte{})
+
+	var s XORScratch
+	f.Fuzz(func(t *testing.T, page, payload []byte) {
+		if len(page) > 1<<16 {
+			t.Skip()
+		}
+		checkApplyXOR(t, "fuzz", page, payload, &s)
+	})
 }

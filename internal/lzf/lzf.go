@@ -8,9 +8,10 @@
 // a firmware compressor makes.
 //
 // Compressor is the one encoder. It keeps its match table across calls,
-// seeds it once per period of a periodic match and tests a long match's
-// whole window in one compare, yet emits exactly the bytes of the plain
-// table-per-call loop kept in the tests as the reference:
+// seeds it once per period of a periodic match, tests a long match's
+// whole window in one compare and emits the rest of a zero run without a
+// probe per chunk, yet emits exactly the bytes of the plain table-per-call
+// loop kept in the tests as the reference:
 // compressed payloads land on simulated flash, so every layout and
 // retention number the simulator reports depends on them.
 //
@@ -25,7 +26,6 @@ package lzf
 
 import (
 	"bytes"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,12 +193,17 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 					}
 				}
 				flushLits(i)
-				off := i - cand - 1
-				l := mlen - 2
-				if l < 7 {
-					dst = append(dst, byte(l<<5)|byte(off>>8), byte(off))
-				} else {
-					dst = append(dst, byte(7<<5)|byte(off>>8), byte(l-7), byte(off))
+				dst = appendMatch(dst, i-cand-1, mlen)
+				end := i + mlen
+				// A match whose bytes are all zero (its first three are,
+				// and so is the rest when its period is 3 or less) and
+				// that the zero run outlasts: zeroRun seeds it and emits
+				// the rest of the run.
+				if end+minMatch <= len(src) && u&0xffffff == 0 && src[end]|src[end+1]|src[end+2] == 0 &&
+					(i-cand <= minMatch || isZero(src[i+minMatch:end])) {
+					i, dst = c.zeroRun(dst, src, i, mlen, tag)
+					litStart = i
+					continue
 				}
 				// Seed the table with every other position inside the match
 				// so later data can reference it. Only the table state after
@@ -213,7 +218,6 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 				// Starting there leaves the table, and so every later byte
 				// of output, exactly as seeding them all would. On an XOR
 				// residual q is 1-4 and this skips ~130 hashes per zero run.
-				end := i + mlen
 				j := i + 1
 				if span := (i - cand) << ((i - cand) & 1); j+span+minMatch <= end {
 					j = j + (end-minMatch-j)&^1 - span + 2
@@ -230,6 +234,80 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 	}
 	flushLits(len(src))
 	return dst
+}
+
+// zeroRun emits the rest of a zero run after the match of mlen zero bytes
+// at i that Compress has just emitted, in place of that match's seeding,
+// and returns where the run's chunks end with the extended dst. Every
+// position the match would seed hashes three zero bytes, as the probe at
+// i did, so only the "000" bucket changes, to the match's last seed. The
+// reference loop then matches each next chunk against that seed, 3 or 4
+// bytes back: the bytes between are zero, so the match extends exactly as
+// far as the run does, up to maxMatch, and its seeds again go to that
+// bucket alone. zeroRun emits the same chunks while minMatch or more bytes
+// of the run are left, with no probe, compare or seeding, and writes the
+// bucket once, as the last chunk's seeding leaves it.
+func (c *Compressor) zeroRun(dst, src []byte, i, mlen int, tag uint64) (int, []byte) {
+	last := lastSeed(i, mlen)
+	i += mlen
+	for {
+		n := zeroLen(src[i : i+min(maxMatch, len(src)-i)])
+		if n < minMatch {
+			break
+		}
+		dst = appendMatch(dst, i-last-1, n)
+		last = lastSeed(i, n)
+		i += n
+		if n < maxMatch {
+			break
+		}
+	}
+	c.table[hash3(0, 0, 0)] = tag | uint64(last+1)
+	return i, dst
+}
+
+// lastSeed is the position of the last table write a match of length mlen
+// at i makes: its last seed, i+1, i+3, ... up to i+mlen-minMatch, or the
+// probe at i when the match is too short to seed.
+func lastSeed(i, mlen int) int {
+	if mlen <= minMatch {
+		return i
+	}
+	return i + 1 + (mlen-minMatch-1)&^1
+}
+
+// appendMatch appends the back-reference token of a match of length mlen
+// whose source starts off+1 bytes back.
+func appendMatch(dst []byte, off, mlen int) []byte {
+	l := mlen - 2
+	if l < 7 {
+		return append(dst, byte(l<<5)|byte(off>>8), byte(off))
+	}
+	return append(dst, byte(7<<5)|byte(off>>8), byte(l-7), byte(off))
+}
+
+// isZero reports whether every byte of p is zero.
+func isZero(p []byte) bool { return zeroLen(p) == len(p) }
+
+// zeroLen returns the number of leading zero bytes of p: 32 bytes per
+// step while they are all zero, then a word and a byte at a time to the
+// first nonzero one.
+func zeroLen(p []byte) int {
+	q := p
+	for len(q) >= 32 && binary.LittleEndian.Uint64(q)|binary.LittleEndian.Uint64(q[8:])|
+		binary.LittleEndian.Uint64(q[16:])|binary.LittleEndian.Uint64(q[24:]) == 0 {
+		q = q[32:]
+	}
+	for len(q) >= 8 {
+		if x := binary.LittleEndian.Uint64(q); x != 0 {
+			return len(p) - len(q) + bits.TrailingZeros64(x)>>3
+		}
+		q = q[8:]
+	}
+	for len(q) > 0 && q[0] == 0 {
+		q = q[1:]
+	}
+	return len(p) - len(q)
 }
 
 // Decompress appends the decoding of src to dst and returns the extended
@@ -291,7 +369,7 @@ func Decompress(dst, src []byte, maxOut int) ([]byte, error) {
 		// off=0). On an XOR residual that period is almost always zeros,
 		// and a zero run is one clear of the extended tail (the bound
 		// check above keeps it within the capacity grown up front).
-		if allZero(dst[ref:]) {
+		if isZero(dst[ref:]) {
 			n := len(dst)
 			dst = dst[:n+mlen]
 			clear(dst[n:])
@@ -312,66 +390,65 @@ func Decompress(dst, src []byte, maxOut int) ([]byte, error) {
 	return dst, nil
 }
 
-// allZero reports whether every byte of p is zero.
-func allZero(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// XORScratch is ApplyXOR's reusable staging: the literal runs of the
-// payload it validated, kept for the pass that applies them. The zero
-// value is ready to use; an XORScratch is not safe for concurrent use.
+// XORScratch is ApplyXOR's reusable staging: the segments of the residual
+// it parsed. The zero value is ready to use; an XORScratch is not safe for
+// concurrent use.
 type XORScratch struct {
-	lits []litRun
+	segs []segment
 }
 
-// litRun is one literal run of a payload: n bytes at src[in:] that decode
-// to output offset out.
-type litRun struct{ out, in, n int }
+// segment is a stretch of a residual that repeats payload bytes: the n
+// residual bytes at output offset out are src[in:in+n], and the first and
+// the last of them are nonzero. Outside its segments a residual is zero.
+type segment struct{ out, in, n int }
 
 // ApplyXOR XORs the residual that src, an LZF payload, decodes to onto
 // page, as Decompress followed by an XOR would, when the residual is
-// exactly len(page) bytes and every match in src copies only zero bytes.
-// The residual's nonzero bytes are then all literals, so applying it costs
-// one pass over the literals, not a decode, an XOR and a clear of the
-// whole page. The residual of two similar versions is mostly zero runs
-// and a few literals, which is the case this serves.
+// exactly len(page) bytes; ok reports that it was. Every nonzero residual
+// byte is a literal byte, or one a match repeats from an earlier output
+// offset, so the residual is a list of segments of payload bytes over
+// zeros. The parse keeps each literal run as a segment, with its leading
+// and trailing zeros left out. A match whose source holds no segment (a
+// zero run, by far the most common) costs nothing more; one whose source
+// does turns each segment piece it copies into a new segment at the
+// match's offset, from the same payload bytes, and copied reports it. The
+// apply then XORs each segment onto the page: nothing is decoded, and
+// nothing but the segments is written.
 //
-// ApplyXOR checks the whole payload before it writes a byte. For any other
-// payload it reports false and leaves page untouched: one that Decompress
-// rejects or that decodes to another length (the caller's two-pass decode
-// then reports the error), or one with a match that copies a nonzero byte.
-// s carries the literal runs from the check to the apply.
-func ApplyXOR(page, src []byte, s *XORScratch) bool {
-	lits, ok := xorLits(s.lits[:0], src, len(page))
-	s.lits = lits
-	if !ok {
-		return false
+// ApplyXOR parses the whole payload before it writes to page. A payload
+// that Decompress rejects, or that decodes to another length, leaves page
+// untouched, and the caller decompresses it for the error.
+func ApplyXOR(page, src []byte, s *XORScratch) (copied, ok bool) {
+	if copied, ok = s.parse(src, len(page)); !ok {
+		return false, false
 	}
-	for _, r := range lits {
-		subtle.XORBytes(page[r.out:r.out+r.n], page[r.out:r.out+r.n], src[r.in:r.in+r.n])
+	for _, g := range s.segs {
+		xorOnto(page[g.out:g.out+g.n], src[g.in:g.in+g.n])
 	}
-	return true
+	return copied, true
 }
 
-// xorLits parses src as Decompress would with an output bound of size,
-// appending each literal run to lits. It reports whether src decodes to
-// exactly size bytes and every match copies only zero bytes.
-func xorLits(lits []litRun, src []byte, size int) ([]litRun, bool) {
-	o, i := 0, 0
+// parse parses src as Decompress would with an output bound of size into
+// s.segs, the segments of the residual it decodes to, in output order.
+// copied reports a match that repeats nonzero bytes; ok is false when src
+// does not decode, or not to exactly size bytes.
+func (s *XORScratch) parse(src []byte, size int) (copied, ok bool) {
+	segs := s.segs[:0]
+	last := 0 // where the newest segment ends
+	i, o := 0, 0
+	ok = true
 	for i < len(src) {
 		ctrl := src[i]
 		i++
 		if ctrl < 0x20 {
 			n := int(ctrl) + 1
 			if i+n > len(src) || o+n > size {
-				return lits, false
+				ok = false
+				break
 			}
-			lits = append(lits, litRun{out: o, in: i, n: n})
+			if g, nz := trim(o, i, n, src); nz {
+				segs, last = append(segs, g), g.out+g.n
+			}
 			o += n
 			i += n
 			continue
@@ -379,44 +456,104 @@ func xorLits(lits []litRun, src []byte, size int) ([]litRun, bool) {
 		mlen := int(ctrl >> 5)
 		if mlen == 7 {
 			if i >= len(src) {
-				return lits, false
+				ok = false
+				break
 			}
 			mlen += int(src[i])
 			i++
 		}
 		mlen += 2
 		if i >= len(src) {
-			return lits, false
+			ok = false
+			break
 		}
 		ref := o - (int(ctrl&0x1f)<<8 | int(src[i])) - 1
 		i++
 		if ref < 0 || o+mlen > size {
-			return lits, false
+			ok = false
+			break
 		}
-		// A match copies [ref, ref+mlen) when that lies behind the write
-		// position, and otherwise repeats the period [ref, o).
-		if !zeroSpan(lits, src, ref, min(ref+mlen, o)) {
-			return lits, false
+		// The match repeats the period [ref, o), cut to mlen bytes (a
+		// source that ends behind o is one period, cut). Its source,
+		// [ref, end), is zero but for the segments that end after ref and
+		// start before end, and segments lie in output order. So a chunk
+		// of a zero run, whose source starts after the newest segment,
+		// costs one test, and so does the run's first chunk after a
+		// literal run, whose source is the zeros just before that run:
+		// the literal run starts at or after end, and the segment before
+		// it ends before ref. Any other match finds its first segment by
+		// a binary search.
+		if last <= ref {
+			o += mlen
+			continue
+		}
+		hi, end := len(segs), min(ref+mlen, o)
+		k := hi
+		for k > 0 && hi-k < 2 && segs[k-1].out >= end {
+			k--
+		}
+		if k == 0 || segs[k-1].out+segs[k-1].n <= ref {
+			o += mlen
+			continue
+		}
+		k = firstEndingAfter(segs[:hi], ref)
+		period := o - ref
+		for base := 0; base < mlen; base += period {
+			end := ref + min(period, mlen-base)
+			for _, g := range segs[k:hi] {
+				a, b := max(g.out, ref), min(g.out+g.n, end)
+				if a >= b {
+					break
+				}
+				if g, nz := trim(o+base+a-ref, g.in+a-g.out, b-a, src); nz {
+					segs, last, copied = append(segs, g), g.out+g.n, true
+				}
+			}
 		}
 		o += mlen
 	}
-	return lits, o == size
+	s.segs = segs
+	return copied, ok && o == size
 }
 
-// zeroSpan reports whether output bytes [a, b) are all zero, given that
-// every output byte outside the literal runs lits (ascending, disjoint) is
-// zero: it reads the literal bytes the span covers, newest run first, and
-// stops at the first run that ends before a.
-func zeroSpan(lits []litRun, src []byte, a, b int) bool {
-	for k := len(lits) - 1; k >= 0; k-- {
-		r := lits[k]
-		if r.out+r.n <= a {
-			return true
+// firstEndingAfter returns the index of the first of segs, in output
+// order, that ends after ref; the last one must. It halves the range
+// without a branch on the comparison, which a far source would
+// mispredict at every step.
+func firstEndingAfter(segs []segment, ref int) int {
+	k, n := 0, len(segs)
+	for n > 1 {
+		half := n >> 1
+		if g := &segs[k+half-1]; g.out+g.n <= ref {
+			k += half
 		}
-		lo, hi := max(a, r.out), min(b, r.out+r.n)
-		if lo < hi && !allZero(src[r.in+lo-r.out:r.in+hi-r.out]) {
-			return false
-		}
+		n -= half
 	}
-	return true
+	return k
+}
+
+// xorOnto XORs q onto p, which is as long: a word at a time, then a byte
+// at a time. A segment is a literal run or a piece of one, too short for
+// subtle.XORBytes' call to pay.
+func xorOnto(p, q []byte) {
+	for len(p) >= 8 && len(q) >= 8 {
+		binary.LittleEndian.PutUint64(p, binary.LittleEndian.Uint64(p)^binary.LittleEndian.Uint64(q))
+		p, q = p[8:], q[8:]
+	}
+	for j := range p {
+		p[j] ^= q[j]
+	}
+}
+
+// trim is the segment of the n residual bytes at output offset out that
+// repeat src[in:in+n], with their leading and trailing zeros left out; nz
+// is false when they are all zero.
+func trim(out, in, n int, src []byte) (g segment, nz bool) {
+	for n > 0 && src[in] == 0 {
+		out, in, n = out+1, in+1, n-1
+	}
+	for n > 0 && src[in+n-1] == 0 {
+		n--
+	}
+	return segment{out: out, in: in, n: n}, n > 0
 }

@@ -189,12 +189,102 @@ func TestCompressorMatchesPure(t *testing.T) {
 			t.Fatalf("round %d: round-trip failed: %v", round, err)
 		}
 	}
+	// The zero-run edges, on the same reused instance; the cases must
+	// reach zeroRun's chunks at both distances the seeding leaves, and a
+	// zero run's first match exactly maxOff back.
+	seen := map[[2]int]bool{}
+	for k, src := range zeroRunCases() {
+		if got, want := c.Compress(nil, src), compressRef(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("zero-run case %d (len %d): compressor output diverges from the reference", k, len(src))
+		}
+		for _, m := range zeroMatches(src) {
+			seen[m] = true
+		}
+	}
+	for _, m := range [][2]int{{3, maxMatch}, {4, maxMatch}, {maxOff, minMatch}} {
+		if !seen[m] {
+			t.Fatalf("no zero-run case has a match of zeros %d bytes back and %d long", m[0], m[1])
+		}
+	}
 	// Generation wrap: force gen past the reset boundary and re-verify.
 	c.gen = ^uint32(0)
 	src := mk(2048, 2)
 	if !bytes.Equal(c.Compress(nil, src), compressRef(nil, src)) {
 		t.Fatal("compressor diverges after generation wrap")
 	}
+}
+
+// zeroRunCases are the edges of Compress's zero-run chunks: a literal run
+// of 1-33 bytes, then a zero run of 0-8, 263-266 or 527-530 bytes that
+// ends at the end of the input or 1-3 nonzero bytes before it. Each comes
+// plain, where the run's first match is 3 or 4 bytes long and every chunk
+// after it starts 3 bytes past the last seed, and after a prefix whose
+// zero stretch makes that match 5 bytes long, so the chunks start 4 bytes
+// past it. Two more put a zero run's first candidate exactly maxOff back,
+// and one byte further.
+func zeroRunCases() [][]byte {
+	rng := rand.New(rand.NewSource(47))
+	nonzero := func(n int) []byte {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(1 + rng.Intn(255))
+		}
+		return p
+	}
+	var cs [][]byte
+	for _, prefix := range [][]byte{nil, {3, 0, 0, 0, 1, 0, 0, 0, 0, 0}} {
+		for lit := 1; lit <= 33; lit++ {
+			for _, zeros := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 263, 264, 265, 266, 527, 528, 529, 530} {
+				for tail := 0; tail <= 3; tail++ {
+					src := append(append([]byte(nil), prefix...), nonzero(lit)...)
+					src = append(src, make([]byte, zeros)...)
+					cs = append(cs, append(src, nonzero(tail)...))
+				}
+			}
+		}
+	}
+	// Three zero bytes at 0, then bytes none of whose triples shares
+	// their bucket, so the bucket still points at 0 when the zero run
+	// at d starts.
+	for _, d := range []int{maxOff, maxOff + 1} {
+		src := append(make([]byte, minMatch), nonzero(d-minMatch)...)
+		for j := 0; j+minMatch <= d; j++ {
+			for j > 0 && hashAt(src, j) == hash3(0, 0, 0) {
+				src[j+minMatch-1] = byte(1 + rng.Intn(255))
+			}
+		}
+		cs = append(cs, append(append(src, make([]byte, 600)...), nonzero(5)...))
+	}
+	return cs
+}
+
+// zeroMatches returns the distance and length of each match of zeros in
+// the reference loop's encoding of src.
+func zeroMatches(src []byte) [][2]int {
+	comp := compressRef(nil, src)
+	var ms [][2]int
+	out := 0
+	for i := 0; i < len(comp); {
+		ctrl := comp[i]
+		if ctrl < 0x20 {
+			out += int(ctrl) + 1
+			i += int(ctrl) + 2
+			continue
+		}
+		l := int(ctrl >> 5)
+		if l == 7 {
+			i++
+			l += int(comp[i])
+		}
+		l += 2
+		d := int(ctrl&0x1f)<<8 | int(comp[i+1]) + 1
+		i += 2
+		if isZero(src[out : out+l]) {
+			ms = append(ms, [2]int{d, l})
+		}
+		out += l
+	}
+	return ms
 }
 
 // extensionCase is an input whose first back-reference lands at position
@@ -321,33 +411,35 @@ func twoPassXOR(page, src []byte) (out []byte, ok bool) {
 	return out, true
 }
 
-// checkApplyXOR applies src onto a copy of page and checks the result:
-// byte for byte the two-pass decode where ApplyXOR accepts, page untouched
-// where it does not, and never an accept where the two-pass decode
-// rejects. It reports whether ApplyXOR accepted.
-func checkApplyXOR(t *testing.T, name string, page, src []byte, s *XORScratch) bool {
+// checkApplyXOR applies src onto a copy of page and checks the result
+// against the two-pass decode: the same verdict, byte for byte the same
+// page where both accept, and the page untouched where both refuse. It
+// reports ApplyXOR's results.
+func checkApplyXOR(t testing.TB, name string, page, src []byte, s *XORScratch) (copied, applied bool) {
 	t.Helper()
 	got := append([]byte(nil), page...)
-	applied := ApplyXOR(got, src, s)
+	copied, applied = ApplyXOR(got, src, s)
 	want, ok := twoPassXOR(page, src)
 	switch {
-	case applied && !ok:
-		t.Fatalf("%s: ApplyXOR accepted a payload the two-pass decode rejects", name)
+	case applied != ok:
+		t.Fatalf("%s: ApplyXOR accepts %v, the two-pass decode %v", name, applied, ok)
 	case applied && !bytes.Equal(got, want):
 		t.Fatalf("%s: ApplyXOR's page differs from the two-pass decode's", name)
 	case !applied && !bytes.Equal(got, page):
 		t.Fatalf("%s: ApplyXOR reported false but changed the page", name)
 	}
-	return applied
+	return copied, applied
 }
 
 // TestApplyXORLeavesPageOnReject pins ApplyXOR's contract on the payloads
 // it must refuse, each built from a valid residual so that the refusal
 // comes after literals the apply would have written: every corruption
-// Decompress reports, a residual one byte short of the page or one byte
-// over it, and a match that copies a nonzero byte. The page must come back
-// byte-identical. The accepted case and seeded mutations of corpus
-// payloads are checked against the two-pass decode too.
+// Decompress reports, and a residual one byte short of the page or one
+// byte over it. The page must come back byte-identical. Residuals whose
+// matches repeat only zeros, and ones with a match that repeats nonzero
+// bytes from behind, from far behind or as a period, must apply as the
+// two-pass decode does; so must seeded mutations of corpus payloads,
+// which must both apply and refuse.
 func TestApplyXORLeavesPageOnReject(t *testing.T) {
 	const n = 512
 	page := periodic(n, 7)
@@ -358,28 +450,59 @@ func TestApplyXORLeavesPageOnReject(t *testing.T) {
 	copy(res, "0123456789abc")
 	copy(res[100:], "ZYXWVUTSRQ")
 	valid := c.Compress(nil, res)
-	if !checkApplyXOR(t, "valid residual", page, valid, &s) {
-		t.Fatal("ApplyXOR refused a residual whose matches copy only zeros")
+	if copied, ok := checkApplyXOR(t, "valid residual", page, valid, &s); !ok || copied {
+		t.Fatalf("zero-run residual: applied %v, copied %v; want applied, nothing copied", ok, copied)
 	}
-	lit := int(valid[0]) + 2 // the first literal run, control byte included
+	// A nonzero run of one byte (a period-1 match of it), a string repeated
+	// from far behind, and one repeated with a zero in it.
 	nonzero := make([]byte, n)
 	for i := 200; i < 300; i++ {
-		nonzero[i] = 0x5a // a nonzero run: literal, then a match copying it
+		nonzero[i] = 0x5a
 	}
+	copy(nonzero[20:], "repeat me")
+	copy(nonzero[400:], "repeat me")
+	copy(nonzero[40:], "a\x00\x00\x00b")
+	copy(nonzero[480:], "a\x00\x00\x00b")
+	// By hand: a period-1 run of a literal's last byte, a piece from the
+	// middle of a literal run, a literal run of zeros, a period holding
+	// three segments, a match of zeros from between segments, and zero
+	// runs to the end of the page.
+	lit := func(p string) []byte { return append([]byte{byte(len(p) - 1)}, p...) }
+	var hand []byte
+	hand = append(hand, lit("ab\x00cd")...)         // [0, 5)
+	hand = appendMatch(hand, 0, 4)                  // [5, 9): "dddd"
+	hand = appendMatch(hand, 9-1-1, 3)              // [9, 12): "b\x00c"
+	hand = append(hand, lit("\x00\x00\x00\x00")...) // [12, 16)
+	hand = appendMatch(hand, 16-0-1, 40)            // [16, 56): [0, 16) repeated
+	hand = appendMatch(hand, 56-12-1, 4)            // [56, 60): zeros
+	hand = appendMatch(hand, 0, maxMatch)           // [60, 324)
+	hand = appendMatch(hand, 0, n-324)              // [324, n)
+	for name, src := range map[string][]byte{
+		"nonzero match source": c.Compress(nil, nonzero),
+		"period 2":             c.Compress(nil, periodic(n, 2)),
+		"period 7":             c.Compress(nil, page),
+		"scattered bytes":      c.Compress(nil, lzfCorpus(3, n, 60)),
+		"hand-built copies":    hand,
+	} {
+		if copied, ok := checkApplyXOR(t, name, page, src, &s); !ok || !copied {
+			t.Fatalf("%s: applied %v, copied %v; want both", name, ok, copied)
+		}
+	}
+	first := int(valid[0]) + 2 // the first literal run, control byte included
 	for _, tc := range []struct {
 		name string
 		src  []byte
 	}{
-		{"literal run past end", append(valid[:lit:lit], 0x1f, 1, 2)},
-		{"truncated length extension", append(valid[:lit:lit], 0xe0)},
-		{"truncated offset", append(valid[:lit:lit], 0x20)},
-		{"reference before window", append(valid[:lit:lit], 0x20, 0xff)},
+		{"literal run past end", append(valid[:first:first], 0x1f, 1, 2)},
+		{"truncated length extension", append(valid[:first:first], 0xe0)},
+		{"truncated offset", append(valid[:first:first], 0x20)},
+		{"reference before window", append(valid[:first:first], 0x20, 0xff)},
 		{"literal past the page", append(valid[:len(valid):len(valid)], 0x00, 0x01)},
 		{"match past the page", append(valid[:len(valid):len(valid)], 0x20, 0x00)},
 		{"one byte short", c.Compress(nil, res[:n-1])},
-		{"nonzero match source", c.Compress(nil, nonzero)},
+		{"nonzero residual one byte short", c.Compress(nil, nonzero[:n-1])},
 	} {
-		if checkApplyXOR(t, tc.name, page, tc.src, &s) {
+		if _, ok := checkApplyXOR(t, tc.name, page, tc.src, &s); ok {
 			t.Fatalf("%s: ApplyXOR accepted", tc.name)
 		}
 	}
@@ -395,7 +518,7 @@ func TestApplyXORLeavesPageOnReject(t *testing.T) {
 			if m > 0 && len(mut) > 0 {
 				mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
 			}
-			if checkApplyXOR(t, fmt.Sprintf("corpus %d mutation %d", k, m), p, mut, &s) {
+			if _, ok := checkApplyXOR(t, fmt.Sprintf("corpus %d mutation %d", k, m), p, mut, &s); ok {
 				accepted++
 			} else {
 				refused++

@@ -8,7 +8,6 @@ import (
 	"almanac/internal/delta"
 	"almanac/internal/flash"
 	"almanac/internal/ftl"
-	"almanac/internal/lzf"
 	"almanac/internal/vclock"
 )
 
@@ -191,14 +190,14 @@ func TestContentSimilarRatio(t *testing.T) {
 	g := NewContentGen(4096, ContentSimilar, 3)
 	g.MeanRatio = 0.2
 	// Measure the actual delta-compression ratio between versions.
-	var c lzf.Compressor
+	var e delta.Encoder
 	var sum float64
 	n := 40
 	for i := 0; i < n; i++ {
 		lpa := uint64(i)
 		old := g.NextVersion(lpa)
 		ref := g.NextVersion(lpa)
-		_, payload := delta.EncodeWith(&c, nil, old, ref)
+		_, payload := e.Encode(nil, old, ref)
 		sum += float64(len(payload)) / 4096
 	}
 	avg := sum / float64(n)
@@ -266,8 +265,8 @@ func TestContentRandomIncompressible(t *testing.T) {
 	g := NewContentGen(4096, ContentRandom, 6)
 	old := g.NextVersion(1)
 	ref := g.NextVersion(1)
-	var c lzf.Compressor
-	enc, _ := delta.EncodeWith(&c, nil, old, ref)
+	var e delta.Encoder
+	enc, _ := e.Encode(nil, old, ref)
 	if enc != delta.EncRaw {
 		t.Fatalf("random content delta-compressed (%v)", enc)
 	}
